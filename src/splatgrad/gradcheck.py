@@ -23,7 +23,15 @@ from .projection import (
     world_to_camera,
 )
 from .proj_backward import scene_backward
-from .raster_forward import SIGMA_CUT, T_MIN, eval_alpha, render
+from .raster_forward import (
+    SIGMA_CUT,
+    T_MIN,
+    _block_alpha,
+    _iter_tiles,
+    _pack_splats,
+    _transmittance,
+    render,
+)
 
 AUDIT_CLASSES = ("mean", "scale", "quat", "opacity", "color", "view")
 
@@ -302,49 +310,35 @@ def _pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
                 cov2d=cov2d,
                 depth=depth,
                 radius=bounding_radius(cov2d),
-                source_index=0,
+                source_index=len(projected),
             )
         )
     depths = sorted(p.depth for p in projected)
     if any(b - a < depth_margin for a, b in zip(depths, depths[1:])):
         return None
 
-    mask = np.ones((camera.height, camera.width), dtype=bool)
-    ys, xs = np.mgrid[0:camera.height, 0:camera.width]
-    xs = xs + 0.5
-    ys = ys + 0.5
-    for p in projected:
-        a, b, c = p.cov2d[0, 0], p.cov2d[0, 1], p.cov2d[1, 1]
-        det = a * c - b * b
-        inv_a, inv_b, inv_c = c / det, -b / det, a / det
-        dx = xs - p.mean2d[0]
-        dy = ys - p.mean2d[1]
-        sigma = 0.5 * (inv_a * dx * dx + inv_c * dy * dy) + inv_b * dx * dy
-        mask &= np.abs(sigma - SIGMA_CUT) > sigma_margin
+    h, w = camera.height, camera.width
+    xs = np.tile(np.arange(w, dtype=np.float64) + 0.5, h)
+    ys = np.repeat(np.arange(h, dtype=np.float64) + 0.5, w)
+    packed = _pack_splats(projected, scene)
+    sigma = _block_alpha(xs, ys, packed, np.arange(len(projected))).sigma
+    mask = np.all(np.abs(sigma - SIGMA_CUT) > sigma_margin, axis=0).reshape(h, w)
 
+    # A pixel is cleared when a transmittance step of its front-to-back
+    # walk lands in the band around T_MIN. T never increases, so a walk
+    # that stops by stepping below the band stays below it: testing every
+    # step of the full cumprod finds exactly the steps the walk reaches.
     res = render(scene, camera, background)
-    for ty in range(res.grid.tiles_y):
-        for tx in range(res.grid.tiles_x):
-            order = res.grid.bin_at(tx, ty)
-            if not order:
-                continue
-            for row in range(ty * 16, min((ty + 1) * 16, camera.height)):
-                for col in range(tx * 16, min((tx + 1) * 16, camera.width)):
-                    center = (col + 0.5, row + 0.5)
-                    trans = 1.0
-                    for idx in order:
-                        p = res.projected[idx]
-                        opacity = scene[p.source_index].opacity
-                        alpha, _, _ = eval_alpha(p, opacity, center)
-                        if alpha == 0.0:
-                            continue
-                        next_trans = trans * (1.0 - alpha)
-                        if T_MIN / t_margin < next_trans < T_MIN * t_margin:
-                            mask[row, col] = False
-                            break
-                        if next_trans < T_MIN:
-                            break
-                        trans = next_trans
+    packed = _pack_splats(res.projected, scene)
+    for b, rows, cols, xs, ys in _iter_tiles(res.grid, w, h):
+        order = res.grid.bins[b]
+        if not order:
+            continue
+        a = _block_alpha(xs, ys, packed, np.asarray(order, dtype=np.int64))
+        t_after = _transmittance(np.ones(xs.shape[0]), a.alpha, a.visible)[1:]
+        band = a.visible & (T_MIN / t_margin < t_after) & (t_after < T_MIN * t_margin)
+        cleared = np.any(band, axis=0)
+        mask[rows, cols] &= ~cleared.reshape(rows.stop - rows.start, cols.stop - cols.start)
     return mask
 
 

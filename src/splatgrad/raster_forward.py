@@ -1,10 +1,14 @@
 """Front-to-back alpha compositing of depth-sorted splats, tile by tile.
 
-One vectorized kernel evaluates a splat against every pixel of a tile at
-once; the per-pixel operations run the same kernel on a single pixel, so
-both views of the math agree bitwise. The brute-force renderer reuses the
-kernel with the tile bins replaced by the full globally sorted list, which
-is what makes the tiled-versus-brute-force equivalence checks meaningful.
+One kernel, _block_alpha, evaluates a block of K splats against P pixel
+centers at once. The tile compositor runs it on a tile's bin, the
+backward pass and the audit mask run it again, and the per-pixel
+operations run it with P = 1, so every view of the math agrees bitwise.
+Transmittance is a cumprod along the splat axis, which is sequential and
+therefore equal to the front-to-back loop. The brute-force renderer
+reuses the compositor with the tile bins replaced by the full globally
+sorted list, which is what makes the tiled-versus-brute-force
+equivalence checks meaningful.
 """
 
 from dataclasses import dataclass
@@ -28,6 +32,10 @@ T_MIN = 1e-4
 # so with this cutoff the set of contributing splats at a pixel does not
 # depend on tile membership, and tiled and untiled rendering match exactly.
 SIGMA_CUT = 4.5
+# Splats per kernel block. Longer bins (the brute-force renderer puts
+# every splat in every tile) are walked in blocks, which bounds the
+# (K, P) temporaries; no result depends on the block size.
+BLOCK = 64
 
 
 @dataclass
@@ -72,7 +80,11 @@ class RenderResult:
 
 @dataclass
 class _PackedSplats:
-    """Per-splat scalars gathered out of the dataclasses once per pass."""
+    """Per-splat scalars gathered out of the dataclasses once per pass.
+
+    inv_a, inv_b and inv_c are the entries of the symmetric inverse
+    [[A, B], [B, C]] of each 2D covariance.
+    """
 
     mean_x: np.ndarray
     mean_y: np.ndarray
@@ -82,76 +94,136 @@ class _PackedSplats:
     opacity: np.ndarray
     color: np.ndarray
 
-
-def _cov2d_inverse_terms(cov2d):
-    """Entries (A, B, C) of the symmetric 2x2 inverse [[A, B], [B, C]]."""
-    a, b, c = cov2d[0, 0], cov2d[0, 1], cov2d[1, 1]
-    det = a * c - b * b
-    if not det > 0.0:
-        raise ValueError("2d covariance is not invertible")
-    return c / det, -b / det, a / det
+    @classmethod
+    def of(cls, mean2d, cov2d, opacity, color):
+        """Pack mean2d (N, 2), cov2d (N, 2, 2), opacity (N,), color (N, 3)."""
+        a, b, c = cov2d[:, 0, 0], cov2d[:, 0, 1], cov2d[:, 1, 1]
+        det = a * c - b * b
+        bad = np.flatnonzero(~(det > 0.0))
+        if bad.size:
+            raise ValueError(
+                f"2d covariance of projected splat {bad[0]} is not invertible"
+            )
+        return cls(
+            mean_x=mean2d[:, 0],
+            mean_y=mean2d[:, 1],
+            inv_a=c / det,
+            inv_b=-b / det,
+            inv_c=a / det,
+            opacity=opacity,
+            color=color,
+        )
 
 
 def _pack_splats(projected, scene):
     n = len(projected)
-    packed = _PackedSplats(
-        mean_x=np.empty(n),
-        mean_y=np.empty(n),
-        inv_a=np.empty(n),
-        inv_b=np.empty(n),
-        inv_c=np.empty(n),
-        opacity=np.empty(n),
-        color=np.empty((n, 3)),
+    sources = [scene[p.source_index] for p in projected]
+    return _PackedSplats.of(
+        mean2d=np.array([p.mean2d for p in projected], dtype=np.float64).reshape(n, 2),
+        cov2d=np.array([p.cov2d for p in projected], dtype=np.float64).reshape(n, 2, 2),
+        opacity=np.array([g.opacity for g in sources], dtype=np.float64),
+        color=np.array([g.color for g in sources], dtype=np.float64).reshape(n, 3),
     )
-    for j, p in enumerate(projected):
-        packed.mean_x[j] = p.mean2d[0]
-        packed.mean_y[j] = p.mean2d[1]
-        packed.inv_a[j], packed.inv_b[j], packed.inv_c[j] = _cov2d_inverse_terms(p.cov2d)
-        g = scene[p.source_index]
-        packed.opacity[j] = g.opacity
-        packed.color[j] = g.color
-    return packed
+
+
+class _Alpha(NamedTuple):
+    """K splats evaluated at P pixel centers; every field is (K, P).
+
+    (dx, dy) is pixel center minus mean2d, sigma half the squared
+    Mahalanobis distance, alpha_raw = opacity * exp(-sigma) and alpha its
+    clamp at ALPHA_MAX. visible marks the pairs inside the SIGMA_CUT
+    footprint with alpha >= ALPHA_MIN; every other pair is skipped.
+    """
+
+    dx: np.ndarray
+    dy: np.ndarray
+    sigma: np.ndarray
+    exp_neg: np.ndarray
+    alpha_raw: np.ndarray
+    alpha: np.ndarray
+    visible: np.ndarray
+
+
+def _block_alpha(xs, ys, packed, idx):
+    """Evaluate the splats packed[idx] (K,) at the pixel centers (xs, ys)
+    (P,). The one sigma/alpha expression of the rasterizer."""
+    dx = xs[None, :] - packed.mean_x[idx, None]
+    dy = ys[None, :] - packed.mean_y[idx, None]
+    sigma = (
+        0.5 * (packed.inv_a[idx, None] * dx * dx + packed.inv_c[idx, None] * dy * dy)
+        + packed.inv_b[idx, None] * dx * dy
+    )
+    exp_neg = np.exp(-sigma)
+    alpha_raw = packed.opacity[idx, None] * exp_neg
+    alpha = np.minimum(alpha_raw, ALPHA_MAX)
+    visible = (sigma <= SIGMA_CUT) & (alpha >= ALPHA_MIN)
+    return _Alpha(dx, dy, sigma, exp_neg, alpha_raw, alpha, visible)
+
+
+def _transmittance(trans, alpha, mask):
+    """Transmittance before each of K splats and after the last, (K + 1, P).
+
+    A cumprod along K seeded with the carried trans (P,), where pairs
+    outside mask pass T through unchanged. The product is sequential, so
+    it equals the loop T = T * (1 - alpha) bitwise.
+    """
+    factors = np.empty((alpha.shape[0] + 1, alpha.shape[1]))
+    factors[0] = trans
+    factors[1:] = np.where(mask, 1.0 - alpha, 1.0)
+    return np.cumprod(factors, axis=0)
 
 
 def _composite_tile(xs, ys, order, packed, background, early_termination):
     """Composite the splats in `order` onto the pixel centers (xs, ys).
 
-    Every operation is elementwise over the pixel axis, so the result at a
-    pixel does not depend on which other pixels share the call.
+    The bin is walked in blocks of BLOCK splats, carrying T, color and the
+    stopped mask from block to block. Every operation is elementwise over
+    the pixel axis and sequential along the splat axis, so the result at a
+    pixel depends neither on which other pixels share the call nor on the
+    block size.
 
     Returns (color (P, 3), final_T (P,), n_contrib (P,)).
     """
     n_px = xs.shape[0]
-    color = np.zeros((n_px, 3))
+    order = np.asarray(order, dtype=np.int64)
+    color = np.zeros((3, n_px))
     trans = np.ones(n_px)
     n_contrib = np.zeros(n_px, dtype=np.int64)
     done = np.zeros(n_px, dtype=bool)
-    for pos, j in enumerate(order):
-        dx = xs - packed.mean_x[j]
-        dy = ys - packed.mean_y[j]
-        sigma = (
-            0.5 * (packed.inv_a[j] * dx * dx + packed.inv_c[j] * dy * dy)
-            + packed.inv_b[j] * dx * dy
-        )
-        alpha = np.minimum(packed.opacity[j] * np.exp(-sigma), ALPHA_MAX)
-        visible = (sigma <= SIGMA_CUT) & (alpha >= ALPHA_MIN) & ~done
+    for start in range(0, order.size, BLOCK):
+        idx = order[start:start + BLOCK]
+        a = _block_alpha(xs, ys, packed, idx)
+        visible = a.visible & ~done
         if not visible.any():
             continue
-        next_trans = trans * (1.0 - alpha)
+        t = _transmittance(trans, a.alpha, visible)
         if early_termination:
-            stops = visible & (next_trans < T_MIN)
-            done |= stops
+            # The first splat that would take T below T_MIN stops the
+            # pixel without being composited. T never increases, so every
+            # later visible splat in the block is a stop too.
+            stops = visible & (t[1:] < T_MIN)
             commit = visible & ~stops
+            stopped = stops.any(axis=0)
+            first = np.argmax(stops, axis=0)
+            trans = np.where(stopped, t[first, np.arange(n_px)], t[-1])
+            done |= stopped
         else:
             commit = visible
-        weight = np.where(commit, alpha * trans, 0.0)
-        color += weight[:, None] * packed.color[j]
-        trans = np.where(commit, next_trans, trans)
-        n_contrib = np.where(commit, pos + 1, n_contrib)
+            trans = t[-1]
+        weight = np.where(commit, a.alpha * t[:-1], 0.0)
+        # Row 0 seeds the sum with the carried color. The reduced axis is
+        # never the innermost, so numpy adds the rows in order, exactly as
+        # color += weight * c does splat by splat.
+        terms = np.empty((idx.size + 1, 3, n_px))
+        terms[0] = color
+        np.multiply(weight[:, None, :], packed.color[idx, :, None], out=terms[1:])
+        color = np.add.reduce(terms, axis=0)
+        pos = np.arange(start + 1, start + idx.size + 1)
+        n_contrib = np.maximum(n_contrib, np.max(np.where(commit, pos[:, None], 0), axis=0))
         if done.all():
             break
-    color += background[None, :] * trans[:, None]
-    return color, trans, n_contrib
+    color += background[:, None] * trans[None, :]
+    return color.T, trans, n_contrib
 
 
 def _iter_tiles(grid: TileGrid, width, height):
@@ -186,14 +258,20 @@ def eval_alpha(g, opacity, pixel_center):
         the contribution falls below ALPHA_MIN or past the SIGMA_CUT
         footprint cutoff, marking the splat as skipped at this pixel.
     """
-    inv_a, inv_b, inv_c = _cov2d_inverse_terms(g.cov2d)
-    dx = pixel_center[0] - g.mean2d[0]
-    dy = pixel_center[1] - g.mean2d[1]
-    sigma = 0.5 * (inv_a * dx * dx + inv_c * dy * dy) + inv_b * dx * dy
-    alpha = np.minimum(opacity * np.exp(-sigma), ALPHA_MAX)
-    if sigma > SIGMA_CUT or alpha < ALPHA_MIN:
-        alpha = 0.0
-    return float(alpha), np.array([dx, dy]), float(sigma)
+    packed = _PackedSplats.of(
+        mean2d=np.asarray(g.mean2d, dtype=np.float64).reshape(1, 2),
+        cov2d=np.asarray(g.cov2d, dtype=np.float64).reshape(1, 2, 2),
+        opacity=np.array([opacity], dtype=np.float64),
+        color=np.zeros((1, 3)),
+    )
+    a = _block_alpha(
+        np.array([float(pixel_center[0])]),
+        np.array([float(pixel_center[1])]),
+        packed,
+        np.zeros(1, dtype=np.int64),
+    )
+    alpha = float(a.alpha[0, 0]) if a.visible[0, 0] else 0.0
+    return alpha, np.array([a.dx[0, 0], a.dy[0, 0]]), float(a.sigma[0, 0])
 
 
 def composite_pixel(sorted_bin, projected, scene, pixel_center, background,

@@ -110,3 +110,190 @@ def naive_render(scene, camera, background, early_termination=True):
             image[row, col] = color + background * trans
             final_t[row, col] = trans
     return image, final_t
+
+
+# Reference oracles for the vectorised tile kernels. These are the
+# per-splat loops the rasterizer used before its kernels worked on whole
+# (splats x pixels) blocks; they keep the same signatures, so a test can
+# swap one in for raster_forward._composite_tile or
+# raster_backward._backward_tile and compare whole renders and gradients.
+
+
+def oracle_composite_tile(xs, ys, order, packed, background,
+                          early_termination, t_log=None):
+    """Front-to-back compositing, one splat of `order` at a time.
+
+    Returns (color (P, 3), final_T (P,), n_contrib (P,)). When t_log is a
+    list, (bin position, T before the splat) is appended for every splat
+    that commits at some pixel, with the other pixels set to NaN.
+    """
+    n_px = xs.shape[0]
+    color = np.zeros((n_px, 3))
+    trans = np.ones(n_px)
+    n_contrib = np.zeros(n_px, dtype=np.int64)
+    done = np.zeros(n_px, dtype=bool)
+    for pos, j in enumerate(order):
+        dx = xs - packed.mean_x[j]
+        dy = ys - packed.mean_y[j]
+        sigma = (
+            0.5 * (packed.inv_a[j] * dx * dx + packed.inv_c[j] * dy * dy)
+            + packed.inv_b[j] * dx * dy
+        )
+        alpha = np.minimum(packed.opacity[j] * np.exp(-sigma), ALPHA_MAX)
+        visible = (sigma <= SIGMA_CUT) & (alpha >= ALPHA_MIN) & ~done
+        if not visible.any():
+            continue
+        next_trans = trans * (1.0 - alpha)
+        if early_termination:
+            stops = visible & (next_trans < T_MIN)
+            done |= stops
+            commit = visible & ~stops
+        else:
+            commit = visible
+        if t_log is not None and commit.any():
+            t_log.append((pos, np.where(commit, trans, np.nan)))
+        weight = np.where(commit, alpha * trans, 0.0)
+        color += weight[:, None] * packed.color[j]
+        trans = np.where(commit, next_trans, trans)
+        n_contrib = np.where(commit, pos + 1, n_contrib)
+        if done.all():
+            break
+    color += background[None, :] * trans[:, None]
+    return color, trans, n_contrib
+
+
+def oracle_backward_tile(xs, ys, order, packed, sources, background, final_t,
+                         n_contrib, d_pixels, grads, t_log=None):
+    """Back-to-front gradient walk, one splat at a time, rebuilding T from
+    final_t by division (T_before = T_after / (1 - alpha)) and carrying
+    the full color suffix per pixel."""
+    max_n = int(n_contrib.max()) if len(order) else 0
+    trans = final_t.astype(np.float64, copy=True)
+    suffix = background[None, :] * trans[:, None]
+    for pos in range(max_n - 1, -1, -1):
+        j = order[pos]
+        active = n_contrib > pos
+        dx = xs - packed.mean_x[j]
+        dy = ys - packed.mean_y[j]
+        sigma = (
+            0.5 * (packed.inv_a[j] * dx * dx + packed.inv_c[j] * dy * dy)
+            + packed.inv_b[j] * dx * dy
+        )
+        exp_neg = np.exp(-sigma)
+        alpha_raw = packed.opacity[j] * exp_neg
+        alpha = np.minimum(alpha_raw, ALPHA_MAX)
+        contrib = active & (sigma <= SIGMA_CUT) & (alpha >= ALPHA_MIN)
+        if not contrib.any():
+            continue
+        one_minus = 1.0 - alpha
+        t_here = np.where(contrib, trans / one_minus, trans)
+        if t_log is not None:
+            t_log.append((pos, np.where(contrib, t_here, np.nan)))
+
+        src = sources[j]
+        weight = np.where(contrib, alpha * t_here, 0.0)
+        grads.d_color[src] += np.sum(weight[:, None] * d_pixels, axis=0)
+        d_alpha = np.sum(
+            (packed.color[j][None, :] * t_here[:, None]
+             - suffix / one_minus[:, None]) * d_pixels,
+            axis=1,
+        )
+        live = contrib & (alpha_raw < ALPHA_MAX)
+        grads.d_opacity[src] += np.sum(np.where(live, d_alpha * exp_neg, 0.0))
+        d_sig = np.where(live, -alpha_raw * d_alpha, 0.0)
+
+        y0 = packed.inv_a[j] * dx + packed.inv_b[j] * dy
+        y1 = packed.inv_b[j] * dx + packed.inv_c[j] * dy
+        grads.d_mean2d[src, 0] += np.sum(-d_sig * y0)
+        grads.d_mean2d[src, 1] += np.sum(-d_sig * y1)
+        c00 = np.sum(-0.5 * d_sig * y0 * y0)
+        c01 = np.sum(-0.5 * d_sig * y0 * y1)
+        c11 = np.sum(-0.5 * d_sig * y1 * y1)
+        grads.d_cov2d[src, 0, 0] += c00
+        grads.d_cov2d[src, 0, 1] += c01
+        grads.d_cov2d[src, 1, 0] += c01
+        grads.d_cov2d[src, 1, 1] += c11
+
+        suffix = suffix + weight[:, None] * packed.color[j][None, :]
+        trans = t_here
+
+
+def reference_pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
+                                t_margin=4.0, depth_margin=5e-3):
+    """The audit's branch-safety mask computed pixel by pixel: the same
+    contract as gradcheck._pixel_safety_mask, with the transmittance band
+    found by walking every pixel's bin in pure Python and a scalar alpha
+    expression of its own."""
+    from splatgrad import (
+        ProjectedGaussian,
+        bounding_radius,
+        camera_to_pixel,
+        compose_covariance_3d,
+        project_covariance,
+        projection_jacobian,
+        render,
+        world_to_camera,
+    )
+
+    projected = []
+    for g in scene:
+        t_cam = world_to_camera(g.mean, camera)
+        depth = float(t_cam[2])
+        if not camera.near + 0.5 < depth < camera.far - 0.5:
+            return None
+        bundle = compose_covariance_3d(g.quat, g.scale)
+        jac = projection_jacobian(t_cam, camera)
+        cov2d = project_covariance(jac, camera.rotation, bundle.sigma)
+        projected.append(
+            ProjectedGaussian(
+                t_cam=t_cam,
+                mean2d=camera_to_pixel(t_cam, camera),
+                cov2d=cov2d,
+                depth=depth,
+                radius=bounding_radius(cov2d),
+                source_index=0,
+            )
+        )
+    depths = sorted(p.depth for p in projected)
+    if any(b - a < depth_margin for a, b in zip(depths, depths[1:])):
+        return None
+
+    def sigma_at(p, xs, ys):
+        a, b, c = p.cov2d[0, 0], p.cov2d[0, 1], p.cov2d[1, 1]
+        det = a * c - b * b
+        inv_a, inv_b, inv_c = c / det, -b / det, a / det
+        dx = xs - p.mean2d[0]
+        dy = ys - p.mean2d[1]
+        return 0.5 * (inv_a * dx * dx + inv_c * dy * dy) + inv_b * dx * dy
+
+    mask = np.ones((camera.height, camera.width), dtype=bool)
+    ys, xs = np.mgrid[0:camera.height, 0:camera.width]
+    for p in projected:
+        sigma = sigma_at(p, xs + 0.5, ys + 0.5)
+        mask &= np.abs(sigma - SIGMA_CUT) > sigma_margin
+
+    res = render(scene, camera, background)
+    ts = res.grid.tile_size
+    for ty in range(res.grid.tiles_y):
+        for tx in range(res.grid.tiles_x):
+            order = res.grid.bin_at(tx, ty)
+            for row in range(ty * ts, min((ty + 1) * ts, camera.height)):
+                for col in range(tx * ts, min((tx + 1) * ts, camera.width)):
+                    trans = 1.0
+                    for idx in order:
+                        p = res.projected[idx]
+                        sigma = float(sigma_at(p, col + 0.5, row + 0.5))
+                        alpha = min(
+                            scene[p.source_index].opacity * float(np.exp(-sigma)),
+                            ALPHA_MAX,
+                        )
+                        if sigma > SIGMA_CUT or alpha < ALPHA_MIN:
+                            continue
+                        next_trans = trans * (1.0 - alpha)
+                        if T_MIN / t_margin < next_trans < T_MIN * t_margin:
+                            mask[row, col] = False
+                            break
+                        if next_trans < T_MIN:
+                            break
+                        trans = next_trans
+    return mask
