@@ -4,6 +4,15 @@ Everything downstream (projection, rasterization, gradients) builds on the
 types here. All math is in 64-bit floats. Quaternions are stored in
 (w, x, y, z) order and may be unnormalized; they are normalized on use so
 optimizer steps need no constraint handling.
+
+A scene travels through the pipeline as one Splats: an array per field,
+one row per splat. Gaussian3D is a single splat, the unit of JSON input
+and output. The geometric ops here and downstream take one splat or a
+stack with leading axes, and the stacked forms are written as broadcast
+products and sums (matprod, matvec), never as BLAS matrix products, so
+their results cannot depend on the BLAS thread count. A failed check on
+a stack raises RowError, which the scene-level kernels turn into a
+message naming the splat.
 """
 
 from dataclasses import dataclass
@@ -54,6 +63,103 @@ class Gaussian3D:
             raise ValueError("opacity must lie in [0, 1]")
         if np.any(self.color < 0.0) or np.any(self.color > 1.0):
             raise ValueError("color channels must lie in [0, 1]")
+
+
+def _raise_first(bad, field, problem):
+    hit = np.flatnonzero(bad)
+    if hit.size:
+        raise ValueError(f"gaussians[{hit[0]}].{field} {problem}")
+
+
+@dataclass
+class Splats:
+    """A scene as arrays, one row per splat.
+
+    means (N, 3), scales (N, 3), quats (N, 4) in (w, x, y, z) order,
+    opacities (N,) and colors (N, 3). The batched kernels and the
+    optimizer work on this form; from_gaussians and to_gaussians convert
+    to and from a list of Gaussian3D.
+    """
+
+    means: np.ndarray
+    scales: np.ndarray
+    quats: np.ndarray
+    opacities: np.ndarray
+    colors: np.ndarray
+
+    def __post_init__(self):
+        self.opacities = np.asarray(self.opacities, dtype=np.float64)
+        if self.opacities.ndim != 1:
+            raise ValueError(
+                f"opacities must have shape (N,), got {self.opacities.shape}"
+            )
+        n = self.opacities.shape[0]
+        self.means = _as_f64(self.means, (n, 3), "means")
+        self.scales = _as_f64(self.scales, (n, 3), "scales")
+        self.quats = _as_f64(self.quats, (n, 4), "quats")
+        self.colors = _as_f64(self.colors, (n, 3), "colors")
+
+    def __len__(self):
+        return self.opacities.shape[0]
+
+    @classmethod
+    def from_gaussians(cls, gaussians):
+        n = len(gaussians)
+        return cls(
+            means=np.array([g.mean for g in gaussians]).reshape(n, 3),
+            scales=np.array([g.scale for g in gaussians]).reshape(n, 3),
+            quats=np.array([g.quat for g in gaussians]).reshape(n, 4),
+            opacities=np.array([g.opacity for g in gaussians], dtype=np.float64),
+            colors=np.array([g.color for g in gaussians]).reshape(n, 3),
+        )
+
+    @classmethod
+    def of(cls, scene):
+        """scene itself if it is a Splats, else from_gaussians(scene)."""
+        return scene if isinstance(scene, cls) else cls.from_gaussians(scene)
+
+    def to_gaussians(self):
+        """One Gaussian3D per row, holding copies of the row's values."""
+        return [
+            Gaussian3D(
+                mean=self.means[i].copy(),
+                scale=self.scales[i].copy(),
+                quat=self.quats[i].copy(),
+                opacity=self.opacities[i],
+                color=self.colors[i].copy(),
+            )
+            for i in range(len(self))
+        ]
+
+    def check(self):
+        """Raise ValueError unless every splat can be rendered.
+
+        Every value must be finite, every scale positive and every
+        quaternion norm above QUAT_NORM_EPS. The message names the first
+        offending splat and field, e.g. gaussians[17].opacity.
+        """
+        fields = (("mean", self.means), ("scale", self.scales),
+                  ("quat", self.quats), ("opacity", self.opacities[:, None]),
+                  ("color", self.colors))
+        norms = np.sqrt(np.sum(self.quats * self.quats, axis=1))
+        if (np.isfinite(np.concatenate([v for _, v in fields], axis=1)).all()
+                and (self.scales > 0.0).all() and (norms > QUAT_NORM_EPS).all()):
+            return
+        for field, values in fields:
+            _raise_first(~np.all(np.isfinite(values), axis=1), field,
+                         "must be finite")
+        _raise_first(np.any(self.scales <= 0.0, axis=1), "scale",
+                     "components must be positive")
+        _raise_first(norms <= QUAT_NORM_EPS, "quat", "norm is too small")
+
+    def validate(self):
+        """check(), then the ranges Gaussian3D.validate enforces: opacity
+        and color channels in [0, 1]."""
+        self.check()
+        _raise_first((self.opacities < 0.0) | (self.opacities > 1.0),
+                     "opacity", "must lie in [0, 1]")
+        _raise_first(np.any((self.colors < 0.0) | (self.colors > 1.0), axis=1),
+                     "color", "channels must lie in [0, 1]")
 
 
 @dataclass
@@ -129,18 +235,66 @@ class Camera:
             raise ValueError("focal lengths must be positive")
 
 
+def matprod(a, b):
+    """Matrix product over the last two axes, broadcasting the others.
+
+    Written as a broadcast product summed over the shared index, so a
+    stack of small products never reaches BLAS and the terms are added in
+    index order whatever the thread count.
+    """
+    return np.sum(a[..., :, :, None] * b[..., None, :, :], axis=-2)
+
+
+def matvec(a, v):
+    """Matrix-vector product over the last axes, broadcasting the others,
+    as a sum of elementwise products (see matprod)."""
+    return np.sum(a * v[..., None, :], axis=-1)
+
+
+class RowError(ValueError):
+    """A check failed on row `row` of a stacked input."""
+
+    def __init__(self, problem, row):
+        super().__init__(f"row {row}: {problem}")
+        self.problem = problem
+        self.row = row
+
+
+def reject(bad, problem):
+    """Raise where bad holds: ValueError(problem) for a single splat, or
+    RowError naming the first bad row of a stack, which a caller that
+    knows the rows' splats turns into a message naming the splat."""
+    bad = np.asarray(bad)
+    if not bad.any():
+        return
+    if bad.ndim == 0:
+        raise ValueError(problem)
+    raise RowError(problem, int(np.flatnonzero(bad.ravel())[0]))
+
+
 @dataclass
 class Cov3DBundle:
     """World-space covariance with the factors the backward pass reuses.
 
     R is the rotation from the quaternion, S the diagonal scale matrix,
-    M their product, and sigma = M M^T the covariance itself.
+    M their product, and sigma = M M^T the covariance itself. For stacked
+    inputs every field has the stack's leading axes.
     """
 
     R: np.ndarray
     S: np.ndarray
     M: np.ndarray
     sigma: np.ndarray
+
+
+# Entry k of a rotation matrix, row-major, is I_k + 2 (SA_k p[A_k] + SB_k p[B_k])
+# where p holds the 16 products of unit-quaternion components, index
+# 4 * i + j for components i, j in (w, x, y, z) order. For example R[0, 0]
+# is 1 - 2 (yy + zz) and R[0, 1] is 2 (xy - wz).
+_ROT_A = np.array([10, 6, 7, 6, 5, 11, 7, 11, 5])
+_ROT_B = np.array([15, 3, 2, 3, 15, 1, 2, 1, 10])
+_ROT_SA = np.array([-1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
+_ROT_SB = np.array([-1.0, -1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0, -1.0])
 
 
 def quat_to_rotmat(quat):
@@ -150,25 +304,22 @@ def quat_to_rotmat(quat):
     quaternion produces the identical matrix.
 
     Args:
-        quat: length-4 array-like with nonzero norm.
+        quat: length-4 array-like with nonzero norm, or a stack (..., 4).
 
     Returns:
-        3x3 orthonormal matrix with determinant +1.
+        3x3 orthonormal matrix with determinant +1, with the stack's
+        leading axes in front.
     """
     q = np.asarray(quat, dtype=np.float64)
-    if q.shape != (4,):
-        raise ValueError(f"quat must have shape (4,), got {q.shape}")
-    norm = np.sqrt(np.dot(q, q))
-    if norm <= QUAT_NORM_EPS:
-        raise ValueError("quaternion norm is too small to define an orientation")
-    w, x, y, z = q / norm
-    return np.array(
-        [
-            [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-            [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
-            [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
-        ]
-    )
+    if q.shape[-1:] != (4,):
+        raise ValueError(f"quat must have shape (4,) or (..., 4), got {q.shape}")
+    norm = np.sqrt(np.sum(q * q, axis=-1))
+    reject(norm <= QUAT_NORM_EPS,
+           "quaternion norm is too small to define an orientation")
+    q = q / norm[..., None]
+    p = (q[..., :, None] * q[..., None, :]).reshape(q.shape[:-1] + (16,))
+    r = 2.0 * (_ROT_SA * p[..., _ROT_A] + _ROT_SB * p[..., _ROT_B])
+    return (np.eye(3).ravel() + r).reshape(q.shape[:-1] + (3, 3))
 
 
 def compose_covariance_3d(quat, scale):
@@ -178,21 +329,25 @@ def compose_covariance_3d(quat, scale):
     symmetric positive semi-definite for any inputs.
 
     Args:
-        quat: length-4 orientation, (w, x, y, z), nonzero norm.
-        scale: length-3 per-axis extents, strictly positive.
+        quat: length-4 orientation, (w, x, y, z), nonzero norm; or a
+            stack (..., 4) of them.
+        scale: length-3 per-axis extents, strictly positive; or a stack
+            (..., 3) matching quat.
 
     Returns:
         Cov3DBundle holding R, S, M and sigma.
     """
     s = np.asarray(scale, dtype=np.float64)
-    if s.shape != (3,):
-        raise ValueError(f"scale must have shape (3,), got {s.shape}")
-    if np.any(s <= 0.0):
-        raise ValueError("scale components must be positive")
+    if s.shape[-1:] != (3,):
+        raise ValueError(f"scale must have shape (3,) or (..., 3), got {s.shape}")
+    reject(np.any(s <= 0.0, axis=-1), "scale components must be positive")
     rot = quat_to_rotmat(quat)
-    smat = np.diag(s)
-    m = rot @ smat
-    return Cov3DBundle(R=rot, S=smat, M=m, sigma=m @ m.T)
+    m = rot * s[..., None, :]
+    mt = np.swapaxes(m, -1, -2)
+    # One splat keeps the BLAS product, so its sigma is M @ M.T bitwise; a
+    # stack never reaches BLAS.
+    sigma = m @ mt if m.ndim == 2 else matprod(m, mt)
+    return Cov3DBundle(R=rot, S=s[..., :, None] * np.eye(3), M=m, sigma=sigma)
 
 
 def frobenius_inner(x, y):

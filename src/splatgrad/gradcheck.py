@@ -13,15 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Camera, Gaussian3D, compose_covariance_3d, quat_to_rotmat
-from .projection import (
-    ProjectedGaussian,
-    bounding_radius,
-    camera_to_pixel,
-    project_covariance,
-    projection_jacobian,
-    world_to_camera,
-)
+# compose_covariance_3d is not called here; it stays importable from this
+# module because perfbench/spans.py wraps gradcheck.compose_covariance_3d.
+from .core import Camera, Gaussian3D, Splats, compose_covariance_3d, quat_to_rotmat  # noqa: F401
+from .projection import project_splats
 from .proj_backward import scene_backward
 from .raster_forward import (
     SIGMA_CUT,
@@ -294,33 +289,22 @@ def _pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
     a factor of t_margin of the termination threshold. Probes shift sigma
     by at most ~1e-2 at step 1e-4, so the margins hold fivefold headroom.
     """
-    projected = []
-    for g in scene:
-        t_cam = world_to_camera(g.mean, camera)
-        depth = float(t_cam[2])
-        if not camera.near + 0.5 < depth < camera.far - 0.5:
-            return None
-        bundle = compose_covariance_3d(g.quat, g.scale)
-        jac = projection_jacobian(t_cam, camera)
-        cov2d = project_covariance(jac, camera.rotation, bundle.sigma)
-        projected.append(
-            ProjectedGaussian(
-                t_cam=t_cam,
-                mean2d=camera_to_pixel(t_cam, camera),
-                cov2d=cov2d,
-                depth=depth,
-                radius=bounding_radius(cov2d),
-                source_index=len(projected),
-            )
-        )
-    depths = sorted(p.depth for p in projected)
-    if any(b - a < depth_margin for a, b in zip(depths, depths[1:])):
+    splats = Splats.of(scene)
+    # Every splat in front of the camera, image-culled ones included; a
+    # splat missing here was depth-culled, which rejects the scene anyway.
+    projected = project_splats(splats, camera, keep_offscreen=True)
+    depth = projected.depth
+    if len(projected) < len(splats) or not np.all(
+        (camera.near + 0.5 < depth) & (depth < camera.far - 0.5)
+    ):
+        return None
+    if np.any(np.diff(np.sort(depth)) < depth_margin):
         return None
 
     h, w = camera.height, camera.width
     xs = np.tile(np.arange(w, dtype=np.float64) + 0.5, h)
     ys = np.repeat(np.arange(h, dtype=np.float64) + 0.5, w)
-    packed = _pack_splats(projected, scene)
+    packed = _pack_splats(projected, splats)
     sigma = _block_alpha(xs, ys, packed, np.arange(len(projected))).sigma
     mask = np.all(np.abs(sigma - SIGMA_CUT) > sigma_margin, axis=0).reshape(h, w)
 
@@ -328,8 +312,8 @@ def _pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
     # walk lands in the band around T_MIN. T never increases, so a walk
     # that stops by stepping below the band stays below it: testing every
     # step of the full cumprod finds exactly the steps the walk reaches.
-    res = render(scene, camera, background)
-    packed = _pack_splats(res.projected, scene)
+    res = render(splats, camera, background)
+    packed = _pack_splats(res.projected, splats)
     for b, rows, cols, xs, ys in _iter_tiles(res.grid, w, h):
         order = res.grid.bins[b]
         if not order:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Camera, Gaussian3D
+from .core import Camera, Gaussian3D, Splats
 from .proj_backward import scene_backward
 from .raster_forward import render
 
@@ -102,16 +102,22 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
     one adaptive-moment step per parameter class. Colors are clipped back
     to [0, 1] after each step.
 
+    The parameters live in one Splats for the whole fit; each iteration
+    hands it to render and scene_backward as it is.
+
     Args:
         target: (height, width, 3) array in [0, 1] matching the camera.
         camera: fixed viewpoint; its parameters are not optimized.
         config: FitConfig.
-        init: optional starting scene; defaults to init_random(config, ...).
-            Opacities must stay inside (0, 1) for the logit map.
+        init: optional starting scene (Splats or list of Gaussian3D);
+            defaults to init_random(config, ...). It must pass
+            Splats.validate; opacities are clipped into (0, 1) for the
+            logit map.
 
     Returns:
-        (scene, loss_history) with one loss value per iteration, measured
-        before that iteration's update.
+        (scene, loss_history): the fitted scene as a list of Gaussian3D,
+        and one loss value per iteration, measured before that
+        iteration's update.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (camera.height, camera.width, 3):
@@ -123,13 +129,14 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
         raise ValueError(f"unsupported loss {config.loss!r}")
     background = np.asarray(config.background, dtype=np.float64)
 
-    scene = init_random(config, camera, target) if init is None else list(init)
-    n = len(scene)
-    means = np.array([g.mean for g in scene]).reshape(n, 3)
-    log_scales = np.log(np.array([g.scale for g in scene]).reshape(n, 3))
-    quats = np.array([g.quat for g in scene]).reshape(n, 4)
-    logits = _logit(np.clip(np.array([g.opacity for g in scene]), 1e-4, 1.0 - 1e-4))
-    colors = np.array([g.color for g in scene]).reshape(n, 3)
+    start = Splats.of(init_random(config, camera, target) if init is None else init)
+    start.validate()
+    # Every update below makes new arrays, so start's own are never written.
+    means = start.means
+    log_scales = np.log(start.scales)
+    quats = start.quats
+    logits = _logit(np.clip(start.opacities, 1e-4, 1.0 - 1e-4))
+    colors = start.colors
 
     adam = {
         name: _AdamState(np.zeros_like(p), np.zeros_like(p))
@@ -143,16 +150,8 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
     for it in range(config.iterations):
         scales = np.exp(log_scales)
         opacities = 1.0 / (1.0 + np.exp(-logits))
-        scene = [
-            Gaussian3D(
-                mean=means[i],
-                scale=scales[i],
-                quat=quats[i],
-                opacity=opacities[i],
-                color=colors[i],
-            )
-            for i in range(n)
-        ]
+        scene = Splats(means=means, scales=scales, quats=quats,
+                       opacities=opacities, colors=colors)
         result = render(scene, camera, background)
         resid = result.image.channels - target
         loss = float(np.sum(resid * resid))
@@ -175,16 +174,6 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
                             config.lr_color, step, config)
         colors = np.clip(colors, 0.0, 1.0)
 
-    scales = np.exp(log_scales)
-    opacities = 1.0 / (1.0 + np.exp(-logits))
-    scene = [
-        Gaussian3D(
-            mean=means[i],
-            scale=scales[i],
-            quat=quats[i],
-            opacity=opacities[i],
-            color=colors[i],
-        )
-        for i in range(n)
-    ]
-    return scene, history
+    final = Splats(means=means, scales=np.exp(log_scales), quats=quats,
+                   opacities=1.0 / (1.0 + np.exp(-logits)), colors=colors)
+    return final.to_gaussians(), history

@@ -4,13 +4,26 @@ The camera-space mean goes through the perspective matrix to pixel
 coordinates. The covariance is mapped by the Jacobian of that projection
 (a first-order approximation) and then inflated by a small diagonal
 dilation so the 2x2 result stays invertible even for sub-pixel splats.
+
+Each step takes one splat or a stack of them. project_splats runs the
+steps once for every splat of a scene and returns a ProjectedSplats; the
+renderer uses it. project_gaussian is its one-splat case.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Camera, Gaussian3D, compose_covariance_3d
+from .core import (
+    Camera,
+    Gaussian3D,
+    RowError,
+    Splats,
+    compose_covariance_3d,
+    matprod,
+    matvec,
+    reject,
+)
 
 # Added to both diagonal entries of the projected covariance. Keeps the
 # footprint at least about one pixel wide and its determinant positive.
@@ -33,53 +46,104 @@ class ProjectedGaussian:
     source_index: int
 
 
+@dataclass
+class ProjectedSplats:
+    """Footprints of the splats that survived culling, one row each.
+
+    Rows keep source order. t_cam (K, 4), mean2d (K, 2), cov2d (K, 2, 2),
+    depth (K,), radius (K,) and source_index (K,), the row's index in the
+    scene, hold what ProjectedGaussian holds for one splat; indexing a row
+    returns it as a ProjectedGaussian.
+    """
+
+    t_cam: np.ndarray
+    mean2d: np.ndarray
+    cov2d: np.ndarray
+    depth: np.ndarray
+    radius: np.ndarray
+    source_index: np.ndarray
+
+    def __len__(self):
+        return self.depth.shape[0]
+
+    def __getitem__(self, k):
+        return ProjectedGaussian(
+            t_cam=self.t_cam[k].copy(),
+            mean2d=self.mean2d[k].copy(),
+            cov2d=self.cov2d[k].copy(),
+            depth=float(self.depth[k]),
+            radius=int(self.radius[k]),
+            source_index=int(self.source_index[k]),
+        )
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    @classmethod
+    def of(cls, projected):
+        """projected itself if it is a ProjectedSplats, else its
+        ProjectedGaussian entries stacked."""
+        if isinstance(projected, cls):
+            return projected
+        n = len(projected)
+        return cls(
+            t_cam=np.array([p.t_cam for p in projected], dtype=np.float64).reshape(n, 4),
+            mean2d=np.array([p.mean2d for p in projected], dtype=np.float64).reshape(n, 2),
+            cov2d=np.array([p.cov2d for p in projected], dtype=np.float64).reshape(n, 2, 2),
+            depth=np.array([p.depth for p in projected], dtype=np.float64),
+            radius=np.array([p.radius for p in projected], dtype=np.int64),
+            source_index=np.array([p.source_index for p in projected], dtype=np.int64),
+        )
+
+
 def world_to_camera(mean, camera: Camera):
-    """Map a world-space point to homogeneous camera space.
+    """Map a world-space point, or a stack (..., 3) of them, to
+    homogeneous camera space.
 
     Returns a 4-vector with last component 1 for any rigid view matrix.
     """
-    q = np.array([mean[0], mean[1], mean[2], 1.0])
-    return camera.view @ q
+    m = np.asarray(mean, dtype=np.float64)
+    homog = np.concatenate([m, np.ones(m.shape[:-1] + (1,))], axis=-1)
+    return matvec(camera.view, homog)
 
 
 def camera_to_pixel(t_cam, camera: Camera):
-    """Pixel coordinates of a camera-space point.
+    """Pixel coordinates of a camera-space point, or of a stack (..., 4).
 
     Applies the perspective matrix, divides by the homogeneous component,
     and maps the [-1, 1] range onto the image with the principal point
     added in pixels.
     """
-    t_prime = camera.projection_matrix() @ t_cam
-    t_w = t_prime[3]
-    if abs(t_w) < 1e-12:
-        raise ValueError("degenerate projection: homogeneous component is ~0")
-    return np.array(
-        [
-            (camera.width * t_prime[0] / t_w + 1.0) / 2.0 + camera.cx,
-            (camera.height * t_prime[1] / t_w + 1.0) / 2.0 + camera.cy,
-        ]
-    )
+    t_prime = matvec(camera.projection_matrix(), np.asarray(t_cam, dtype=np.float64))
+    t_w = t_prime[..., 3:]
+    reject(np.abs(t_w[..., 0]) < 1e-12,
+           "degenerate projection: homogeneous component is ~0")
+    size = np.array([camera.width, camera.height], dtype=np.float64)
+    centre = np.array([camera.cx, camera.cy])
+    return (size * t_prime[..., :2] / t_w + 1.0) / 2.0 + centre
 
 
 def projection_jacobian(t_cam, camera: Camera):
     """Derivative of the camera-to-pixel map at t_cam, as a 2x3 matrix.
 
     Args:
-        t_cam: homogeneous camera-space point with positive depth.
+        t_cam: homogeneous camera-space point with positive depth, or a
+            stack (..., 4) of them.
         camera: supplies the focal lengths.
 
     Returns:
-        [[fx/tz, 0, -fx*tx/tz^2], [0, fy/tz, -fy*ty/tz^2]].
+        [[fx/tz, 0, -fx*tx/tz^2], [0, fy/tz, -fy*ty/tz^2]], with the
+        stack's leading axes in front.
     """
-    tx, ty, tz = t_cam[0], t_cam[1], t_cam[2]
-    if tz <= 0.0:
-        raise ValueError("point is behind the camera")
-    return np.array(
-        [
-            [camera.fx / tz, 0.0, -camera.fx * tx / (tz * tz)],
-            [0.0, camera.fy / tz, -camera.fy * ty / (tz * tz)],
-        ]
-    )
+    t = np.asarray(t_cam, dtype=np.float64)
+    tx, ty, tz = t[..., 0], t[..., 1], t[..., 2]
+    reject(tz <= 0.0, "point is behind the camera")
+    jac = np.zeros(t.shape[:-1] + (2, 3))
+    jac[..., 0, 0] = camera.fx / tz
+    jac[..., 0, 2] = -camera.fx * tx / (tz * tz)
+    jac[..., 1, 1] = camera.fy / tz
+    jac[..., 1, 2] = -camera.fy * ty / (tz * tz)
+    return jac
 
 
 def project_covariance(J, R_cw, sigma):
@@ -87,12 +151,13 @@ def project_covariance(J, R_cw, sigma):
 
     Computes J R_cw sigma R_cw^T J^T and adds the diagonal dilation. The
     backward pass treats the dilation as a constant, so gradients flow
-    through this map unchanged.
+    through this map unchanged. J and sigma may be stacks (..., 2, 3) and
+    (..., 3, 3).
     """
-    t = J @ R_cw
-    cov2d = t @ sigma @ t.T
-    cov2d[0, 0] += DILATION
-    cov2d[1, 1] += DILATION
+    t = matprod(J, R_cw)
+    cov2d = matprod(matprod(t, sigma), np.swapaxes(t, -1, -2))
+    cov2d[..., 0, 0] += DILATION
+    cov2d[..., 1, 1] += DILATION
     return cov2d
 
 
@@ -101,45 +166,82 @@ def bounding_radius(cov2d):
 
     Uses the closed-form larger eigenvalue of the symmetric 2x2 matrix and
     rounds up, so the square [mean - r, mean + r] contains the whole
-    ellipse on both axes.
+    ellipse on both axes. A stack (..., 2, 2) gives an int64 array.
     """
-    a, b, c = cov2d[0, 0], cov2d[0, 1], cov2d[1, 1]
+    cov2d = np.asarray(cov2d, dtype=np.float64)
+    a, b, c = cov2d[..., 0, 0], cov2d[..., 0, 1], cov2d[..., 1, 1]
     det = a * c - b * b
-    if not (det > 0.0 and a + c > 0.0):
-        raise ValueError("2d covariance must be positive definite")
     mid = 0.5 * (a + c)
     lam_max = mid + np.sqrt(0.25 * (a - c) * (a - c) + b * b)
-    return int(np.ceil(3.0 * np.sqrt(lam_max)))
+    reject(~((det > 0.0) & (a + c > 0.0) & np.isfinite(lam_max)),
+           "2d covariance must be finite and positive definite")
+    # A radius past 2**62 pixels covers any image; the cap keeps the cast
+    # to int64 exact.
+    radius = np.minimum(np.ceil(3.0 * np.sqrt(lam_max)), 2.0**62).astype(np.int64)
+    return int(radius) if radius.ndim == 0 else radius
 
 
 def project_gaussian(g: Gaussian3D, camera: Camera, source_index=0):
-    """Run the full projection pipeline for one splat.
+    """Run the full projection pipeline for one splat: project_splats on a
+    one-splat scene.
 
     Returns a ProjectedGaussian, or None when the splat is culled: depth
     outside (near, far), or a footprint that cannot touch any pixel.
     Culling is a normal outcome, not an error.
     """
-    t_cam = world_to_camera(g.mean, camera)
-    depth = float(t_cam[2])
-    if depth <= camera.near or depth >= camera.far:
+    projected = project_splats(Splats.from_gaussians([g]), camera)
+    if not len(projected):
         return None
-    bundle = compose_covariance_3d(g.quat, g.scale)
-    jac = projection_jacobian(t_cam, camera)
-    cov2d = project_covariance(jac, camera.rotation, bundle.sigma)
-    mean2d = camera_to_pixel(t_cam, camera)
-    radius = bounding_radius(cov2d)
-    if (
-        mean2d[0] + radius < 0.0
-        or mean2d[0] - radius >= camera.width
-        or mean2d[1] + radius < 0.0
-        or mean2d[1] - radius >= camera.height
-    ):
-        return None
-    return ProjectedGaussian(
-        t_cam=t_cam,
-        mean2d=mean2d,
-        cov2d=cov2d,
-        depth=depth,
-        radius=radius,
-        source_index=source_index,
+    row = projected[0]
+    row.source_index = source_index
+    return row
+
+
+def project_splats(splats, camera: Camera, *, keep_offscreen=False):
+    """Project every splat of a Splats in one pass.
+
+    The batched project_gaussian: the same ops run once on stacks, giving
+    t_cam, J, T = J R_cw, cov2d, mean2d, radius and the cull decisions
+    for all splats. Splats with depth outside (near, far) are culled, and
+    so are splats whose footprint misses the image unless keep_offscreen
+    is set.
+
+    Raises ValueError naming the splat, e.g. gaussians[4], where
+    project_gaussian raises: a point behind the camera or a degenerate
+    projection (possible only when near <= 0), or a 2D covariance that is
+    not finite and positive definite.
+
+    Returns:
+        ProjectedSplats, rows in source order.
+    """
+    t_all = world_to_camera(splats.means, camera)
+    depth_all = t_all[:, 2]
+    # Written as the negation of the cull test, so a NaN depth is kept and
+    # fails below by name instead of vanishing.
+    src = np.flatnonzero(~((depth_all <= camera.near) | (depth_all >= camera.far)))
+    t_cam = t_all[src]
+    try:
+        bundle = compose_covariance_3d(splats.quats[src], splats.scales[src])
+        jac = projection_jacobian(t_cam, camera)
+        cov2d = project_covariance(jac, camera.rotation, bundle.sigma)
+        mean2d = camera_to_pixel(t_cam, camera)
+        radius = bounding_radius(cov2d)
+    except RowError as exc:
+        raise ValueError(f"gaussians[{src[exc.row]}]: {exc.problem}") from None
+
+    keep = slice(None)
+    if not keep_offscreen:
+        keep = ~(
+            (mean2d[:, 0] + radius < 0.0)
+            | (mean2d[:, 0] - radius >= camera.width)
+            | (mean2d[:, 1] + radius < 0.0)
+            | (mean2d[:, 1] - radius >= camera.height)
+        )
+    return ProjectedSplats(
+        t_cam=t_cam[keep],
+        mean2d=mean2d[keep],
+        cov2d=cov2d[keep],
+        depth=t_cam[keep, 2],
+        radius=radius[keep],
+        source_index=src[keep],
     )

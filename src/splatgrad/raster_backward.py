@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .projection import ProjectedSplats
 from .raster_forward import (
     ALPHA_MAX,
     BLOCK,
@@ -143,7 +144,7 @@ def _pixel_backward(sorted_bin, projected, scene, pixel_center, background,
         ys=np.array([float(pixel_center[1])]),
         order=list(sorted_bin),
         packed=_pack_splats(projected, scene),
-        sources=np.array([p.source_index for p in projected], dtype=np.int64),
+        sources=ProjectedSplats.of(projected).source_index,
         background=np.asarray(background, dtype=np.float64),
         final_t=np.array([aux_entry.final_T]),
         n_contrib=np.array([aux_entry.n_contrib], dtype=np.int64),
@@ -186,7 +187,7 @@ def accumulate_image_backward(scene, result, d_image):
     """Sum per-pixel compositing gradients over the whole image.
 
     Args:
-        scene: the gaussian list the render used.
+        scene: the Splats or gaussian list the render used.
         result: RenderResult from render() on identical inputs.
         d_image: upstream gradient, shape (height, width, 3).
 
@@ -202,9 +203,7 @@ def accumulate_image_backward(scene, result, d_image):
         )
     grads = Splat2DGrads.zeros(len(scene))
     packed = _pack_splats(result.projected, scene)
-    sources = np.array(
-        [p.source_index for p in result.projected], dtype=np.int64
-    )
+    sources = ProjectedSplats.of(result.projected).source_index
     for b, rows, cols, xs, ys in _iter_tiles(result.grid, w, h):
         order = result.grid.bins[b]
         if not order:

@@ -9,6 +9,11 @@ therefore equal to the front-to-back loop. The brute-force renderer
 reuses the compositor with the tile bins replaced by the full globally
 sorted list, which is what makes the tiled-versus-brute-force
 equivalence checks meaningful.
+
+render takes the scene as a Splats or a list of Gaussian3D, checks it
+once with Splats.check, and projects every splat in one batched pass
+(projection.project_splats); result.projected is the resulting
+ProjectedSplats.
 """
 
 from dataclasses import dataclass
@@ -16,9 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .binning import TileGrid, assign_tiles, sort_bins
-from .core import Camera
-from .projection import project_gaussian
+from .binning import TILE_SIZE, TileGrid, assign_tiles, grid_shape, sort_bins
+from .core import Camera, Splats
+# project_gaussian is not called here; it stays importable from this
+# module because perfbench/spans.py wraps raster_forward.project_gaussian.
+from .projection import ProjectedSplats, project_gaussian, project_splats  # noqa: F401
 
 # Contributions below one quantization step are skipped (and receive zero
 # gradient); alpha is clamped below 1 so transmittance never hits exact 0.
@@ -69,18 +76,22 @@ class PixelAux(NamedTuple):
 
 @dataclass
 class RenderResult:
-    """Everything the backward pass consumes, bundled."""
+    """Everything the backward pass consumes, bundled.
+
+    projected holds the splats that survived culling; the grid's bins
+    index its rows.
+    """
 
     image: ImageBuffer
     aux: RenderAux
     grid: TileGrid
-    projected: list
+    projected: ProjectedSplats
     background: np.ndarray
 
 
 @dataclass
 class _PackedSplats:
-    """Per-splat scalars gathered out of the dataclasses once per pass.
+    """Per-splat scalars the kernels read, packed once per pass.
 
     inv_a, inv_b and inv_c are the entries of the symmetric inverse
     [[A, B], [B, C]] of each 2D covariance.
@@ -116,13 +127,16 @@ class _PackedSplats:
 
 
 def _pack_splats(projected, scene):
-    n = len(projected)
-    sources = [scene[p.source_index] for p in projected]
+    """Pack the projected splats (ProjectedSplats or a list of
+    ProjectedGaussian) with their scene opacity and color (scene a Splats
+    or a list of Gaussian3D)."""
+    p = ProjectedSplats.of(projected)
+    splats = Splats.of(scene)
     return _PackedSplats.of(
-        mean2d=np.array([p.mean2d for p in projected], dtype=np.float64).reshape(n, 2),
-        cov2d=np.array([p.cov2d for p in projected], dtype=np.float64).reshape(n, 2, 2),
-        opacity=np.array([g.opacity for g in sources], dtype=np.float64),
-        color=np.array([g.color for g in sources], dtype=np.float64).reshape(n, 3),
+        mean2d=p.mean2d,
+        cov2d=p.cov2d,
+        opacity=splats.opacities[p.source_index],
+        color=splats.colors[p.source_index],
     )
 
 
@@ -321,20 +335,19 @@ def _render_with_grid(scene, camera, background, projected, grid, early_terminat
     )
 
 
-def _project_scene(scene, camera):
-    projected = []
-    for idx, g in enumerate(scene):
-        p = project_gaussian(g, camera, source_index=idx)
-        if p is not None:
-            projected.append(p)
-    return projected
+def _checked_projection(scene, camera):
+    splats = Splats.of(scene)
+    splats.check()
+    return splats, project_splats(splats, camera)
 
 
 def render(scene, camera: Camera, background, *, early_termination=True):
     """Render a scene: project, bin, sort, then composite every pixel.
 
     Args:
-        scene: list of Gaussian3D.
+        scene: Splats, or a list of Gaussian3D. Checked with Splats.check,
+            so a non-finite value, a non-positive scale or a vanishing
+            quaternion raises ValueError naming the splat and field.
         camera: the viewpoint; not re-validated here.
         background: 3-vector composited behind the splats.
         early_termination: stop per-pixel compositing below T_MIN. Disable
@@ -344,9 +357,9 @@ def render(scene, camera: Camera, background, *, early_termination=True):
         RenderResult with the image and everything the backward pass needs.
     """
     background = np.asarray(background, dtype=np.float64)
-    projected = _project_scene(scene, camera)
+    splats, projected = _checked_projection(scene, camera)
     grid = sort_bins(assign_tiles(projected, camera.width, camera.height), projected)
-    return _render_with_grid(scene, camera, background, projected, grid, early_termination)
+    return _render_with_grid(splats, camera, background, projected, grid, early_termination)
 
 
 def render_brute_force(scene, camera: Camera, background, *, early_termination=True):
@@ -357,16 +370,13 @@ def render_brute_force(scene, camera: Camera, background, *, early_termination=T
     Any disagreement with render() therefore isolates a binning bug.
     """
     background = np.asarray(background, dtype=np.float64)
-    projected = _project_scene(scene, camera)
-    grid = assign_tiles(projected, camera.width, camera.height)
-    order = sorted(
-        range(len(projected)),
-        key=lambda i: (projected[i].depth, projected[i].source_index),
-    )
+    splats, projected = _checked_projection(scene, camera)
+    tiles_x, tiles_y = grid_shape(camera.width, camera.height)
+    order = np.lexsort((projected.source_index, projected.depth)).tolist()
     grid = TileGrid(
-        tile_size=grid.tile_size,
-        tiles_x=grid.tiles_x,
-        tiles_y=grid.tiles_y,
-        bins=[list(order) for _ in grid.bins],
+        tile_size=TILE_SIZE,
+        tiles_x=tiles_x,
+        tiles_y=tiles_y,
+        bins=[list(order) for _ in range(tiles_x * tiles_y)],
     )
-    return _render_with_grid(scene, camera, background, projected, grid, early_termination)
+    return _render_with_grid(splats, camera, background, projected, grid, early_termination)

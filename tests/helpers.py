@@ -3,7 +3,7 @@ across the test modules."""
 
 import numpy as np
 
-from splatgrad import Camera, Gaussian3D, project_gaussian
+from splatgrad import Camera, Gaussian3D, ProjectedGaussian, project_gaussian
 from splatgrad.raster_forward import ALPHA_MAX, ALPHA_MIN, SIGMA_CUT, T_MIN
 
 
@@ -297,3 +297,147 @@ def reference_pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
                             break
                         trans = next_trans
     return mask
+
+
+# Reference oracles for the batched projection and projection backward:
+# the single-splat math as it was written before the ops took stacks, one
+# splat at a time, with a BLAS product wherever the math has a matrix
+# product. It shares no code with the library's projection ops.
+
+
+def _ref_rotmat(quat):
+    w, x, y, z = quat / np.sqrt(np.dot(quat, quat))
+    return np.array(
+        [
+            [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
+            [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
+            [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
+        ]
+    )
+
+
+def _ref_jacobian(t_cam, camera):
+    tx, ty, tz = t_cam[0], t_cam[1], t_cam[2]
+    return np.array(
+        [
+            [camera.fx / tz, 0.0, -camera.fx * tx / (tz * tz)],
+            [0.0, camera.fy / tz, -camera.fy * ty / (tz * tz)],
+        ]
+    )
+
+
+def _ref_project(g, camera):
+    """(t_cam, mean2d, cov2d, radius) of one splat in front of the camera."""
+    t_cam = camera.view @ np.array([g.mean[0], g.mean[1], g.mean[2], 1.0])
+    m = _ref_rotmat(g.quat) @ np.diag(g.scale)
+    t = _ref_jacobian(t_cam, camera) @ camera.rotation
+    cov2d = t @ (m @ m.T) @ t.T + 0.3 * np.eye(2)
+    t_prime = camera.projection_matrix() @ t_cam
+    mean2d = np.array(
+        [
+            (camera.width * t_prime[0] / t_prime[3] + 1.0) / 2.0 + camera.cx,
+            (camera.height * t_prime[1] / t_prime[3] + 1.0) / 2.0 + camera.cy,
+        ]
+    )
+    a, b, c = cov2d[0, 0], cov2d[0, 1], cov2d[1, 1]
+    lam_max = 0.5 * (a + c) + np.sqrt(0.25 * (a - c) * (a - c) + b * b)
+    return t_cam, mean2d, cov2d, int(np.ceil(3.0 * np.sqrt(lam_max)))
+
+
+def oracle_project_scene(scene, camera):
+    """The projection one splat at a time: ProjectedGaussian for every
+    splat that survives the depth and off-image culls."""
+    projected = []
+    for idx, g in enumerate(scene):
+        depth = float((camera.view @ np.append(g.mean, 1.0))[2])
+        if depth <= camera.near or depth >= camera.far:
+            continue
+        t_cam, mean2d, cov2d, radius = _ref_project(g, camera)
+        if (mean2d[0] + radius < 0.0 or mean2d[0] - radius >= camera.width
+                or mean2d[1] + radius < 0.0 or mean2d[1] - radius >= camera.height):
+            continue
+        projected.append(ProjectedGaussian(t_cam=t_cam, mean2d=mean2d, cov2d=cov2d,
+                                           depth=depth, radius=radius,
+                                           source_index=idx))
+    return projected
+
+
+def _ref_quat_jacobians(w, x, y, z):
+    return 2.0 * np.array(
+        [
+            [[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]],
+            [[0.0, y, z], [y, -2.0 * x, -w], [z, w, -2.0 * x]],
+            [[-2.0 * y, x, w], [x, 0.0, z], [-w, z, -2.0 * y]],
+            [[-2.0 * z, -w, x], [w, -2.0 * z, y], [x, y, 0.0]],
+        ]
+    )
+
+
+def oracle_scene_backward(scene, camera, result, d_image):
+    """scene_backward with the projection chain run splat by splat.
+
+    The compositing backward pass is the library's own; everything after
+    the screen-space gradients is the single-splat chain rule.
+    """
+    from splatgrad import SceneGradients, accumulate_image_backward
+
+    splat = accumulate_image_backward(scene, result, d_image)
+    grads = SceneGradients.zeros(len(scene))
+    grads.d_color = splat.d_color
+    grads.d_opacity = splat.d_opacity
+    fx, fy = camera.fx, camera.fy
+    rot_cw = camera.rotation
+    proj = camera.projection_matrix()
+    for p in result.projected:
+        i = p.source_index
+        g = scene[i]
+        tx, ty, tz = p.t_cam[0], p.t_cam[1], p.t_cam[2]
+        r = _ref_rotmat(g.quat)
+        smat = np.diag(g.scale)
+        m = r @ smat
+        sigma = m @ m.T
+        jac = _ref_jacobian(p.t_cam, camera)
+        t_proj = jac @ rot_cw
+
+        # Through the projected mean and the perspective divide.
+        t_prime = proj @ p.t_cam
+        t_w = t_prime[3]
+        wdx = camera.width * splat.d_mean2d[i, 0]
+        hdy = camera.height * splat.d_mean2d[i, 1]
+        d_t = proj.T @ np.array([
+            0.5 * wdx / t_w,
+            0.5 * hdy / t_w,
+            0.0,
+            -0.5 * (wdx * t_prime[0] + hdy * t_prime[1]) / (t_w * t_w),
+        ])
+
+        # Through the projected covariance, to sigma and to t via J.
+        g2 = splat.d_cov2d[i]
+        d_sigma = t_proj.T @ g2 @ t_proj
+        d_T = g2 @ t_proj @ sigma.T + g2.T @ t_proj @ sigma
+        d_J = d_T @ rot_cw.T
+        tz2 = tz * tz
+        tz3 = tz2 * tz
+        d_t = d_t + np.array([
+            -fx / tz2 * d_J[0, 2],
+            -fy / tz2 * d_J[1, 2],
+            (-fx / tz2 * d_J[0, 0] + 2.0 * fx * tx / tz3 * d_J[0, 2]
+             - fy / tz2 * d_J[1, 1] + 2.0 * fy * ty / tz3 * d_J[1, 2]),
+            0.0,
+        ])
+
+        # To the world mean and the view.
+        grads.d_mean[i] = rot_cw.T @ d_t[:3]
+        grads.d_view += np.outer(d_t, np.append(g.mean, 1.0))
+        grads.d_view[:3, :3] += jac.T @ d_T
+
+        # To scale and quaternion through sigma = M M^T, M = R S.
+        d_M = d_sigma @ m + d_sigma.T @ m
+        grads.d_scale[i] = np.diagonal(r.T @ d_M)
+        norm = np.sqrt(np.dot(g.quat, g.quat))
+        q_hat = g.quat / norm
+        d_R = d_M @ smat.T
+        jacs = _ref_quat_jacobians(*q_hat)
+        d_q_hat = np.array([np.sum(d_R * jacs[k]) for k in range(4)])
+        grads.d_quat[i] = (d_q_hat - q_hat * np.dot(q_hat, d_q_hat)) / norm
+    return grads
