@@ -1,8 +1,9 @@
 """Tile binning: map projected splats to the 16x16-pixel tiles their
 bounding boxes may touch, then order each tile's list front to back.
 
-Both steps work on the flat list of (tile, splat) entries as arrays; the
-bins are split out of it at the end."""
+Both steps work on the flat list of (tile, splat) entries as arrays, and
+the grid keeps it in that form; the per-tile lists are derived from it
+on demand."""
 
 from dataclasses import dataclass
 
@@ -15,30 +16,36 @@ TILE_SIZE = 16
 
 @dataclass
 class TileGrid:
-    """Per-tile lists of indices into a projected-splat list.
+    """The (tile, splat) entries of a tile grid, flat and grouped by tile.
 
-    bins is row-major: the bin for tile (tx, ty) sits at ty * tiles_x + tx.
+    entry_tile (E,) holds row-major tile ids in ascending order, the tile
+    (tx, ty) being ty * tiles_x + tx; entry_splat (E,) holds the matching
+    indices into a projected-splat list, in bin order within each tile.
     """
 
     tile_size: int
     tiles_x: int
     tiles_y: int
-    bins: list
+    entry_tile: np.ndarray
+    entry_splat: np.ndarray
+
+    @property
+    def bins(self):
+        """One list of projected-splat indices per tile, row-major."""
+        n_tiles = self.tiles_x * self.tiles_y
+        ends = np.cumsum(np.bincount(self.entry_tile, minlength=n_tiles)).tolist()
+        flat = self.entry_splat.tolist()
+        return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
     def bin_at(self, tx, ty):
-        return self.bins[ty * self.tiles_x + tx]
+        tile = ty * self.tiles_x + tx
+        lo, hi = np.searchsorted(self.entry_tile, [tile, tile + 1])
+        return self.entry_splat[lo:hi].tolist()
 
 
 def grid_shape(width, height):
     """(tiles_x, tiles_y) of the tile grid covering a width x height image."""
     return (width + TILE_SIZE - 1) // TILE_SIZE, (height + TILE_SIZE - 1) // TILE_SIZE
-
-
-def _split_bins(tiles, entries, n_tiles):
-    # entries grouped by tile, in tile order, become one list per tile.
-    ends = np.cumsum(np.bincount(tiles, minlength=n_tiles)).tolist()
-    flat = entries.tolist()
-    return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 def assign_tiles(projected, width, height):
@@ -73,7 +80,7 @@ def assign_tiles(projected, width, height):
             + tx0[splat] + offset % nx[splat])
     order = np.argsort(tile, kind="stable")
     return TileGrid(tile_size=TILE_SIZE, tiles_x=tiles_x, tiles_y=tiles_y,
-                    bins=_split_bins(tile[order], splat[order], tiles_x * tiles_y))
+                    entry_tile=tile[order], entry_splat=splat[order])
 
 
 def sort_bins(grid: TileGrid, projected):
@@ -84,15 +91,12 @@ def sort_bins(grid: TileGrid, projected):
     which both the compositing passes and the golden-image tests rely on.
     """
     p = ProjectedSplats.of(projected)
-    n_tiles = len(grid.bins)
-    lens = np.array([len(b) for b in grid.bins], dtype=np.int64)
-    tile = np.repeat(np.arange(n_tiles), lens)
-    entries = np.fromiter((i for b in grid.bins for i in b), dtype=np.int64,
-                          count=int(lens.sum()))
-    order = np.lexsort((p.source_index[entries], p.depth[entries], tile))
+    splat = grid.entry_splat
+    order = np.lexsort((p.source_index[splat], p.depth[splat], grid.entry_tile))
     return TileGrid(
         tile_size=grid.tile_size,
         tiles_x=grid.tiles_x,
         tiles_y=grid.tiles_y,
-        bins=_split_bins(tile[order], entries[order], n_tiles),
+        entry_tile=grid.entry_tile[order],
+        entry_splat=splat[order],
     )

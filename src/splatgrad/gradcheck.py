@@ -21,10 +21,11 @@ from .proj_backward import scene_backward
 from .raster_forward import (
     SIGMA_CUT,
     T_MIN,
-    _block_alpha,
-    _iter_tiles,
+    _blocks,
+    _image_entries,
     _pack_splats,
-    _transmittance,
+    _pair_alpha,
+    _visible_walk,
     render,
 )
 
@@ -302,28 +303,28 @@ def _pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
         return None
 
     h, w = camera.height, camera.width
-    xs = np.tile(np.arange(w, dtype=np.float64) + 0.5, h)
-    ys = np.repeat(np.arange(h, dtype=np.float64) + 0.5, w)
-    packed = _pack_splats(projected, splats)
-    sigma = _block_alpha(xs, ys, packed, np.arange(len(projected))).sigma
-    mask = np.all(np.abs(sigma - SIGMA_CUT) > sigma_margin, axis=0).reshape(h, w)
+    n = len(projected)
+    xs = np.tile(np.arange(w, dtype=np.float64) + 0.5, h * n)
+    ys = np.tile(np.repeat(np.arange(h, dtype=np.float64) + 0.5, w), n)
+    sigma = _pair_alpha(xs, ys, _pack_splats(projected, splats),
+                        np.repeat(np.arange(n), h * w))[2]
+    mask = np.all(np.abs(sigma.reshape(n, h * w) - SIGMA_CUT) > sigma_margin,
+                  axis=0).reshape(h, w)
 
     # A pixel is cleared when a transmittance step of its front-to-back
     # walk lands in the band around T_MIN. T never increases, so a walk
     # that stops by stepping below the band stays below it: testing every
-    # step of the full cumprod finds exactly the steps the walk reaches.
+    # visible step of the walk without early termination finds exactly
+    # the steps the walk reaches.
     res = render(splats, camera, background)
+    entries = _image_entries(res.grid, res.projected, w, h)
     packed = _pack_splats(res.projected, splats)
-    for b, rows, cols, xs, ys in _iter_tiles(res.grid, w, h):
-        order = res.grid.bins[b]
-        if not order:
-            continue
-        a = _block_alpha(xs, ys, packed, np.asarray(order, dtype=np.int64))
-        t_after = _transmittance(np.ones(xs.shape[0]), a.alpha, a.visible)[1:]
-        band = a.visible & (T_MIN / t_margin < t_after) & (t_after < T_MIN * t_margin)
-        cleared = np.any(band, axis=0)
-        mask[rows, cols] &= ~cleared.reshape(rows.stop - rows.start, cols.stop - cols.start)
-    return mask
+    trans = np.ones(h * w)
+    cleared = np.zeros(h * w, dtype=bool)
+    for e0, e1 in _blocks(entries):
+        pix, _, _, _, _, t_after = _visible_walk(entries, e0, e1, packed, trans)
+        cleared[pix[(T_MIN / t_margin < t_after) & (t_after < T_MIN * t_margin)]] = True
+    return mask & ~cleared.reshape(h, w)
 
 
 def _pattern_target(width, height):

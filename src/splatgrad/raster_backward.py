@@ -1,15 +1,15 @@
 """Reverse-mode compositing.
 
-Works on a tile's bin in blocks of K splats by P pixels, like the forward
-pass, and pushes each pixel's loss gradient onto every contributor's
-color, opacity, 2D mean and 2D covariance. Alpha and sigma come from the
-forward kernel itself, so skip decisions and clamping replay
-identically. Transmittance before each splat is the forward cumprod
-replayed front to back, bitwise equal to the forward values; nothing is
-divided by (1 - alpha). The color composited behind each splat is needed
-only through its product with dL/dC, so a back-to-front cumulative sum
-carries that scalar and every array stays (K, P). Per-splat totals are
-reductions along the pixel axis, scattered once per tile.
+Replays the forward pass's flat (splat, pixel) pairs and pushes each
+pixel's loss gradient onto every contributor's color, opacity, 2D mean
+and 2D covariance. Alpha and sigma come from the forward kernel itself,
+so skip decisions and clamping replay identically. Transmittance before
+each pair is the forward walk replayed front to back, bitwise equal to
+the forward values; nothing is divided by (1 - alpha). The color
+composited behind each pair is needed only through its product with
+dL/dC, so a back-to-front walk carries that scalar per pixel. Per-splat
+totals are sums over the pairs in pair order (np.bincount), block by
+block, with no BLAS product.
 """
 
 from dataclasses import dataclass
@@ -19,11 +19,12 @@ import numpy as np
 from .projection import ProjectedSplats
 from .raster_forward import (
     ALPHA_MAX,
-    BLOCK,
-    _block_alpha,
-    _iter_tiles,
+    _blocks,
+    _evaluate,
+    _image_entries,
     _pack_splats,
-    _transmittance,
+    _pixel_entries,
+    _walk,
 )
 
 
@@ -50,109 +51,89 @@ class Splat2DGrads:
         )
 
 
-def _backward_tile(xs, ys, order, packed, sources, background, final_t,
-                   n_contrib, d_pixels, grads, t_log=None):
-    """Accumulate screen-space gradients for one tile's pixels.
+def _contributing_walk(entries, e0, e1, packed, n_contrib, trans):
+    """The pairs of entries[e0:e1] that contributed in the forward pass
+    (visible, and before the pixel's n_contrib), with the T before each
+    from a walk that starts at the per-pixel trans (updated in place).
+    Returns (pairs, T before)."""
+    pairs = _evaluate(entries, e0, e1, packed)
+    keep = (pairs.visible & (pairs.pos < n_contrib[pairs.pix])).nonzero()[0]
+    pairs = pairs._make(f[keep] for f in pairs)
+    return pairs, _walk(pairs.pix, pairs.pos, 1.0 - pairs.alpha, trans, np.multiply)
 
-    final_t and n_contrib are the forward pass's per-pixel aux values for
-    these pixels; d_pixels is the upstream gradient, shape (P, 3). When
-    t_log is a list, (bin position, T before the splat) snapshots are
-    appended back to front for diagnostics, with non-contributing pixels
-    masked to NaN.
+
+def _backward(entries, packed, rows, n, background, final_t, n_contrib, d_pixels):
+    """Screen-space gradients of the entries' pixels, summed into n rows;
+    packed splat k lands in row rows[k].
+
+    final_t and n_contrib are the forward pass's per-pixel aux values and
+    d_pixels the upstream gradient, (P, 3). Blocks are visited back to
+    front; each replays its transmittance from the value the front-to-back
+    walk reached at its start, so only per-pixel state outlives a block.
     """
-    max_n = int(n_contrib.max()) if len(order) else 0
-    if max_n == 0:
-        return
-    order = np.asarray(order[:max_n], dtype=np.int64)
-    d_r, d_g, d_b = (np.ascontiguousarray(d_pixels[:, ch]) for ch in range(3))
+    blocks = _blocks(entries)
+    starts = [np.ones(final_t.size)]
+    for e0, e1 in blocks[:-1]:
+        trans = starts[-1].copy()
+        _contributing_walk(entries, e0, e1, packed, n_contrib, trans)
+        starts.append(trans)
 
-    # Front to back: replay the forward cumprod, block by block, for T
-    # before every splat.
-    blocks = []
-    trans = np.ones(xs.shape[0])
-    for start in range(0, max_n, BLOCK):
-        idx = order[start:start + BLOCK]
-        a = _block_alpha(xs, ys, packed, idx)
-        pos = np.arange(start, start + idx.size)
-        contrib = a.visible & (n_contrib[None, :] > pos[:, None])
-        t = _transmittance(trans, a.alpha, contrib)
-        trans = t[-1]
-        blocks.append((start, idx, a, contrib, t[:-1]))
-
-    # Back to front. The color behind each splat enters only through its
-    # product with dL/dC, so carry s = suffix . dL/dC, seeded with the
-    # attenuated background, as a reverse cumulative sum.
-    s = (background[0] * d_r + background[1] * d_g + background[2] * d_b) * final_t
-    d_color = np.zeros((max_n, 3))
-    d_opacity = np.zeros(max_n)
-    d_mean2d = np.zeros((max_n, 2))
-    d_cov2d = np.zeros((max_n, 2, 2))
-    for start, idx, a, contrib, t_before in reversed(blocks):
-        rows = slice(start, start + idx.size)
-        c = packed.color[idx]
-        c_dl = c[:, 0, None] * d_r + c[:, 1, None] * d_g + c[:, 2, None] * d_b
-        weight = np.where(contrib, a.alpha * t_before, 0.0)
-        term = weight * c_dl
-        # behind[k] = s + sum of term over the splats after k in the block.
-        behind = np.empty_like(term)
-        behind[0] = s
-        behind[1:] = term[:0:-1]
-        behind = np.cumsum(behind, axis=0)[::-1]
-        s = behind[0] + term[0]
-        if t_log is not None:
-            for k in range(idx.size - 1, -1, -1):
-                if contrib[k].any():
-                    t_log.append((start + k, np.where(contrib[k], t_before[k], np.nan)))
-
-        for ch, d_ch in enumerate((d_r, d_g, d_b)):
-            d_color[rows, ch] = np.add.reduce(weight * d_ch, axis=1)
-
-        # dC/dalpha . dL/dC is (c . dL/dC) * T - s / (1 - alpha); splats
-        # clamped at ALPHA_MAX keep their color gradient but have a flat
-        # alpha, so the opacity/mean/covariance paths go dead there.
-        d_alpha = c_dl * t_before - behind / (1.0 - a.alpha)
-        live = contrib & (a.alpha_raw < ALPHA_MAX)
-        d_opacity[rows] = np.add.reduce(np.where(live, d_alpha * a.exp_neg, 0.0), axis=1)
-        # Gradient with respect to -sigma, so that the mean and covariance
-        # sums below carry no sign flips.
-        d_neg_sig = np.where(live, a.alpha_raw * d_alpha, 0.0)
-
-        y0 = packed.inv_a[idx, None] * a.dx + packed.inv_b[idx, None] * a.dy
-        y1 = packed.inv_b[idx, None] * a.dx + packed.inv_c[idx, None] * a.dy
-        g0 = d_neg_sig * y0
-        g1 = d_neg_sig * y1
-        d_mean2d[rows, 0] = np.add.reduce(g0, axis=1)
-        d_mean2d[rows, 1] = np.add.reduce(g1, axis=1)
-        d_cov2d[rows, 0, 0] = 0.5 * np.add.reduce(g0 * y0, axis=1)
-        d_cov2d[rows, 0, 1] = 0.5 * np.add.reduce(g0 * y1, axis=1)
-        d_cov2d[rows, 1, 1] = 0.5 * np.add.reduce(g1 * y1, axis=1)
-    d_cov2d[:, 1, 0] = d_cov2d[:, 0, 1]
-
-    src = sources[order]
-    np.add.at(grads.d_color, src, d_color)
-    np.add.at(grads.d_opacity, src, d_opacity)
-    np.add.at(grads.d_mean2d, src, d_mean2d)
-    np.add.at(grads.d_cov2d, src, d_cov2d)
-
-
-def _pixel_backward(sorted_bin, projected, scene, pixel_center, background,
-                    aux_entry, d_pixel, t_log=None):
-    """Run the tile kernel on the single pixel at pixel_center."""
-    grads = Splat2DGrads.zeros(len(scene))
-    _backward_tile(
-        xs=np.array([float(pixel_center[0])]),
-        ys=np.array([float(pixel_center[1])]),
-        order=list(sorted_bin),
-        packed=_pack_splats(projected, scene),
-        sources=ProjectedSplats.of(projected).source_index,
-        background=np.asarray(background, dtype=np.float64),
-        final_t=np.array([aux_entry.final_T]),
-        n_contrib=np.array([aux_entry.n_contrib], dtype=np.int64),
-        d_pixels=np.asarray(d_pixel, dtype=np.float64).reshape(1, 3),
-        grads=grads,
-        t_log=t_log,
-    )
+    # The color behind each pair enters only through its product with
+    # dL/dC, so carry s = suffix . dL/dC, seeded with the attenuated
+    # background, back to front.
+    s = (background[0] * d_pixels[:, 0] + background[1] * d_pixels[:, 1]
+         + background[2] * d_pixels[:, 2]) * final_t
+    grads = Splat2DGrads.zeros(n)
+    for (e0, e1), trans in zip(reversed(blocks), reversed(starts)):
+        _backward_block(entries, e0, e1, packed, rows, n_contrib, d_pixels,
+                        trans, s, grads)
+    # The covariance terms carry a factor 1/2, applied once to the totals
+    # (scaling by 0.5 is exact).
+    grads.d_cov2d *= 0.5
+    grads.d_cov2d[:, 1, 0] = grads.d_cov2d[:, 0, 1]
     return grads
+
+
+def _backward_block(entries, e0, e1, packed, rows, n_contrib, d_pixels,
+                    trans, s, grads):
+    """Add the gradients of the pairs of entries[e0:e1] to grads.
+
+    trans is the transmittance the front-to-back walk reached at the
+    block's start, s the suffix . dL/dC carried back from the blocks
+    behind it; both are per-pixel and updated in place.
+    """
+    p, t_before = _contributing_walk(entries, e0, e1, packed, n_contrib, trans)
+    row = rows[p.splat]
+    n = grads.d_opacity.size
+
+    def add(out, x):
+        out += np.bincount(row, weights=x, minlength=n)
+
+    c = packed.color[p.splat]
+    d = d_pixels[p.pix]
+    c_dl = c[:, 0] * d[:, 0] + c[:, 1] * d[:, 1] + c[:, 2] * d[:, 2]
+    weight = p.alpha * t_before
+    for ch in range(3):
+        add(grads.d_color[:, ch], weight * d[:, ch])
+    behind = _walk(p.pix, p.pos, weight * c_dl, s, np.add, reverse=True)
+    # dC/dalpha . dL/dC is (c . dL/dC) * T - s / (1 - alpha); splats
+    # clamped at ALPHA_MAX keep their color gradient but have a flat
+    # alpha, so the opacity/mean/covariance paths go dead there.
+    d_alpha = c_dl * t_before - behind / (1.0 - p.alpha)
+    live = p.alpha_raw < ALPHA_MAX
+    add(grads.d_opacity, np.where(live, d_alpha * p.exp_neg, 0.0))
+    # Gradient with respect to -sigma, so that the mean and covariance
+    # sums below carry no sign flips.
+    d_neg_sig = np.where(live, p.alpha_raw * d_alpha, 0.0)
+    y0 = packed.inv_a[p.splat] * p.dx + packed.inv_b[p.splat] * p.dy
+    y1 = packed.inv_b[p.splat] * p.dx + packed.inv_c[p.splat] * p.dy
+    g = d_neg_sig * y0
+    add(grads.d_mean2d[:, 0], g)
+    add(grads.d_cov2d[:, 0, 0], g * y0)
+    add(grads.d_cov2d[:, 0, 1], g * y1)
+    g = d_neg_sig * y1
+    add(grads.d_mean2d[:, 1], g)
+    add(grads.d_cov2d[:, 1, 1], g * y1)
 
 
 def composite_pixel_backward(sorted_bin, projected, scene, pixel_center,
@@ -164,8 +145,16 @@ def composite_pixel_backward(sorted_bin, projected, scene, pixel_center,
     starts from its final_T. Returns a Splat2DGrads with one row per
     gaussian in `scene`.
     """
-    return _pixel_backward(sorted_bin, projected, scene, pixel_center,
-                           background, aux_entry, d_pixel)
+    return _backward(
+        _pixel_entries(sorted_bin, pixel_center),
+        _pack_splats(projected, scene),
+        ProjectedSplats.of(projected).source_index,
+        len(scene),
+        np.asarray(background, dtype=np.float64),
+        np.array([aux_entry.final_T]),
+        np.array([aux_entry.n_contrib], dtype=np.int64),
+        np.asarray(d_pixel, dtype=np.float64).reshape(1, 3),
+    )
 
 
 def transmittance_replay(sorted_bin, projected, scene, pixel_center,
@@ -175,12 +164,14 @@ def transmittance_replay(sorted_bin, projected, scene, pixel_center,
     Returns (bin position, T before the splat) pairs in back-to-front
     order, one per splat that contributed in the forward pass. Exposed so
     the replay can be checked against independently recomputed forward
-    values.
+    values. background is unused; it is accepted so the call mirrors
+    composite_pixel_backward.
     """
-    t_log = []
-    _pixel_backward(sorted_bin, projected, scene, pixel_center, background,
-                    aux_entry, np.zeros(3), t_log)
-    return [(pos, float(t[0])) for pos, t in t_log if np.isfinite(t[0])]
+    entries = _pixel_entries(sorted_bin, pixel_center)
+    pairs, t_before = _contributing_walk(
+        entries, 0, entries.pos.size, _pack_splats(projected, scene),
+        np.array([aux_entry.n_contrib], dtype=np.int64), np.ones(1))
+    return [(int(k), float(t)) for k, t in zip(pairs.pos[::-1], t_before[::-1])]
 
 
 def accumulate_image_backward(scene, result, d_image):
@@ -192,8 +183,8 @@ def accumulate_image_backward(scene, result, d_image):
         d_image: upstream gradient, shape (height, width, 3).
 
     Returns:
-        Splat2DGrads totals, one row per scene gaussian, accumulated tile
-        by tile in a fixed order so repeated runs agree bitwise.
+        Splat2DGrads totals, one row per scene gaussian, summed in a fixed
+        pair order so repeated runs agree bitwise.
     """
     d_image = np.asarray(d_image, dtype=np.float64)
     h, w = result.image.height, result.image.width
@@ -201,23 +192,13 @@ def accumulate_image_backward(scene, result, d_image):
         raise ValueError(
             f"d_image must have shape {(h, w, 3)}, got {d_image.shape}"
         )
-    grads = Splat2DGrads.zeros(len(scene))
-    packed = _pack_splats(result.projected, scene)
-    sources = ProjectedSplats.of(result.projected).source_index
-    for b, rows, cols, xs, ys in _iter_tiles(result.grid, w, h):
-        order = result.grid.bins[b]
-        if not order:
-            continue
-        _backward_tile(
-            xs=xs,
-            ys=ys,
-            order=order,
-            packed=packed,
-            sources=sources,
-            background=result.background,
-            final_t=result.aux.final_T[rows, cols].ravel(),
-            n_contrib=result.aux.n_contrib[rows, cols].ravel(),
-            d_pixels=d_image[rows, cols].reshape(-1, 3),
-            grads=grads,
-        )
-    return grads
+    return _backward(
+        _image_entries(result.grid, result.projected, w, h),
+        _pack_splats(result.projected, scene),
+        result.projected.source_index,
+        len(scene),
+        result.background,
+        result.aux.final_T.ravel(),
+        result.aux.n_contrib.ravel(),
+        d_image.reshape(-1, 3),
+    )

@@ -1,14 +1,23 @@
-"""Front-to-back alpha compositing of depth-sorted splats, tile by tile.
+"""Front-to-back alpha compositing of depth-sorted splats over flat
+(splat, pixel) pairs.
 
-One kernel, _block_alpha, evaluates a block of K splats against P pixel
-centers at once. The tile compositor runs it on a tile's bin, the
-backward pass and the audit mask run it again, and the per-pixel
-operations run it with P = 1, so every view of the math agrees bitwise.
-Transmittance is a cumprod along the splat axis, which is sequential and
-therefore equal to the front-to-back loop. The brute-force renderer
-reuses the compositor with the tile bins replaced by the full globally
-sorted list, which is what makes the tiled-versus-brute-force
-equivalence checks meaningful.
+The tile bins are flattened once and ordered by (bin position, tile).
+Each entry expands only over the pixels of its tile whose centers lie in
+the splat's bounding square; no other pixel can pass the SIGMA_CUT test.
+One kernel, _pair_alpha, evaluates sigma and alpha on those flat pairs.
+The forward pass, the backward pass, the audit mask and the per-pixel
+operations all run it, so every view of the math agrees bitwise.
+
+Transmittance comes from a walk with one step per bin position,
+vectorised over pixels. A pixel sits in exactly one tile, so it has at
+most one pair per bin position, and each step is a gather, a multiply
+and a scatter of per-pixel state. The walk multiplies in bin order, so
+it equals the loop T = T * (1 - alpha) bitwise. Pairs are generated in
+blocks of whole bin positions of about PAIR_BUDGET pairs; only
+per-pixel state outlives a block. The brute-force renderer reuses the
+compositor with the tile bins replaced by the full globally sorted
+list, which is what makes the tiled-versus-brute-force equivalence
+checks meaningful.
 
 render takes the scene as a Splats or a list of Gaussian3D, checks it
 once with Splats.check, and projects every splat in one batched pass
@@ -38,11 +47,16 @@ T_MIN = 1e-4
 # bounding square has sigma > 4.5 (the square covers the 3-sigma ellipse),
 # so with this cutoff the set of contributing splats at a pixel does not
 # depend on tile membership, and tiled and untiled rendering match exactly.
+# The compositor relies on the same guarantee to evaluate a splat only at
+# the pixels inside its square: lowering the radius factor below 3, or
+# raising this cutoff, would silently drop contributions.
 SIGMA_CUT = 4.5
-# Splats per kernel block. Longer bins (the brute-force renderer puts
-# every splat in every tile) are walked in blocks, which bounds the
-# (K, P) temporaries; no result depends on the block size.
-BLOCK = 64
+# Pairs generated and evaluated at once. A block holds whole bin
+# positions, at least one, so it can exceed this by one position's pairs
+# (at most one per pixel); no result depends on the budget. At about 130
+# bytes per pair a block stays near 2 MB, which bounds peak memory and
+# keeps the kernel's arrays in cache.
+PAIR_BUDGET = 1 << 14
 
 
 @dataclass
@@ -140,15 +154,125 @@ def _pack_splats(projected, scene):
     )
 
 
-class _Alpha(NamedTuple):
-    """K splats evaluated at P pixel centers; every field is (K, P).
+def _pair_alpha(xs, ys, packed, splat):
+    """Evaluate the splats packed[splat] at the pixel centers (xs, ys), one
+    pair per index; all three are (M,). The one sigma/alpha expression of
+    the rasterizer.
 
+    Returns (dx, dy, sigma, exp_neg, alpha_raw, alpha, visible), each (M,):
     (dx, dy) is pixel center minus mean2d, sigma half the squared
     Mahalanobis distance, alpha_raw = opacity * exp(-sigma) and alpha its
     clamp at ALPHA_MAX. visible marks the pairs inside the SIGMA_CUT
     footprint with alpha >= ALPHA_MIN; every other pair is skipped.
     """
+    dx = xs - packed.mean_x[splat]
+    dy = ys - packed.mean_y[splat]
+    sigma = (
+        0.5 * (packed.inv_a[splat] * dx * dx + packed.inv_c[splat] * dy * dy)
+        + packed.inv_b[splat] * dx * dy
+    )
+    exp_neg = np.exp(-sigma)
+    alpha_raw = packed.opacity[splat] * exp_neg
+    alpha = np.minimum(alpha_raw, ALPHA_MAX)
+    visible = (sigma <= SIGMA_CUT) & (alpha >= ALPHA_MIN)
+    return dx, dy, sigma, exp_neg, alpha_raw, alpha, visible
 
+
+class _Entries(NamedTuple):
+    """Bin entries in walk order (bin position, then tile), each with the
+    rectangle of pixels it covers; every field but row_stride is (E,).
+
+    An entry covers height rows of width pixels; its first pixel has index
+    base and center (x0, y0), and consecutive rows are row_stride pixel
+    indices apart.
+    """
+
+    pos: np.ndarray
+    splat: np.ndarray
+    base: np.ndarray
+    x0: np.ndarray
+    y0: np.ndarray
+    width: np.ndarray
+    height: np.ndarray
+    row_stride: int
+
+
+def _image_entries(grid, projected, width, height):
+    """The grid's entries in walk order, each clipped to the pixels of its
+    tile whose centers lie in its splat's bounding square. Entries that
+    cover no pixel are dropped."""
+    tile, splat = grid.entry_tile, grid.entry_splat
+    pos = np.arange(tile.size) - tile.searchsorted(tile)
+    order = pos.argsort(kind="stable")
+    tile, splat, pos = tile[order], splat[order], pos[order]
+    # The pixels whose centers c + 0.5 lie within radius r of the mean
+    # span [ceil(m - r - 0.5), floor(m + r + 0.5)) in each axis. The box
+    # (x_lo, y_lo, x_hi, y_hi) is clipped to the tile and the image while
+    # still floats, so a huge footprint cannot overflow the cast.
+    rh = projected.radius[:, None] + 0.5
+    box = np.concatenate([np.ceil(projected.mean2d - rh),
+                          np.floor(projected.mean2d + rh)], axis=1)[splat]
+    ts = grid.tile_size
+    ty, tx = np.divmod(tile, grid.tiles_x)
+    tile_lo = np.stack([tx, ty, tx, ty], axis=1) * ts
+    box = box.clip(tile_lo, np.minimum(tile_lo + ts, [width, height, width, height]))
+    box = box.astype(np.int64)
+    size = box[:, 2:] - box[:, :2]
+    keep = (size.min(axis=1) > 0).nonzero()[0]
+    box, size = box[keep], size[keep]
+    return _Entries(
+        pos=pos[keep],
+        splat=splat[keep],
+        base=box[:, 1] * width + box[:, 0],
+        x0=box[:, 0] + 0.5,
+        y0=box[:, 1] + 0.5,
+        width=size[:, 0],
+        height=size[:, 1],
+        row_stride=width,
+    )
+
+
+def _pixel_entries(sorted_bin, pixel_center):
+    """One entry per bin position, each covering the single pixel 0 at
+    pixel_center."""
+    splat = np.asarray(sorted_bin, dtype=np.int64).reshape(-1)
+    ones = np.ones(splat.size, dtype=np.int64)
+    return _Entries(
+        pos=np.arange(splat.size),
+        splat=splat,
+        base=np.zeros(splat.size, dtype=np.int64),
+        x0=np.full(splat.size, float(pixel_center[0])),
+        y0=np.full(splat.size, float(pixel_center[1])),
+        width=ones,
+        height=ones,
+        row_stride=1,
+    )
+
+
+def _blocks(entries):
+    """Entry ranges [e0, e1) holding whole bin positions and about
+    PAIR_BUDGET pairs each; a block starts at the first position whose
+    preceding pair total enters a new multiple of the budget."""
+    count = entries.width * entries.height
+    before = count.cumsum() - count
+    n = count.size
+    if n == 0 or before[-1] + count[-1] <= PAIR_BUDGET:
+        return [(0, n)]
+    first = (entries.pos[1:] != entries.pos[:-1]).nonzero()[0] + 1
+    block = before[first] // PAIR_BUDGET
+    cuts = first[np.diff(block, prepend=0).nonzero()[0]].tolist()
+    edges = [0] + cuts + [n]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+class _Pairs(NamedTuple):
+    """Evaluated (splat, pixel) pairs of a block, in walk order; every
+    field is (M,). pix indexes the per-pixel state, pos is the entry's
+    bin position, and the rest is _pair_alpha's output."""
+
+    pix: np.ndarray
+    pos: np.ndarray
+    splat: np.ndarray
     dx: np.ndarray
     dy: np.ndarray
     sigma: np.ndarray
@@ -158,104 +282,96 @@ class _Alpha(NamedTuple):
     visible: np.ndarray
 
 
-def _block_alpha(xs, ys, packed, idx):
-    """Evaluate the splats packed[idx] (K,) at the pixel centers (xs, ys)
-    (P,). The one sigma/alpha expression of the rasterizer."""
-    dx = xs[None, :] - packed.mean_x[idx, None]
-    dy = ys[None, :] - packed.mean_y[idx, None]
-    sigma = (
-        0.5 * (packed.inv_a[idx, None] * dx * dx + packed.inv_c[idx, None] * dy * dy)
-        + packed.inv_b[idx, None] * dx * dy
+def _evaluate(entries, e0, e1, packed):
+    """Expand entries[e0:e1] into pairs, row-major within each entry, and
+    evaluate them."""
+    height = entries.height[e0:e1]
+    # One item per pixel row of an entry, then one per pixel of the row.
+    entry = np.arange(e0, e1).repeat(height)
+    row = np.arange(entry.size) - (height.cumsum() - height).repeat(height)
+    width = entries.width[entry]
+    col = np.arange(width.sum()) - (width.cumsum() - width).repeat(width)
+    splat = entries.splat[entry].repeat(width)
+    return _Pairs(
+        (entries.base[entry] + row * entries.row_stride).repeat(width) + col,
+        entries.pos[entry].repeat(width),
+        splat,
+        *_pair_alpha(entries.x0[entry].repeat(width) + col,
+                     (entries.y0[entry] + row).repeat(width), packed, splat),
     )
-    exp_neg = np.exp(-sigma)
-    alpha_raw = packed.opacity[idx, None] * exp_neg
-    alpha = np.minimum(alpha_raw, ALPHA_MAX)
-    visible = (sigma <= SIGMA_CUT) & (alpha >= ALPHA_MIN)
-    return _Alpha(dx, dy, sigma, exp_neg, alpha_raw, alpha, visible)
 
 
-def _transmittance(trans, alpha, mask):
-    """Transmittance before each of K splats and after the last, (K + 1, P).
+def _walk(pix, pos, values, state, step, reverse=False):
+    """Walk pairs one bin position at a time, front to back (or back to
+    front when reverse), updating the per-pixel state in place to
+    step(state, value) at every pair. Returns the state before each pair.
 
-    A cumprod along K seeded with the carried trans (P,), where pairs
-    outside mask pass T through unchanged. The product is sequential, so
-    it equals the loop T = T * (1 - alpha) bitwise.
+    A pixel has at most one pair per bin position, so every step is one
+    gather and one scatter with no duplicate index, and the updates at a
+    pixel happen in bin order.
     """
-    factors = np.empty((alpha.shape[0] + 1, alpha.shape[1]))
-    factors[0] = trans
-    factors[1:] = np.where(mask, 1.0 - alpha, 1.0)
-    return np.cumprod(factors, axis=0)
+    edges = [0] + ((pos[1:] != pos[:-1]).nonzero()[0] + 1).tolist() + [pos.size]
+    spans = list(zip(edges[:-1], edges[1:]))
+    before = np.empty_like(values)
+    for a, b in reversed(spans) if reverse else spans:
+        p = pix[a:b]
+        s = state[p]
+        before[a:b] = s
+        state[p] = step(s, values[a:b])
+    return before
 
 
-def _composite_tile(xs, ys, order, packed, background, early_termination):
-    """Composite the splats in `order` onto the pixel centers (xs, ys).
+def _visible_walk(entries, e0, e1, packed, trans):
+    """The visible pairs of entries[e0:e1], walked from the per-pixel
+    transmittance trans (updated in place): (pix, pos, splat, alpha,
+    T before, T after), each (M,)."""
+    pairs = _evaluate(entries, e0, e1, packed)
+    keep = pairs.visible.nonzero()[0]
+    pix, pos, alpha = pairs.pix[keep], pairs.pos[keep], pairs.alpha[keep]
+    one_minus = 1.0 - alpha
+    t_before = _walk(pix, pos, one_minus, trans, np.multiply)
+    return pix, pos, pairs.splat[keep], alpha, t_before, t_before * one_minus
 
-    The bin is walked in blocks of BLOCK splats, carrying T, color and the
-    stopped mask from block to block. Every operation is elementwise over
-    the pixel axis and sequential along the splat axis, so the result at a
-    pixel depends neither on which other pixels share the call nor on the
-    block size.
 
-    Returns (color (P, 3), final_T (P,), n_contrib (P,)).
+def _composite(entries, packed, n_px, background, early_termination):
+    """Composite the entries' pairs onto n_px pixels.
+
+    Transmittance multiplies through every visible pair, stops included.
+    T never increases, so with early termination a pair commits exactly
+    when its T after is at least T_MIN: past a pixel's first stop, no
+    later pair can. A pixel's final T is the T after its last committed
+    pair, which is also the smallest. Color accumulates in pair order,
+    which is bin order at each pixel.
+
+    Returns (color (3, n_px), final_T (n_px,), n_contrib (n_px,)).
     """
-    n_px = xs.shape[0]
-    order = np.asarray(order, dtype=np.int64)
     color = np.zeros((3, n_px))
     trans = np.ones(n_px)
+    final_t = np.ones(n_px)
     n_contrib = np.zeros(n_px, dtype=np.int64)
-    done = np.zeros(n_px, dtype=bool)
-    for start in range(0, order.size, BLOCK):
-        idx = order[start:start + BLOCK]
-        a = _block_alpha(xs, ys, packed, idx)
-        visible = a.visible & ~done
-        if not visible.any():
-            continue
-        t = _transmittance(trans, a.alpha, visible)
-        if early_termination:
-            # The first splat that would take T below T_MIN stops the
-            # pixel without being composited. T never increases, so every
-            # later visible splat in the block is a stop too.
-            stops = visible & (t[1:] < T_MIN)
-            commit = visible & ~stops
-            stopped = stops.any(axis=0)
-            first = np.argmax(stops, axis=0)
-            trans = np.where(stopped, t[first, np.arange(n_px)], t[-1])
-            done |= stopped
-        else:
-            commit = visible
-            trans = t[-1]
-        weight = np.where(commit, a.alpha * t[:-1], 0.0)
-        # Row 0 seeds the sum with the carried color. The reduced axis is
-        # never the innermost, so numpy adds the rows in order, exactly as
-        # color += weight * c does splat by splat.
-        terms = np.empty((idx.size + 1, 3, n_px))
-        terms[0] = color
-        np.multiply(weight[:, None, :], packed.color[idx, :, None], out=terms[1:])
-        color = np.add.reduce(terms, axis=0)
-        pos = np.arange(start + 1, start + idx.size + 1)
-        n_contrib = np.maximum(n_contrib, np.max(np.where(commit, pos[:, None], 0), axis=0))
-        if done.all():
-            break
-    color += background[:, None] * trans[None, :]
-    return color.T, trans, n_contrib
+    for e0, e1 in _blocks(entries):
+        _composite_block(entries, e0, e1, packed, early_termination,
+                         trans, color, final_t, n_contrib)
+    color += background[:, None] * final_t
+    return color, final_t, n_contrib
 
 
-def _iter_tiles(grid: TileGrid, width, height):
-    """Yield (tile index, row slice, col slice, xs, ys) over the image.
-
-    Pixel centers sit at integer + 0.5; edge tiles are clipped to the
-    image rectangle.
-    """
-    ts = grid.tile_size
-    for ty in range(grid.tiles_y):
-        r0, r1 = ty * ts, min((ty + 1) * ts, height)
-        for tx in range(grid.tiles_x):
-            c0, c1 = tx * ts, min((tx + 1) * ts, width)
-            cols = np.arange(c0, c1, dtype=np.float64) + 0.5
-            rows = np.arange(r0, r1, dtype=np.float64) + 0.5
-            xs = np.tile(cols, r1 - r0)
-            ys = np.repeat(rows, c1 - c0)
-            yield ty * grid.tiles_x + tx, slice(r0, r1), slice(c0, c1), xs, ys
+def _composite_block(entries, e0, e1, packed, early_termination,
+                     trans, color, final_t, n_contrib):
+    """Walk and commit the pairs of entries[e0:e1], updating the per-pixel
+    trans, color, final_t and n_contrib in place. Nothing else outlives
+    the call."""
+    walked = _visible_walk(entries, e0, e1, packed, trans)
+    if early_termination:
+        commit = (walked[-1] >= T_MIN).nonzero()[0]
+        walked = [x[commit] for x in walked]
+    pix, pos, splat, alpha, t_before, t_after = walked
+    weight = alpha * t_before
+    c = packed.color[splat]
+    for ch in range(3):
+        np.add.at(color[ch], pix, weight * c[:, ch])
+    np.minimum.at(final_t, pix, t_after)
+    np.maximum.at(n_contrib, pix, pos + 1)
 
 
 def eval_alpha(g, opacity, pixel_center):
@@ -278,14 +394,14 @@ def eval_alpha(g, opacity, pixel_center):
         opacity=np.array([opacity], dtype=np.float64),
         color=np.zeros((1, 3)),
     )
-    a = _block_alpha(
+    dx, dy, sigma, _, _, alpha, visible = _pair_alpha(
         np.array([float(pixel_center[0])]),
         np.array([float(pixel_center[1])]),
         packed,
         np.zeros(1, dtype=np.int64),
     )
-    alpha = float(a.alpha[0, 0]) if a.visible[0, 0] else 0.0
-    return alpha, np.array([a.dx[0, 0], a.dy[0, 0]]), float(a.sigma[0, 0])
+    return (float(alpha[0]) if visible[0] else 0.0,
+            np.array([dx[0], dy[0]]), float(sigma[0]))
 
 
 def composite_pixel(sorted_bin, projected, scene, pixel_center, background,
@@ -301,34 +417,29 @@ def composite_pixel(sorted_bin, projected, scene, pixel_center, background,
 
     Returns (color 3-vector, PixelAux(final_T, n_contrib)).
     """
-    packed = _pack_splats(projected, scene)
-    xs = np.array([float(pixel_center[0])])
-    ys = np.array([float(pixel_center[1])])
-    bg = np.asarray(background, dtype=np.float64)
-    color, trans, n_contrib = _composite_tile(
-        xs, ys, list(sorted_bin), packed, bg, early_termination
+    color, trans, n_contrib = _composite(
+        _pixel_entries(sorted_bin, pixel_center),
+        _pack_splats(projected, scene),
+        1,
+        np.asarray(background, dtype=np.float64),
+        early_termination,
     )
-    return color[0], PixelAux(float(trans[0]), int(n_contrib[0]))
+    return color[:, 0], PixelAux(float(trans[0]), int(n_contrib[0]))
 
 
 def _render_with_grid(scene, camera, background, projected, grid, early_termination):
-    packed = _pack_splats(projected, scene)
     h, w = camera.height, camera.width
-    img = np.zeros((h, w, 3))
-    final_t = np.ones((h, w))
-    n_contrib = np.zeros((h, w), dtype=np.int64)
-    for b, rows, cols, xs, ys in _iter_tiles(grid, w, h):
-        color, trans, contrib = _composite_tile(
-            xs, ys, grid.bins[b], packed, background, early_termination
-        )
-        nr = rows.stop - rows.start
-        nc = cols.stop - cols.start
-        img[rows, cols] = color.reshape(nr, nc, 3)
-        final_t[rows, cols] = trans.reshape(nr, nc)
-        n_contrib[rows, cols] = contrib.reshape(nr, nc)
+    color, trans, n_contrib = _composite(
+        _image_entries(grid, projected, w, h),
+        _pack_splats(projected, scene),
+        h * w,
+        background,
+        early_termination,
+    )
     return RenderResult(
-        image=ImageBuffer(width=w, height=h, channels=img),
-        aux=RenderAux(final_T=final_t, n_contrib=n_contrib),
+        image=ImageBuffer(width=w, height=h,
+                          channels=np.ascontiguousarray(color.T).reshape(h, w, 3)),
+        aux=RenderAux(final_T=trans.reshape(h, w), n_contrib=n_contrib.reshape(h, w)),
         grid=grid,
         projected=projected,
         background=background,
@@ -372,11 +483,13 @@ def render_brute_force(scene, camera: Camera, background, *, early_termination=T
     background = np.asarray(background, dtype=np.float64)
     splats, projected = _checked_projection(scene, camera)
     tiles_x, tiles_y = grid_shape(camera.width, camera.height)
-    order = np.lexsort((projected.source_index, projected.depth)).tolist()
+    order = np.lexsort((projected.source_index, projected.depth))
+    n_tiles = tiles_x * tiles_y
     grid = TileGrid(
         tile_size=TILE_SIZE,
         tiles_x=tiles_x,
         tiles_y=tiles_y,
-        bins=[list(order) for _ in range(tiles_x * tiles_y)],
+        entry_tile=np.repeat(np.arange(n_tiles), order.size),
+        entry_splat=np.tile(order, n_tiles),
     )
     return _render_with_grid(splats, camera, background, projected, grid, early_termination)

@@ -112,11 +112,68 @@ def naive_render(scene, camera, background, early_termination=True):
     return image, final_t
 
 
-# Reference oracles for the vectorised tile kernels. These are the
-# per-splat loops the rasterizer used before its kernels worked on whole
-# (splats x pixels) blocks; they keep the same signatures, so a test can
-# swap one in for raster_forward._composite_tile or
-# raster_backward._backward_tile and compare whole renders and gradients.
+# Reference oracles for the compositing passes: the per-splat loops the
+# rasterizer used before its kernels were vectorised, run tile by tile
+# over every pixel of each tile's bin (oracle_render, oracle_image_backward).
+
+
+def iter_tiles(grid, width, height):
+    """Yield (tile index, row slice, col slice, xs, ys) over the image.
+
+    Pixel centers sit at integer + 0.5; edge tiles are clipped to the
+    image rectangle.
+    """
+    ts = grid.tile_size
+    for ty in range(grid.tiles_y):
+        r0, r1 = ty * ts, min((ty + 1) * ts, height)
+        for tx in range(grid.tiles_x):
+            c0, c1 = tx * ts, min((tx + 1) * ts, width)
+            cols = np.arange(c0, c1, dtype=np.float64) + 0.5
+            rows = np.arange(r0, r1, dtype=np.float64) + 0.5
+            xs = np.tile(cols, r1 - r0)
+            ys = np.repeat(rows, c1 - c0)
+            yield ty * grid.tiles_x + tx, slice(r0, r1), slice(c0, c1), xs, ys
+
+
+def oracle_render(scene, result, early_termination):
+    """(image, final_T, n_contrib) of result's grid and projection,
+    composited tile by tile with oracle_composite_tile at every pixel."""
+    from splatgrad.raster_forward import _pack_splats
+
+    packed = _pack_splats(result.projected, scene)
+    h, w = result.image.height, result.image.width
+    image = np.zeros((h, w, 3))
+    final_t = np.ones((h, w))
+    n_contrib = np.zeros((h, w), dtype=np.int64)
+    bins = result.grid.bins
+    for b, rows, cols, xs, ys in iter_tiles(result.grid, w, h):
+        color, trans, contrib = oracle_composite_tile(
+            xs, ys, bins[b], packed, result.background, early_termination)
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        image[rows, cols] = color.reshape(shape + (3,))
+        final_t[rows, cols] = trans.reshape(shape)
+        n_contrib[rows, cols] = contrib.reshape(shape)
+    return image, final_t, n_contrib
+
+
+def oracle_image_backward(scene, result, d_image):
+    """accumulate_image_backward computed tile by tile with
+    oracle_backward_tile."""
+    from splatgrad import Splat2DGrads
+    from splatgrad.raster_forward import _pack_splats
+
+    grads = Splat2DGrads.zeros(len(scene))
+    packed = _pack_splats(result.projected, scene)
+    h, w = result.image.height, result.image.width
+    bins = result.grid.bins
+    for b, rows, cols, xs, ys in iter_tiles(result.grid, w, h):
+        if bins[b]:
+            oracle_backward_tile(
+                xs, ys, bins[b], packed, result.projected.source_index,
+                result.background, result.aux.final_T[rows, cols].ravel(),
+                result.aux.n_contrib[rows, cols].ravel(),
+                d_image[rows, cols].reshape(-1, 3), grads)
+    return grads
 
 
 def oracle_composite_tile(xs, ys, order, packed, background,

@@ -98,8 +98,12 @@ def culled_case():
 
 
 def single_case():
+    # Anisotropic: an isotropic splat's quaternion gradient is zero, and
+    # comparing two roundings of zero to a tolerance relative to their own
+    # size tests only the noise.
     camera = frustum_camera(16, 16)
-    return [g3([0.1, -0.2, 3.0])], camera, np.array([0.2, 0.2, 0.2])
+    return ([g3([0.1, -0.2, 3.0], scale=np.array([0.3, 0.2, 0.4]))], camera,
+            np.array([0.2, 0.2, 0.2]))
 
 
 def empty_case():

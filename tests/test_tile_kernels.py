@@ -1,4 +1,5 @@
-"""The vectorised tile kernels against the per-splat reference loops.
+"""The footprint-pair compositing passes against the per-splat
+reference loops, run densely over every pixel of every tile.
 
 Forward renders must equal the oracle loop bitwise, backward gradients
 must match it per class to 1e-12 of the class's largest entry, and the
@@ -25,12 +26,14 @@ from splatgrad import (
     render_brute_force,
     transmittance_replay,
 )
-from splatgrad.raster_forward import BLOCK, PixelAux
+from splatgrad.raster_forward import PAIR_BUDGET, PixelAux
 
 from helpers import (
     frustum_scene,
-    oracle_backward_tile,
+    iter_tiles,
     oracle_composite_tile,
+    oracle_image_backward,
+    oracle_render,
     reference_pixel_safety_mask,
     rotated_camera,
 )
@@ -42,11 +45,12 @@ def criterion5_case():
 
 
 def long_bin_case():
-    # Every splat lands in every brute-force bin, so each bin spans
-    # several kernel blocks.
+    # Every splat lands in every brute-force bin, so every bin is 199
+    # positions long, and the footprints hold enough pairs that the walk
+    # spans several pair blocks.
     rng = np.random.default_rng(5)
     camera = rotated_camera(rng, 40, 40)
-    scene = frustum_scene(rng, 3 * BLOCK + 7, camera, scale_px=(2.0, 5.0),
+    scene = frustum_scene(rng, 199, camera, scale_px=(2.0, 5.0),
                           opacity=(0.5, 0.95))
     return scene, camera, rng.uniform(0.0, 1.0, size=3), render_brute_force
 
@@ -82,7 +86,11 @@ def early_termination(request):
 def test_long_bin_case_spans_blocks():
     scene, camera, bg, renderer = long_bin_case()
     res = renderer(scene, camera, bg)
-    assert min(len(b) for b in res.grid.bins) > 3 * BLOCK
+    assert min(len(b) for b in res.grid.bins) == len(scene)
+    entries = raster_forward._image_entries(res.grid, res.projected,
+                                            camera.width, camera.height)
+    assert int(np.sum(entries.width * entries.height)) > 3 * PAIR_BUDGET
+    assert len(raster_forward._blocks(entries)) > 3
 
 
 @pytest.mark.parametrize("make", [long_bin_case, odd_size_case])
@@ -94,27 +102,23 @@ def test_cases_stop_pixels_early(make):
     assert 0.1 < stopped.mean() < 0.9
 
 
-def test_forward_bitwise_equals_oracle(case, early_termination, monkeypatch):
+def test_forward_bitwise_equals_oracle(case, early_termination):
     scene, camera, bg, renderer = case
     new = renderer(scene, camera, bg, early_termination=early_termination)
-    with monkeypatch.context() as m:
-        m.setattr(raster_forward, "_composite_tile", oracle_composite_tile)
-        old = renderer(scene, camera, bg, early_termination=early_termination)
-    assert np.array_equal(new.image.channels, old.image.channels)
-    assert np.array_equal(new.aux.final_T, old.aux.final_T)
-    assert np.array_equal(new.aux.n_contrib, old.aux.n_contrib)
+    image, final_t, n_contrib = oracle_render(scene, new, early_termination)
+    assert np.array_equal(new.image.channels, image)
+    assert np.array_equal(new.aux.final_T, final_t)
+    assert np.array_equal(new.aux.n_contrib, n_contrib)
     assert new.aux.n_contrib.max() > 0
 
 
-def test_backward_matches_oracle(case, early_termination, monkeypatch):
+def test_backward_matches_oracle(case, early_termination):
     scene, camera, bg, renderer = case
     res = renderer(scene, camera, bg, early_termination=early_termination)
     rng = np.random.default_rng(17)
     d_image = rng.normal(size=(camera.height, camera.width, 3))
     new = accumulate_image_backward(scene, res, d_image)
-    with monkeypatch.context() as m:
-        m.setattr(raster_backward, "_backward_tile", oracle_backward_tile)
-        old = accumulate_image_backward(scene, res, d_image)
+    old = oracle_image_backward(scene, res, d_image)
     for name in ("d_color", "d_opacity", "d_mean2d", "d_cov2d"):
         want = getattr(old, name)
         got = getattr(new, name)
@@ -129,8 +133,9 @@ def test_replay_bitwise_equals_oracle_forward(case, early_termination):
     packed = raster_forward._pack_splats(res.projected, scene)
     w, h = camera.width, camera.height
     checked = 0
-    for b, rows, cols, xs, ys in raster_forward._iter_tiles(res.grid, w, h):
-        sbin = res.grid.bins[b]
+    bins = res.grid.bins
+    for b, rows, cols, xs, ys in iter_tiles(res.grid, w, h):
+        sbin = bins[b]
         t_log = []
         oracle_composite_tile(xs, ys, sbin, packed, bg, early_termination,
                               t_log=t_log)
