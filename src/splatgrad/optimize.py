@@ -12,6 +12,10 @@ from .core import Camera, Gaussian3D, Splats
 from .proj_backward import scene_backward
 from .raster_forward import render
 
+# The gradient classes a fit step reads; each is checked for a non-finite
+# value before it reaches the optimizer state.
+GRADIENT_CLASSES = ("mean", "scale", "quat", "opacity", "color")
+
 
 @dataclass
 class FitConfig:
@@ -118,6 +122,11 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
         (scene, loss_history): the fitted scene as a list of Gaussian3D,
         and one loss value per iteration, measured before that
         iteration's update.
+
+    Raises:
+        FloatingPointError when the loss or a gradient class turns
+        non-finite, naming the loss or the class (e.g. d_quat) and the
+        iteration.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (camera.height, camera.width, 3):
@@ -160,6 +169,10 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
         history.append(loss)
 
         grads = scene_backward(scene, camera, result, 2.0 * resid)
+        for name in GRADIENT_CLASSES:
+            if not np.isfinite(getattr(grads, "d_" + name)).all():
+                raise FloatingPointError(
+                    f"d_{name} is not finite at iteration {it}")
         step = it + 1
         means = _adam_step(means, grads.d_mean, adam["mean"],
                            config.lr_mean, step, config)

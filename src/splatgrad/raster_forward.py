@@ -19,13 +19,22 @@ compositor with the tile bins replaced by the full globally sorted
 list, which is what makes the tiled-versus-brute-force equivalence
 checks meaningful.
 
+The pipeline has an image axis. render_images renders K scenes, each
+from its own camera, in one pass: scenes that share a Camera object are
+projected together, tile t of image k is binned as k * n_tiles + t (the
+sort key stays tile, depth, scene-local source index), each entry's
+pixels are offset by k * height * width, and one walk composites all
+K * height * width pixels. A pixel still has at most one pair per bin
+position, so nothing in the walk changes, and image k equals a render
+of scene k alone bitwise. render is the K = 1 case of the same path.
+
 render takes the scene as a Splats or a list of Gaussian3D, checks it
 once with Splats.check, and projects every splat in one batched pass
 (projection.project_splats); result.projected is the resulting
 ProjectedSplats.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -200,7 +209,11 @@ class _Entries(NamedTuple):
 def _image_entries(grid, projected, width, height):
     """The grid's entries in walk order, each clipped to the pixels of its
     tile whose centers lie in its splat's bounding square. Entries that
-    cover no pixel are dropped."""
+    cover no pixel are dropped.
+
+    The grid may span several width x height images, tile t of image k
+    having id k * tiles_x * tiles_y + t; pixel p of image k then has
+    index k * height * width + p."""
     tile, splat = grid.entry_tile, grid.entry_splat
     pos = np.arange(tile.size) - tile.searchsorted(tile)
     order = pos.argsort(kind="stable")
@@ -213,6 +226,7 @@ def _image_entries(grid, projected, width, height):
     box = np.concatenate([np.ceil(projected.mean2d - rh),
                           np.floor(projected.mean2d + rh)], axis=1)[splat]
     ts = grid.tile_size
+    image, tile = np.divmod(tile, grid.tiles_x * grid.tiles_y)
     ty, tx = np.divmod(tile, grid.tiles_x)
     tile_lo = np.stack([tx, ty, tx, ty], axis=1) * ts
     box = box.clip(tile_lo, np.minimum(tile_lo + ts, [width, height, width, height]))
@@ -223,7 +237,7 @@ def _image_entries(grid, projected, width, height):
     return _Entries(
         pos=pos[keep],
         splat=splat[keep],
-        base=box[:, 1] * width + box[:, 0],
+        base=(image[keep] * height + box[:, 1]) * width + box[:, 0],
         x0=box[:, 0] + 0.5,
         y0=box[:, 1] + 0.5,
         width=size[:, 0],
@@ -268,14 +282,14 @@ def _blocks(entries):
 class _Pairs(NamedTuple):
     """Evaluated (splat, pixel) pairs of a block, in walk order; every
     field is (M,). pix indexes the per-pixel state, pos is the entry's
-    bin position, and the rest is _pair_alpha's output."""
+    bin position, and the rest is _pair_alpha's output less sigma, which
+    nothing reads once visible is formed."""
 
     pix: np.ndarray
     pos: np.ndarray
     splat: np.ndarray
     dx: np.ndarray
     dy: np.ndarray
-    sigma: np.ndarray
     exp_neg: np.ndarray
     alpha_raw: np.ndarray
     alpha: np.ndarray
@@ -292,12 +306,13 @@ def _evaluate(entries, e0, e1, packed):
     width = entries.width[entry]
     col = np.arange(width.sum()) - (width.cumsum() - width).repeat(width)
     splat = entries.splat[entry].repeat(width)
+    dx, dy, _, exp_neg, alpha_raw, alpha, visible = _pair_alpha(
+        entries.x0[entry].repeat(width) + col,
+        (entries.y0[entry] + row).repeat(width), packed, splat)
     return _Pairs(
         (entries.base[entry] + row * entries.row_stride).repeat(width) + col,
         entries.pos[entry].repeat(width),
-        splat,
-        *_pair_alpha(entries.x0[entry].repeat(width) + col,
-                     (entries.y0[entry] + row).repeat(width), packed, splat),
+        splat, dx, dy, exp_neg, alpha_raw, alpha, visible,
     )
 
 
@@ -427,15 +442,95 @@ def composite_pixel(sorted_bin, projected, scene, pixel_center, background,
     return color[:, 0], PixelAux(float(trans[0]), int(n_contrib[0]))
 
 
-def _render_with_grid(scene, camera, background, projected, grid, early_termination):
-    h, w = camera.height, camera.width
-    color, trans, n_contrib = _composite(
-        _image_entries(grid, projected, w, h),
-        _pack_splats(projected, scene),
-        h * w,
+class _Projection(NamedTuple):
+    """The splats of K images that survived culling, one row each:
+    projected (its source_index scene-local), the image each row belongs
+    to, and each row's opacity and color."""
+
+    projected: ProjectedSplats
+    image: np.ndarray
+    opacity: np.ndarray
+    color: np.ndarray
+
+
+def _stack(scenes):
+    """One Splats holding the rows of every Splats in scenes, in order."""
+    if len(scenes) == 1:
+        return scenes[0]
+    return Splats(*(np.concatenate(rows) for rows in zip(*(
+        (s.means, s.scales, s.quats, s.opacities, s.colors) for s in scenes))))
+
+
+def _project_images(scenes, cameras):
+    """Check and project the Splats scenes[k] seen by cameras[k].
+
+    The scenes of one Camera object are stacked, checked with Splats.check
+    and projected in one pass. When that raises, they are checked and
+    projected one at a time, so the error names the splat by its index in
+    its own scene.
+    """
+    groups = {}
+    for k, camera in enumerate(cameras):
+        groups.setdefault(id(camera), []).append(k)
+    parts = []
+    for ks in groups.values():
+        group = [scenes[k] for k in ks]
+        camera = cameras[ks[0]]
+        stack = _stack(group)
+        try:
+            stack.check()
+            p = project_splats(stack, camera)
+        except ValueError:
+            for splats in group:
+                splats.check()
+                project_splats(splats, camera)
+            raise
+        sizes = [len(splats) for splats in group]
+        owner = np.repeat(np.arange(len(ks)), sizes)[p.source_index]
+        start = np.cumsum(sizes) - sizes
+        parts.append((p.t_cam, p.mean2d, p.cov2d, p.depth, p.radius,
+                      p.source_index - start[owner], np.array(ks)[owner],
+                      stack.opacities[p.source_index], stack.colors[p.source_index]))
+    if len(parts) > 1:
+        parts = [[np.concatenate(column) for column in zip(*parts)]]
+    *fields, image, opacity, color = parts[0]
+    return _Projection(ProjectedSplats(*fields), image, opacity, color)
+
+
+def _composite_grid(grid, proj, width, height, n_images, background,
+                    early_termination):
+    """Composite the n_images width x height images of grid's entries:
+    (color (3, P), final_T (P,), n_contrib (P,)) with P = n_images *
+    height * width."""
+    p = proj.projected
+    return _composite(
+        _image_entries(grid, p, width, height),
+        _PackedSplats.of(p.mean2d, p.cov2d, proj.opacity, proj.color),
+        n_images * height * width,
         background,
         early_termination,
     )
+
+
+def _render_batch(scenes, cameras, background, early_termination):
+    """Project, bin, sort and composite scenes[k] seen by cameras[k], all
+    of one size. Tile t of image k is binned as k * n_tiles + t.
+
+    Returns (_Projection, the grid over all images, _composite_grid's
+    output)."""
+    width, height = cameras[0].width, cameras[0].height
+    proj = _project_images([Splats.of(s) for s in scenes], cameras)
+    grid = assign_tiles(proj.projected, width, height)
+    grid = replace(grid, entry_tile=grid.entry_tile
+                   + proj.image[grid.entry_splat] * (grid.tiles_x * grid.tiles_y))
+    grid = sort_bins(grid, proj.projected)
+    return proj, grid, _composite_grid(grid, proj, width, height, len(cameras),
+                                       background, early_termination)
+
+
+def _result(camera, background, projected, grid, composited):
+    h, w = camera.height, camera.width
+    color, trans, n_contrib = composited
     return RenderResult(
         image=ImageBuffer(width=w, height=h,
                           channels=np.ascontiguousarray(color.T).reshape(h, w, 3)),
@@ -446,14 +541,10 @@ def _render_with_grid(scene, camera, background, projected, grid, early_terminat
     )
 
 
-def _checked_projection(scene, camera):
-    splats = Splats.of(scene)
-    splats.check()
-    return splats, project_splats(splats, camera)
-
-
 def render(scene, camera: Camera, background, *, early_termination=True):
     """Render a scene: project, bin, sort, then composite every pixel.
+
+    The one-image case of render_images.
 
     Args:
         scene: Splats, or a list of Gaussian3D. Checked with Splats.check,
@@ -468,9 +559,38 @@ def render(scene, camera: Camera, background, *, early_termination=True):
         RenderResult with the image and everything the backward pass needs.
     """
     background = np.asarray(background, dtype=np.float64)
-    splats, projected = _checked_projection(scene, camera)
-    grid = sort_bins(assign_tiles(projected, camera.width, camera.height), projected)
-    return _render_with_grid(splats, camera, background, projected, grid, early_termination)
+    proj, grid, composited = _render_batch([scene], [camera], background,
+                                           early_termination)
+    return _result(camera, background, proj.projected, grid, composited)
+
+
+def render_images(scenes, cameras, background, *, early_termination=True):
+    """Render K scenes, scenes[k] seen by cameras[k], in one pass.
+
+    The cameras must share width and height. Scenes given the same Camera
+    object are projected together, so K views of one camera cost one
+    projection. Every image is bitwise equal to render(scenes[k],
+    cameras[k], background); a bad splat raises render's ValueError,
+    naming the splat by its index in its own scene.
+
+    Returns:
+        (images, aux): images (K, height, width, 3), and a RenderAux whose
+        final_T and n_contrib are (K, height, width).
+    """
+    if not cameras or len(scenes) != len(cameras):
+        raise ValueError(
+            f"need one camera per scene and at least one of each, got "
+            f"{len(scenes)} scenes and {len(cameras)} cameras"
+        )
+    sizes = {(c.width, c.height) for c in cameras}
+    if len(sizes) > 1:
+        raise ValueError(f"cameras must share width and height, got {sorted(sizes)}")
+    background = np.asarray(background, dtype=np.float64)
+    _, _, (color, trans, n_contrib) = _render_batch(scenes, cameras, background,
+                                                    early_termination)
+    shape = (len(cameras), cameras[0].height, cameras[0].width)
+    return (np.ascontiguousarray(color.T).reshape(shape + (3,)),
+            RenderAux(final_T=trans.reshape(shape), n_contrib=n_contrib.reshape(shape)))
 
 
 def render_brute_force(scene, camera: Camera, background, *, early_termination=True):
@@ -481,7 +601,8 @@ def render_brute_force(scene, camera: Camera, background, *, early_termination=T
     Any disagreement with render() therefore isolates a binning bug.
     """
     background = np.asarray(background, dtype=np.float64)
-    splats, projected = _checked_projection(scene, camera)
+    proj = _project_images([Splats.of(scene)], [camera])
+    projected = proj.projected
     tiles_x, tiles_y = grid_shape(camera.width, camera.height)
     order = np.lexsort((projected.source_index, projected.depth))
     n_tiles = tiles_x * tiles_y
@@ -492,4 +613,6 @@ def render_brute_force(scene, camera: Camera, background, *, early_termination=T
         entry_tile=np.repeat(np.arange(n_tiles), order.size),
         entry_splat=np.tile(order, n_tiles),
     )
-    return _render_with_grid(splats, camera, background, projected, grid, early_termination)
+    return _result(camera, background, projected, grid,
+                   _composite_grid(grid, proj, camera.width, camera.height, 1,
+                                   background, early_termination))

@@ -356,6 +356,108 @@ def reference_pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
     return mask
 
 
+def oracle_audit_scene(scene, camera, target, *, background, pixel_mask,
+                       h=1e-5, rel_tol=1e-4, abs_tol=1e-8, grad_floor=1e-7):
+    """gradcheck.audit_scene as it was before the probes were batched:
+    every probe is its own render() of a scene rebuilt with
+    dataclasses.replace, and each coordinate's central difference comes
+    from its own pair of renders, in the report's order."""
+    from dataclasses import replace
+
+    from splatgrad import (
+        AUDIT_CLASSES,
+        ClassCheck,
+        GradReport,
+        render,
+        scene_backward,
+    )
+
+    target = np.asarray(target, dtype=np.float64)
+    background = np.asarray(background, dtype=np.float64)
+    weight = np.asarray(pixel_mask, dtype=np.float64)
+
+    def loss_for(scene2, camera2):
+        res = render(scene2, camera2, background)
+        diff = res.image.channels - target
+        return float(np.sum(weight[:, :, None] * diff * diff))
+
+    def central(probe, params):
+        base = np.asarray(params, dtype=np.float64)
+        grad = np.empty(base.shape)
+        for idx in np.ndindex(base.shape):
+            hi = base.copy()
+            hi[idx] += h
+            lo = base.copy()
+            lo[idx] -= h
+            f_hi = probe(hi)
+            f_lo = probe(lo)
+            assert np.isfinite(f_hi) and np.isfinite(f_lo)
+            grad[idx] = (f_hi - f_lo) / (2.0 * h)
+        return grad
+
+    result = render(scene, camera, background)
+    d_image = 2.0 * weight[:, :, None] * (result.image.channels - target)
+    analytic = scene_backward(scene, camera, result, d_image)
+    entries = {name: [] for name in AUDIT_CLASSES}
+
+    def record(name, label, a_val, f_val):
+        a = np.atleast_1d(np.asarray(a_val, dtype=np.float64)).ravel()
+        f = np.atleast_1d(np.asarray(f_val, dtype=np.float64)).ravel()
+        for k in range(a.size):
+            tag = f"{label}[{k}]" if a.size > 1 else label
+            entries[name].append((tag, float(a[k]), float(f[k])))
+
+    for i, g in enumerate(scene):
+        for field in ("mean", "scale", "quat", "color"):
+            def probe(vec, i=i, field=field):
+                scene2 = list(scene)
+                scene2[i] = replace(scene[i], **{field: vec})
+                return loss_for(scene2, camera)
+
+            record(field, f"gaussian[{i}].{field}",
+                   getattr(analytic, "d_" + field)[i],
+                   central(probe, getattr(g, field)))
+
+        def probe_opacity(vec, i=i):
+            scene2 = list(scene)
+            scene2[i] = replace(scene[i], opacity=float(vec[0]))
+            return loss_for(scene2, camera)
+
+        record("opacity", f"gaussian[{i}].opacity", analytic.d_opacity[i],
+               central(probe_opacity, np.array([g.opacity])))
+
+    def probe_view(flat):
+        view2 = camera.view.copy()
+        view2[:3, :] = flat.reshape(3, 4)
+        return loss_for(scene, replace(camera, view=view2))
+
+    record("view", "view", analytic.d_view[:3, :].ravel(),
+           central(probe_view, camera.view[:3, :].ravel()))
+
+    classes = {}
+    for name in AUDIT_CLASSES:
+        max_rel = max_abs = 0.0
+        worst, worst_ratio, ok = "", -1.0, True
+        for label, a, f in entries[name]:
+            diff = abs(a - f)
+            scale_mag = max(abs(a), abs(f))
+            max_abs = max(max_abs, diff)
+            if scale_mag > grad_floor:
+                rel = diff / scale_mag
+                max_rel = max(max_rel, rel)
+                ratio = rel / rel_tol
+            else:
+                ratio = diff / abs_tol
+            if ratio > worst_ratio:
+                worst_ratio, worst = ratio, label
+            ok = ok and ratio <= 1.0
+        classes[name] = ClassCheck(name=name, max_rel=max_rel, max_abs=max_abs,
+                                   worst_coord=worst, passed=ok)
+    return GradReport(classes=classes,
+                      passed=all(c.passed for c in classes.values()), h=h,
+                      rel_tol=rel_tol, abs_tol=abs_tol, grad_floor=grad_floor)
+
+
 # Reference oracles for the batched projection and projection backward:
 # the single-splat math as it was written before the ops took stacks, one
 # splat at a time, with a BLAS product wherever the math has a matrix

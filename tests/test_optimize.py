@@ -215,3 +215,31 @@ class TestGradientSpaces:
         scene, _ = fit(target, camera, config)
         for g in scene:
             assert 0.0 < g.opacity < 1.0
+
+
+class TestNonFiniteGradient:
+    @pytest.mark.parametrize("name", ["mean", "scale", "quat", "opacity", "color"])
+    def test_names_class_and_iteration(self, monkeypatch, name):
+        # Inject a NaN into one gradient class at the third iteration; fit
+        # must stop there and say which class, before the NaN reaches the
+        # optimizer state and the next render's scene check.
+        from splatgrad import optimize
+
+        inner = optimize.scene_backward
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            grads = inner(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 3:
+                field = getattr(grads, "d_" + name)
+                field.flat[field.size // 2] = np.nan
+            return grads
+
+        monkeypatch.setattr(optimize, "scene_backward", poisoned)
+        camera = frustum_camera(16, 16)
+        config = FitConfig(n_gaussians=4, iterations=10, seed=2)
+        with pytest.raises(FloatingPointError,
+                           match=rf"^d_{name} is not finite at iteration 2$"):
+            fit(np.full((16, 16, 3), 0.5), camera, config)
+        assert len(calls) == 3
