@@ -40,10 +40,11 @@ from .raster_forward import (
 AUDIT_CLASSES = ("mean", "scale", "quat", "opacity", "color", "view")
 # Probe pixels rendered per render_images call: PROBE_PIXELS // (height *
 # width) probe images, at least one. Peak memory grows with the pairs a
-# batch evaluates at once, up to a PAIR_BUDGET block of about 1.5 MB, and
+# batch evaluates at once, up to a PAIR_BUDGET block of about 1.7 MB, and
 # this bound keeps the audit's peak resident memory within 5% of
-# rendering one probe at a time: 2,048 pixels stay near +3.5% over a
-# 30 s run, while 3,072 pixels reach +4.8% and larger batches more.
+# rendering one probe at a time. Over 30 s perfbench audit pairs against
+# per-probe renders (BENCH_batched_audit.json), 2,048 pixels gave +2.7%
+# peak_rss_mb and 3,072 pixels +4.9%.
 PROBE_PIXELS = 1 << 11
 # The splat fields probed, in report order, and their Splats arrays.
 PROBE_FIELDS = (("mean", "means"), ("scale", "scales"), ("quat", "quats"),
@@ -74,16 +75,14 @@ def finite_difference(probe, params, h=1e-5):
         for each coordinate direction e.
     """
     base = np.asarray(params, dtype=np.float64)
-    f_hi = np.empty(base.shape)
-    f_lo = np.empty(base.shape)
+    grad = np.empty(base.shape)
     for idx in np.ndindex(base.shape):
         hi = base.copy()
         hi[idx] += h
         lo = base.copy()
         lo[idx] -= h
-        f_hi[idx] = probe(hi)
-        f_lo[idx] = probe(lo)
-    return _central(f_hi, f_lo, h)
+        grad[idx] = _central(probe(hi), probe(lo), h)
+    return grad
 
 
 @dataclass

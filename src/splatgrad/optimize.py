@@ -12,10 +12,6 @@ from .core import Camera, Gaussian3D, Splats
 from .proj_backward import scene_backward
 from .raster_forward import render
 
-# The gradient classes a fit step reads; each is checked for a non-finite
-# value before it reaches the optimizer state.
-GRADIENT_CLASSES = ("mean", "scale", "quat", "opacity", "color")
-
 
 @dataclass
 class FitConfig:
@@ -169,7 +165,7 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
         history.append(loss)
 
         grads = scene_backward(scene, camera, result, 2.0 * resid)
-        for name in GRADIENT_CLASSES:
+        for name in adam:
             if not np.isfinite(getattr(grads, "d_" + name)).all():
                 raise FloatingPointError(
                     f"d_{name} is not finite at iteration {it}")

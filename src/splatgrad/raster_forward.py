@@ -564,14 +564,14 @@ def render(scene, camera: Camera, background, *, early_termination=True):
     return _result(camera, background, proj.projected, grid, composited)
 
 
-def render_images(scenes, cameras, background, *, early_termination=True):
+def render_images(scenes, cameras, background):
     """Render K scenes, scenes[k] seen by cameras[k], in one pass.
 
     The cameras must share width and height. Scenes given the same Camera
     object are projected together, so K views of one camera cost one
     projection. Every image is bitwise equal to render(scenes[k],
-    cameras[k], background); a bad splat raises render's ValueError,
-    naming the splat by its index in its own scene.
+    cameras[k], background), early termination on; a bad splat raises
+    render's ValueError, naming the splat by its index in its own scene.
 
     Returns:
         (images, aux): images (K, height, width, 3), and a RenderAux whose
@@ -586,8 +586,7 @@ def render_images(scenes, cameras, background, *, early_termination=True):
     if len(sizes) > 1:
         raise ValueError(f"cameras must share width and height, got {sorted(sizes)}")
     background = np.asarray(background, dtype=np.float64)
-    _, _, (color, trans, n_contrib) = _render_batch(scenes, cameras, background,
-                                                    early_termination)
+    _, _, (color, trans, n_contrib) = _render_batch(scenes, cameras, background, True)
     shape = (len(cameras), cameras[0].height, cameras[0].width)
     return (np.ascontiguousarray(color.T).reshape(shape + (3,)),
             RenderAux(final_T=trans.reshape(shape), n_contrib=n_contrib.reshape(shape)))

@@ -4,8 +4,8 @@ through it.
 render_images must give, for every image, the bytes render gives for that
 scene and camera alone: image, final_T and n_contrib. The property test
 draws batches that mix scene sizes, empty and all-culled scenes, views
-shared by several images and views of their own, and early termination
-on and off. The audit tests run audit_scene on non-square scenes with an
+shared by several images and views of their own. render's own tests
+cover early termination off. The audit tests run audit_scene on non-square scenes with an
 off-centre principal point and require the batched report to pass and to
 equal the report of the per-probe loop kept in helpers.
 """
@@ -76,17 +76,16 @@ def batches(draw):
         picked.append(camera)
         scenes.append(scene)
     background = np.array([draw(st.floats(0.0, 1.0)) for _ in range(3)])
-    return scenes, picked, background, draw(st.booleans())
+    return scenes, picked, background
 
 
-def assert_images_match_renders(scenes, cameras, background, early_termination):
-    images, aux = render_images(scenes, cameras, background,
-                                early_termination=early_termination)
+def assert_images_match_renders(scenes, cameras, background):
+    images, aux = render_images(scenes, cameras, background)
     k, h, w = len(scenes), cameras[0].height, cameras[0].width
     assert images.shape == (k, h, w, 3)
     assert aux.final_T.shape == aux.n_contrib.shape == (k, h, w)
     for i, (scene, camera) in enumerate(zip(scenes, cameras)):
-        ref = render(scene, camera, background, early_termination=early_termination)
+        ref = render(scene, camera, background)
         assert images[i].tobytes() == ref.image.channels.tobytes(), i
         assert aux.final_T[i].tobytes() == ref.aux.final_T.tobytes(), i
         assert aux.n_contrib[i].tobytes() == ref.aux.n_contrib.tobytes(), i
@@ -108,9 +107,7 @@ def test_empty_and_culled_scenes_in_one_batch():
     drawn, _ = _draw_scene(rng, 6, shared)
     scenes = [drawn, [], culled_scene(shared, 3), drawn[:2], drawn]
     cameras = [shared, shared, shared, shared, own]
-    for early_termination in (True, False):
-        assert_images_match_renders(scenes, cameras, np.array([0.1, 0.2, 0.3]),
-                                    early_termination)
+    assert_images_match_renders(scenes, cameras, np.array([0.1, 0.2, 0.3]))
 
 
 @pytest.mark.parametrize("field, value, message", [
