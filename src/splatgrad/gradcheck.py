@@ -208,7 +208,7 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
     else:
         weight = np.asarray(pixel_mask, dtype=np.float64)
 
-    result = render(scene, camera, background)
+    result = render(scene, camera, background, keep_pairs=True)
     d_image = 2.0 * weight[:, :, None] * (result.image.channels - target)
     analytic = scene_backward(scene, camera, result, d_image)
     if gradient_transform is not None:
@@ -368,8 +368,9 @@ def _pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
     trans = np.ones(h * w)
     cleared = np.zeros(h * w, dtype=bool)
     for e0, e1 in _blocks(entries):
-        pix, _, _, _, _, t_after = _visible_walk(entries, e0, e1, packed, trans)
-        cleared[pix[(T_MIN / t_margin < t_after) & (t_after < T_MIN * t_margin)]] = True
+        walked = _visible_walk(entries, e0, e1, packed, trans)
+        t_after = walked.t_after
+        cleared[walked.pix[(T_MIN / t_margin < t_after) & (t_after < T_MIN * t_margin)]] = True
     return mask & ~cleared.reshape(h, w)
 
 

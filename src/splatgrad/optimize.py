@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Camera, Gaussian3D, Splats
+from .core import QUAT_NORM_EPS, Camera, Gaussian3D, Splats
 from .proj_backward import scene_backward
 from .raster_forward import render
 
@@ -103,7 +103,9 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
     to [0, 1] after each step.
 
     The parameters live in one Splats for the whole fit; each iteration
-    hands it to render and scene_backward as it is.
+    hands it to render and scene_backward as it is. The render keeps its
+    committed pairs (keep_pairs), so the backward pass reads them instead
+    of evaluating them again.
 
     Args:
         target: (height, width, 3) array in [0, 1] matching the camera.
@@ -122,7 +124,9 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
     Raises:
         FloatingPointError when the loss or a gradient class turns
         non-finite, naming the loss or the class (e.g. d_quat) and the
-        iteration.
+        iteration, or when a step leaves a quaternion with norm at or
+        below QUAT_NORM_EPS, naming the splat and the iteration (e.g.
+        gaussians[2].quat norm collapsed at iteration 41).
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (camera.height, camera.width, 3):
@@ -157,7 +161,7 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
         opacities = 1.0 / (1.0 + np.exp(-logits))
         scene = Splats(means=means, scales=scales, quats=quats,
                        opacities=opacities, colors=colors)
-        result = render(scene, camera, background)
+        result = render(scene, camera, background, keep_pairs=True)
         resid = result.image.channels - target
         loss = float(np.sum(resid * resid))
         if not np.isfinite(loss):
@@ -176,6 +180,11 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
                                 config.lr_scale, step, config)
         quats = _adam_step(quats, grads.d_quat, adam["quat"],
                            config.lr_quat, step, config)
+        collapsed = np.flatnonzero(np.sqrt(np.sum(quats * quats, axis=1))
+                                   <= QUAT_NORM_EPS)
+        if collapsed.size:
+            raise FloatingPointError(f"gaussians[{collapsed[0]}].quat norm "
+                                     f"collapsed at iteration {it}")
         logits = _adam_step(logits,
                             grads.d_opacity * opacities * (1.0 - opacities),
                             adam["opacity"], config.lr_opacity, step, config)

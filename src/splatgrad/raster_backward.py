@@ -1,15 +1,19 @@
 """Reverse-mode compositing.
 
-Replays the forward pass's flat (splat, pixel) pairs and pushes each
-pixel's loss gradient onto every contributor's color, opacity, 2D mean
-and 2D covariance. Alpha and sigma come from the forward kernel itself,
-so skip decisions and clamping replay identically. Transmittance before
-each pair is the forward walk replayed front to back, bitwise equal to
-the forward values; nothing is divided by (1 - alpha). The color
-composited behind each pair is needed only through its product with
-dL/dC, so a back-to-front walk carries that scalar per pixel. Per-splat
-totals are sums over the pairs in pair order (np.bincount), block by
-block, with no BLAS product.
+Pushes each pixel's loss gradient onto every contributor's color,
+opacity, 2D mean and 2D covariance. It reads the pairs the forward pass
+committed, one CommittedPairs record per pair block: pixel, bin
+position, splat, exp(-sigma) and the transmittance before the pair.
+render keeps them when asked (keep_pairs); for a result without them,
+one front-to-back walk over the same blocks finds them again as the
+visible pairs before each pixel's n_contrib. Alpha and its clamp come
+back from exp(-sigma) through the forward kernel's expressions, and dx,
+dy from the pixel centers, so every value equals the forward pass's
+bitwise and nothing is divided by (1 - alpha). Blocks are visited back
+to front. The color composited behind each pair is needed only through
+its product with dL/dC, so a back-to-front walk carries that scalar per
+pixel. Per-splat totals are sums over the pairs in pair order
+(np.bincount), block by block, with no BLAS product.
 """
 
 from dataclasses import dataclass
@@ -19,11 +23,12 @@ import numpy as np
 from .projection import ProjectedSplats
 from .raster_forward import (
     ALPHA_MAX,
+    CommittedPairs,
     _blocks,
-    _evaluate,
     _image_entries,
     _pack_splats,
     _pixel_entries,
+    _visible_walk,
     _walk,
 )
 
@@ -51,42 +56,38 @@ class Splat2DGrads:
         )
 
 
-def _contributing_walk(entries, e0, e1, packed, n_contrib, trans):
-    """The pairs of entries[e0:e1] that contributed in the forward pass
-    (visible, and before the pixel's n_contrib), with the T before each
-    from a walk that starts at the per-pixel trans (updated in place).
-    Returns (pairs, T before)."""
-    pairs = _evaluate(entries, e0, e1, packed)
-    keep = (pairs.visible & (pairs.pos < n_contrib[pairs.pix])).nonzero()[0]
-    pairs = pairs._make(f[keep] for f in pairs)
-    return pairs, _walk(pairs.pix, pairs.pos, 1.0 - pairs.alpha, trans, np.multiply)
+def _contributing_pairs(entries, packed, n_contrib):
+    """The pairs of the entries that contributed in the forward pass, one
+    CommittedPairs per block, from one front-to-back walk: the visible
+    pairs before their pixel's n_contrib. These are exactly the pairs the
+    forward pass committed, with early termination on or off, in the same
+    order and with the same T before each, so they equal what
+    render(..., keep_pairs=True) keeps."""
+    trans = np.ones(n_contrib.size)
+    blocks = []
+    for e0, e1 in _blocks(entries):
+        walked = _visible_walk(entries, e0, e1, packed, trans)
+        keep = (walked.pos < n_contrib[walked.pix]).nonzero()[0]
+        blocks.append(CommittedPairs.of(walked._make(x[keep] for x in walked)))
+    return blocks
 
 
-def _backward(entries, packed, rows, n, background, final_t, n_contrib, d_pixels):
-    """Screen-space gradients of the entries' pixels, summed into n rows;
-    packed splat k lands in row rows[k].
+def _backward(blocks, packed, centers, rows, n, background, final_t, d_pixels):
+    """Screen-space gradients of the committed pairs in blocks, summed
+    into n rows; packed splat k lands in row rows[k].
 
-    final_t and n_contrib are the forward pass's per-pixel aux values and
-    d_pixels the upstream gradient, (P, 3). Blocks are visited back to
-    front; each replays its transmittance from the value the front-to-back
-    walk reached at its start, so only per-pixel state outlives a block.
+    centers is (x, y), the center of every pixel, and final_t the forward
+    pass's per-pixel final T; d_pixels is the upstream gradient, (P, 3).
+    Blocks are visited back to front.
     """
-    blocks = _blocks(entries)
-    starts = [np.ones(final_t.size)]
-    for e0, e1 in blocks[:-1]:
-        trans = starts[-1].copy()
-        _contributing_walk(entries, e0, e1, packed, n_contrib, trans)
-        starts.append(trans)
-
     # The color behind each pair enters only through its product with
     # dL/dC, so carry s = suffix . dL/dC, seeded with the attenuated
     # background, back to front.
     s = (background[0] * d_pixels[:, 0] + background[1] * d_pixels[:, 1]
          + background[2] * d_pixels[:, 2]) * final_t
     grads = Splat2DGrads.zeros(n)
-    for (e0, e1), trans in zip(reversed(blocks), reversed(starts)):
-        _backward_block(entries, e0, e1, packed, rows, n_contrib, d_pixels,
-                        trans, s, grads)
+    for pairs in reversed(blocks):
+        _backward_block(pairs, packed, centers, rows, d_pixels, s, grads)
     # The covariance terms carry a factor 1/2, applied once to the totals
     # (scaling by 0.5 is exact).
     grads.d_cov2d *= 0.5
@@ -94,39 +95,48 @@ def _backward(entries, packed, rows, n, background, final_t, n_contrib, d_pixels
     return grads
 
 
-def _backward_block(entries, e0, e1, packed, rows, n_contrib, d_pixels,
-                    trans, s, grads):
-    """Add the gradients of the pairs of entries[e0:e1] to grads.
+def _backward_block(pairs, packed, centers, rows, d_pixels, s, grads):
+    """Add the gradients of one block's CommittedPairs to grads.
 
-    trans is the transmittance the front-to-back walk reached at the
-    block's start, s the suffix . dL/dC carried back from the blocks
-    behind it; both are per-pixel and updated in place.
+    s is the suffix . dL/dC carried back from the blocks behind it,
+    per pixel and updated in place.
     """
-    p, t_before = _contributing_walk(entries, e0, e1, packed, n_contrib, trans)
-    row = rows[p.splat]
+    # Indexing with int32 arrays converts them on every gather; once here.
+    pix, splat = pairs.pix.astype(np.intp), pairs.splat.astype(np.intp)
+    t_before = pairs.t_before
+    row = rows[splat]
     n = grads.d_opacity.size
 
     def add(out, x):
         out += np.bincount(row, weights=x, minlength=n)
 
-    c = packed.color[p.splat]
-    d = d_pixels[p.pix]
+    # The forward kernel's expressions, so alpha and its clamp are bitwise
+    # the forward values.
+    alpha_raw = packed.opacity[splat] * pairs.exp_neg
+    alpha = np.minimum(alpha_raw, ALPHA_MAX)
+    c = packed.color[splat]
+    d = d_pixels[pix]
     c_dl = c[:, 0] * d[:, 0] + c[:, 1] * d[:, 1] + c[:, 2] * d[:, 2]
-    weight = p.alpha * t_before
+    weight = alpha * t_before
     for ch in range(3):
         add(grads.d_color[:, ch], weight * d[:, ch])
-    behind = _walk(p.pix, p.pos, weight * c_dl, s, np.add, reverse=True)
+    behind = _walk(pix, pairs.pos, weight * c_dl, s, np.add, reverse=True)
     # dC/dalpha . dL/dC is (c . dL/dC) * T - s / (1 - alpha); splats
     # clamped at ALPHA_MAX keep their color gradient but have a flat
     # alpha, so the opacity/mean/covariance paths go dead there.
-    d_alpha = c_dl * t_before - behind / (1.0 - p.alpha)
-    live = p.alpha_raw < ALPHA_MAX
-    add(grads.d_opacity, np.where(live, d_alpha * p.exp_neg, 0.0))
+    d_alpha = c_dl * t_before - behind / (1.0 - alpha)
+    live = alpha_raw < ALPHA_MAX
+    add(grads.d_opacity, np.where(live, d_alpha * pairs.exp_neg, 0.0))
     # Gradient with respect to -sigma, so that the mean and covariance
     # sums below carry no sign flips.
-    d_neg_sig = np.where(live, p.alpha_raw * d_alpha, 0.0)
-    y0 = packed.inv_a[p.splat] * p.dx + packed.inv_b[p.splat] * p.dy
-    y1 = packed.inv_b[p.splat] * p.dx + packed.inv_c[p.splat] * p.dy
+    d_neg_sig = np.where(live, alpha_raw * d_alpha, 0.0)
+    # The pixel centers the forward kernel used (integers plus 0.5 in an
+    # image, exact in float64), so dx and dy equal its values bitwise.
+    dx = centers[0][pix] - packed.mean_x[splat]
+    dy = centers[1][pix] - packed.mean_y[splat]
+    inv_b = packed.inv_b[splat]
+    y0 = packed.inv_a[splat] * dx + inv_b * dy
+    y1 = inv_b * dx + packed.inv_c[splat] * dy
     g = d_neg_sig * y0
     add(grads.d_mean2d[:, 0], g)
     add(grads.d_cov2d[:, 0, 0], g * y0)
@@ -134,6 +144,15 @@ def _backward_block(entries, e0, e1, packed, rows, n_contrib, d_pixels,
     g = d_neg_sig * y1
     add(grads.d_mean2d[:, 1], g)
     add(grads.d_cov2d[:, 1, 1], g * y1)
+
+
+def _pixel_pairs(sorted_bin, projected, scene, pixel_center, n_contrib):
+    """The packed splats and contributing pairs of composite_pixel's one
+    pixel."""
+    packed = _pack_splats(projected, scene)
+    pairs = _contributing_pairs(_pixel_entries(sorted_bin, pixel_center), packed,
+                                np.array([n_contrib], dtype=np.int64))
+    return packed, pairs
 
 
 def composite_pixel_backward(sorted_bin, projected, scene, pixel_center,
@@ -145,37 +164,42 @@ def composite_pixel_backward(sorted_bin, projected, scene, pixel_center,
     starts from its final_T. Returns a Splat2DGrads with one row per
     gaussian in `scene`.
     """
+    packed, pairs = _pixel_pairs(sorted_bin, projected, scene, pixel_center,
+                                 aux_entry.n_contrib)
     return _backward(
-        _pixel_entries(sorted_bin, pixel_center),
-        _pack_splats(projected, scene),
+        pairs,
+        packed,
+        (np.array([float(pixel_center[0])]), np.array([float(pixel_center[1])])),
         ProjectedSplats.of(projected).source_index,
         len(scene),
         np.asarray(background, dtype=np.float64),
         np.array([aux_entry.final_T]),
-        np.array([aux_entry.n_contrib], dtype=np.int64),
         np.asarray(d_pixel, dtype=np.float64).reshape(1, 3),
     )
 
 
 def transmittance_replay(sorted_bin, projected, scene, pixel_center,
                          background, aux_entry):
-    """Transmittance values the backward pass replays at one pixel.
+    """Transmittance values the backward pass reads at one pixel.
 
     Returns (bin position, T before the splat) pairs in back-to-front
     order, one per splat that contributed in the forward pass. Exposed so
-    the replay can be checked against independently recomputed forward
+    the walk can be checked against independently recomputed forward
     values. background is unused; it is accepted so the call mirrors
     composite_pixel_backward.
     """
-    entries = _pixel_entries(sorted_bin, pixel_center)
-    pairs, t_before = _contributing_walk(
-        entries, 0, entries.pos.size, _pack_splats(projected, scene),
-        np.array([aux_entry.n_contrib], dtype=np.int64), np.ones(1))
-    return [(int(k), float(t)) for k, t in zip(pairs.pos[::-1], t_before[::-1])]
+    _, pairs = _pixel_pairs(sorted_bin, projected, scene, pixel_center,
+                            aux_entry.n_contrib)
+    return [(int(k), float(t)) for p in reversed(pairs)
+            for k, t in zip(p.pos[::-1], p.t_before[::-1])]
 
 
 def accumulate_image_backward(scene, result, d_image):
     """Sum per-pixel compositing gradients over the whole image.
+
+    Reads the committed pairs that render(..., keep_pairs=True) kept on
+    result.pairs; for a result without them, one front-to-back walk over
+    the render's pairs finds them first.
 
     Args:
         scene: the Splats or gaussian list the render used.
@@ -192,13 +216,18 @@ def accumulate_image_backward(scene, result, d_image):
         raise ValueError(
             f"d_image must have shape {(h, w, 3)}, got {d_image.shape}"
         )
+    packed = _pack_splats(result.projected, scene)
+    pairs = result.pairs
+    if pairs is None:
+        pairs = _contributing_pairs(_image_entries(result.grid, result.projected, w, h),
+                                    packed, result.aux.n_contrib.ravel())
     return _backward(
-        _image_entries(result.grid, result.projected, w, h),
-        _pack_splats(result.projected, scene),
+        pairs,
+        packed,
+        (np.tile(np.arange(w) + 0.5, h), np.repeat(np.arange(h) + 0.5, w)),
         result.projected.source_index,
         len(scene),
         result.background,
         result.aux.final_T.ravel(),
-        result.aux.n_contrib.ravel(),
         d_image.reshape(-1, 3),
     )

@@ -32,6 +32,11 @@ render takes the scene as a Splats or a list of Gaussian3D, checks it
 once with Splats.check, and projects every splat in one batched pass
 (projection.project_splats); result.projected is the resulting
 ProjectedSplats.
+
+With keep_pairs, render also keeps the pairs it commits, one
+CommittedPairs record per block (28 bytes per pair), on result.pairs.
+The backward pass then reads them instead of evaluating and walking the
+pairs a second time.
 """
 
 from dataclasses import dataclass, replace
@@ -62,9 +67,10 @@ T_MIN = 1e-4
 SIGMA_CUT = 4.5
 # Pairs generated and evaluated at once. A block holds whole bin
 # positions, at least one, so it can exceed this by one position's pairs
-# (at most one per pixel); no result depends on the budget. At about 130
-# bytes per pair a block stays near 2 MB, which bounds peak memory and
-# keeps the kernel's arrays in cache.
+# (at most one per pixel); no result depends on the budget. Evaluation
+# peaks at about 86 bytes per pair (tracemalloc, a 22,499-pair block of
+# a 256 x 256 render), so a block stays near 1.4 MB, which bounds peak
+# memory and keeps the kernel's arrays in cache.
 PAIR_BUDGET = 1 << 14
 
 
@@ -102,7 +108,8 @@ class RenderResult:
     """Everything the backward pass consumes, bundled.
 
     projected holds the splats that survived culling; the grid's bins
-    index its rows.
+    index its rows. pairs is one CommittedPairs per pair block when the
+    render kept them (render's keep_pairs), else None.
     """
 
     image: ImageBuffer
@@ -110,6 +117,7 @@ class RenderResult:
     grid: TileGrid
     projected: ProjectedSplats
     background: np.ndarray
+    pairs: list | None = None
 
 
 @dataclass
@@ -282,16 +290,13 @@ def _blocks(entries):
 class _Pairs(NamedTuple):
     """Evaluated (splat, pixel) pairs of a block, in walk order; every
     field is (M,). pix indexes the per-pixel state, pos is the entry's
-    bin position, and the rest is _pair_alpha's output less sigma, which
-    nothing reads once visible is formed."""
+    bin position, and the rest is the part of _pair_alpha's output that
+    later steps read."""
 
     pix: np.ndarray
     pos: np.ndarray
     splat: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
     exp_neg: np.ndarray
-    alpha_raw: np.ndarray
     alpha: np.ndarray
     visible: np.ndarray
 
@@ -306,13 +311,13 @@ def _evaluate(entries, e0, e1, packed):
     width = entries.width[entry]
     col = np.arange(width.sum()) - (width.cumsum() - width).repeat(width)
     splat = entries.splat[entry].repeat(width)
-    dx, dy, _, exp_neg, alpha_raw, alpha, visible = _pair_alpha(
+    _, _, _, exp_neg, _, alpha, visible = _pair_alpha(
         entries.x0[entry].repeat(width) + col,
         (entries.y0[entry] + row).repeat(width), packed, splat)
     return _Pairs(
         (entries.base[entry] + row * entries.row_stride).repeat(width) + col,
         entries.pos[entry].repeat(width),
-        splat, dx, dy, exp_neg, alpha_raw, alpha, visible,
+        splat, exp_neg, alpha, visible,
     )
 
 
@@ -336,19 +341,54 @@ def _walk(pix, pos, values, state, step, reverse=False):
     return before
 
 
+class _Walked(NamedTuple):
+    """The visible pairs of a block after the transmittance walk, in walk
+    order; every field is (M,)."""
+
+    pix: np.ndarray
+    pos: np.ndarray
+    splat: np.ndarray
+    exp_neg: np.ndarray
+    alpha: np.ndarray
+    t_before: np.ndarray
+    t_after: np.ndarray
+
+
 def _visible_walk(entries, e0, e1, packed, trans):
     """The visible pairs of entries[e0:e1], walked from the per-pixel
-    transmittance trans (updated in place): (pix, pos, splat, alpha,
-    T before, T after), each (M,)."""
+    transmittance trans (updated in place)."""
     pairs = _evaluate(entries, e0, e1, packed)
     keep = pairs.visible.nonzero()[0]
     pix, pos, alpha = pairs.pix[keep], pairs.pos[keep], pairs.alpha[keep]
     one_minus = 1.0 - alpha
     t_before = _walk(pix, pos, one_minus, trans, np.multiply)
-    return pix, pos, pairs.splat[keep], alpha, t_before, t_before * one_minus
+    return _Walked(pix, pos, pairs.splat[keep], pairs.exp_neg[keep], alpha,
+                   t_before, t_before * one_minus)
 
 
-def _composite(entries, packed, n_px, background, early_termination):
+class CommittedPairs(NamedTuple):
+    """The committed pairs of one block, in walk order: each pair's pixel
+    index, bin position and packed splat (int32), exp(-sigma) and the
+    transmittance before it (float64), 28 bytes per pair. The backward
+    pass reads alpha back from exp_neg with the forward expression, and
+    dx, dy from the pixel centers."""
+
+    pix: np.ndarray
+    pos: np.ndarray
+    splat: np.ndarray
+    exp_neg: np.ndarray
+    t_before: np.ndarray
+
+    @classmethod
+    def of(cls, walked):
+        """The pairs of a _Walked whose pairs all committed."""
+        return cls(walked.pix.astype(np.int32), walked.pos.astype(np.int32),
+                   walked.splat.astype(np.int32), walked.exp_neg,
+                   walked.t_before)
+
+
+def _composite(entries, packed, n_px, background, early_termination,
+               keep_pairs=False):
     """Composite the entries' pairs onto n_px pixels.
 
     Transmittance multiplies through every visible pair, stops included.
@@ -358,35 +398,38 @@ def _composite(entries, packed, n_px, background, early_termination):
     pair, which is also the smallest. Color accumulates in pair order,
     which is bin order at each pixel.
 
-    Returns (color (3, n_px), final_T (n_px,), n_contrib (n_px,)).
+    Returns (color (3, n_px), final_T (n_px,), n_contrib (n_px,), pairs):
+    pairs is one CommittedPairs per block when keep_pairs, else None.
     """
     color = np.zeros((3, n_px))
     trans = np.ones(n_px)
     final_t = np.ones(n_px)
     n_contrib = np.zeros(n_px, dtype=np.int64)
-    for e0, e1 in _blocks(entries):
-        _composite_block(entries, e0, e1, packed, early_termination,
-                         trans, color, final_t, n_contrib)
+    kept = [_composite_block(entries, e0, e1, packed, early_termination,
+                             keep_pairs, trans, color, final_t, n_contrib)
+            for e0, e1 in _blocks(entries)]
     color += background[:, None] * final_t
-    return color, final_t, n_contrib
+    return color, final_t, n_contrib, kept if keep_pairs else None
 
 
-def _composite_block(entries, e0, e1, packed, early_termination,
+def _composite_block(entries, e0, e1, packed, early_termination, keep_pairs,
                      trans, color, final_t, n_contrib):
     """Walk and commit the pairs of entries[e0:e1], updating the per-pixel
-    trans, color, final_t and n_contrib in place. Nothing else outlives
-    the call."""
+    trans, color, final_t and n_contrib in place. Returns the committed
+    pairs as CommittedPairs when keep_pairs, else None; nothing else
+    outlives the call."""
     walked = _visible_walk(entries, e0, e1, packed, trans)
     if early_termination:
-        commit = (walked[-1] >= T_MIN).nonzero()[0]
-        walked = [x[commit] for x in walked]
-    pix, pos, splat, alpha, t_before, t_after = walked
+        commit = (walked.t_after >= T_MIN).nonzero()[0]
+        walked = walked._make(x[commit] for x in walked)
+    pix, pos, splat, _, alpha, t_before, t_after = walked
     weight = alpha * t_before
     c = packed.color[splat]
     for ch in range(3):
         np.add.at(color[ch], pix, weight * c[:, ch])
     np.minimum.at(final_t, pix, t_after)
     np.maximum.at(n_contrib, pix, pos + 1)
+    return CommittedPairs.of(walked) if keep_pairs else None
 
 
 def eval_alpha(g, opacity, pixel_center):
@@ -432,7 +475,7 @@ def composite_pixel(sorted_bin, projected, scene, pixel_center, background,
 
     Returns (color 3-vector, PixelAux(final_T, n_contrib)).
     """
-    color, trans, n_contrib = _composite(
+    color, trans, n_contrib, _ = _composite(
         _pixel_entries(sorted_bin, pixel_center),
         _pack_splats(projected, scene),
         1,
@@ -498,10 +541,10 @@ def _project_images(scenes, cameras):
 
 
 def _composite_grid(grid, proj, width, height, n_images, background,
-                    early_termination):
+                    early_termination, keep_pairs=False):
     """Composite the n_images width x height images of grid's entries:
-    (color (3, P), final_T (P,), n_contrib (P,)) with P = n_images *
-    height * width."""
+    _composite's (color, final_T, n_contrib, pairs) over P = n_images *
+    height * width pixels."""
     p = proj.projected
     return _composite(
         _image_entries(grid, p, width, height),
@@ -509,10 +552,12 @@ def _composite_grid(grid, proj, width, height, n_images, background,
         n_images * height * width,
         background,
         early_termination,
+        keep_pairs,
     )
 
 
-def _render_batch(scenes, cameras, background, early_termination):
+def _render_batch(scenes, cameras, background, early_termination,
+                  keep_pairs=False):
     """Project, bin, sort and composite scenes[k] seen by cameras[k], all
     of one size. Tile t of image k is binned as k * n_tiles + t.
 
@@ -525,12 +570,12 @@ def _render_batch(scenes, cameras, background, early_termination):
                    + proj.image[grid.entry_splat] * (grid.tiles_x * grid.tiles_y))
     grid = sort_bins(grid, proj.projected)
     return proj, grid, _composite_grid(grid, proj, width, height, len(cameras),
-                                       background, early_termination)
+                                       background, early_termination, keep_pairs)
 
 
 def _result(camera, background, projected, grid, composited):
     h, w = camera.height, camera.width
-    color, trans, n_contrib = composited
+    color, trans, n_contrib, pairs = composited
     return RenderResult(
         image=ImageBuffer(width=w, height=h,
                           channels=np.ascontiguousarray(color.T).reshape(h, w, 3)),
@@ -538,10 +583,12 @@ def _result(camera, background, projected, grid, composited):
         grid=grid,
         projected=projected,
         background=background,
+        pairs=pairs,
     )
 
 
-def render(scene, camera: Camera, background, *, early_termination=True):
+def render(scene, camera: Camera, background, *, early_termination=True,
+           keep_pairs=False):
     """Render a scene: project, bin, sort, then composite every pixel.
 
     The one-image case of render_images.
@@ -554,13 +601,18 @@ def render(scene, camera: Camera, background, *, early_termination=True):
         background: 3-vector composited behind the splats.
         early_termination: stop per-pixel compositing below T_MIN. Disable
             to compare renderers bitwise.
+        keep_pairs: keep the committed (splat, pixel) pairs on
+            result.pairs, 28 bytes per pair (n_contrib.sum() pairs at
+            most), so the backward pass reads them instead of evaluating
+            and walking the pairs again. Its gradients are bitwise equal
+            either way. Worth it when a backward pass follows.
 
     Returns:
         RenderResult with the image and everything the backward pass needs.
     """
     background = np.asarray(background, dtype=np.float64)
     proj, grid, composited = _render_batch([scene], [camera], background,
-                                           early_termination)
+                                           early_termination, keep_pairs)
     return _result(camera, background, proj.projected, grid, composited)
 
 
@@ -586,7 +638,8 @@ def render_images(scenes, cameras, background):
     if len(sizes) > 1:
         raise ValueError(f"cameras must share width and height, got {sorted(sizes)}")
     background = np.asarray(background, dtype=np.float64)
-    _, _, (color, trans, n_contrib) = _render_batch(scenes, cameras, background, True)
+    _, _, (color, trans, n_contrib, _) = _render_batch(scenes, cameras, background,
+                                                       True)
     shape = (len(cameras), cameras[0].height, cameras[0].width)
     return (np.ascontiguousarray(color.T).reshape(shape + (3,)),
             RenderAux(final_T=trans.reshape(shape), n_contrib=n_contrib.reshape(shape)))

@@ -243,3 +243,30 @@ class TestNonFiniteGradient:
                            match=rf"^d_{name} is not finite at iteration 2$"):
             fit(np.full((16, 16, 3), 0.5), camera, config)
         assert len(calls) == 3
+
+
+class TestQuatNormCollapse:
+    def test_names_splat_and_iteration(self, monkeypatch):
+        # A constant huge gradient with the signs of quaternion 2 makes
+        # every Adam step lr_quat per component against that sign, so
+        # [0.75, 0.75, -0.75, 0.75] reaches zero after three steps. fit must stop after that step,
+        # before the next render's scene check rejects the quaternion
+        # without saying when.
+        from splatgrad import optimize
+
+        inner = optimize.scene_backward
+
+        def shrink(scene, *args, **kwargs):
+            grads = inner(scene, *args, **kwargs)
+            grads.d_quat[2] = 1e30 * np.sign(scene.quats[2])
+            return grads
+
+        monkeypatch.setattr(optimize, "scene_backward", shrink)
+        camera = frustum_camera(16, 16)
+        target = np.full((16, 16, 3), 0.5)
+        config = FitConfig(n_gaussians=4, iterations=10, seed=2, lr_quat=0.25)
+        init = init_random(config, camera, target)
+        init[2].quat = np.array([0.75, 0.75, -0.75, 0.75])
+        with pytest.raises(FloatingPointError,
+                           match=r"^gaussians\[2\]\.quat norm collapsed at iteration 2$"):
+            fit(target, camera, config, init=init)
