@@ -368,7 +368,7 @@ def _pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
     trans = np.ones(h * w)
     cleared = np.zeros(h * w, dtype=bool)
     for e0, e1 in _blocks(entries):
-        walked = _visible_walk(entries, e0, e1, packed, trans)
+        _, walked = _visible_walk(entries, e0, e1, packed, trans)
         t_after = walked.t_after
         cleared[walked.pix[(T_MIN / t_margin < t_after) & (t_after < T_MIN * t_margin)]] = True
     return mask & ~cleared.reshape(h, w)

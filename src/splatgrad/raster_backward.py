@@ -66,9 +66,9 @@ def _contributing_pairs(entries, packed, n_contrib):
     trans = np.ones(n_contrib.size)
     blocks = []
     for e0, e1 in _blocks(entries):
-        walked = _visible_walk(entries, e0, e1, packed, trans)
+        pairs, walked = _visible_walk(entries, e0, e1, packed, trans)
         keep = (walked.pos < n_contrib[walked.pix]).nonzero()[0]
-        blocks.append(CommittedPairs.of(walked._make(x[keep] for x in walked)))
+        blocks.append(CommittedPairs.of(pairs, walked._make(x[keep] for x in walked)))
     return blocks
 
 

@@ -67,10 +67,11 @@ T_MIN = 1e-4
 SIGMA_CUT = 4.5
 # Pairs generated and evaluated at once. A block holds whole bin
 # positions, at least one, so it can exceed this by one position's pairs
-# (at most one per pixel); no result depends on the budget. Evaluation
-# peaks at about 86 bytes per pair (tracemalloc, a 22,499-pair block of
-# a 256 x 256 render), so a block stays near 1.4 MB, which bounds peak
-# memory and keeps the kernel's arrays in cache.
+# (at most one per pixel); no result depends on the budget. Compositing
+# a block peaks at about 89 bytes per pair (tracemalloc, a 22,499-pair
+# block of a 256 x 256 render), so a block of PAIR_BUDGET pairs takes
+# about 1.5 MB, which bounds peak memory and keeps the kernel's arrays
+# in cache.
 PAIR_BUDGET = 1 << 14
 
 
@@ -343,27 +344,27 @@ def _walk(pix, pos, values, state, step, reverse=False):
 
 class _Walked(NamedTuple):
     """The visible pairs of a block after the transmittance walk, in walk
-    order; every field is (M,)."""
+    order; every field is (M,). index locates each pair among the
+    block's evaluated _Pairs, which hold its other fields."""
 
     pix: np.ndarray
     pos: np.ndarray
-    splat: np.ndarray
-    exp_neg: np.ndarray
     alpha: np.ndarray
     t_before: np.ndarray
     t_after: np.ndarray
+    index: np.ndarray
 
 
 def _visible_walk(entries, e0, e1, packed, trans):
-    """The visible pairs of entries[e0:e1], walked from the per-pixel
-    transmittance trans (updated in place)."""
+    """Evaluate entries[e0:e1] and walk its visible pairs from the
+    per-pixel transmittance trans (updated in place). Returns the
+    block's _Pairs and the _Walked visible pairs."""
     pairs = _evaluate(entries, e0, e1, packed)
     keep = pairs.visible.nonzero()[0]
     pix, pos, alpha = pairs.pix[keep], pairs.pos[keep], pairs.alpha[keep]
     one_minus = 1.0 - alpha
     t_before = _walk(pix, pos, one_minus, trans, np.multiply)
-    return _Walked(pix, pos, pairs.splat[keep], pairs.exp_neg[keep], alpha,
-                   t_before, t_before * one_minus)
+    return pairs, _Walked(pix, pos, alpha, t_before, t_before * one_minus, keep)
 
 
 class CommittedPairs(NamedTuple):
@@ -380,11 +381,11 @@ class CommittedPairs(NamedTuple):
     t_before: np.ndarray
 
     @classmethod
-    def of(cls, walked):
-        """The pairs of a _Walked whose pairs all committed."""
+    def of(cls, pairs, walked):
+        """The walked pairs of a block's _Pairs, all of them committed."""
         return cls(walked.pix.astype(np.int32), walked.pos.astype(np.int32),
-                   walked.splat.astype(np.int32), walked.exp_neg,
-                   walked.t_before)
+                   pairs.splat[walked.index].astype(np.int32),
+                   pairs.exp_neg[walked.index], walked.t_before)
 
 
 def _composite(entries, packed, n_px, background, early_termination,
@@ -418,18 +419,18 @@ def _composite_block(entries, e0, e1, packed, early_termination, keep_pairs,
     trans, color, final_t and n_contrib in place. Returns the committed
     pairs as CommittedPairs when keep_pairs, else None; nothing else
     outlives the call."""
-    walked = _visible_walk(entries, e0, e1, packed, trans)
+    pairs, walked = _visible_walk(entries, e0, e1, packed, trans)
     if early_termination:
         commit = (walked.t_after >= T_MIN).nonzero()[0]
         walked = walked._make(x[commit] for x in walked)
-    pix, pos, splat, _, alpha, t_before, t_after = walked
+    pix, pos, alpha, t_before, t_after, index = walked
     weight = alpha * t_before
-    c = packed.color[splat]
+    c = packed.color[pairs.splat[index]]
     for ch in range(3):
         np.add.at(color[ch], pix, weight * c[:, ch])
     np.minimum.at(final_t, pix, t_after)
     np.maximum.at(n_contrib, pix, pos + 1)
-    return CommittedPairs.of(walked) if keep_pairs else None
+    return CommittedPairs.of(pairs, walked) if keep_pairs else None
 
 
 def eval_alpha(g, opacity, pixel_center):

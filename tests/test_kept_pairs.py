@@ -88,7 +88,8 @@ def test_fit_64_kept_pairs_peak_memory():
     # One fit iteration's render and backward pass on the criterion-5
     # scene, keeping its pairs (23,277 pairs, 0.65 MB). Measured peak:
     # 2.72 MB. Keeping the same pairs with int64 indices measured 3.00
-    # MB, and keeping every field of the walked pairs 3.37 MB.
+    # MB, and keeping every evaluated and walked field of each block
+    # 3.41 MB for the render alone.
     scene, camera = test_acceptance.TestAcceptance.hidden_scene()
     bg = np.array([0.1, 0.1, 0.1])
     d_image = np.random.default_rng(1).normal(size=(64, 64, 3))
