@@ -37,6 +37,8 @@ def _number(obj, key, path):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{path}.{key} must be a number")
+    if not np.isfinite(float(value)):
+        raise ValueError(f"{path}.{key} must be finite")
     return float(value)
 
 
@@ -54,6 +56,8 @@ def _vector(value, n, path):
     for k, item in enumerate(value):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ValueError(f"{path}[{k}] must be a number")
+        if not np.isfinite(float(item)):
+            raise ValueError(f"{path}[{k}] must be finite")
         out[k] = float(item)
     return out
 

@@ -57,10 +57,14 @@ class Gaussian3D:
             raise ValueError("mean must be finite")
         if not np.all(np.isfinite(self.scale)) or np.any(self.scale <= 0.0):
             raise ValueError("scale components must be positive")
+        if not np.all(np.isfinite(self.quat)):
+            raise ValueError("quat must be finite")
         if np.sqrt(np.dot(self.quat, self.quat)) <= QUAT_NORM_EPS:
             raise ValueError("quat norm is too small")
         if not 0.0 <= self.opacity <= 1.0:
             raise ValueError("opacity must lie in [0, 1]")
+        if not np.all(np.isfinite(self.color)):
+            raise ValueError("color must be finite")
         if np.any(self.color < 0.0) or np.any(self.color > 1.0):
             raise ValueError("color channels must lie in [0, 1]")
 
@@ -231,6 +235,8 @@ class Camera:
             raise ValueError("clip planes must satisfy 0 < near < far")
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be at least 1 pixel")
+        if not np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy])):
+            raise ValueError("fx, fy, cx and cy must be finite")
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise ValueError("focal lengths must be positive")
 

@@ -25,17 +25,7 @@ import numpy as np
 from .core import Camera, Gaussian3D, Splats, compose_covariance_3d, quat_to_rotmat  # noqa: F401
 from .projection import project_splats
 from .proj_backward import scene_backward
-from .raster_forward import (
-    SIGMA_CUT,
-    T_MIN,
-    _blocks,
-    _image_entries,
-    _pack_splats,
-    _pair_alpha,
-    _visible_walk,
-    render,
-    render_images,
-)
+from .raster_forward import SIGMA_CUT, T_MIN, _pack_splats, _pair_alpha, render, render_images
 
 AUDIT_CLASSES = ("mean", "scale", "quat", "opacity", "color", "view")
 # Probe pixels rendered per render_images call: PROBE_PIXELS // (height *
@@ -208,7 +198,7 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
     else:
         weight = np.asarray(pixel_mask, dtype=np.float64)
 
-    result = render(scene, camera, background, keep_pairs=True)
+    result = render(scene, camera, background)
     d_image = 2.0 * weight[:, :, None] * (result.image.channels - target)
     analytic = scene_backward(scene, camera, result, d_image)
     if gradient_transform is not None:
@@ -249,7 +239,12 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
             diff = abs(a - f)
             scale_mag = max(abs(a), abs(f))
             max_abs = max(max_abs, diff)
-            if scale_mag > grad_floor:
+            # Every comparison with NaN is false, so the tests below would
+            # pass one; a non-finite analytic coordinate fails outright
+            # (the probes are always finite).
+            if not np.isfinite(a):
+                ratio = np.inf
+            elif scale_mag > grad_floor:
                 rel = diff / scale_mag
                 max_rel = max(max_rel, rel)
                 ratio = rel / rel_tol
@@ -361,16 +356,16 @@ def _pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
     # walk lands in the band around T_MIN. T never increases, so a walk
     # that stops by stepping below the band stays below it: testing every
     # visible step of the walk without early termination finds exactly
-    # the steps the walk reaches.
-    res = render(splats, camera, background)
-    entries = _image_entries(res.grid, res.projected, w, h)
-    packed = _pack_splats(res.projected, splats)
-    trans = np.ones(h * w)
-    cleared = np.zeros(h * w, dtype=bool)
-    for e0, e1 in _blocks(entries):
-        _, walked = _visible_walk(entries, e0, e1, packed, trans)
-        t_after = walked.t_after
-        cleared[walked.pix[(T_MIN / t_margin < t_after) & (t_after < T_MIN * t_margin)]] = True
+    # the steps the walk reaches. Without early termination every visible
+    # pair commits, so those steps are each kept pair's T before (the
+    # first is 1, outside the band) and the pixel's final T.
+    def near_t_min(t):
+        return (T_MIN / t_margin < t) & (t < T_MIN * t_margin)
+
+    res = render(splats, camera, background, early_termination=False)
+    cleared = near_t_min(res.aux.final_T.ravel())
+    for p in res.pairs:
+        cleared[p.pix[near_t_min(p.t_before)]] = True
     return mask & ~cleared.reshape(h, w)
 
 

@@ -103,9 +103,9 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
     to [0, 1] after each step.
 
     The parameters live in one Splats for the whole fit; each iteration
-    hands it to render and scene_backward as it is. The render keeps its
-    committed pairs (keep_pairs), so the backward pass reads them instead
-    of evaluating them again.
+    hands it to render and scene_backward as it is. The backward pass
+    reads the committed pairs the render kept instead of evaluating them
+    again.
 
     Args:
         target: (height, width, 3) array in [0, 1] matching the camera.
@@ -161,7 +161,7 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
         opacities = 1.0 / (1.0 + np.exp(-logits))
         scene = Splats(means=means, scales=scales, quats=quats,
                        opacities=opacities, colors=colors)
-        result = render(scene, camera, background, keep_pairs=True)
+        result = render(scene, camera, background)
         resid = result.image.channels - target
         loss = float(np.sum(resid * resid))
         if not np.isfinite(loss):

@@ -26,7 +26,7 @@ from .core import (
     matvec,
     reject,
 )
-from .projection import ProjectedSplats, projection_jacobian
+from .projection import projection_jacobian
 from .raster_backward import accumulate_image_backward
 
 
@@ -225,7 +225,7 @@ def scene_backward(scene, camera: Camera, result, d_image):
     grads.d_color = splat.d_color
     grads.d_opacity = splat.d_opacity
 
-    projected = ProjectedSplats.of(result.projected)
+    projected = result.projected
     src = projected.source_index
     t_cam = projected.t_cam
     quats, scales = splats.quats[src], splats.scales[src]

@@ -2,18 +2,19 @@
 
 Pushes each pixel's loss gradient onto every contributor's color,
 opacity, 2D mean and 2D covariance. It reads the pairs the forward pass
-committed, one CommittedPairs record per pair block: pixel, bin
-position, splat, exp(-sigma) and the transmittance before the pair.
-render keeps them when asked (keep_pairs); for a result without them,
-one front-to-back walk over the same blocks finds them again as the
-visible pairs before each pixel's n_contrib. Alpha and its clamp come
-back from exp(-sigma) through the forward kernel's expressions, and dx,
-dy from the pixel centers, so every value equals the forward pass's
-bitwise and nothing is divided by (1 - alpha). Blocks are visited back
-to front. The color composited behind each pair is needed only through
-its product with dL/dC, so a back-to-front walk carries that scalar per
-pixel. Per-splat totals are sums over the pairs in pair order
-(np.bincount), block by block, with no BLAS product.
+committed and render kept on its result, one CommittedPairs record per
+pair block: pixel, bin position, splat, exp(-sigma) and the
+transmittance before the pair. The per-pixel operations composite their
+one pixel with early termination off, where every visible pair commits
+with the T before it that any render gives it, and keep the pairs
+before its n_contrib. Alpha and its clamp come back from exp(-sigma)
+through the forward kernel's expressions, and dx, dy from the pixel
+centers, so every value equals the forward pass's bitwise and nothing
+is divided by (1 - alpha). Blocks are visited back to front. The color
+composited behind each pair is needed only through its product with
+dL/dC, so a back-to-front walk carries that scalar per pixel. Per-splat
+totals are sums over the pairs in pair order (np.bincount), block by
+block, with no BLAS product.
 """
 
 from dataclasses import dataclass
@@ -21,16 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .projection import ProjectedSplats
-from .raster_forward import (
-    ALPHA_MAX,
-    CommittedPairs,
-    _blocks,
-    _image_entries,
-    _pack_splats,
-    _pixel_entries,
-    _visible_walk,
-    _walk,
-)
+from .raster_forward import ALPHA_MAX, _composite, _pack_splats, _pixel_entries, _walk
 
 
 @dataclass
@@ -54,22 +46,6 @@ class Splat2DGrads:
             d_mean2d=np.zeros((n, 2)),
             d_cov2d=np.zeros((n, 2, 2)),
         )
-
-
-def _contributing_pairs(entries, packed, n_contrib):
-    """The pairs of the entries that contributed in the forward pass, one
-    CommittedPairs per block, from one front-to-back walk: the visible
-    pairs before their pixel's n_contrib. These are exactly the pairs the
-    forward pass committed, with early termination on or off, in the same
-    order and with the same T before each, so they equal what
-    render(..., keep_pairs=True) keeps."""
-    trans = np.ones(n_contrib.size)
-    blocks = []
-    for e0, e1 in _blocks(entries):
-        pairs, walked = _visible_walk(entries, e0, e1, packed, trans)
-        keep = (walked.pos < n_contrib[walked.pix]).nonzero()[0]
-        blocks.append(CommittedPairs.of(pairs, walked._make(x[keep] for x in walked)))
-    return blocks
 
 
 def _backward(blocks, packed, centers, rows, n, background, final_t, d_pixels):
@@ -148,11 +124,13 @@ def _backward_block(pairs, packed, centers, rows, d_pixels, s, grads):
 
 def _pixel_pairs(sorted_bin, projected, scene, pixel_center, n_contrib):
     """The packed splats and contributing pairs of composite_pixel's one
-    pixel."""
+    pixel. Composited without early termination, every visible pair
+    commits; T never increases, so the ones before n_contrib are exactly
+    those the forward pass committed, with either setting."""
     packed = _pack_splats(projected, scene)
-    pairs = _contributing_pairs(_pixel_entries(sorted_bin, pixel_center), packed,
-                                np.array([n_contrib], dtype=np.int64))
-    return packed, pairs
+    *_, blocks = _composite(_pixel_entries(sorted_bin, pixel_center), packed, 1,
+                            np.zeros(3), False)
+    return packed, [p._make(x[p.pos < n_contrib] for x in p) for p in blocks]
 
 
 def composite_pixel_backward(sorted_bin, projected, scene, pixel_center,
@@ -197,9 +175,7 @@ def transmittance_replay(sorted_bin, projected, scene, pixel_center,
 def accumulate_image_backward(scene, result, d_image):
     """Sum per-pixel compositing gradients over the whole image.
 
-    Reads the committed pairs that render(..., keep_pairs=True) kept on
-    result.pairs; for a result without them, one front-to-back walk over
-    the render's pairs finds them first.
+    Reads the committed pairs render kept on result.pairs.
 
     Args:
         scene: the Splats or gaussian list the render used.
@@ -216,14 +192,9 @@ def accumulate_image_backward(scene, result, d_image):
         raise ValueError(
             f"d_image must have shape {(h, w, 3)}, got {d_image.shape}"
         )
-    packed = _pack_splats(result.projected, scene)
-    pairs = result.pairs
-    if pairs is None:
-        pairs = _contributing_pairs(_image_entries(result.grid, result.projected, w, h),
-                                    packed, result.aux.n_contrib.ravel())
     return _backward(
-        pairs,
-        packed,
+        result.pairs,
+        _pack_splats(result.projected, scene),
         (np.tile(np.arange(w) + 0.5, h), np.repeat(np.arange(h) + 0.5, w)),
         result.projected.source_index,
         len(scene),

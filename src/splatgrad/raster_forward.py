@@ -33,10 +33,10 @@ once with Splats.check, and projects every splat in one batched pass
 (projection.project_splats); result.projected is the resulting
 ProjectedSplats.
 
-With keep_pairs, render also keeps the pairs it commits, one
-CommittedPairs record per block (28 bytes per pair), on result.pairs.
-The backward pass then reads them instead of evaluating and walking the
-pairs a second time.
+render keeps the pairs it commits, one CommittedPairs record per block
+(28 bytes per pair, 2.2-2.5 MB for a 256 x 256 view of 1,000 splats),
+on result.pairs. The backward pass reads them instead of evaluating and
+walking the pairs a second time.
 """
 
 from dataclasses import dataclass, replace
@@ -109,8 +109,7 @@ class RenderResult:
     """Everything the backward pass consumes, bundled.
 
     projected holds the splats that survived culling; the grid's bins
-    index its rows. pairs is one CommittedPairs per pair block when the
-    render kept them (render's keep_pairs), else None.
+    index its rows. pairs is one CommittedPairs per pair block.
     """
 
     image: ImageBuffer
@@ -118,7 +117,7 @@ class RenderResult:
     grid: TileGrid
     projected: ProjectedSplats
     background: np.ndarray
-    pairs: list | None = None
+    pairs: list
 
 
 @dataclass
@@ -342,31 +341,6 @@ def _walk(pix, pos, values, state, step, reverse=False):
     return before
 
 
-class _Walked(NamedTuple):
-    """The visible pairs of a block after the transmittance walk, in walk
-    order; every field is (M,). index locates each pair among the
-    block's evaluated _Pairs, which hold its other fields."""
-
-    pix: np.ndarray
-    pos: np.ndarray
-    alpha: np.ndarray
-    t_before: np.ndarray
-    t_after: np.ndarray
-    index: np.ndarray
-
-
-def _visible_walk(entries, e0, e1, packed, trans):
-    """Evaluate entries[e0:e1] and walk its visible pairs from the
-    per-pixel transmittance trans (updated in place). Returns the
-    block's _Pairs and the _Walked visible pairs."""
-    pairs = _evaluate(entries, e0, e1, packed)
-    keep = pairs.visible.nonzero()[0]
-    pix, pos, alpha = pairs.pix[keep], pairs.pos[keep], pairs.alpha[keep]
-    one_minus = 1.0 - alpha
-    t_before = _walk(pix, pos, one_minus, trans, np.multiply)
-    return pairs, _Walked(pix, pos, alpha, t_before, t_before * one_minus, keep)
-
-
 class CommittedPairs(NamedTuple):
     """The committed pairs of one block, in walk order: each pair's pixel
     index, bin position and packed splat (int32), exp(-sigma) and the
@@ -380,16 +354,8 @@ class CommittedPairs(NamedTuple):
     exp_neg: np.ndarray
     t_before: np.ndarray
 
-    @classmethod
-    def of(cls, pairs, walked):
-        """The walked pairs of a block's _Pairs, all of them committed."""
-        return cls(walked.pix.astype(np.int32), walked.pos.astype(np.int32),
-                   pairs.splat[walked.index].astype(np.int32),
-                   pairs.exp_neg[walked.index], walked.t_before)
 
-
-def _composite(entries, packed, n_px, background, early_termination,
-               keep_pairs=False):
+def _composite(entries, packed, n_px, background, early_termination):
     """Composite the entries' pairs onto n_px pixels.
 
     Transmittance multiplies through every visible pair, stops included.
@@ -400,37 +366,44 @@ def _composite(entries, packed, n_px, background, early_termination,
     which is bin order at each pixel.
 
     Returns (color (3, n_px), final_T (n_px,), n_contrib (n_px,), pairs):
-    pairs is one CommittedPairs per block when keep_pairs, else None.
+    pairs is one CommittedPairs per block.
     """
     color = np.zeros((3, n_px))
     trans = np.ones(n_px)
     final_t = np.ones(n_px)
     n_contrib = np.zeros(n_px, dtype=np.int64)
     kept = [_composite_block(entries, e0, e1, packed, early_termination,
-                             keep_pairs, trans, color, final_t, n_contrib)
+                             trans, color, final_t, n_contrib)
             for e0, e1 in _blocks(entries)]
     color += background[:, None] * final_t
-    return color, final_t, n_contrib, kept if keep_pairs else None
+    return color, final_t, n_contrib, kept
 
 
-def _composite_block(entries, e0, e1, packed, early_termination, keep_pairs,
+def _composite_block(entries, e0, e1, packed, early_termination,
                      trans, color, final_t, n_contrib):
-    """Walk and commit the pairs of entries[e0:e1], updating the per-pixel
-    trans, color, final_t and n_contrib in place. Returns the committed
-    pairs as CommittedPairs when keep_pairs, else None; nothing else
-    outlives the call."""
-    pairs, walked = _visible_walk(entries, e0, e1, packed, trans)
+    """Evaluate entries[e0:e1], walk its visible pairs from the per-pixel
+    transmittance trans and commit them, updating trans, color, final_t
+    and n_contrib in place. Returns the block's CommittedPairs; nothing
+    else outlives the call."""
+    pairs = _evaluate(entries, e0, e1, packed)
+    index = pairs.visible.nonzero()[0]
+    pix, pos, alpha = pairs.pix[index], pairs.pos[index], pairs.alpha[index]
+    one_minus = 1.0 - alpha
+    t_before = _walk(pix, pos, one_minus, trans, np.multiply)
+    t_after = t_before * one_minus
     if early_termination:
-        commit = (walked.t_after >= T_MIN).nonzero()[0]
-        walked = walked._make(x[commit] for x in walked)
-    pix, pos, alpha, t_before, t_after, index = walked
+        commit = (t_after >= T_MIN).nonzero()[0]
+        index, pix, pos, alpha, t_before, t_after = (
+            x[commit] for x in (index, pix, pos, alpha, t_before, t_after))
+    splat = pairs.splat[index]
     weight = alpha * t_before
-    c = packed.color[pairs.splat[index]]
+    c = packed.color[splat]
     for ch in range(3):
         np.add.at(color[ch], pix, weight * c[:, ch])
     np.minimum.at(final_t, pix, t_after)
     np.maximum.at(n_contrib, pix, pos + 1)
-    return CommittedPairs.of(pairs, walked) if keep_pairs else None
+    return CommittedPairs(pix.astype(np.int32), pos.astype(np.int32),
+                          splat.astype(np.int32), pairs.exp_neg[index], t_before)
 
 
 def eval_alpha(g, opacity, pixel_center):
@@ -542,7 +515,7 @@ def _project_images(scenes, cameras):
 
 
 def _composite_grid(grid, proj, width, height, n_images, background,
-                    early_termination, keep_pairs=False):
+                    early_termination):
     """Composite the n_images width x height images of grid's entries:
     _composite's (color, final_T, n_contrib, pairs) over P = n_images *
     height * width pixels."""
@@ -553,12 +526,10 @@ def _composite_grid(grid, proj, width, height, n_images, background,
         n_images * height * width,
         background,
         early_termination,
-        keep_pairs,
     )
 
 
-def _render_batch(scenes, cameras, background, early_termination,
-                  keep_pairs=False):
+def _render_batch(scenes, cameras, background, early_termination):
     """Project, bin, sort and composite scenes[k] seen by cameras[k], all
     of one size. Tile t of image k is binned as k * n_tiles + t.
 
@@ -571,7 +542,7 @@ def _render_batch(scenes, cameras, background, early_termination,
                    + proj.image[grid.entry_splat] * (grid.tiles_x * grid.tiles_y))
     grid = sort_bins(grid, proj.projected)
     return proj, grid, _composite_grid(grid, proj, width, height, len(cameras),
-                                       background, early_termination, keep_pairs)
+                                       background, early_termination)
 
 
 def _result(camera, background, projected, grid, composited):
@@ -588,8 +559,7 @@ def _result(camera, background, projected, grid, composited):
     )
 
 
-def render(scene, camera: Camera, background, *, early_termination=True,
-           keep_pairs=False):
+def render(scene, camera: Camera, background, *, early_termination=True):
     """Render a scene: project, bin, sort, then composite every pixel.
 
     The one-image case of render_images.
@@ -602,18 +572,15 @@ def render(scene, camera: Camera, background, *, early_termination=True,
         background: 3-vector composited behind the splats.
         early_termination: stop per-pixel compositing below T_MIN. Disable
             to compare renderers bitwise.
-        keep_pairs: keep the committed (splat, pixel) pairs on
-            result.pairs, 28 bytes per pair (n_contrib.sum() pairs at
-            most), so the backward pass reads them instead of evaluating
-            and walking the pairs again. Its gradients are bitwise equal
-            either way. Worth it when a backward pass follows.
 
     Returns:
-        RenderResult with the image and everything the backward pass needs.
+        RenderResult with the image and everything the backward pass
+        needs, the committed (splat, pixel) pairs included (28 bytes per
+        pair, n_contrib.sum() pairs at most).
     """
     background = np.asarray(background, dtype=np.float64)
     proj, grid, composited = _render_batch([scene], [camera], background,
-                                           early_termination, keep_pairs)
+                                           early_termination)
     return _result(camera, background, proj.projected, grid, composited)
 
 

@@ -1,8 +1,9 @@
 """Acceptance suite.
 
-Seven criteria, one test each, in order. Every test prints a single
-verdict line straight to the terminal (bypassing capture) so a plain
-pytest run shows the per-criterion outcome, then asserts it.
+Seven criteria, one test each, in order, plus one companion test beside
+criterion 7. Every criterion prints a single verdict line straight to
+the terminal (bypassing capture) so a plain pytest run shows the
+per-criterion outcome, then asserts it.
 
 The criteria are deliberately end-to-end: they exercise the public
 entry points the way a user would, at the documented tolerances, and
@@ -302,6 +303,26 @@ class TestAcceptance:
                 ok, f"{len(AUDIT_CLASSES)} blocks negated")
         assert not missed, missed
         assert not misattributed, misattributed
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_gradient_fails_its_class(self, bad):
+        # Beside criterion 7: a non-finite analytic coordinate fails its
+        # class, named as the worst coordinate, and no other class fails.
+        first = {"mean": "gaussian[0].mean[0]", "scale": "gaussian[0].scale[0]",
+                 "quat": "gaussian[0].quat[0]", "opacity": "gaussian[0].opacity",
+                 "color": "gaussian[0].color[0]", "view": "view[0]"}
+        for name in AUDIT_CLASSES:
+            def inject(grads, field="d_" + name):
+                values = getattr(grads, field)
+                values[(0,) * values.ndim] = bad
+                return grads
+
+            report = run_audit(4, gradient_transform=inject)
+            assert not report.passed, name
+            assert not report.classes[name].passed, name
+            assert report.classes[name].worst_coord == first[name]
+            assert [other for other in AUDIT_CLASSES if other != name
+                    and not report.classes[other].passed] == [], name
 
 
 DETERMINISM_DRIVER = '''\

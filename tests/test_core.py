@@ -202,6 +202,9 @@ class TestGaussianValidation:
             {"opacity": -0.1},
             {"color": [0.1, 1.5, 0.9]},
             {"mean": [np.inf, 0, 3]},
+            {"quat": [np.nan, 0, 0, 1]},
+            {"quat": [1, np.inf, 0, 0]},
+            {"color": [0.1, np.nan, 0.9]},
         ],
     )
     def test_bad_fields_raise(self, kwargs):
@@ -259,6 +262,10 @@ class TestCameraValidation:
             {"width": 0},
             {"fx": 0.0},
             {"fy": -2.0},
+            {"fx": np.nan},
+            {"fy": np.inf},
+            {"cx": np.nan},
+            {"cy": -np.inf},
         ],
     )
     def test_bad_scalars_rejected(self, overrides):

@@ -10,9 +10,10 @@ images and gradients must be finite.
 
 The memory guards bound the tracemalloc peak of one 256 x 256 render of
 1,000 splats and of one 64 x 64 backward pass. Pairs are generated in
-blocks of about PAIR_BUDGET, so the peak stays near the image buffers
-plus one block; building the pairs of the whole image at once exceeds
-either bound.
+blocks of about PAIR_BUDGET and only the committed ones are kept, so
+the render's peak stays near the image buffers, the kept pairs and one
+block, and the backward pass reads the kept pairs a block at a time;
+building the pairs of the whole image at once exceeds either bound.
 """
 
 import tracemalloc
@@ -129,8 +130,9 @@ def traced_peak(fn):
 
 def test_render_256_peak_memory():
     # 1,000 splats in a 4-unit box seen from 4.5 units away, as in the
-    # benchmark's render workload. Measured peak: about 5.8 MB, of which
-    # 2.8 MB is the result; the whole image's pairs take over 17 MB.
+    # benchmark's render workload. Measured peak: about 7.3 MB, of which
+    # 5.0 MB is the result, its 79,970 kept pairs (2.2 MB) included; the
+    # whole image's pairs take over 17 MB.
     rng = np.random.default_rng(3)
     scene = box_scene(rng, 1000)
     camera = frustum_camera(256, 256, fx=256.0)
@@ -141,8 +143,8 @@ def test_render_256_peak_memory():
 
 
 def test_fit_64_backward_peak_memory():
-    # The criterion-5 scene. Measured peak: about 2.2 MB; the whole
-    # image's pairs take about 5 MB.
+    # The criterion-5 scene. Measured peak: about 1.9 MB, reading the
+    # pairs the render kept; the whole image's pairs take about 5 MB.
     scene, camera = test_acceptance.TestAcceptance.hidden_scene()
     bg = np.array([0.1, 0.1, 0.1])
     res = render(scene, camera, bg)

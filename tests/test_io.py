@@ -131,6 +131,29 @@ class TestParseScene:
         with pytest.raises(ValueError, match="scene.camera"):
             parse_scene(json.dumps(doc))
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d["camera"].update(cx=float("nan")), "scene.camera.cx"),
+        (lambda d: d["camera"].update(fx=float("nan")), "scene.camera.fx"),
+        (lambda d: d["camera"]["view"].__setitem__(3, float("inf")),
+         r"scene.camera.view\[3\]"),
+        (lambda d: d.update(background=[0.0, float("nan"), 0.0]),
+         r"scene.background\[1\]"),
+        (lambda d: d["gaussians"][0].update(mean=[0.1, float("-inf"), 3.0]),
+         r"scene.gaussians\[0\].mean\[1\]"),
+        (lambda d: d["gaussians"][0].update(quat=[float("nan"), 0.0, 0.0, 0.0]),
+         r"scene.gaussians\[0\].quat\[0\]"),
+        (lambda d: d["gaussians"][0].update(opacity=float("nan")),
+         r"scene.gaussians\[0\].opacity"),
+        (lambda d: d["gaussians"][0].update(color=[0.9, 0.5, float("nan")]),
+         r"scene.gaussians\[0\].color\[2\]"),
+    ], ids=["cx", "fx", "view", "background", "mean", "quat", "opacity", "color"])
+    def test_non_finite_number_rejected(self, edit, field):
+        # json.loads reads NaN, Infinity and -Infinity as floats.
+        doc = sample_doc()
+        edit(doc)
+        with pytest.raises(ValueError, match=field + " must be finite"):
+            parse_scene(json.dumps(doc))
+
 
 class TestSerializeScene:
     def test_round_trip_is_exact(self):

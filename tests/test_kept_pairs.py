@@ -1,13 +1,13 @@
-"""The pairs render keeps (keep_pairs=True) against the walk that finds
+"""The pairs every render keeps against the per-pixel walk that finds
 them again.
 
-A render that keeps its committed pairs must give the same image,
-final_T and n_contrib bytes as one that does not, and scene_backward
-must give all six gradient classes bitwise equal on the two results,
-with early termination on and off. That holds because a forward block's
-committed pairs are exactly the visible pairs before each pixel's
-n_contrib, in the same order and with the same transmittance before
-each. The memory guard bounds one fit iteration that keeps its pairs.
+render and render_brute_force keep their committed pairs on
+result.pairs, and the backward pass reads them. transmittance_replay
+finds one pixel's pairs its own way: it walks that pixel alone with
+early termination off and keeps the visible pairs before its n_contrib.
+At every sampled pixel the two must agree bitwise on each pair's bin
+position and transmittance before it, with early termination on and
+off. The memory guard bounds one fit iteration.
 """
 
 import numpy as np
@@ -16,13 +16,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import test_acceptance
-from splatgrad import render, scene_backward
+from splatgrad import render, render_brute_force, scene_backward, transmittance_replay
 from splatgrad.gradcheck import make_audit_scene
+from splatgrad.raster_forward import PixelAux
 
 from test_footprint_pairs import cases, traced_peak
 from test_tile_kernels import criterion5_case, long_bin_case, odd_size_case
 
-GRADIENTS = ("d_mean", "d_scale", "d_quat", "d_opacity", "d_color", "d_view")
+# Pixels sampled per render; smaller images are checked at every pixel.
+SAMPLED_PIXELS = 256
 
 
 def audit_case(seed):
@@ -40,36 +42,43 @@ SCENES = {
 }
 
 
-def assert_kept_equals_walked(scene, camera, bg, early_termination):
-    walked = render(scene, camera, bg, early_termination=early_termination)
-    kept = render(scene, camera, bg, early_termination=early_termination,
-                  keep_pairs=True)
-    assert walked.pairs is None
-    assert len(kept.pairs) >= 1
-    for a, b in ((kept.image.channels, walked.image.channels),
-                 (kept.aux.final_T, walked.aux.final_T),
-                 (kept.aux.n_contrib, walked.aux.n_contrib)):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+def assert_kept_equals_replay(scene, camera, bg, early_termination):
+    res = render(scene, camera, bg, early_termination=early_termination)
+    brute = render_brute_force(scene, camera, bg, early_termination=early_termination)
+    assert res.pairs is not None and brute.pairs is not None
+    assert len(res.pairs) >= 1 and len(brute.pairs) >= 1
 
-    d_image = np.random.default_rng(17).normal(size=(camera.height, camera.width, 3))
-    from_kept = scene_backward(scene, camera, kept, d_image)
-    from_walk = scene_backward(scene, camera, walked, d_image)
-    for name in GRADIENTS:
-        assert getattr(from_kept, name).tobytes() == getattr(from_walk, name).tobytes(), name
-    return kept
+    pix = np.concatenate([p.pix for p in res.pairs])
+    pos = np.concatenate([p.pos for p in res.pairs])
+    t_before = np.concatenate([p.t_before for p in res.pairs])
+    w, n_px = camera.width, camera.width * camera.height
+    rng = np.random.default_rng(23)
+    sampled = (np.arange(n_px) if n_px <= SAMPLED_PIXELS
+               else rng.choice(n_px, SAMPLED_PIXELS, replace=False))
+    ts = res.grid.tile_size
+    for p in sampled.tolist():
+        row, col = divmod(p, w)
+        aux = PixelAux(float(res.aux.final_T[row, col]), int(res.aux.n_contrib[row, col]))
+        replay = transmittance_replay(res.grid.bin_at(col // ts, row // ts), res.projected,
+                                      scene, np.array([col + 0.5, row + 0.5]), bg, aux)
+        at = np.flatnonzero(pix == p)[::-1]
+        assert [k for k, _ in replay] == pos[at].tolist(), p
+        assert np.array([t for _, t in replay], dtype=np.float64).tobytes() \
+            == t_before[at].tobytes(), p
+    return res
 
 
 @pytest.mark.parametrize("early_termination", [True, False], ids=["et_on", "et_off"])
 @pytest.mark.parametrize("name", sorted(SCENES))
 def test_kept_pairs_match_walk(name, early_termination):
-    kept = assert_kept_equals_walked(*SCENES[name](), early_termination)
+    res = assert_kept_equals_replay(*SCENES[name](), early_termination)
     if name == "long_bins":
-        assert len(kept.pairs) == 7
+        assert len(res.pairs) == 7
 
 
 def test_kept_pairs_are_compact():
     scene, camera, bg = SCENES["criterion5"]()
-    res = render(scene, camera, bg, keep_pairs=True)
+    res = render(scene, camera, bg)
     for pairs in res.pairs:
         assert [a.dtype for a in pairs] == [np.int32] * 3 + [np.float64] * 2
     # Only committed pairs are kept: one per contributing (splat, pixel).
@@ -81,7 +90,7 @@ def test_kept_pairs_are_compact():
 @given(case=cases(), early_termination=st.booleans())
 def test_kept_pairs_match_walk_on_drawn_cameras(case, early_termination):
     camera, scene, bg = case
-    assert_kept_equals_walked(scene, camera, bg, early_termination)
+    assert_kept_equals_replay(scene, camera, bg, early_termination)
 
 
 def test_fit_64_kept_pairs_peak_memory():
@@ -95,7 +104,7 @@ def test_fit_64_kept_pairs_peak_memory():
     d_image = np.random.default_rng(1).normal(size=(64, 64, 3))
 
     def iteration():
-        res = render(scene, camera, bg, keep_pairs=True)
+        res = render(scene, camera, bg)
         return scene_backward(scene, camera, res, d_image)
 
     assert traced_peak(iteration) < 2.9e6

@@ -18,6 +18,7 @@ import pytest
 import test_acceptance
 from splatgrad import (
     Camera,
+    Gaussian3D,
     accumulate_image_backward,
     gradcheck,
     raster_backward,
@@ -196,6 +197,23 @@ def test_safety_mask_transmittance_band_matches_pixel_walk():
     assert np.array_equal(got, want)
     # The band clears pixels of its own, beyond the sigma margin.
     assert np.any(no_band & ~want)
+
+
+def test_safety_mask_clears_a_last_step_in_the_band():
+    # Two centered splats of opacity 0.99: at the center pixels the
+    # second, last step takes T from about 1e-2 to about 1e-4, so only the
+    # step to the final T lands in the band.
+    camera = Camera(view=np.eye(4), fx=16.0, fy=16.0, cx=8.0, cy=8.0,
+                    width=16, height=16, near=0.1, far=100.0)
+    scene = [Gaussian3D(mean=[0.0, 0.0, depth], scale=[0.5, 0.5, 0.5],
+                        quat=[1.0, 0.0, 0.0, 0.0], opacity=0.99, color=[0.5, 0.5, 0.5])
+             for depth in (3.0, 4.0)]
+    bg = np.zeros(3)
+    got = gradcheck._pixel_safety_mask(scene, camera, bg)
+    want = reference_pixel_safety_mask(scene, camera, bg)
+    no_band = reference_pixel_safety_mask(scene, camera, bg, t_margin=1.0)
+    assert np.array_equal(got, want)
+    assert not want[8, 8] and no_band[8, 8]
 
 
 BLAS_NAMES = {"matmul", "einsum", "dot", "vdot", "tensordot"}
