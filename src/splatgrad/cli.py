@@ -33,13 +33,20 @@ def _check_keys(obj, fields, path):
             raise ValueError(f"missing field {path}.{key}")
 
 
-def _number(obj, key, path):
-    value = obj[key]
+def _finite(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{path}.{key} must be a number")
-    if not np.isfinite(float(value)):
-        raise ValueError(f"{path}.{key} must be finite")
-    return float(value)
+        raise ValueError(f"{path} must be a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal too large for a float
+        value = np.inf
+    if not np.isfinite(value):
+        raise ValueError(f"{path} must be finite")
+    return value
+
+
+def _number(obj, key, path):
+    return _finite(obj[key], f"{path}.{key}")
 
 
 def _integer(obj, key, path):
@@ -52,14 +59,7 @@ def _integer(obj, key, path):
 def _vector(value, n, path):
     if not isinstance(value, list) or len(value) != n:
         raise ValueError(f"{path} must be a list of {n} numbers")
-    out = np.empty(n)
-    for k, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ValueError(f"{path}[{k}] must be a number")
-        if not np.isfinite(float(item)):
-            raise ValueError(f"{path}[{k}] must be finite")
-        out[k] = float(item)
-    return out
+    return np.array([_finite(item, f"{path}[{k}]") for k, item in enumerate(value)])
 
 
 def parse_scene(data):

@@ -14,6 +14,11 @@ entries, goes through raster_forward.render_images, PROBE_PIXELS pixels
 at a time. Each image equals a render of its probe alone bitwise, and
 each loss is summed over its own image, so every probe loss is the one a
 separate render gives.
+
+_probes alone fixes the probe order. Beside the probes it returns a
+coordinate table with one row per probed coordinate: class, report label,
+SceneGradients field and index. audit_scene reads the analytic values
+through it and compares each class with array operations.
 """
 
 from dataclasses import dataclass, replace
@@ -36,9 +41,12 @@ AUDIT_CLASSES = ("mean", "scale", "quat", "opacity", "color", "view")
 # per-probe renders (BENCH_batched_audit.json), 2,048 pixels gave +2.7%
 # peak_rss_mb and 3,072 pixels +4.9%.
 PROBE_PIXELS = 1 << 11
-# The splat fields probed, in report order, and their Splats arrays.
+# The splat fields probed, in probe order, and their Splats arrays.
 PROBE_FIELDS = (("mean", "means"), ("scale", "scales"), ("quat", "quats"),
                 ("color", "colors"), ("opacity", "opacities"))
+# A coordinate table row; index is into the raveled SceneGradients field.
+COORDS = np.dtype([("cls", object), ("label", object), ("field", object),
+                   ("index", np.intp)])
 
 
 def _central(f_hi, f_lo, h):
@@ -131,26 +139,32 @@ class GradReport:
 
 
 def _probes(splats, camera, h):
-    """The (scene, camera) pair of every probe of audit_scene: a +h then a
-    -h step on each splat coordinate, splat by splat in PROBE_FIELDS
-    order, then on each entry of the view matrix's top three rows. The
-    scene probes all keep camera itself, so render_images projects them
-    in one pass."""
-    probes = []
+    """(probes, coords): the (scene, camera) pair of every probe of
+    audit_scene, a +h then a -h step on each splat coordinate, splat by
+    splat in PROBE_FIELDS order, then on each entry of the view matrix's
+    top three rows; and the COORDS table of those coordinates in the same
+    order. The scene probes all keep camera itself, so render_images
+    projects them in one pass."""
+    probes, coords = [], []
     for i in range(len(splats)):
-        for _, attr in PROBE_FIELDS:
+        for name, attr in PROBE_FIELDS:
             values = getattr(splats, attr)
             for j in np.ndindex(values.shape[1:]):
+                at = (i,) + j
+                coords.append((name, f"gaussian[{i}].{name}" + "".join(f"[{k}]" for k in j),
+                               "d_" + name, np.ravel_multi_index(at, values.shape)))
                 for step in (h, -h):
                     moved = values.copy()
-                    moved[(i,) + j] += step
+                    moved[at] += step
                     probes.append((replace(splats, **{attr: moved}), camera))
     for j in np.ndindex(3, 4):
+        index = np.ravel_multi_index(j, (4, 4))
+        coords.append(("view", f"view[{index}]", "d_view", index))
         for step in (h, -h):
             view = camera.view.copy()
             view[j] += step
             probes.append((splats, replace(camera, view=view)))
-    return probes
+    return probes, np.array(coords, dtype=COORDS)
 
 
 def _probe_losses(probes, target, weight, background):
@@ -175,9 +189,12 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
 
     The probed scalar is the summed squared pixel error against target.
     Every gaussian coordinate is probed, plus the twelve entries of the
-    view matrix's rotation/translation block. Coordinates whose magnitude
-    exceeds grad_floor are held to rel_tol relative error; the rest to
-    abs_tol absolute error.
+    view matrix's rotation/translation block, each read through _probes'
+    coordinate table. Coordinates whose magnitude exceeds grad_floor are
+    held to rel_tol relative error; the rest to abs_tol absolute error. A
+    class's worst coordinate is the first with the largest error over
+    tolerance. A non-finite analytic coordinate fails its class, whose
+    max_rel then reads inf and max_abs the nan or inf |analytic - fd|.
 
     pixel_mask, when given, restricts the loss to the selected pixels.
     The generated audit scenes use it to drop the few pixels that sit
@@ -204,64 +221,36 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
     if gradient_transform is not None:
         analytic = gradient_transform(analytic)
 
-    splats = Splats.of(scene)
-    losses = _probe_losses(_probes(splats, camera, h), target, weight, background)
+    probes, coords = _probes(Splats.of(scene), camera, h)
+    losses = _probe_losses(probes, target, weight, background)
     fd = _central(losses[0::2], losses[1::2], h)
+    a = np.empty(len(coords))
+    for field in set(coords["field"]):
+        rows = coords["field"] == field
+        a[rows] = np.ravel(getattr(analytic, field))[coords["index"][rows]]
 
-    entries = {name: [] for name in AUDIT_CLASSES}
-
-    def record(name, label, a_val, f_val):
-        a = np.atleast_1d(np.asarray(a_val, dtype=np.float64)).ravel()
-        f = np.atleast_1d(np.asarray(f_val, dtype=np.float64)).ravel()
-        for k in range(a.size):
-            tag = f"{label}[{k}]" if a.size > 1 else label
-            entries[name].append((tag, float(a[k]), float(f[k])))
-
-    # fd holds one value per probed coordinate, in _probes' order.
-    k = 0
-    for i in range(len(splats)):
-        for field, _ in PROBE_FIELDS:
-            a_val = getattr(analytic, "d_" + field)[i]
-            size = np.size(a_val)
-            record(field, f"gaussian[{i}].{field}", a_val, fd[k:k + size])
-            k += size
-    record("view", "view", analytic.d_view[:3, :].ravel(), fd[k:])
+    diff = np.abs(a - fd)
+    mag = np.maximum(np.abs(a), np.abs(fd))
+    finite = np.isfinite(a)
+    big = finite & (mag > grad_floor)
+    rel = np.divide(diff, mag, out=np.zeros(len(a)), where=big)
+    ratio = np.where(big, rel / rel_tol, diff / abs_tol)
+    # A non-finite analytic coordinate is left out of big, so its relative
+    # error was never formed (inf / inf would be a NaN); it fails outright
+    # and reads inf instead (the probes are always finite).
+    rel[~finite] = ratio[~finite] = np.inf
 
     classes = {}
-    all_pass = True
     for name in AUDIT_CLASSES:
-        max_rel = 0.0
-        max_abs = 0.0
-        worst = ""
-        worst_ratio = -1.0
-        ok = True
-        for label, a, f in entries[name]:
-            diff = abs(a - f)
-            scale_mag = max(abs(a), abs(f))
-            max_abs = max(max_abs, diff)
-            # Every comparison with NaN is false, so the tests below would
-            # pass one; a non-finite analytic coordinate fails outright
-            # (the probes are always finite).
-            if not np.isfinite(a):
-                ratio = np.inf
-            elif scale_mag > grad_floor:
-                rel = diff / scale_mag
-                max_rel = max(max_rel, rel)
-                ratio = rel / rel_tol
-            else:
-                ratio = diff / abs_tol
-            if ratio > worst_ratio:
-                worst_ratio = ratio
-                worst = label
-            if ratio > 1.0:
-                ok = False
+        rows = coords["cls"] == name
+        worst = coords["label"][rows][np.argmax(ratio[rows])] if rows.any() else ""
         classes[name] = ClassCheck(
-            name=name, max_rel=max_rel, max_abs=max_abs,
-            worst_coord=worst, passed=ok,
+            name=name, max_rel=float(rel[rows].max(initial=0.0)),
+            max_abs=float(diff[rows].max(initial=0.0)),
+            worst_coord=worst, passed=bool(np.all(ratio[rows] <= 1.0)),
         )
-        all_pass = all_pass and ok
     return GradReport(
-        classes=classes, passed=all_pass, h=h,
+        classes=classes, passed=all(c.passed for c in classes.values()), h=h,
         rel_tol=rel_tol, abs_tol=abs_tol, grad_floor=grad_floor,
     )
 
@@ -318,18 +307,25 @@ def _draw_scene(rng, n, camera):
     return gaussians, background
 
 
-def _pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
-                       t_margin=4.0, depth_margin=5e-3):
+# _pixel_safety_mask's margins around SIGMA_CUT, around T_MIN (a factor)
+# and between splat depths.
+SIGMA_MARGIN = 0.05
+T_MARGIN = 4.0
+DEPTH_MARGIN = 5e-3
+
+
+def _pixel_safety_mask(scene, camera, background):
     """Pixels whose color stays differentiable under probes up to ~1e-4.
 
     Returns None to reject the whole scene when a depth sits near the clip
-    planes or two depths nearly tie (either could flip the global sort).
-    Otherwise returns a boolean (height, width) mask that clears any pixel
-    sitting near a branch point: within sigma_margin of the footprint
-    cutoff for any non-depth-culled splat (image-culled ones included,
-    since a probe can re-admit them), or with a transmittance step within
-    a factor of t_margin of the termination threshold. Probes shift sigma
-    by at most ~1e-2 at step 1e-4, so the margins hold fivefold headroom.
+    planes or two depths lie within DEPTH_MARGIN (either could flip the
+    global sort). Otherwise returns a boolean (height, width) mask that
+    clears any pixel sitting near a branch point: within SIGMA_MARGIN of
+    the footprint cutoff for any non-depth-culled splat (image-culled ones
+    included, since a probe can re-admit them), or with a transmittance
+    step within a factor of T_MARGIN of the termination threshold. Probes
+    shift sigma by at most ~1e-2 at step 1e-4, so the margins hold
+    fivefold headroom.
     """
     splats = Splats.of(scene)
     # Every splat in front of the camera, image-culled ones included; a
@@ -340,7 +336,7 @@ def _pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
         (camera.near + 0.5 < depth) & (depth < camera.far - 0.5)
     ):
         return None
-    if np.any(np.diff(np.sort(depth)) < depth_margin):
+    if np.any(np.diff(np.sort(depth)) < DEPTH_MARGIN):
         return None
 
     h, w = camera.height, camera.width
@@ -349,7 +345,7 @@ def _pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
     ys = np.tile(np.repeat(np.arange(h, dtype=np.float64) + 0.5, w), n)
     sigma = _pair_alpha(xs, ys, _pack_splats(projected, splats),
                         np.repeat(np.arange(n), h * w))[2]
-    mask = np.all(np.abs(sigma.reshape(n, h * w) - SIGMA_CUT) > sigma_margin,
+    mask = np.all(np.abs(sigma.reshape(n, h * w) - SIGMA_CUT) > SIGMA_MARGIN,
                   axis=0).reshape(h, w)
 
     # A pixel is cleared when a transmittance step of its front-to-back
@@ -360,7 +356,7 @@ def _pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
     # pair commits, so those steps are each kept pair's T before (the
     # first is 1, outside the band) and the pixel's final T.
     def near_t_min(t):
-        return (T_MIN / t_margin < t) & (t < T_MIN * t_margin)
+        return (T_MIN / T_MARGIN < t) & (t < T_MIN * T_MARGIN)
 
     res = render(splats, camera, background, early_termination=False)
     cleared = near_t_min(res.aux.final_T.ravel())

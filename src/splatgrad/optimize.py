@@ -13,10 +13,18 @@ from .proj_backward import scene_backward
 from .raster_forward import render
 
 
+# Adam's moment decay rates and denominator guard.
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class FitConfig:
-    """Knobs for fit(). Learning rates are per parameter class; scale and
-    opacity rates apply in log and logit space respectively."""
+    """Knobs for fit(): the splat count, the iteration count, a learning
+    rate per parameter class (scale and opacity rates apply in log and
+    logit space respectively), the init_random seed and the background
+    color."""
 
     n_gaussians: int = 100
     iterations: int = 1000
@@ -27,10 +35,6 @@ class FitConfig:
     lr_color: float = 1e-2
     seed: int = 0
     background: tuple = (0.0, 0.0, 0.0)
-    loss: str = "l2"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_random(config: FitConfig, camera: Camera, target):
@@ -81,12 +85,12 @@ class _AdamState:
     v: np.ndarray
 
 
-def _adam_step(param, grad, state, lr, step, config):
-    state.m = config.beta1 * state.m + (1.0 - config.beta1) * grad
-    state.v = config.beta2 * state.v + (1.0 - config.beta2) * grad * grad
-    m_hat = state.m / (1.0 - config.beta1 ** step)
-    v_hat = state.v / (1.0 - config.beta2 ** step)
-    return param - lr * m_hat / (np.sqrt(v_hat) + config.eps)
+def _adam_step(param, grad, state, lr, step):
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = state.m / (1.0 - BETA1 ** step)
+    v_hat = state.v / (1.0 - BETA2 ** step)
+    return param - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _logit(p):
@@ -134,8 +138,6 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
             f"target shape {target.shape} does not match camera "
             f"{(camera.height, camera.width, 3)}"
         )
-    if config.loss.lower() != "l2":
-        raise ValueError(f"unsupported loss {config.loss!r}")
     background = np.asarray(config.background, dtype=np.float64)
 
     start = Splats.of(init_random(config, camera, target) if init is None else init)
@@ -174,12 +176,10 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
                 raise FloatingPointError(
                     f"d_{name} is not finite at iteration {it}")
         step = it + 1
-        means = _adam_step(means, grads.d_mean, adam["mean"],
-                           config.lr_mean, step, config)
+        means = _adam_step(means, grads.d_mean, adam["mean"], config.lr_mean, step)
         log_scales = _adam_step(log_scales, grads.d_scale * scales, adam["scale"],
-                                config.lr_scale, step, config)
-        quats = _adam_step(quats, grads.d_quat, adam["quat"],
-                           config.lr_quat, step, config)
+                                config.lr_scale, step)
+        quats = _adam_step(quats, grads.d_quat, adam["quat"], config.lr_quat, step)
         collapsed = np.flatnonzero(np.sqrt(np.sum(quats * quats, axis=1))
                                    <= QUAT_NORM_EPS)
         if collapsed.size:
@@ -187,9 +187,8 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
                                      f"collapsed at iteration {it}")
         logits = _adam_step(logits,
                             grads.d_opacity * opacities * (1.0 - opacities),
-                            adam["opacity"], config.lr_opacity, step, config)
-        colors = _adam_step(colors, grads.d_color, adam["color"],
-                            config.lr_color, step, config)
+                            adam["opacity"], config.lr_opacity, step)
+        colors = _adam_step(colors, grads.d_color, adam["color"], config.lr_color, step)
         colors = np.clip(colors, 0.0, 1.0)
 
     final = Splats(means=means, scales=np.exp(log_scales), quats=quats,

@@ -304,10 +304,12 @@ class TestAcceptance:
         assert not missed, missed
         assert not misattributed, misattributed
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_gradient_fails_its_class(self, bad):
         # Beside criterion 7: a non-finite analytic coordinate fails its
-        # class, named as the worst coordinate, and no other class fails.
+        # class, named as the worst coordinate, with non-finite max_rel and
+        # max_abs, and no other class fails. No RuntimeWarning is raised.
         first = {"mean": "gaussian[0].mean[0]", "scale": "gaussian[0].scale[0]",
                  "quat": "gaussian[0].quat[0]", "opacity": "gaussian[0].opacity",
                  "color": "gaussian[0].color[0]", "view": "view[0]"}
@@ -321,6 +323,9 @@ class TestAcceptance:
             assert not report.passed, name
             assert not report.classes[name].passed, name
             assert report.classes[name].worst_coord == first[name]
+            # The failing row's figures say so too.
+            assert not np.isfinite(report.classes[name].max_rel), name
+            assert not np.isfinite(report.classes[name].max_abs), name
             assert [other for other in AUDIT_CLASSES if other != name
                     and not report.classes[other].passed] == [], name
 

@@ -146,9 +146,14 @@ class TestParseScene:
          r"scene.gaussians\[0\].opacity"),
         (lambda d: d["gaussians"][0].update(color=[0.9, 0.5, float("nan")]),
          r"scene.gaussians\[0\].color\[2\]"),
-    ], ids=["cx", "fx", "view", "background", "mean", "quat", "opacity", "color"])
+        (lambda d: d["camera"].update(fx=10 ** 400), "scene.camera.fx"),
+        (lambda d: d["camera"]["view"].__setitem__(5, -10 ** 400),
+         r"scene.camera.view\[5\]"),
+    ], ids=["cx", "fx", "view", "background", "mean", "quat", "opacity", "color",
+            "fx-overflow", "view-overflow"])
     def test_non_finite_number_rejected(self, edit, field):
-        # json.loads reads NaN, Infinity and -Infinity as floats.
+        # json.loads reads NaN, Infinity and -Infinity as floats, and an
+        # integer literal too large for a float as an int.
         doc = sample_doc()
         edit(doc)
         with pytest.raises(ValueError, match=field + " must be finite"):

@@ -68,12 +68,6 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(np.zeros((8, 8, 3)), camera, FitConfig(n_gaussians=1))
 
-    def test_unsupported_loss_rejected(self):
-        camera = frustum_camera(16, 16)
-        with pytest.raises(ValueError):
-            fit(np.zeros((16, 16, 3)), camera,
-                FitConfig(n_gaussians=1, loss="l1"))
-
     def test_perfect_start_stays_put(self):
         # When the target is the render of the starting scene the loss is
         # exactly zero, every gradient is zero, and iterations are no-ops.
