@@ -11,8 +11,8 @@ and output. The geometric ops here and downstream take one splat or a
 stack with leading axes, and the stacked forms are written as broadcast
 products and sums (matprod, matvec), never as BLAS matrix products, so
 their results cannot depend on the BLAS thread count. A failed check on
-a stack raises RowError, which the scene-level kernels turn into a
-message naming the splat.
+a stack, Splats.check included, raises RowError naming the row as a
+splat; a caller that stacked several scenes renames it by scene index.
 """
 
 from dataclasses import dataclass
@@ -72,7 +72,7 @@ class Gaussian3D:
 def _raise_first(bad, field, problem):
     hit = np.flatnonzero(bad)
     if hit.size:
-        raise ValueError(f"gaussians[{hit[0]}].{field} {problem}")
+        raise RowError(problem, int(hit[0]), field)
 
 
 @dataclass
@@ -258,18 +258,17 @@ def matvec(a, v):
 
 
 class RowError(ValueError):
-    """A check failed on row `row` of a stacked input."""
+    """A check failed on row `row` of a stack of splats, in `field` when
+    known; the message names the row as splat gaussians[row]."""
 
-    def __init__(self, problem, row):
-        super().__init__(f"row {row}: {problem}")
-        self.problem = problem
-        self.row = row
+    def __init__(self, problem, row, field=None):
+        super().__init__(f"gaussians[{row}]" + (f".{field} " if field else ": ") + problem)
+        self.problem, self.row, self.field = problem, row, field
 
 
 def reject(bad, problem):
     """Raise where bad holds: ValueError(problem) for a single splat, or
-    RowError naming the first bad row of a stack, which a caller that
-    knows the rows' splats turns into a message naming the splat."""
+    RowError naming the first bad row of a stack."""
     bad = np.asarray(bad)
     if not bad.any():
         return

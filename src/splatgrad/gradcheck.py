@@ -10,10 +10,10 @@ step sizes.
 
 A scene's probes are rendered together: every (scene, camera) pair, a
 +h and a -h step on each splat coordinate and on each of the twelve view
-entries, goes through raster_forward.render_images, PROBE_PIXELS pixels
-at a time. Each image equals a render of its probe alone bitwise, and
-each loss is summed over its own image, so every probe loss is the one a
-separate render gives.
+entries, is projected in one pass (they share the camera's intrinsics),
+then binned and composited PROBE_PIXELS pixels at a time. Each image
+equals a render of its probe alone bitwise, and each loss is summed over
+its own image, so every probe loss is the one a separate render gives.
 
 _probes alone fixes the probe order. Beside the probes it returns a
 coordinate table with one row per probed coordinate: class, report label,
@@ -30,16 +30,16 @@ import numpy as np
 from .core import Camera, Gaussian3D, Splats, compose_covariance_3d, quat_to_rotmat  # noqa: F401
 from .projection import project_splats
 from .proj_backward import scene_backward
-from .raster_forward import SIGMA_CUT, T_MIN, _pack_splats, _pair_alpha, render, render_images
+from .raster_forward import (SIGMA_CUT, T_MIN, _pack_splats, _pair_alpha, _project_images,
+                             _render_batch, render)
 
 AUDIT_CLASSES = ("mean", "scale", "quat", "opacity", "color", "view")
-# Probe pixels rendered per render_images call: PROBE_PIXELS // (height *
+# Probe pixels binned and composited at once: PROBE_PIXELS // (height *
 # width) probe images, at least one. Peak memory grows with the pairs a
-# batch evaluates at once, up to a PAIR_BUDGET block of about 1.7 MB, and
-# this bound keeps the audit's peak resident memory within 5% of
-# rendering one probe at a time. Over 30 s perfbench audit pairs against
-# per-probe renders (BENCH_batched_audit.json), 2,048 pixels gave +2.7%
-# peak_rss_mb and 3,072 pixels +4.9%.
+# batch evaluates at once, up to a PAIR_BUDGET block of about 1.7 MB.
+# With every probe projected in one pass, four 20 s perfbench audit pairs
+# (BENCH_one_projection.json) measured peak_rss_mb 42.16 MB (median) at
+# 2,048 pixels against 41.94 MB one probe image at a time, +0.5%.
 PROBE_PIXELS = 1 << 11
 # The splat fields probed, in probe order, and their Splats arrays.
 PROBE_FIELDS = (("mean", "means"), ("scale", "scales"), ("quat", "quats"),
@@ -143,8 +143,8 @@ def _probes(splats, camera, h):
     audit_scene, a +h then a -h step on each splat coordinate, splat by
     splat in PROBE_FIELDS order, then on each entry of the view matrix's
     top three rows; and the COORDS table of those coordinates in the same
-    order. The scene probes all keep camera itself, so render_images
-    projects them in one pass."""
+    order. Every probe keeps camera's intrinsics, so _probe_losses
+    projects them all in one pass."""
     probes, coords = [], []
     for i in range(len(splats)):
         for name, attr in PROBE_FIELDS:
@@ -169,16 +169,18 @@ def _probes(splats, camera, h):
 
 def _probe_losses(probes, target, weight, background):
     """The masked loss of every (scene, camera) probe, each summed over its
-    own image; the images are rendered PROBE_PIXELS pixels at a time."""
+    own image. Every probe is projected in one pass; the images are then
+    binned and composited PROBE_PIXELS pixels at a time."""
     height, width = target.shape[:2]
     batch = max(1, PROBE_PIXELS // (height * width))
+    proj = _project_images(*zip(*probes))
     losses = np.empty(len(probes))
     for a in range(0, len(probes), batch):
-        scenes, cameras = zip(*probes[a:a + batch])
-        images, _ = render_images(scenes, cameras, background)
-        diff = images - target
+        n = min(batch, len(probes) - a)
+        _, (color, *_) = _render_batch(proj.images(a, a + n), width, height, n, background, True)
+        diff = color.T.reshape(n, height, width, 3) - target
         weighted = weight[:, :, None] * diff * diff
-        losses[a:a + len(scenes)] = [np.sum(x) for x in weighted]
+        losses[a:a + n] = weighted.reshape(n, -1).sum(axis=1)
     return losses
 
 

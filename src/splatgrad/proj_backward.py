@@ -20,6 +20,7 @@ from .core import (
     QUAT_NORM_EPS,
     Camera,
     Cov3DBundle,
+    RowError,
     Splats,
     compose_covariance_3d,
     matprod,
@@ -230,14 +231,17 @@ def scene_backward(scene, camera: Camera, result, d_image):
     t_cam = projected.t_cam
     quats, scales = splats.quats[src], splats.scales[src]
     d_cov2d = splat.d_cov2d[src]
-    bundle = compose_covariance_3d(quats, scales)
-    jac = projection_jacobian(t_cam, camera)
-    t_proj = matprod(jac, camera.rotation)
-    d_t_mean = mean2d_backward(splat.d_mean2d[src], t_cam, camera)
-    d_sigma, d_t_cov = cov2d_backward(d_cov2d, t_proj, bundle.sigma, jac,
-                                      camera.rotation, t_cam, camera)
-    d_mean, d_view = world_backward(d_t_mean + d_t_cov, camera, splats.means[src])
-    d_quat, d_scale = covariance3d_backward(d_sigma, bundle, quats, scales)
+    try:
+        bundle = compose_covariance_3d(quats, scales)
+        jac = projection_jacobian(t_cam, camera)
+        t_proj = matprod(jac, camera.rotation)
+        d_t_mean = mean2d_backward(splat.d_mean2d[src], t_cam, camera)
+        d_sigma, d_t_cov = cov2d_backward(d_cov2d, t_proj, bundle.sigma, jac,
+                                          camera.rotation, t_cam, camera)
+        d_mean, d_view = world_backward(d_t_mean + d_t_cov, camera, splats.means[src])
+        d_quat, d_scale = covariance3d_backward(d_sigma, bundle, quats, scales)
+    except RowError as exc:
+        raise RowError(exc.problem, src[exc.row], exc.field) from None
     grads.d_mean[src] = d_mean
     grads.d_scale[src] = d_scale
     grads.d_quat[src] = d_quat

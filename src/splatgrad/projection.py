@@ -96,15 +96,13 @@ class ProjectedSplats:
         )
 
 
-def world_to_camera(mean, camera: Camera):
+def world_to_camera(mean, camera: Camera, view=None):
     """Map a world-space point, or a stack (..., 3) of them, to
-    homogeneous camera space.
-
-    Returns a 4-vector with last component 1 for any rigid view matrix.
-    """
+    homogeneous camera space through camera.view, or through view when
+    given (one 4x4 matrix or one per point); w is 1 for a rigid view."""
     m = np.asarray(mean, dtype=np.float64)
     homog = np.concatenate([m, np.ones(m.shape[:-1] + (1,))], axis=-1)
-    return matvec(camera.view, homog)
+    return matvec(camera.view if view is None else view, homog)
 
 
 def camera_to_pixel(t_cam, camera: Camera):
@@ -197,14 +195,14 @@ def project_gaussian(g: Gaussian3D, camera: Camera, source_index=0):
     return row
 
 
-def project_splats(splats, camera: Camera, *, keep_offscreen=False):
+def project_splats(splats, camera: Camera, *, view=None, keep_offscreen=False):
     """Project every splat of a Splats in one pass.
 
     The batched project_gaussian: the same ops run once on stacks, giving
     t_cam, J, T = J R_cw, cov2d, mean2d, radius and the cull decisions
     for all splats. Splats with depth outside (near, far) are culled, and
     so are splats whose footprint misses the image unless keep_offscreen
-    is set.
+    is set. view, an (N, 4, 4) stack, replaces camera.view splat by splat.
 
     Raises ValueError naming the splat, e.g. gaussians[4], where
     project_gaussian raises: a point behind the camera or a degenerate
@@ -214,7 +212,7 @@ def project_splats(splats, camera: Camera, *, keep_offscreen=False):
     Returns:
         ProjectedSplats, rows in source order.
     """
-    t_all = world_to_camera(splats.means, camera)
+    t_all = world_to_camera(splats.means, camera, view)
     depth_all = t_all[:, 2]
     # Written as the negation of the cull test, so a NaN depth is kept and
     # fails below by name instead of vanishing.
@@ -223,11 +221,12 @@ def project_splats(splats, camera: Camera, *, keep_offscreen=False):
     try:
         bundle = compose_covariance_3d(splats.quats[src], splats.scales[src])
         jac = projection_jacobian(t_cam, camera)
-        cov2d = project_covariance(jac, camera.rotation, bundle.sigma)
+        rotation = camera.rotation if view is None else view[src, :3, :3]
+        cov2d = project_covariance(jac, rotation, bundle.sigma)
         mean2d = camera_to_pixel(t_cam, camera)
         radius = bounding_radius(cov2d)
     except RowError as exc:
-        raise ValueError(f"gaussians[{src[exc.row]}]: {exc.problem}") from None
+        raise RowError(exc.problem, src[exc.row], exc.field) from None
 
     keep = slice(None)
     if not keep_offscreen:

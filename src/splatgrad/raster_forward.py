@@ -20,13 +20,15 @@ list, which is what makes the tiled-versus-brute-force equivalence
 checks meaningful.
 
 The pipeline has an image axis. render_images renders K scenes, each
-from its own camera, in one pass: scenes that share a Camera object are
-projected together, tile t of image k is binned as k * n_tiles + t (the
+from its own camera, in one pass. Projection makes one project_splats
+call per distinct set of intrinsics, each row seen through its own
+camera's view. Then tile t of image k is binned as k * n_tiles + t (the
 sort key stays tile, depth, scene-local source index), each entry's
 pixels are offset by k * height * width, and one walk composites all
 K * height * width pixels. A pixel still has at most one pair per bin
-position, so nothing in the walk changes, and image k equals a render
-of scene k alone bitwise. render is the K = 1 case of the same path.
+position, so image k equals a render of scene k alone bitwise. render
+is the K = 1 case; the audit projects a scene's probes once and bins
+and composites them in slices.
 
 render takes the scene as a Splats or a list of Gaussian3D, checks it
 once with Splats.check, and projects every splat in one batched pass
@@ -39,13 +41,13 @@ on result.pairs. The backward pass reads them instead of evaluating and
 walking the pairs a second time.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .binning import TILE_SIZE, TileGrid, assign_tiles, grid_shape, sort_bins
-from .core import Camera, Splats
+from .core import Camera, RowError, Splats
 # project_gaussian is not called here; it stays importable from this
 # module because perfbench/spans.py wraps raster_forward.project_gaussian.
 from .projection import ProjectedSplats, project_gaussian, project_splats  # noqa: F401
@@ -469,49 +471,46 @@ class _Projection(NamedTuple):
     opacity: np.ndarray
     color: np.ndarray
 
-
-def _stack(scenes):
-    """One Splats holding the rows of every Splats in scenes, in order."""
-    if len(scenes) == 1:
-        return scenes[0]
-    return Splats(*(np.concatenate(rows) for rows in zip(*(
-        (s.means, s.scales, s.quats, s.opacities, s.colors) for s in scenes))))
+    def images(self, a, b):
+        """The rows of images a to b - 1, renumbered from image 0."""
+        rows = ((self.image >= a) & (self.image < b)).nonzero()[0]
+        p = self.projected
+        return _Projection(ProjectedSplats(*(getattr(p, f.name)[rows] for f in fields(p))),
+                           self.image[rows] - a, self.opacity[rows], self.color[rows])
 
 
 def _project_images(scenes, cameras):
     """Check and project the Splats scenes[k] seen by cameras[k].
 
-    The scenes of one Camera object are stacked, checked with Splats.check
-    and projected in one pass. When that raises, they are checked and
-    projected one at a time, so the error names the splat by its index in
-    its own scene.
+    The scenes of cameras with equal intrinsics are stacked, checked with
+    Splats.check and projected in one pass, each row through its own
+    camera's view. A failure names the splat by its index in its scene.
     """
     groups = {}
-    for k, camera in enumerate(cameras):
-        groups.setdefault(id(camera), []).append(k)
+    for k, c in enumerate(cameras):
+        groups.setdefault((c.fx, c.fy, c.cx, c.cy, c.near, c.far), []).append(k)
     parts = []
     for ks in groups.values():
         group = [scenes[k] for k in ks]
-        camera = cameras[ks[0]]
-        stack = _stack(group)
+        stack = group[0] if len(ks) == 1 else Splats(*map(np.concatenate, zip(*(
+            (s.means, s.scales, s.quats, s.opacities, s.colors) for s in group))))
+        sizes = [len(s) for s in group]
+        at = np.repeat(np.arange(len(ks)), sizes)
+        start = np.cumsum(sizes) - sizes
+        view = None if len(ks) == 1 else np.stack([cameras[k].view for k in ks])[at]
         try:
             stack.check()
-            p = project_splats(stack, camera)
-        except ValueError:
-            for splats in group:
-                splats.check()
-                project_splats(splats, camera)
-            raise
-        sizes = [len(splats) for splats in group]
-        owner = np.repeat(np.arange(len(ks)), sizes)[p.source_index]
-        start = np.cumsum(sizes) - sizes
+            p = project_splats(stack, cameras[ks[0]], view=view)
+        except RowError as exc:
+            raise RowError(exc.problem, exc.row - start[at[exc.row]], exc.field) from None
+        owner = at[p.source_index]
         parts.append((p.t_cam, p.mean2d, p.cov2d, p.depth, p.radius,
                       p.source_index - start[owner], np.array(ks)[owner],
                       stack.opacities[p.source_index], stack.colors[p.source_index]))
     if len(parts) > 1:
         parts = [[np.concatenate(column) for column in zip(*parts)]]
-    *fields, image, opacity, color = parts[0]
-    return _Projection(ProjectedSplats(*fields), image, opacity, color)
+    *projected, image, opacity, color = parts[0]
+    return _Projection(ProjectedSplats(*projected), image, opacity, color)
 
 
 def _composite_grid(grid, proj, width, height, n_images, background,
@@ -529,20 +528,16 @@ def _composite_grid(grid, proj, width, height, n_images, background,
     )
 
 
-def _render_batch(scenes, cameras, background, early_termination):
-    """Project, bin, sort and composite scenes[k] seen by cameras[k], all
-    of one size. Tile t of image k is binned as k * n_tiles + t.
-
-    Returns (_Projection, the grid over all images, _composite_grid's
-    output)."""
-    width, height = cameras[0].width, cameras[0].height
-    proj = _project_images([Splats.of(s) for s in scenes], cameras)
+def _render_batch(proj, width, height, n_images, background, early_termination):
+    """Bin, sort and composite the n_images width x height images of the
+    projected rows proj, tile t of image k binned as k * n_tiles + t.
+    Returns (the grid over all images, _composite_grid's output)."""
     grid = assign_tiles(proj.projected, width, height)
     grid = replace(grid, entry_tile=grid.entry_tile
                    + proj.image[grid.entry_splat] * (grid.tiles_x * grid.tiles_y))
     grid = sort_bins(grid, proj.projected)
-    return proj, grid, _composite_grid(grid, proj, width, height, len(cameras),
-                                       background, early_termination)
+    return grid, _composite_grid(grid, proj, width, height, n_images, background,
+                                 early_termination)
 
 
 def _result(camera, background, projected, grid, composited):
@@ -579,17 +574,18 @@ def render(scene, camera: Camera, background, *, early_termination=True):
         pair, n_contrib.sum() pairs at most).
     """
     background = np.asarray(background, dtype=np.float64)
-    proj, grid, composited = _render_batch([scene], [camera], background,
-                                           early_termination)
+    proj = _project_images([Splats.of(scene)], [camera])
+    grid, composited = _render_batch(proj, camera.width, camera.height, 1,
+                                     background, early_termination)
     return _result(camera, background, proj.projected, grid, composited)
 
 
 def render_images(scenes, cameras, background):
     """Render K scenes, scenes[k] seen by cameras[k], in one pass.
 
-    The cameras must share width and height. Scenes given the same Camera
-    object are projected together, so K views of one camera cost one
-    projection. Every image is bitwise equal to render(scenes[k],
+    The cameras must share width and height. The scenes of cameras with
+    equal intrinsics are projected in one pass, each through its own
+    camera's view. Every image is bitwise equal to render(scenes[k],
     cameras[k], background), early termination on; a bad splat raises
     render's ValueError, naming the splat by its index in its own scene.
 
@@ -605,10 +601,10 @@ def render_images(scenes, cameras, background):
     sizes = {(c.width, c.height) for c in cameras}
     if len(sizes) > 1:
         raise ValueError(f"cameras must share width and height, got {sorted(sizes)}")
-    background = np.asarray(background, dtype=np.float64)
-    _, _, (color, trans, n_contrib, _) = _render_batch(scenes, cameras, background,
-                                                       True)
+    proj = _project_images([Splats.of(s) for s in scenes], cameras)
     shape = (len(cameras), cameras[0].height, cameras[0].width)
+    _, (color, trans, n_contrib, _) = _render_batch(
+        proj, shape[2], shape[1], shape[0], np.asarray(background, dtype=np.float64), True)
     return (np.ascontiguousarray(color.T).reshape(shape + (3,)),
             RenderAux(final_T=trans.reshape(shape), n_contrib=n_contrib.reshape(shape)))
 

@@ -3,12 +3,17 @@ through it.
 
 render_images must give, for every image, the bytes render gives for that
 scene and camera alone: image, final_T and n_contrib. The property test
-draws batches that mix scene sizes, empty and all-culled scenes, views
-shared by several images and views of their own. render's own tests
-cover early termination off. The audit tests run audit_scene on non-square scenes with an
-off-centre principal point and require the batched report to pass and to
-equal the report of the per-probe loop kept in helpers.
+draws batches that mix scene sizes, empty and all-culled scenes, scenes
+within 1e-6 of the near or far plane, views shared by several images and
+views of their own, with cameras that differ in their intrinsics (one
+projection per camera) or only in their views (one projection for the
+batch). render's own tests cover early termination off. The audit tests
+run audit_scene on non-square scenes with an off-centre principal point
+and require the batched report to pass and to equal the report of the
+per-probe loop kept in helpers.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,19 +63,45 @@ def culled_scene(camera, n):
 
 
 @st.composite
+def clip_scenes(draw, camera):
+    """1-4 splats over the image, each within 1e-6 of the near or the far
+    plane, on either side of it."""
+    scene = []
+    for _ in range(draw(st.integers(1, 4))):
+        plane = draw(st.sampled_from([camera.near, camera.far]))
+        depth = plane + draw(st.floats(-1e-6, 1e-6))
+        px = camera.width * draw(st.floats(0.0, 1.0))
+        py = camera.height * draw(st.floats(0.0, 1.0))
+        t_cam = np.array([(px - camera.cx) * depth / camera.fx,
+                          (py - camera.cy) * depth / camera.fy, depth])
+        scale_px = draw(st.floats(0.5, 3.0))
+        scene.append(Gaussian3D(mean=camera.rotation.T @ (t_cam - camera.translation),
+                                scale=np.full(3, scale_px * depth / camera.fx),
+                                quat=np.array([1.0, 0.1, -0.2, 0.3]),
+                                opacity=draw(st.floats(0.05, 1.0)),
+                                color=np.array([0.9, 0.5, 0.1])))
+    return scene
+
+
+@st.composite
 def batches(draw):
     side = st.integers(5, 40)
     width, height = draw(side), draw(side)
     cameras = [draw(views(width, height)) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        # As in the audit: one set of intrinsics, a view of each camera's own.
+        cameras = [replace(cameras[0], view=camera.view) for camera in cameras]
     picked, scenes = [], []
     for _ in range(draw(st.integers(1, 5))):
         # Images that pick the same view share its Camera object.
         camera = cameras[draw(st.integers(0, len(cameras) - 1))]
-        kind = draw(st.sampled_from(["drawn", "empty", "culled"]))
+        kind = draw(st.sampled_from(["drawn", "empty", "culled", "clip"]))
         if kind == "drawn":
             scene = draw(drawn_scenes(camera))
         elif kind == "empty":
             scene = []
+        elif kind == "clip":
+            scene = draw(clip_scenes(camera))
         else:
             scene = culled_scene(camera, draw(st.integers(1, 3)))
         picked.append(camera)
@@ -116,16 +147,22 @@ def test_empty_and_culled_scenes_in_one_batch():
 ])
 def test_bad_probe_splat_named_by_scene_index(field, value, message):
     # The bad splat is row 2 of the third scene, and row 8 of the stack
-    # the shared camera projects, so the scene-local index must be named.
+    # projected with it unless it has intrinsics of its own, so the
+    # scene-local index must be named. The third camera is the shared
+    # one, one with a moved view and the same intrinsics (as a view probe
+    # has), or one with intrinsics of its own.
     rng = np.random.default_rng(0)
     camera = Camera(view=np.eye(4), fx=16.0, fy=16.0, cx=7.5, cy=7.5,
                     width=16, height=16, near=0.1, far=100.0)
     scene, background = _draw_scene(rng, 3, camera)
     bad = list(scene)
     bad[2] = Gaussian3D(**{**vars(scene[2]), field: value})
-    with pytest.raises(ValueError, match=message), np.errstate(over="ignore",
-                                                               invalid="ignore"):
-        render_images([scene, scene, bad], [camera] * 3, background)
+    view = camera.view.copy()
+    view[0, 3] += 1e-5
+    for third in (camera, replace(camera, view=view), replace(camera, cx=7.0)):
+        with pytest.raises(ValueError, match=message), np.errstate(over="ignore",
+                                                                   invalid="ignore"):
+            render_images([scene, scene, bad], [camera, camera, third], background)
 
 
 def test_rejects_mismatched_cameras():

@@ -3,7 +3,9 @@ loops they replaced.
 
 project_splats must cull the same splats as one project_gaussian call per
 splat and agree on t_cam, mean2d, cov2d and depth to 1e-12 of each
-quantity's largest entry, with equal radii. scene_backward must match the
+quantity's largest entry, with equal radii. On an (N, 4, 4) view stack
+it must give, row for row and bitwise, what one call per camera gives.
+scene_backward must match the
 per-splat chain to 1e-12 of each gradient class's largest entry, and
 culled splats must get rows that are exactly zero. Bad inputs and failed
 projections raise ValueError naming the splat. The batched kernels stay
@@ -12,6 +14,7 @@ thread count.
 """
 
 import ast
+import dataclasses
 import inspect
 import textwrap
 
@@ -75,12 +78,10 @@ def g3(mean, scale=0.3, opacity=0.7, color=(0.8, 0.4, 0.2), quat=(1.0, 0.2, -0.1
                       opacity=opacity, color=np.asarray(color))
 
 
-def culled_case():
+def culled_scene(rng, camera):
     # Splats 1 and 2 sit just inside the near plane and past the far plane,
     # splat 3 projects entirely left of the image and splat 4 projects
     # onto the image but no pixel center is inside its footprint cutoff.
-    rng = np.random.default_rng(3)
-    camera = rotated_camera(rng, 24, 20)
     visible = frustum_scene(rng, 4, camera)
     rot, trans = camera.rotation, camera.translation
 
@@ -93,8 +94,13 @@ def culled_case():
         g3(at([-60.0, 0.0, 3.0]), scale=0.05),
         g3(at([(-1.5 - 0.5 - camera.cx) * 3.0 / camera.fx, 0.0, 3.0]), scale=0.002),
     ]
-    scene = [visible[0]] + extra + visible[1:]
-    return scene, camera, np.array([0.3, 0.2, 0.1])
+    return [visible[0]] + extra + visible[1:]
+
+
+def culled_case():
+    rng = np.random.default_rng(3)
+    camera = rotated_camera(rng, 24, 20)
+    return culled_scene(rng, camera), camera, np.array([0.3, 0.2, 0.1])
 
 
 def single_case():
@@ -147,6 +153,35 @@ def test_projection_matches_per_splat_loop(case):
     for k, p in enumerate(got):
         assert p.source_index == want[k].source_index
         assert p.radius == want[k].radius
+
+
+def test_view_stack_equals_one_call_per_camera():
+    # Three cameras share their intrinsics and differ in view, as the
+    # audit's view probes do. Each sees its own scene, which holds splats
+    # culled by depth and by image, so the stacked call must cull row by
+    # row through each row's own view.
+    rng = np.random.default_rng(17)
+    cameras = [rotated_camera(rng, 24, 20) for _ in range(3)]
+    scenes = [culled_scene(rng, camera) for camera in cameras]
+    views = np.concatenate([np.repeat(camera.view[None], len(scene), axis=0)
+                            for scene, camera in zip(scenes, cameras)])
+    got = projection.project_splats(Splats.from_gaussians(sum(scenes, [])),
+                                    cameras[0], view=views)
+    start = 0
+    for scene, camera in zip(scenes, cameras):
+        want = projection.project_splats(Splats.from_gaussians(scene), camera)
+        assert want.source_index.tolist() == [0, 4, 5, 6, 7]
+        rows = (got.source_index >= start) & (got.source_index < start + len(scene))
+        for field in dataclasses.fields(want):
+            value = getattr(got, field.name)[rows]
+            if field.name == "source_index":
+                value = value - start
+            expected = getattr(want, field.name)
+            assert value.dtype == expected.dtype, field.name
+            assert value.shape == expected.shape, field.name
+            assert value.tobytes() == expected.tobytes(), field.name
+        start += len(scene)
+    assert start == len(views)
 
 
 def test_backward_matches_per_splat_chain(case):
@@ -242,6 +277,18 @@ def test_infinite_covariance_raises_by_name():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match=r"^gaussians\[2\]: 2d covariance"):
         render(scene, camera, np.zeros(3))
+
+
+def test_backward_failure_raises_by_name():
+    # The backward pass runs on the projected rows. Splat 1 is culled past
+    # the far plane, so the row of splat 2, whose quaternion vanished
+    # after the render, is row 1 of the stack.
+    camera = frustum_camera(16, 16)
+    scene = [g3([0.0, 0.0, 3.0]), g3([0.0, 0.0, 200.0]), g3([0.1, 0.0, 4.0])]
+    result = render(scene, camera, np.zeros(3))
+    scene[2].quat = np.zeros(4)
+    with pytest.raises(ValueError, match=r"^gaussians\[2\]: quaternion norm"):
+        scene_backward(scene, camera, result, np.ones((16, 16, 3)))
 
 
 @pytest.mark.parametrize(
