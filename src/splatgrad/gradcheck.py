@@ -8,12 +8,21 @@ termination threshold), and scenes are redrawn when depths tie or sit near
 the clip planes, so the numeric derivative is trustworthy at the audit
 step sizes.
 
-A scene's probes are rendered together: every (scene, camera) pair, a
-+h and a -h step on each splat coordinate and on each of the twelve view
-entries, is projected in one pass (they share the camera's intrinsics),
-then binned and composited PROBE_PIXELS pixels at a time. Each image
-equals a render of its probe alone bitwise, and each loss is summed over
-its own image, so every probe loss is the one a separate render gives.
+A scene's probes are rendered together. The probe pairs, a +h and a -h
+step on each splat coordinate and on each of the twelve view entries, are
+stacked into one Splats and one view stack and projected in one pass
+(they share the camera's intrinsics). A step on splat i changes only the
+pixels inside splat i's bounding square, so each pair gets a window: the
+box around splat i's squares in its two probe images, clipped to the
+image (the whole image for a view entry, empty when both probes cull the
+splat). Only the windows are binned and composited, PROBE_PIXELS window
+pixels at a time, and each window pixel equals the same pixel of a
+render of its probe alone bitwise.
+
+Each pair's loss difference is summed pixel by pixel over its window as
+w (I+ - I-) (I+ + I- - 2 T). Subtracting the two whole-image losses
+instead leaves a rounding floor near eps * L / h, which fails a
+coordinate whose gradient is small beside the loss.
 
 _probes alone fixes the probe order. Beside the probes it returns a
 coordinate table with one row per probed coordinate: class, report label,
@@ -21,7 +30,7 @@ SceneGradients field and index. audit_scene reads the analytic values
 through it and compares each class with array operations.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,16 +39,17 @@ import numpy as np
 from .core import Camera, Gaussian3D, Splats, compose_covariance_3d, quat_to_rotmat  # noqa: F401
 from .projection import project_splats
 from .proj_backward import scene_backward
-from .raster_forward import (SIGMA_CUT, T_MIN, _pack_splats, _pair_alpha, _project_images,
-                             _render_batch, render)
+from .raster_forward import (SIGMA_CUT, T_MIN, _pack_splats, _pair_alpha, _pixel_boxes,
+                             _project_stack, _render_batch, render)
 
 AUDIT_CLASSES = ("mean", "scale", "quat", "opacity", "color", "view")
-# Probe pixels binned and composited at once: PROBE_PIXELS // (height *
-# width) probe images, at least one. Peak memory grows with the pairs a
-# batch evaluates at once, up to a PAIR_BUDGET block of about 1.7 MB.
-# With every probe projected in one pass, four 20 s perfbench audit pairs
-# (BENCH_one_projection.json) measured peak_rss_mb 42.16 MB (median) at
-# 2,048 pixels against 41.94 MB one probe image at a time, +0.5%.
+# Probe window pixels binned and composited at once: whole probe pairs,
+# both images of each pair's window, up to PROBE_PIXELS, at least one
+# pair. Peak memory grows with the pairs a batch evaluates at once, up to
+# a PAIR_BUDGET block of about 1.7 MB. Four 20 s perfbench audit pairs
+# (BENCH_windowed_probes.json) measured peak_rss_mb 43.10 MB (median) at
+# 2,048 window pixels against 42.43 MB one probe pair at a time (+1.6%),
+# with audit op_ms_p50 25.8 ms against 58.5 ms.
 PROBE_PIXELS = 1 << 11
 # The splat fields probed, in probe order, and their Splats arrays.
 PROBE_FIELDS = (("mean", "means"), ("scale", "scales"), ("quat", "quats"),
@@ -139,49 +149,106 @@ class GradReport:
 
 
 def _probes(splats, camera, h):
-    """(probes, coords): the (scene, camera) pair of every probe of
-    audit_scene, a +h then a -h step on each splat coordinate, splat by
-    splat in PROBE_FIELDS order, then on each entry of the view matrix's
-    top three rows; and the COORDS table of those coordinates in the same
-    order. Every probe keeps camera's intrinsics, so _probe_losses
-    projects them all in one pass."""
-    probes, coords = [], []
-    for i in range(len(splats)):
-        for name, attr in PROBE_FIELDS:
-            values = getattr(splats, attr)
-            for j in np.ndindex(values.shape[1:]):
-                at = (i,) + j
-                coords.append((name, f"gaussian[{i}].{name}" + "".join(f"[{k}]" for k in j),
-                               "d_" + name, np.ravel_multi_index(at, values.shape)))
-                for step in (h, -h):
-                    moved = values.copy()
-                    moved[at] += step
-                    probes.append((replace(splats, **{attr: moved}), camera))
-    for j in np.ndindex(3, 4):
-        index = np.ravel_multi_index(j, (4, 4))
-        coords.append(("view", f"view[{index}]", "d_view", index))
-        for step in (h, -h):
-            view = camera.view.copy()
-            view[j] += step
-            probes.append((splats, replace(camera, view=view)))
-    return probes, np.array(coords, dtype=COORDS)
+    """Every probe of audit_scene, stacked: a +h then a -h step on each
+    splat coordinate, splat by splat in PROBE_FIELDS order, then on each
+    entry of the view matrix's top three rows. Probe pair c is probes 2c
+    and 2c + 1.
+
+    Returns (stack, views, probed, coords): stack is a Splats whose rows
+    k * n to k * n + n - 1 are probe k's scene (n = len(splats)), views
+    (2C, 4, 4) each probe's view, probed (C,) the splat pair c moves (-1
+    for a view entry), and coords the COORDS table, one row per pair.
+    Every probe keeps camera's intrinsics, so all are projected in one
+    pass."""
+    n = len(splats)
+    # The coordinates of one splat, in probe order.
+    row = [(name, attr, j) for name, attr in PROBE_FIELDS
+           for j in np.ndindex(getattr(splats, attr).shape[1:])]
+    coords = [(name, f"gaussian[{i}].{name}" + "".join(f"[{k}]" for k in j), "d_" + name,
+               np.ravel_multi_index((i,) + j, getattr(splats, attr).shape))
+              for i in range(n) for name, attr, j in row]
+    coords += [("view", f"view[{q}]", "d_view", q) for q in range(12)]
+    n_probes = 2 * len(coords)
+    arrays = {attr: np.repeat(getattr(splats, attr)[None], n_probes, axis=0)
+              for _, attr in PROBE_FIELDS}
+    step = np.array([h, -h])
+    for s, (_, attr, j) in enumerate(row):
+        pair = np.arange(n) * len(row) + s
+        arrays[attr][(2 * pair[:, None] + [0, 1], np.arange(n)[:, None]) + j] += step
+    views = np.repeat(camera.view[None], n_probes, axis=0)
+    q = np.arange(12)
+    views[2 * (n * len(row) + q)[:, None] + [0, 1], (q // 4)[:, None], (q % 4)[:, None]] += step
+    stack = Splats(**{attr: a.reshape((n_probes * n,) + a.shape[2:])
+                      for attr, a in arrays.items()})
+    probed = np.concatenate([np.repeat(np.arange(n), len(row)), np.full(12, -1)])
+    return stack, views, probed, np.array(coords, dtype=COORDS)
 
 
-def _probe_losses(probes, target, weight, background):
-    """The masked loss of every (scene, camera) probe, each summed over its
-    own image. Every probe is projected in one pass; the images are then
-    binned and composited PROBE_PIXELS pixels at a time."""
+def _windows(proj, probed, width, height):
+    """The window (x0, y0, x1, y1) of every probe pair, (C, 4): the box
+    bounding the pixel boxes of the probed splat in the pair's two images
+    (rows of proj), clipped to the image; empty (zero area) when both
+    probes cull it. View pairs get the whole image. Outside its window a
+    pair's two images are bitwise equal."""
+    box = _pixel_boxes(proj.projected)
+    pair = proj.image // 2
+    rows = (proj.projected.source_index == probed[pair]).nonzero()[0]
+    lo = np.full((len(probed), 2), np.inf)
+    hi = np.full((len(probed), 2), -np.inf)
+    np.minimum.at(lo, pair[rows], box[rows, :2])
+    np.maximum.at(hi, pair[rows], box[rows, 2:])
+    view = probed < 0
+    lo[view], hi[view] = 0, (width, height)
+    lo = lo.clip(0, (width, height))
+    hi = hi.clip(lo, (width, height))
+    return np.concatenate([lo, hi], axis=1).astype(np.int64)
+
+
+def _slices(area):
+    """Pair ranges [c0, c1) of whole probe pairs whose window pixels (two
+    images of area[c] each) stay within PROBE_PIXELS, or a single pair."""
+    edges, total = [0], 0
+    for c, pixels in enumerate((2 * area).tolist()):
+        if total and total + pixels > PROBE_PIXELS:
+            edges.append(c)
+            total = 0
+        total += pixels
+    edges.append(len(area))
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _probe_differences(proj, windows, target, weight, background):
+    """L(+h) - L(-h) of every probe pair c, the images 2c and 2c + 1 of
+    proj, summed over the pair's window as w (I+ - I-) (I+ + I- - 2 T)
+    with w the pixel weight and T the target; its pixels in row-major
+    order, the three channels of a pixel together.
+
+    Outside the window I+ = I- bitwise, so this is the difference of the
+    two masked losses, without the rounding of subtracting two sums of
+    the whole image. The windows are binned and composited in slices of
+    about PROBE_PIXELS pixels."""
     height, width = target.shape[:2]
-    batch = max(1, PROBE_PIXELS // (height * width))
-    proj = _project_images(*zip(*probes))
-    losses = np.empty(len(probes))
-    for a in range(0, len(probes), batch):
-        n = min(batch, len(probes) - a)
-        _, (color, *_) = _render_batch(proj.images(a, a + n), width, height, n, background, True)
-        diff = color.T.reshape(n, height, width, 3) - target
-        weighted = weight[:, :, None] * diff * diff
-        losses[a:a + n] = weighted.reshape(n, -1).sum(axis=1)
-    return losses
+    size = windows[:, 2:] - windows[:, :2]
+    area = size[:, 0] * size[:, 1]
+    delta = np.zeros(len(windows))
+    for c0, c1 in _slices(area):
+        win, a = windows[c0:c1], area[c0:c1]
+        _, (color, *_) = _render_batch(proj.images(2 * c0, 2 * c1), width, height,
+                                       win.repeat(2, axis=0), background, True)
+        # Pair c's window pixels follow those of the pairs before it, and
+        # in the slice's layout its +h image comes before its -h image.
+        lo = a.cumsum() - a
+        local = np.arange(a.sum()) - lo.repeat(a)
+        stride = size[c0:c1, 0].repeat(a)
+        pix = ((win[:, 1].repeat(a) + local // stride) * width
+               + win[:, 0].repeat(a) + local % stride)
+        plus = local + 2 * lo.repeat(a)
+        plus, minus = color.T[plus], color.T[plus + a.repeat(a)]
+        terms = (weight.reshape(-1)[pix, None] * (plus - minus)
+                 * (plus + minus - 2.0 * target.reshape(-1, 3)[pix]))
+        for c, b, n in zip(range(c0, c1), lo.tolist(), a.tolist()):
+            delta[c] = terms[b:b + n].sum()
+    return delta
 
 
 def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
@@ -198,6 +265,11 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
     tolerance. A non-finite analytic coordinate fails its class, whose
     max_rel then reads inf and max_abs the nan or inf |analytic - fd|.
 
+    target must be (height, width, 3) and pixel_mask (height, width),
+    both finite; anything else raises ValueError naming the argument. A
+    non-finite probe difference raises FloatingPointError naming its
+    coordinate.
+
     pixel_mask, when given, restricts the loss to the selected pixels.
     The generated audit scenes use it to drop the few pixels that sit
     near a compositing branch point, where the loss is genuinely
@@ -210,12 +282,11 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
 
     Returns a GradReport.
     """
-    target = np.asarray(target, dtype=np.float64)
+    shape = (camera.height, camera.width)
+    target = _finite_input("target", target, shape + (3,))
+    weight = np.ones(shape) if pixel_mask is None else _finite_input(
+        "pixel_mask", pixel_mask, shape)
     background = np.asarray(background, dtype=np.float64)
-    if pixel_mask is None:
-        weight = np.ones(target.shape[:2])
-    else:
-        weight = np.asarray(pixel_mask, dtype=np.float64)
 
     result = render(scene, camera, background)
     d_image = 2.0 * weight[:, :, None] * (result.image.channels - target)
@@ -223,9 +294,16 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
     if gradient_transform is not None:
         analytic = gradient_transform(analytic)
 
-    probes, coords = _probes(Splats.of(scene), camera, h)
-    losses = _probe_losses(probes, target, weight, background)
-    fd = _central(losses[0::2], losses[1::2], h)
+    splats = Splats.of(scene)
+    stack, views, probed, coords = _probes(splats, camera, h)
+    proj = _project_stack(stack, camera, np.full(len(views), len(splats)), views)
+    delta = _probe_differences(proj, _windows(proj, probed, camera.width, camera.height),
+                               target, weight, background)
+    bad = ~np.isfinite(delta)
+    if bad.any():
+        raise FloatingPointError(
+            f"probe difference of {coords['label'][bad][0]} is not finite")
+    fd = delta / (2.0 * h)
     a = np.empty(len(coords))
     for field in set(coords["field"]):
         rows = coords["field"] == field
@@ -255,6 +333,17 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
         classes=classes, passed=all(c.passed for c in classes.values()), h=h,
         rel_tol=rel_tol, abs_tol=abs_tol, grad_floor=grad_floor,
     )
+
+
+def _finite_input(name, value, shape):
+    """value as a float64 array; ValueError naming it unless it has shape
+    and every entry is finite."""
+    value = np.asarray(value, dtype=np.float64)
+    if value.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} of shape {value.shape} must be finite")
+    return value
 
 
 def _audit_camera(rng, image_size):

@@ -30,6 +30,14 @@ position, so image k equals a render of scene k alone bitwise. render
 is the K = 1 case; the audit projects a scene's probes once and bins
 and composites them in slices.
 
+Each image is composited only inside its window, a pixel rectangle
+(x0, y0, x1, y1): entries are clipped to it as well as to their tile,
+and the windows' pixels are laid out one after another, each
+row-major. render, render_images and render_brute_force pass whole-image
+windows, which give the layout above. The audit passes the pixels a
+probed splat can reach; every pixel inside a window equals the same
+pixel of the whole image bitwise.
+
 render takes the scene as a Splats or a list of Gaussian3D, checks it
 once with Splats.check, and projects every splat in one batched pass
 (projection.project_splats); result.projected is the resulting
@@ -199,7 +207,7 @@ def _pair_alpha(xs, ys, packed, splat):
 
 class _Entries(NamedTuple):
     """Bin entries in walk order (bin position, then tile), each with the
-    rectangle of pixels it covers; every field but row_stride is (E,).
+    rectangle of pixels it covers; every field is (E,).
 
     An entry covers height rows of width pixels; its first pixel has index
     base and center (x0, y0), and consecutive rows are row_stride pixel
@@ -213,46 +221,69 @@ class _Entries(NamedTuple):
     y0: np.ndarray
     width: np.ndarray
     height: np.ndarray
-    row_stride: int
+    row_stride: np.ndarray
 
 
-def _image_entries(grid, projected, width, height):
+def _pixel_boxes(projected):
+    """Each projected splat's pixel box (x_lo, y_lo, x_hi, y_hi), (K, 4)
+    floats: the pixels x_lo <= x < x_hi, y_lo <= y < y_hi whose centers
+    lie within radius of mean2d in both axes. No other pixel can pass the
+    SIGMA_CUT test."""
+    # Centers c + 0.5 within radius r of the mean span
+    # [ceil(m - r - 0.5), floor(m + r + 0.5)) in each axis.
+    rh = projected.radius[:, None] + 0.5
+    return np.concatenate([np.ceil(projected.mean2d - rh),
+                           np.floor(projected.mean2d + rh)], axis=1)
+
+
+def _full_windows(n_images, width, height):
+    """n_images whole-image windows, (n_images, 4)."""
+    return np.tile(np.array([0, 0, width, height]), (n_images, 1))
+
+
+def _image_entries(grid, projected, windows):
     """The grid's entries in walk order, each clipped to the pixels of its
-    tile whose centers lie in its splat's bounding square. Entries that
-    cover no pixel are dropped.
+    tile and its image's window whose centers lie in its splat's bounding
+    square. Entries that cover no pixel are dropped.
 
-    The grid may span several width x height images, tile t of image k
-    having id k * tiles_x * tiles_y + t; pixel p of image k then has
-    index k * height * width + p."""
+    The grid may span several images, tile t of image k having id
+    k * tiles_x * tiles_y + t. windows (K, 4) holds image k's window
+    (x0, y0, x1, y1), which lies inside the image; its pixels follow
+    those of the windows before it, row-major, so pixel (x, y) of image k
+    has index offset_k + (y - y0) * (x1 - x0) + x - x0."""
     tile, splat = grid.entry_tile, grid.entry_splat
     pos = np.arange(tile.size) - tile.searchsorted(tile)
     order = pos.argsort(kind="stable")
     tile, splat, pos = tile[order], splat[order], pos[order]
-    # The pixels whose centers c + 0.5 lie within radius r of the mean
-    # span [ceil(m - r - 0.5), floor(m + r + 0.5)) in each axis. The box
-    # (x_lo, y_lo, x_hi, y_hi) is clipped to the tile and the image while
-    # still floats, so a huge footprint cannot overflow the cast.
-    rh = projected.radius[:, None] + 0.5
-    box = np.concatenate([np.ceil(projected.mean2d - rh),
-                          np.floor(projected.mean2d + rh)], axis=1)[splat]
-    ts = grid.tile_size
-    image, tile = np.divmod(tile, grid.tiles_x * grid.tiles_y)
-    ty, tx = np.divmod(tile, grid.tiles_x)
-    tile_lo = np.stack([tx, ty, tx, ty], axis=1) * ts
-    box = box.clip(tile_lo, np.minimum(tile_lo + ts, [width, height, width, height]))
-    box = box.astype(np.int64)
+    # The pixels of each tile of each image that lie in the image's
+    # window, [lo, hi) in x and y, as clip bounds for a box.
+    n_tiles = grid.tiles_x * grid.tiles_y
+    ty, tx = np.divmod(np.arange(n_tiles), grid.tiles_x)
+    tile_lo = np.stack([tx, ty], axis=1) * grid.tile_size
+    lo = np.maximum(tile_lo, windows[:, None, :2])
+    hi = np.minimum(tile_lo + grid.tile_size, windows[:, None, 2:])
+    lo, hi = (np.concatenate([b, b], axis=2).reshape(-1, 4) for b in (lo, hi))
+    # The box is clipped while still floats, so a huge footprint cannot
+    # overflow the cast. (np.take gathers rows several times faster than
+    # fancy indexing.)
+    box = np.take(_pixel_boxes(projected), splat, axis=0).clip(
+        np.take(lo, tile, axis=0), np.take(hi, tile, axis=0)).astype(np.int64)
     size = box[:, 2:] - box[:, :2]
     keep = (size.min(axis=1) > 0).nonzero()[0]
-    box, size = box[keep], size[keep]
+    box, size, image = box[keep], size[keep], tile[keep] // n_tiles
+    stride = windows[:, 2] - windows[:, 0]
+    area = stride * (windows[:, 3] - windows[:, 1])
+    origin = area.cumsum() - area - windows[:, 1] * stride - windows[:, 0]
+    stride = stride[image]
     return _Entries(
         pos=pos[keep],
         splat=splat[keep],
-        base=(image[keep] * height + box[:, 1]) * width + box[:, 0],
+        base=origin[image] + box[:, 1] * stride + box[:, 0],
         x0=box[:, 0] + 0.5,
         y0=box[:, 1] + 0.5,
         width=size[:, 0],
         height=size[:, 1],
-        row_stride=width,
+        row_stride=stride,
     )
 
 
@@ -269,7 +300,7 @@ def _pixel_entries(sorted_bin, pixel_center):
         y0=np.full(splat.size, float(pixel_center[1])),
         width=ones,
         height=ones,
-        row_stride=1,
+        row_stride=ones,
     )
 
 
@@ -317,7 +348,7 @@ def _evaluate(entries, e0, e1, packed):
         entries.x0[entry].repeat(width) + col,
         (entries.y0[entry] + row).repeat(width), packed, splat)
     return _Pairs(
-        (entries.base[entry] + row * entries.row_stride).repeat(width) + col,
+        (entries.base[entry] + row * entries.row_stride[entry]).repeat(width) + col,
         entries.pos[entry].repeat(width),
         splat, exp_neg, alpha, visible,
     )
@@ -479,12 +510,31 @@ class _Projection(NamedTuple):
                            self.image[rows] - a, self.opacity[rows], self.color[rows])
 
 
+def _project_stack(stack, camera, sizes, views=None):
+    """Check the Splats stack with Splats.check and project it in one
+    pass with camera's intrinsics. The stack holds K scenes one after
+    another, sizes[k] rows for scene k, and scene k is seen through
+    views[k] ((K, 4, 4); camera.view when views is None).
+
+    source_index comes back scene-local, and a failure names the splat by
+    its index in its scene."""
+    image = np.repeat(np.arange(len(sizes)), sizes)
+    start = np.cumsum(sizes) - sizes
+    try:
+        stack.check()
+        p = project_splats(stack, camera, view=None if views is None else views[image])
+    except RowError as exc:
+        raise RowError(exc.problem, exc.row - start[image[exc.row]], exc.field) from None
+    owner = image[p.source_index]
+    return _Projection(replace(p, source_index=p.source_index - start[owner]), owner,
+                       stack.opacities[p.source_index], stack.colors[p.source_index])
+
+
 def _project_images(scenes, cameras):
     """Check and project the Splats scenes[k] seen by cameras[k].
 
-    The scenes of cameras with equal intrinsics are stacked, checked with
-    Splats.check and projected in one pass, each row through its own
-    camera's view. A failure names the splat by its index in its scene.
+    The scenes of cameras with equal intrinsics are stacked and projected
+    by one _project_stack call, each row through its own camera's view.
     """
     groups = {}
     for k, c in enumerate(cameras):
@@ -494,50 +544,41 @@ def _project_images(scenes, cameras):
         group = [scenes[k] for k in ks]
         stack = group[0] if len(ks) == 1 else Splats(*map(np.concatenate, zip(*(
             (s.means, s.scales, s.quats, s.opacities, s.colors) for s in group))))
-        sizes = [len(s) for s in group]
-        at = np.repeat(np.arange(len(ks)), sizes)
-        start = np.cumsum(sizes) - sizes
-        view = None if len(ks) == 1 else np.stack([cameras[k].view for k in ks])[at]
-        try:
-            stack.check()
-            p = project_splats(stack, cameras[ks[0]], view=view)
-        except RowError as exc:
-            raise RowError(exc.problem, exc.row - start[at[exc.row]], exc.field) from None
-        owner = at[p.source_index]
-        parts.append((p.t_cam, p.mean2d, p.cov2d, p.depth, p.radius,
-                      p.source_index - start[owner], np.array(ks)[owner],
-                      stack.opacities[p.source_index], stack.colors[p.source_index]))
-    if len(parts) > 1:
-        parts = [[np.concatenate(column) for column in zip(*parts)]]
-    *projected, image, opacity, color = parts[0]
-    return _Projection(ProjectedSplats(*projected), image, opacity, color)
+        views = None if len(ks) == 1 else np.stack([cameras[k].view for k in ks])
+        p = _project_stack(stack, cameras[ks[0]], [len(s) for s in group], views)
+        parts.append(p._replace(image=np.array(ks)[p.image]))
+    if len(parts) == 1:
+        return parts[0]
+    return _Projection(
+        ProjectedSplats(*(np.concatenate([getattr(p.projected, f.name) for p in parts])
+                          for f in fields(ProjectedSplats))),
+        *(np.concatenate(column) for column in zip(*(p[1:] for p in parts))))
 
 
-def _composite_grid(grid, proj, width, height, n_images, background,
-                    early_termination):
-    """Composite the n_images width x height images of grid's entries:
-    _composite's (color, final_T, n_contrib, pairs) over P = n_images *
-    height * width pixels."""
+def _composite_grid(grid, proj, windows, background, early_termination):
+    """Composite the windows (K, 4) of the K images of grid's entries:
+    _composite's (color, final_T, n_contrib, pairs) over the windows'
+    pixels, laid out as _image_entries lays them out."""
     p = proj.projected
     return _composite(
-        _image_entries(grid, p, width, height),
+        _image_entries(grid, p, windows),
         _PackedSplats.of(p.mean2d, p.cov2d, proj.opacity, proj.color),
-        n_images * height * width,
+        int(np.prod(windows[:, 2:] - windows[:, :2], axis=1).sum()),
         background,
         early_termination,
     )
 
 
-def _render_batch(proj, width, height, n_images, background, early_termination):
-    """Bin, sort and composite the n_images width x height images of the
-    projected rows proj, tile t of image k binned as k * n_tiles + t.
-    Returns (the grid over all images, _composite_grid's output)."""
+def _render_batch(proj, width, height, windows, background, early_termination):
+    """Bin, sort and composite the windows (K, 4) of the K width x height
+    images of the projected rows proj, tile t of image k binned as
+    k * n_tiles + t. Returns (the grid over all images, _composite_grid's
+    output)."""
     grid = assign_tiles(proj.projected, width, height)
     grid = replace(grid, entry_tile=grid.entry_tile
                    + proj.image[grid.entry_splat] * (grid.tiles_x * grid.tiles_y))
     grid = sort_bins(grid, proj.projected)
-    return grid, _composite_grid(grid, proj, width, height, n_images, background,
-                                 early_termination)
+    return grid, _composite_grid(grid, proj, windows, background, early_termination)
 
 
 def _result(camera, background, projected, grid, composited):
@@ -575,7 +616,8 @@ def render(scene, camera: Camera, background, *, early_termination=True):
     """
     background = np.asarray(background, dtype=np.float64)
     proj = _project_images([Splats.of(scene)], [camera])
-    grid, composited = _render_batch(proj, camera.width, camera.height, 1,
+    grid, composited = _render_batch(proj, camera.width, camera.height,
+                                     _full_windows(1, camera.width, camera.height),
                                      background, early_termination)
     return _result(camera, background, proj.projected, grid, composited)
 
@@ -604,7 +646,8 @@ def render_images(scenes, cameras, background):
     proj = _project_images([Splats.of(s) for s in scenes], cameras)
     shape = (len(cameras), cameras[0].height, cameras[0].width)
     _, (color, trans, n_contrib, _) = _render_batch(
-        proj, shape[2], shape[1], shape[0], np.asarray(background, dtype=np.float64), True)
+        proj, shape[2], shape[1], _full_windows(shape[0], shape[2], shape[1]),
+        np.asarray(background, dtype=np.float64), True)
     return (np.ascontiguousarray(color.T).reshape(shape + (3,)),
             RenderAux(final_T=trans.reshape(shape), n_contrib=n_contrib.reshape(shape)))
 
@@ -630,5 +673,5 @@ def render_brute_force(scene, camera: Camera, background, *, early_termination=T
         entry_splat=np.tile(order, n_tiles),
     )
     return _result(camera, background, projected, grid,
-                   _composite_grid(grid, proj, camera.width, camera.height, 1,
+                   _composite_grid(grid, proj, _full_windows(1, camera.width, camera.height),
                                    background, early_termination))

@@ -361,7 +361,13 @@ def oracle_audit_scene(scene, camera, target, *, background, pixel_mask,
     """gradcheck.audit_scene as it was before the probes were batched:
     every probe is its own render() of a scene rebuilt with
     dataclasses.replace, and each coordinate's central difference comes
-    from its own pair of renders, in the report's order."""
+    from its own pair of renders, in the report's order.
+
+    The difference of a pair's two losses is summed over the pair's
+    window as w (I+ - I-) (I+ + I- - 2 T), row-major with the channels of
+    a pixel together. The window bounds the pixel boxes of the probed
+    splat, read from each render's own projected rows, clipped to the
+    image; a view probe's window is the whole image."""
     from dataclasses import replace
 
     from splatgrad import (
@@ -376,12 +382,26 @@ def oracle_audit_scene(scene, camera, target, *, background, pixel_mask,
     background = np.asarray(background, dtype=np.float64)
     weight = np.asarray(pixel_mask, dtype=np.float64)
 
-    def loss_for(scene2, camera2):
-        res = render(scene2, camera2, background)
-        diff = res.image.channels - target
-        return float(np.sum(weight[:, :, None] * diff * diff))
+    def window(results, splat):
+        """[x0, x1) x [y0, y1) of the pixels whose centers lie within
+        radius of the probed splat's mean2d in either render."""
+        if splat is None:
+            return 0, camera.width, 0, camera.height
+        x0 = y0 = np.inf
+        x1 = y1 = -np.inf
+        for res in results:
+            for g in res.projected:
+                if g.source_index == splat:
+                    mx, my = g.mean2d
+                    x0 = min(x0, np.ceil(mx - (g.radius + 0.5)))
+                    y0 = min(y0, np.ceil(my - (g.radius + 0.5)))
+                    x1 = max(x1, np.floor(mx + (g.radius + 0.5)))
+                    y1 = max(y1, np.floor(my + (g.radius + 0.5)))
+        x0, x1 = min(max(x0, 0), camera.width), min(max(x1, 0), camera.width)
+        y0, y1 = min(max(y0, 0), camera.height), min(max(y1, 0), camera.height)
+        return int(x0), int(x1), int(y0), int(y1)
 
-    def central(probe, params):
+    def central(probe, params, splat=None):
         base = np.asarray(params, dtype=np.float64)
         grad = np.empty(base.shape)
         for idx in np.ndindex(base.shape):
@@ -389,10 +409,17 @@ def oracle_audit_scene(scene, camera, target, *, background, pixel_mask,
             hi[idx] += h
             lo = base.copy()
             lo[idx] -= h
-            f_hi = probe(hi)
-            f_lo = probe(lo)
-            assert np.isfinite(f_hi) and np.isfinite(f_lo)
-            grad[idx] = (f_hi - f_lo) / (2.0 * h)
+            res_hi, res_lo = render(*probe(hi), background), render(*probe(lo), background)
+            x0, x1, y0, y1 = window((res_hi, res_lo), splat)
+            if x1 <= x0 or y1 <= y0:
+                grad[idx] = 0.0
+                continue
+            i_hi = res_hi.image.channels[y0:y1, x0:x1]
+            i_lo = res_lo.image.channels[y0:y1, x0:x1]
+            delta = (weight[y0:y1, x0:x1, None] * (i_hi - i_lo)
+                     * (i_hi + i_lo - 2.0 * target[y0:y1, x0:x1])).sum()
+            assert np.isfinite(delta)
+            grad[idx] = delta / (2.0 * h)
         return grad
 
     result = render(scene, camera, background)
@@ -412,24 +439,24 @@ def oracle_audit_scene(scene, camera, target, *, background, pixel_mask,
             def probe(vec, i=i, field=field):
                 scene2 = list(scene)
                 scene2[i] = replace(scene[i], **{field: vec})
-                return loss_for(scene2, camera)
+                return scene2, camera
 
             record(field, f"gaussian[{i}].{field}",
                    getattr(analytic, "d_" + field)[i],
-                   central(probe, getattr(g, field)))
+                   central(probe, getattr(g, field), i))
 
         def probe_opacity(vec, i=i):
             scene2 = list(scene)
             scene2[i] = replace(scene[i], opacity=float(vec[0]))
-            return loss_for(scene2, camera)
+            return scene2, camera
 
         record("opacity", f"gaussian[{i}].opacity", analytic.d_opacity[i],
-               central(probe_opacity, np.array([g.opacity])))
+               central(probe_opacity, np.array([g.opacity]), i))
 
     def probe_view(flat):
         view2 = camera.view.copy()
         view2[:3, :] = flat.reshape(3, 4)
-        return loss_for(scene, replace(camera, view=view2))
+        return scene, replace(camera, view=view2)
 
     record("view", "view", analytic.d_view[:3, :].ravel(),
            central(probe_view, camera.view[:3, :].ravel()))

@@ -75,6 +75,15 @@ class TestAuditScene:
             assert report.classes[name].passed
             assert report.classes[name].max_rel < 1e-4
 
+    def test_small_gradient_beside_large_loss(self):
+        # gaussian[8].quat[1] of this 16 px scene has a derivative of about
+        # 3e-7 against a masked loss of about 118. Subtracting two probe
+        # losses leaves a rounding floor near eps * L / h = 3e-9, a relative
+        # error of about 2e-3; the per-pixel difference stays below 1e-4.
+        report = run_audit(169703186)
+        assert report.passed, report.to_text()
+        assert report.classes["quat"].max_rel < 1e-4
+
     def test_all_parameter_classes_present(self):
         report = run_audit(1)
         assert set(report.classes.keys()) == set(AUDIT_CLASSES)
