@@ -12,12 +12,12 @@ A scene's probes are rendered together. The probe pairs, a +h and a -h
 step on each splat coordinate and on each of the twelve view entries, are
 stacked into one Splats and one view stack and projected in one pass
 (they share the camera's intrinsics). A step on splat i changes only the
-pixels inside splat i's bounding square, so each pair gets a window: the
-box around splat i's squares in its two probe images, clipped to the
-image (the whole image for a view entry, empty when both probes cull the
-splat). Only the windows are binned and composited, PROBE_PIXELS window
-pixels at a time, and each window pixel equals the same pixel of a
-render of its probe alone bitwise.
+pixels inside splat i's footprint (raster_forward._footprints), so each
+pair gets a window: the box around splat i's footprints in its two probe
+images, clipped to the image (the whole image for a view entry, empty
+when both probes cull the splat). Only the windows are binned and
+composited, PROBE_PIXELS window pixels at a time, and each window pixel
+equals the same pixel of a render of its probe alone bitwise.
 
 Each pair's loss difference is summed pixel by pixel over its window as
 w (I+ - I-) (I+ + I- - 2 T). Subtracting the two whole-image losses
@@ -39,14 +39,14 @@ import numpy as np
 from .core import Camera, Gaussian3D, Splats, compose_covariance_3d, quat_to_rotmat  # noqa: F401
 from .projection import project_splats
 from .proj_backward import scene_backward
-from .raster_forward import (SIGMA_CUT, T_MIN, _pack_splats, _pair_alpha, _pixel_boxes,
+from .raster_forward import (SIGMA_CUT, T_MIN, _footprints, _pack_splats, _pair_alpha,
                              _project_stack, _render_batch, render)
 
 AUDIT_CLASSES = ("mean", "scale", "quat", "opacity", "color", "view")
 # Probe window pixels binned and composited at once: whole probe pairs,
 # both images of each pair's window, up to PROBE_PIXELS, at least one
 # pair. Peak memory grows with the pairs a batch evaluates at once, up to
-# a PAIR_BUDGET block of about 1.7 MB. Four 20 s perfbench audit pairs
+# a PAIR_BUDGET block of about 1.1 MB. Four 20 s perfbench audit pairs
 # (BENCH_windowed_probes.json) measured peak_rss_mb 43.10 MB (median) at
 # 2,048 window pixels against 42.43 MB one probe pair at a time (+1.6%),
 # with audit op_ms_p50 25.8 ms against 58.5 ms.
@@ -186,11 +186,11 @@ def _probes(splats, camera, h):
 
 def _windows(proj, probed, width, height):
     """The window (x0, y0, x1, y1) of every probe pair, (C, 4): the box
-    bounding the pixel boxes of the probed splat in the pair's two images
+    bounding the footprints of the probed splat in the pair's two images
     (rows of proj), clipped to the image; empty (zero area) when both
     probes cull it. View pairs get the whole image. Outside its window a
     pair's two images are bitwise equal."""
-    box = _pixel_boxes(proj.projected)
+    box = _footprints(proj.packed(), proj.projected.radius)
     pair = proj.image // 2
     rows = (proj.projected.source_index == probed[pair]).nonzero()[0]
     lo = np.full((len(probed), 2), np.inf)

@@ -3,10 +3,13 @@
 
 The tile bins are flattened once and ordered by (bin position, tile).
 Each entry expands only over the pixels of its tile whose centers lie in
-the splat's bounding square; no other pixel can pass the SIGMA_CUT test.
-One kernel, _pair_alpha, evaluates sigma and alpha on those flat pairs.
-The forward pass, the backward pass, the audit mask and the per-pixel
-operations all run it, so every view of the math agrees bitwise.
+the splat's footprint (_footprints): the box of the ellipse its opacity
+and SIGMA_CUT leave visible, capped by its bounding square. No other
+pixel can pass _pair_alpha's visibility test, so the footprints change
+which pairs are evaluated, never which commit. One kernel, _pair_alpha,
+evaluates sigma and alpha on those flat pairs. The forward pass, the
+backward pass, the audit mask and the per-pixel operations all run it,
+so every view of the math agrees bitwise.
 
 Transmittance comes from a walk with one step per bin position,
 vectorised over pixels. A pixel sits in exactly one tile, so it has at
@@ -14,10 +17,11 @@ most one pair per bin position, and each step is a gather, a multiply
 and a scatter of per-pixel state. The walk multiplies in bin order, so
 it equals the loop T = T * (1 - alpha) bitwise. Pairs are generated in
 blocks of whole bin positions of about PAIR_BUDGET pairs; only
-per-pixel state outlives a block. The brute-force renderer reuses the
-compositor with the tile bins replaced by the full globally sorted
-list, which is what makes the tiled-versus-brute-force equivalence
-checks meaningful.
+per-pixel state outlives a block, and color accumulates in pair order
+across blocks, so where the blocks fall changes no bit. The brute-force
+renderer reuses the compositor with the tile bins replaced by the full
+globally sorted list, which is what makes the tiled-versus-brute-force
+equivalence checks meaningful.
 
 The pipeline has an image axis. render_images renders K scenes, each
 from its own camera, in one pass. Projection makes one project_splats
@@ -67,22 +71,42 @@ ALPHA_MAX = 0.999
 # Early termination: a pixel stops compositing once transmittance would
 # drop below this.
 T_MIN = 1e-4
-# Per-pixel footprint cutoff on the exponent. Any pixel outside a splat's
-# bounding square has sigma > 4.5 (the square covers the 3-sigma ellipse),
-# so with this cutoff the set of contributing splats at a pixel does not
-# depend on tile membership, and tiled and untiled rendering match exactly.
-# The compositor relies on the same guarantee to evaluate a splat only at
-# the pixels inside its square: lowering the radius factor below 3, or
-# raising this cutoff, would silently drop contributions.
+# Per-pixel footprint cutoff on the exponent. A pair is visible only
+# where sigma <= SIGMA_CUT and alpha >= ALPHA_MIN, so only inside the
+# ellipse sigma <= c, c = min(SIGMA_CUT, ln(opacity / ALPHA_MIN)). The
+# compositor evaluates a splat only at the pixels of its footprint
+# (_footprints): the axis-aligned box of that ellipse, capped by the
+# bounding square, which covers the 3-sigma ellipse sigma <= 4.5. So the
+# set of contributing splats at a pixel does not depend on tile
+# membership, and tiled and untiled rendering match exactly. Lowering the
+# square's radius factor below 3, or raising this cutoff, would silently
+# drop contributions.
 SIGMA_CUT = 4.5
+# Rounding slack of the footprint. _pair_alpha rounds, so a pair may pass
+# its test a little outside the exact ellipse, and the box grows c:
+# - sigma is off by a few ulps of 0.5 (A dx^2 + C dy^2) + |B dx dy|, which
+#   is at most kappa * sigma, kappa = (A + C)^2 / (A C - B^2) bounding the
+#   condition number of the packed inverse [[A, B], [B, C]]; the box's own
+#   A C - B^2 cancels to within as many ulps. So c grows by the relative
+#   FOOTPRINT_SLACK * kappa, over a million ulps times kappa.
+# - exp, the product with opacity and the log move the alpha cut by a few
+#   ulps of sigma; c grows by the absolute FOOTPRINT_SLACK.
+# The grown half-extent then exceeds the exact one by at least
+# FOOTPRINT_SLACK * sqrt(S_xx / (2 SIGMA_CUT)) >= 1.8e-10 pixels (the
+# dilation keeps S_xx >= 0.3), which covers the rounding of dx = x - mean
+# and of the box's pixel bounds for any mean within 4e5 pixels.
+FOOTPRINT_SLACK = 1e-9
 # Pairs generated and evaluated at once. A block holds whole bin
 # positions, at least one, so it can exceed this by one position's pairs
-# (at most one per pixel); no result depends on the budget. Compositing
-# a block peaks at about 89 bytes per pair (tracemalloc, a 22,499-pair
+# (at most one per pixel); blocks change no image, transmittance or
+# gradient bit. Compositing a block peaks at about 129 bytes per
+# evaluated pair, its kept pairs included (tracemalloc, a 13,636-pair
 # block of a 256 x 256 render), so a block of PAIR_BUDGET pairs takes
-# about 1.5 MB, which bounds peak memory and keeps the kernel's arrays
-# in cache.
-PAIR_BUDGET = 1 << 14
+# about 1.1 MB, which bounds peak memory and keeps the kernel's arrays in
+# cache. With footprints this tight, most evaluated pairs commit; at
+# 2^14 one fit iteration of the criterion-5 scene peaked at 3.13 MB,
+# past its 2.9 MB guard (2.24 MB at 2^13).
+PAIR_BUDGET = 1 << 13
 
 
 @dataclass
@@ -224,16 +248,32 @@ class _Entries(NamedTuple):
     row_stride: np.ndarray
 
 
-def _pixel_boxes(projected):
-    """Each projected splat's pixel box (x_lo, y_lo, x_hi, y_hi), (K, 4)
-    floats: the pixels x_lo <= x < x_hi, y_lo <= y < y_hi whose centers
-    lie within radius of mean2d in both axes. No other pixel can pass the
-    SIGMA_CUT test."""
-    # Centers c + 0.5 within radius r of the mean span
-    # [ceil(m - r - 0.5), floor(m + r + 0.5)) in each axis.
-    rh = projected.radius[:, None] + 0.5
-    return np.concatenate([np.ceil(projected.mean2d - rh),
-                           np.floor(projected.mean2d + rh)], axis=1)
+def _footprints(packed, radius):
+    """Each packed splat's footprint, (K, 4) floats (x_lo, y_lo, x_hi,
+    y_hi): the pixels x_lo <= x < x_hi, y_lo <= y < y_hi whose centers lie
+    within (hx, hy) of the mean. No other pixel is visible.
+
+    (hx, hy) = (sqrt(2 c S_xx), sqrt(2 c S_yy)) bound the ellipse
+    sigma <= c of SIGMA_CUT, c grown by FOOTPRINT_SLACK, with
+    S = [[A, B], [B, C]]^-1 the covariance _pair_alpha evaluates. They are
+    capped at the square's half-width radius (K,), and a conic too
+    ill-conditioned for A C - B^2 to stay positive gets the square."""
+    a, b, c = packed.inv_a, packed.inv_b, packed.inv_c
+    ratio = packed.opacity / ALPHA_MIN
+    cut = np.minimum(SIGMA_CUT, np.log(ratio, out=np.full(ratio.shape, -np.inf),
+                                       where=ratio > 0.0))
+    radius = radius[:, None].astype(np.float64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        det = a * c - b * b
+        cut = (cut + FOOTPRINT_SLACK) * (1.0 + FOOTPRINT_SLACK * (a + c) ** 2 / det)
+        half = np.sqrt(2.0 * np.maximum(cut, 0.0)[:, None]
+                       * (np.stack([c, a], axis=1) / det[:, None]))
+    half = np.where(det[:, None] > 0.0, np.fmin(half, radius), radius)
+    # Centers x + 0.5 within h of the mean m span
+    # [ceil(m - h - 0.5), floor(m + h + 0.5)) in each axis.
+    mean = np.stack([packed.mean_x, packed.mean_y], axis=1)
+    return np.concatenate([np.ceil(mean - (half + 0.5)), np.floor(mean + (half + 0.5))],
+                          axis=1)
 
 
 def _full_windows(n_images, width, height):
@@ -241,10 +281,11 @@ def _full_windows(n_images, width, height):
     return np.tile(np.array([0, 0, width, height]), (n_images, 1))
 
 
-def _image_entries(grid, projected, windows):
+def _image_entries(grid, footprints, windows):
     """The grid's entries in walk order, each clipped to the pixels of its
-    tile and its image's window whose centers lie in its splat's bounding
-    square. Entries that cover no pixel are dropped.
+    tile and its image's window that lie in its splat's footprint
+    (footprints, _footprints' boxes of the grid's splats). Entries that
+    cover no pixel are dropped.
 
     The grid may span several images, tile t of image k having id
     k * tiles_x * tiles_y + t. windows (K, 4) holds image k's window
@@ -266,7 +307,7 @@ def _image_entries(grid, projected, windows):
     # The box is clipped while still floats, so a huge footprint cannot
     # overflow the cast. (np.take gathers rows several times faster than
     # fancy indexing.)
-    box = np.take(_pixel_boxes(projected), splat, axis=0).clip(
+    box = np.take(footprints, splat, axis=0).clip(
         np.take(lo, tile, axis=0), np.take(hi, tile, axis=0)).astype(np.int64)
     size = box[:, 2:] - box[:, :2]
     keep = (size.min(axis=1) > 0).nonzero()[0]
@@ -425,12 +466,15 @@ def _composite_block(entries, e0, e1, packed, early_termination,
     t_before = _walk(pix, pos, one_minus, trans, np.multiply)
     t_after = t_before * one_minus
     if early_termination:
-        commit = (t_after >= T_MIN).nonzero()[0]
-        index, pix, pos, alpha, t_before, t_after = (
-            x[commit] for x in (index, pix, pos, alpha, t_before, t_after))
+        commit = t_after >= T_MIN
+        if not commit.all():
+            commit = commit.nonzero()[0]
+            index, pix, pos, alpha, t_before, t_after = (
+                x[commit] for x in (index, pix, pos, alpha, t_before, t_after))
     splat = pairs.splat[index]
     weight = alpha * t_before
-    c = packed.color[splat]
+    # (np.take gathers rows several times faster than fancy indexing.)
+    c = np.take(packed.color, splat, axis=0)
     for ch in range(3):
         np.add.at(color[ch], pix, weight * c[:, ch])
     np.minimum.at(final_t, pix, t_after)
@@ -502,6 +546,11 @@ class _Projection(NamedTuple):
     opacity: np.ndarray
     color: np.ndarray
 
+    def packed(self):
+        """The rows packed for the kernels."""
+        p = self.projected
+        return _PackedSplats.of(p.mean2d, p.cov2d, self.opacity, self.color)
+
     def images(self, a, b):
         """The rows of images a to b - 1, renumbered from image 0."""
         rows = ((self.image >= a) & (self.image < b)).nonzero()[0]
@@ -559,10 +608,10 @@ def _composite_grid(grid, proj, windows, background, early_termination):
     """Composite the windows (K, 4) of the K images of grid's entries:
     _composite's (color, final_T, n_contrib, pairs) over the windows'
     pixels, laid out as _image_entries lays them out."""
-    p = proj.projected
+    packed = proj.packed()
     return _composite(
-        _image_entries(grid, p, windows),
-        _PackedSplats.of(p.mean2d, p.cov2d, proj.opacity, proj.color),
+        _image_entries(grid, _footprints(packed, proj.projected.radius), windows),
+        packed,
         int(np.prod(windows[:, 2:] - windows[:, :2], axis=1).sum()),
         background,
         early_termination,

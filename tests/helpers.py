@@ -365,9 +365,10 @@ def oracle_audit_scene(scene, camera, target, *, background, pixel_mask,
 
     The difference of a pair's two losses is summed over the pair's
     window as w (I+ - I-) (I+ + I- - 2 T), row-major with the channels of
-    a pixel together. The window bounds the pixel boxes of the probed
-    splat, read from each render's own projected rows, clipped to the
-    image; a view probe's window is the whole image."""
+    a pixel together. The window bounds the footprints of the probed
+    splat, computed by raster_forward._footprints from each render's own
+    projected rows and its probe scene's opacities, clipped to the image;
+    a view probe's window is the whole image."""
     from dataclasses import replace
 
     from splatgrad import (
@@ -377,26 +378,25 @@ def oracle_audit_scene(scene, camera, target, *, background, pixel_mask,
         render,
         scene_backward,
     )
+    from splatgrad.raster_forward import _footprints, _pack_splats
 
     target = np.asarray(target, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
     weight = np.asarray(pixel_mask, dtype=np.float64)
 
     def window(results, splat):
-        """[x0, x1) x [y0, y1) of the pixels whose centers lie within
-        radius of the probed splat's mean2d in either render."""
+        """[x0, x1) x [y0, y1) of the pixels in the probed splat's
+        footprint in either render; results holds (render, scene) pairs."""
         if splat is None:
             return 0, camera.width, 0, camera.height
         x0 = y0 = np.inf
         x1 = y1 = -np.inf
-        for res in results:
-            for g in res.projected:
-                if g.source_index == splat:
-                    mx, my = g.mean2d
-                    x0 = min(x0, np.ceil(mx - (g.radius + 0.5)))
-                    y0 = min(y0, np.ceil(my - (g.radius + 0.5)))
-                    x1 = max(x1, np.floor(mx + (g.radius + 0.5)))
-                    y1 = max(y1, np.floor(my + (g.radius + 0.5)))
+        for res, probe_scene in results:
+            p = res.projected
+            boxes = _footprints(_pack_splats(p, probe_scene), p.radius)
+            for box in boxes[p.source_index == splat].tolist():
+                x0, y0 = min(x0, box[0]), min(y0, box[1])
+                x1, y1 = max(x1, box[2]), max(y1, box[3])
         x0, x1 = min(max(x0, 0), camera.width), min(max(x1, 0), camera.width)
         y0, y1 = min(max(y0, 0), camera.height), min(max(y1, 0), camera.height)
         return int(x0), int(x1), int(y0), int(y1)
@@ -409,8 +409,10 @@ def oracle_audit_scene(scene, camera, target, *, background, pixel_mask,
             hi[idx] += h
             lo = base.copy()
             lo[idx] -= h
-            res_hi, res_lo = render(*probe(hi), background), render(*probe(lo), background)
-            x0, x1, y0, y1 = window((res_hi, res_lo), splat)
+            (scene_hi, cam_hi), (scene_lo, cam_lo) = probe(hi), probe(lo)
+            res_hi = render(scene_hi, cam_hi, background)
+            res_lo = render(scene_lo, cam_lo, background)
+            x0, x1, y0, y1 = window(((res_hi, scene_hi), (res_lo, scene_lo)), splat)
             if x1 <= x0 or y1 <= y0:
                 grad[idx] = 0.0
                 continue

@@ -143,7 +143,7 @@ def test_render_256_peak_memory():
 
 
 def test_fit_64_backward_peak_memory():
-    # The criterion-5 scene. Measured peak: about 1.9 MB, reading the
+    # The criterion-5 scene. Measured peak: about 1.4 MB, reading the
     # pairs the render kept; the whole image's pairs take about 5 MB.
     scene, camera = test_acceptance.TestAcceptance.hidden_scene()
     bg = np.array([0.1, 0.1, 0.1])

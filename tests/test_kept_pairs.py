@@ -35,7 +35,7 @@ def audit_case(seed):
 SCENES = {
     "criterion5": lambda: criterion5_case()[:3],
     "odd_size_37x23": lambda: odd_size_case()[:3],
-    # Rendered tiled here; its footprints still span seven pair blocks.
+    # Rendered tiled here; its footprints still span ten pair blocks.
     "long_bins": lambda: long_bin_case()[:3],
     **{f"audit_seed_{seed}": lambda seed=seed: audit_case(seed)
        for seed in range(20)},
@@ -73,7 +73,7 @@ def assert_kept_equals_replay(scene, camera, bg, early_termination):
 def test_kept_pairs_match_walk(name, early_termination):
     res = assert_kept_equals_replay(*SCENES[name](), early_termination)
     if name == "long_bins":
-        assert len(res.pairs) == 7
+        assert len(res.pairs) == 10
 
 
 def test_kept_pairs_are_compact():
@@ -96,9 +96,11 @@ def test_kept_pairs_match_walk_on_drawn_cameras(case, early_termination):
 def test_fit_64_kept_pairs_peak_memory():
     # One fit iteration's render and backward pass on the criterion-5
     # scene, keeping its pairs (23,277 pairs, 0.65 MB). Measured peak:
-    # 2.72 MB. Keeping the same pairs with int64 indices measured 3.00
-    # MB, and keeping every evaluated and walked field of each block
-    # 3.41 MB for the render alone.
+    # 2.24 MB; 3.13 MB with PAIR_BUDGET at 2^14, where most of a block's
+    # evaluated pairs commit. Over the bounding squares at 2^14, keeping
+    # the same pairs with int64 indices measured 3.00 MB, and keeping
+    # every evaluated and walked field of each block 3.41 MB for the
+    # render alone.
     scene, camera = test_acceptance.TestAcceptance.hidden_scene()
     bg = np.array([0.1, 0.1, 0.1])
     d_image = np.random.default_rng(1).normal(size=(64, 64, 3))

@@ -88,8 +88,10 @@ def test_long_bin_case_spans_blocks():
     scene, camera, bg, renderer = long_bin_case()
     res = renderer(scene, camera, bg)
     assert min(len(b) for b in res.grid.bins) == len(scene)
+    footprints = raster_forward._footprints(
+        raster_forward._pack_splats(res.projected, scene), res.projected.radius)
     entries = raster_forward._image_entries(
-        res.grid, res.projected, raster_forward._full_windows(1, camera.width, camera.height))
+        res.grid, footprints, raster_forward._full_windows(1, camera.width, camera.height))
     assert int(np.sum(entries.width * entries.height)) > 3 * PAIR_BUDGET
     assert len(raster_forward._blocks(entries)) > 3
 
