@@ -159,8 +159,11 @@ def write_image(buffer: ImageBuffer, path):
     Channel bytes are floor(clamp(v, 0, 1) * 255 + 0.5): round half away
     from zero, fixed explicitly so golden files match across platforms.
     """
-    data = np.clip(buffer.channels, 0.0, 1.0)
-    quantized = np.floor(data * 255.0 + 0.5).astype(np.uint8)
+    quantized = np.clip(buffer.channels, 0.0, 1.0)
+    quantized *= 255.0
+    quantized += 0.5
+    # The values are non-negative, so the cast's truncation is the floor.
+    quantized = quantized.astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{buffer.width} {buffer.height}\n255\n".encode("ascii"))
         fh.write(quantized.tobytes())

@@ -244,11 +244,17 @@ class Camera:
 def matprod(a, b):
     """Matrix product over the last two axes, broadcasting the others.
 
-    Written as a broadcast product summed over the shared index, so a
-    stack of small products never reaches BLAS and the terms are added in
-    index order whatever the thread count.
+    Written as broadcast products added in index order, so a stack of
+    small products never reaches BLAS and the result does not depend on
+    the thread count. The adds start from +0.0, as np.sum over the shared
+    index does, so the result is bitwise that sum's, signed zeros
+    included.
     """
-    return np.sum(a[..., :, :, None] * b[..., None, :, :], axis=-2)
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    out += 0.0
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k, None] * b[..., None, k, :]
+    return out
 
 
 def matvec(a, v):

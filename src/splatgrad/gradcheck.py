@@ -45,12 +45,13 @@ from .raster_forward import (SIGMA_CUT, T_MIN, _footprints, _pack_splats, _pair_
 AUDIT_CLASSES = ("mean", "scale", "quat", "opacity", "color", "view")
 # Probe window pixels binned and composited at once: whole probe pairs,
 # both images of each pair's window, up to PROBE_PIXELS, at least one
-# pair. Peak memory grows with the pairs a batch evaluates at once, up to
-# a PAIR_BUDGET block of about 1.1 MB. Four 20 s perfbench audit pairs
-# (BENCH_windowed_probes.json) measured peak_rss_mb 43.10 MB (median) at
-# 2,048 window pixels against 42.43 MB one probe pair at a time (+1.6%),
-# with audit op_ms_p50 25.8 ms against 58.5 ms.
-PROBE_PIXELS = 1 << 11
+# pair. A batch holds its per-pixel state (48 bytes a pixel), its kept
+# pairs (28 bytes each, about four a window pixel) and one PAIR_BUDGET
+# block of about 1.1 MB, and only its color outlives its compositing. At
+# 2^14, audit seeds 0-19 take 52 batches (358 at 2^11) and seed 0 peaks
+# at 4.85 MB under tracemalloc (2.97 MB at 2^11); 2^15 and 2^16 were no
+# faster and peaked near 9 MB. perfbench figures: BENCH_probe_batches.json.
+PROBE_PIXELS = 1 << 14
 # The splat fields probed, in probe order, and their Splats arrays.
 PROBE_FIELDS = (("mean", "means"), ("scale", "scales"), ("quat", "quats"),
                 ("color", "colors"), ("opacity", "opacities"))
@@ -226,29 +227,35 @@ def _probe_differences(proj, windows, target, weight, background):
     Outside the window I+ = I- bitwise, so this is the difference of the
     two masked losses, without the rounding of subtracting two sums of
     the whole image. The windows are binned and composited in slices of
-    about PROBE_PIXELS pixels."""
-    height, width = target.shape[:2]
+    about PROBE_PIXELS pixels; nothing of a slice outlives its
+    _slice_differences call."""
     size = windows[:, 2:] - windows[:, :2]
     area = size[:, 0] * size[:, 1]
     delta = np.zeros(len(windows))
     for c0, c1 in _slices(area):
-        win, a = windows[c0:c1], area[c0:c1]
-        _, (color, *_) = _render_batch(proj.images(2 * c0, 2 * c1), width, height,
-                                       win.repeat(2, axis=0), background, True)
-        # Pair c's window pixels follow those of the pairs before it, and
-        # in the slice's layout its +h image comes before its -h image.
-        lo = a.cumsum() - a
-        local = np.arange(a.sum()) - lo.repeat(a)
-        stride = size[c0:c1, 0].repeat(a)
-        pix = ((win[:, 1].repeat(a) + local // stride) * width
-               + win[:, 0].repeat(a) + local % stride)
-        plus = local + 2 * lo.repeat(a)
-        plus, minus = color.T[plus], color.T[plus + a.repeat(a)]
-        terms = (weight.reshape(-1)[pix, None] * (plus - minus)
-                 * (plus + minus - 2.0 * target.reshape(-1, 3)[pix]))
-        for c, b, n in zip(range(c0, c1), lo.tolist(), a.tolist()):
-            delta[c] = terms[b:b + n].sum()
+        delta[c0:c1] = _slice_differences(proj.images(2 * c0, 2 * c1), windows[c0:c1],
+                                          area[c0:c1], target, weight, background)
     return delta
+
+
+def _slice_differences(proj, win, a, target, weight, background):
+    """_probe_differences of the pairs of one slice: proj holds their
+    images, win their windows and a their areas."""
+    height, width = target.shape[:2]
+    # Only the batch's color is kept: its grid, transmittance, contributor
+    # counts and kept pairs are dropped as soon as it returns.
+    color = _render_batch(proj, width, height, win.repeat(2, axis=0), background, True)[1][0]
+    # Pair c's window pixels follow those of the pairs before it, and in
+    # the slice's layout its +h image comes before its -h image.
+    lo = a.cumsum() - a
+    local = np.arange(a.sum()) - lo.repeat(a)
+    stride = (win[:, 2] - win[:, 0]).repeat(a)
+    pix = (win[:, 1].repeat(a) + local // stride) * width + win[:, 0].repeat(a) + local % stride
+    plus = local + 2 * lo.repeat(a)
+    plus, minus = color.T[plus], color.T[plus + a.repeat(a)]
+    terms = (weight.reshape(-1)[pix, None] * (plus - minus)
+             * (plus + minus - 2.0 * target.reshape(-1, 3)[pix]))
+    return [terms[b:b + n].sum() for b, n in zip(lo.tolist(), a.tolist())]
 
 
 def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
@@ -297,6 +304,7 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
     splats = Splats.of(scene)
     stack, views, probed, coords = _probes(splats, camera, h)
     proj = _project_stack(stack, camera, np.full(len(views), len(splats)), views)
+    del stack  # projected; not read again while the probes are composited
     delta = _probe_differences(proj, _windows(proj, probed, camera.width, camera.height),
                                target, weight, background)
     bad = ~np.isfinite(delta)

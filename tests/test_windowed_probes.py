@@ -158,11 +158,18 @@ def test_splat_culled_in_both_probes_has_empty_window():
 
 
 def test_probe_slices_hold_whole_pairs_within_probe_pixels():
-    area = np.array([0, 300, 700, 1024, 1, 0, 1024, 1024, 5])
+    # Pair areas (each pair is two images of its area) from empty to
+    # twice a slice, so the slices both fill and split.
+    p = gradcheck.PROBE_PIXELS
+    area = np.array([0, p // 8, p // 3, p // 2, 1, 0, p // 2, p, p // 2 - 1, 5, p // 4])
     slices = gradcheck._slices(area)
     assert [c for s in slices for c in range(*s)] == list(range(area.size))
+    assert len(slices) > 2 and any(c1 - c0 > 1 for c0, c1 in slices)
     for c0, c1 in slices:
-        assert c1 - c0 == 1 or 2 * area[c0:c1].sum() <= gradcheck.PROBE_PIXELS
+        assert c1 - c0 == 1 or 2 * area[c0:c1].sum() <= p
+    # A slice ends only where its next pair would not fit.
+    for c0, c1 in slices[:-1]:
+        assert 2 * area[c0:c1 + 1].sum() > p
 
 
 class TestAuditInputs:
