@@ -9,15 +9,19 @@ the clip planes, so the numeric derivative is trustworthy at the audit
 step sizes.
 
 A scene's probes are rendered together. The probe pairs, a +h and a -h
-step on each splat coordinate and on each of the twelve view entries, are
-stacked into one Splats and one view stack and projected in one pass
-(they share the camera's intrinsics). A step on splat i changes only the
-pixels inside splat i's footprint (raster_forward._footprints), so each
-pair gets a window: the box around splat i's footprints in its two probe
-images, clipped to the image (the whole image for a view entry, empty
-when both probes cull the splat). Only the windows are binned and
-composited, PROBE_PIXELS window pixels at a time, and each window pixel
-equals the same pixel of a render of its probe alone bitwise.
+step on each splat coordinate and on each of the twelve view entries,
+form a table over distinct rows: the scene once, one stepped row per
+splat-coordinate probe, and n rows per view probe, each with its view.
+Each distinct row is projected once, in one pass (they share the
+camera's intrinsics), and gathered into the probe images. A step on
+splat i changes only the pixels inside splat i's footprint
+(raster_forward._footprints), so each pair gets a window: the box around
+splat i's footprints in its two probe images, clipped to the image (the
+whole image for a view entry, empty when both probes cull the splat).
+Rows whose footprint misses their pair's window are dropped before
+binning. Only the windows are binned and composited, PROBE_PIXELS window
+pixels at a time, and each window pixel equals the same pixel of a
+render of its probe alone bitwise.
 
 Each pair's loss difference is summed pixel by pixel over its window as
 w (I+ - I-) (I+ + I- - 2 T). Subtracting the two whole-image losses
@@ -150,17 +154,20 @@ class GradReport:
 
 
 def _probes(splats, camera, h):
-    """Every probe of audit_scene, stacked: a +h then a -h step on each
-    splat coordinate, splat by splat in PROBE_FIELDS order, then on each
-    entry of the view matrix's top three rows. Probe pair c is probes 2c
-    and 2c + 1.
+    """Every probe of audit_scene, as a table over distinct rows: a +h
+    then a -h step on each splat coordinate, splat by splat in
+    PROBE_FIELDS order, then on each entry of the view matrix's top three
+    rows. Probe pair c is probes 2c and 2c + 1.
 
-    Returns (stack, views, probed, coords): stack is a Splats whose rows
-    k * n to k * n + n - 1 are probe k's scene (n = len(splats)), views
-    (2C, 4, 4) each probe's view, probed (C,) the splat pair c moves (-1
-    for a view entry), and coords the COORDS table, one row per pair.
-    Every probe keeps camera's intrinsics, so all are projected in one
-    pass."""
+    Returns (stack, views, table, probed, coords). stack is a Splats of
+    the distinct rows, each seen through its view in views (R, 4, 4): the
+    scene (rows 0 to n - 1, n = len(splats)), then probe k's stepped row
+    n + k for each splat-coordinate probe, then n rows, the scene seen
+    through the probe's view, for each view probe. Row j of probe k's
+    scene is stack row table[k, j] ((2C, n)). probed (C,) is the splat
+    pair c moves (-1 for a view entry), and coords the COORDS table, one
+    row per pair. Every probe keeps camera's intrinsics, so all are
+    projected in one pass."""
     n = len(splats)
     # The coordinates of one splat, in probe order.
     row = [(name, attr, j) for name, attr in PROBE_FIELDS
@@ -169,40 +176,61 @@ def _probes(splats, camera, h):
                np.ravel_multi_index((i,) + j, getattr(splats, attr).shape))
               for i in range(n) for name, attr, j in row]
     coords += [("view", f"view[{q}]", "d_view", q) for q in range(12)]
-    n_probes = 2 * len(coords)
-    arrays = {attr: np.repeat(getattr(splats, attr)[None], n_probes, axis=0)
-              for _, attr in PROBE_FIELDS}
+    stepped = 2 * n * len(row)
+    arrays = {attr: np.concatenate([a, a.repeat(2 * len(row), axis=0),
+                                    np.tile(a, (24,) + (1,) * (a.ndim - 1))])
+              for attr, a in ((attr, getattr(splats, attr)) for _, attr in PROBE_FIELDS)}
     step = np.array([h, -h])
     for s, (_, attr, j) in enumerate(row):
         pair = np.arange(n) * len(row) + s
-        arrays[attr][(2 * pair[:, None] + [0, 1], np.arange(n)[:, None]) + j] += step
-    views = np.repeat(camera.view[None], n_probes, axis=0)
+        arrays[attr][(n + 2 * pair[:, None] + [0, 1],) + j] += step
+    views = np.repeat(camera.view[None], 24, axis=0)
     q = np.arange(12)
-    views[2 * (n * len(row) + q)[:, None] + [0, 1], (q // 4)[:, None], (q % 4)[:, None]] += step
-    stack = Splats(**{attr: a.reshape((n_probes * n,) + a.shape[2:])
-                      for attr, a in arrays.items()})
+    views[2 * q[:, None] + [0, 1], (q // 4)[:, None], (q % 4)[:, None]] += step
+    views = np.concatenate([np.repeat(camera.view[None], n + stepped, axis=0),
+                            views.repeat(n, axis=0)])
+    table = np.tile(np.arange(n), (stepped + 24, 1))
+    k = np.arange(stepped)
+    table[k, k // (2 * len(row))] = n + k
+    table[stepped:] += n + stepped + n * np.arange(24)[:, None]
     probed = np.concatenate([np.repeat(np.arange(n), len(row)), np.full(12, -1)])
-    return stack, views, probed, np.array(coords, dtype=COORDS)
+    return Splats(**arrays), views, table, probed, np.array(coords, dtype=COORDS)
 
 
-def _windows(proj, probed, width, height):
-    """The window (x0, y0, x1, y1) of every probe pair, (C, 4): the box
-    bounding the footprints of the probed splat in the pair's two images
-    (rows of proj), clipped to the image; empty (zero area) when both
-    probes cull it. View pairs get the whole image. Outside its window a
-    pair's two images are bitwise equal."""
-    box = _footprints(proj.packed(), proj.projected.radius)
-    pair = proj.image // 2
-    rows = (proj.projected.source_index == probed[pair]).nonzero()[0]
-    lo = np.full((len(probed), 2), np.inf)
-    hi = np.full((len(probed), 2), -np.inf)
-    np.minimum.at(lo, pair[rows], box[rows, :2])
-    np.maximum.at(hi, pair[rows], box[rows, 2:])
-    view = probed < 0
-    lo[view], hi[view] = 0, (width, height)
-    lo = lo.clip(0, (width, height))
-    hi = hi.clip(lo, (width, height))
-    return np.concatenate([lo, hi], axis=1).astype(np.int64)
+def _probe_rows(stack, views, table, probed, camera):
+    """Project _probes' distinct rows once and gather them into the probe
+    images. Returns (proj, windows).
+
+    windows (C, 4) holds each pair's window (x0, y0, x1, y1): the box
+    bounding the footprints of the probed splat in the pair's two images,
+    clipped to the image; empty (zero area) when both probes cull it. View
+    pairs get the whole image. Outside its window a pair's two images are
+    bitwise equal. proj holds the rows of the 2C probe images, image k
+    being probe k, less those whose footprint misses their pair's window:
+    they cover no window pixel, and each image keeps its rows' order."""
+    # A row's scene-local index is its column in the table. (Only a
+    # one-splat scene leaves a row, its scene row, out of every probe.)
+    local = np.zeros(len(views), dtype=np.intp)
+    local[table] = np.arange(table.shape[1])
+    rows = _project_stack(stack, camera, local, views)
+    # Each stack row's footprint; a culled row's is empty.
+    box = np.tile([np.inf, np.inf, -np.inf, -np.inf], (len(views), 1))
+    box[rows.image] = _footprints(rows.packed(), rows.projected.radius)
+    size = (camera.width, camera.height)
+    c = (probed >= 0).nonzero()[0]
+    moved = box[table[2 * c[:, None] + [0, 1], probed[c, None]]]
+    lo, hi = np.zeros((len(probed), 2)), np.tile(size, (len(probed), 1)).astype(np.float64)
+    lo[c], hi[c] = moved[:, :, :2].min(axis=1), moved[:, :, 2:].max(axis=1)
+    lo = lo.clip(0, size)
+    windows = np.concatenate([lo, hi.clip(lo, size)], axis=1).astype(np.int64)
+    # The probe images' rows, dropping those that miss their window.
+    at = np.zeros(len(views), dtype=np.intp)
+    at[rows.image] = np.arange(len(rows.image))
+    win = windows.repeat(2, axis=0)[:, None]
+    moved = box[table]
+    hit = (np.maximum(moved[..., :2], win[..., :2])
+           < np.minimum(moved[..., 2:], win[..., 2:])).all(axis=2).ravel().nonzero()[0]
+    return rows.take(at[table.ravel()[hit]])._replace(image=hit // table.shape[1]), windows
 
 
 def _slices(area):
@@ -252,9 +280,11 @@ def _slice_differences(proj, win, a, target, weight, background):
     stride = (win[:, 2] - win[:, 0]).repeat(a)
     pix = (win[:, 1].repeat(a) + local // stride) * width + win[:, 0].repeat(a) + local % stride
     plus = local + 2 * lo.repeat(a)
-    plus, minus = color.T[plus], color.T[plus + a.repeat(a)]
-    terms = (weight.reshape(-1)[pix, None] * (plus - minus)
-             * (plus + minus - 2.0 * target.reshape(-1, 3)[pix]))
+    # Channel-major, then one transpose copy, so each pair's terms are the
+    # contiguous (area, 3) block the sums below run over.
+    plus, minus = np.take(color, plus, axis=1), np.take(color, plus + a.repeat(a), axis=1)
+    terms = np.ascontiguousarray((weight.reshape(-1)[pix] * (plus - minus) * (
+        plus + minus - 2.0 * np.take(target.reshape(-1, 3).T, pix, axis=1))).T)
     return [terms[b:b + n].sum() for b, n in zip(lo.tolist(), a.tolist())]
 
 
@@ -301,12 +331,10 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
     if gradient_transform is not None:
         analytic = gradient_transform(analytic)
 
-    splats = Splats.of(scene)
-    stack, views, probed, coords = _probes(splats, camera, h)
-    proj = _project_stack(stack, camera, np.full(len(views), len(splats)), views)
-    del stack  # projected; not read again while the probes are composited
-    delta = _probe_differences(proj, _windows(proj, probed, camera.width, camera.height),
-                               target, weight, background)
+    stack, views, table, probed, coords = _probes(Splats.of(scene), camera, h)
+    proj, windows = _probe_rows(stack, views, table, probed, camera)
+    del stack, views, table  # not read again while the probes are composited
+    delta = _probe_differences(proj, windows, target, weight, background)
     bad = ~np.isfinite(delta)
     if bad.any():
         raise FloatingPointError(

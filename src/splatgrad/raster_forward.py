@@ -31,8 +31,8 @@ sort key stays tile, depth, scene-local source index), each entry's
 pixels are offset by k * height * width, and one walk composites all
 K * height * width pixels. A pixel still has at most one pair per bin
 position, so image k equals a render of scene k alone bitwise. render
-is the K = 1 case; the audit projects a scene's probes once and bins
-and composites them in slices.
+is the K = 1 case; the audit projects each distinct row of a scene's
+probes once, then bins and composites the probes in slices.
 
 Each image is composited only inside its window, a pixel rectangle
 (x0, y0, x1, y1): entries are clipped to it as well as to their tile,
@@ -551,32 +551,35 @@ class _Projection(NamedTuple):
         p = self.projected
         return _PackedSplats.of(p.mean2d, p.cov2d, self.opacity, self.color)
 
+    def take(self, rows):
+        """The rows at the indices rows, in their order."""
+        p = self.projected
+        return _Projection(ProjectedSplats(*(np.take(getattr(p, f.name), rows, axis=0)
+                                             for f in fields(p))),
+                           *(np.take(x, rows, axis=0) for x in self[1:]))
+
     def images(self, a, b):
         """The rows of images a to b - 1, renumbered from image 0."""
-        rows = ((self.image >= a) & (self.image < b)).nonzero()[0]
-        p = self.projected
-        return _Projection(ProjectedSplats(*(getattr(p, f.name)[rows] for f in fields(p))),
-                           self.image[rows] - a, self.opacity[rows], self.color[rows])
+        part = self.take(((self.image >= a) & (self.image < b)).nonzero()[0])
+        return part._replace(image=part.image - a)
 
 
-def _project_stack(stack, camera, sizes, views=None):
+def _project_stack(stack, camera, local, views=None):
     """Check the Splats stack with Splats.check and project it in one
-    pass with camera's intrinsics. The stack holds K scenes one after
-    another, sizes[k] rows for scene k, and scene k is seen through
-    views[k] ((K, 4, 4); camera.view when views is None).
+    pass with camera's intrinsics, row r seen through views[r] ((N, 4, 4);
+    camera.view when views is None).
 
-    source_index comes back scene-local, and a failure names the splat by
-    its index in its scene."""
-    image = np.repeat(np.arange(len(sizes)), sizes)
-    start = np.cumsum(sizes) - sizes
+    local (N,) holds each row's index in its own scene: source_index comes
+    back as it, and a failure names the splat by it. image holds each
+    kept row's index in the stack."""
     try:
         stack.check()
-        p = project_splats(stack, camera, view=None if views is None else views[image])
+        p = project_splats(stack, camera, view=views)
     except RowError as exc:
-        raise RowError(exc.problem, exc.row - start[image[exc.row]], exc.field) from None
-    owner = image[p.source_index]
-    return _Projection(replace(p, source_index=p.source_index - start[owner]), owner,
-                       stack.opacities[p.source_index], stack.colors[p.source_index])
+        raise RowError(exc.problem, local[exc.row], exc.field) from None
+    row = p.source_index
+    return _Projection(replace(p, source_index=local[row]), row,
+                       stack.opacities[row], stack.colors[row])
 
 
 def _project_images(scenes, cameras):
@@ -593,9 +596,12 @@ def _project_images(scenes, cameras):
         group = [scenes[k] for k in ks]
         stack = group[0] if len(ks) == 1 else Splats(*map(np.concatenate, zip(*(
             (s.means, s.scales, s.quats, s.opacities, s.colors) for s in group))))
-        views = None if len(ks) == 1 else np.stack([cameras[k].view for k in ks])
-        p = _project_stack(stack, cameras[ks[0]], [len(s) for s in group], views)
-        parts.append(p._replace(image=np.array(ks)[p.image]))
+        sizes = [len(s) for s in group]
+        image = np.repeat(np.arange(len(ks)), sizes)
+        views = None if len(ks) == 1 else np.stack([cameras[k].view for k in ks])[image]
+        p = _project_stack(stack, cameras[ks[0]],
+                           np.arange(image.size) - (np.cumsum(sizes) - sizes)[image], views)
+        parts.append(p._replace(image=np.array(ks)[image[p.image]]))
     if len(parts) == 1:
         return parts[0]
     return _Projection(

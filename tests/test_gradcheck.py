@@ -84,6 +84,16 @@ class TestAuditScene:
         assert report.passed, report.to_text()
         assert report.classes["quat"].max_rel < 1e-4
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="central-difference truncation on scale (ROADMAP item 3)")
+    def test_truncation_failure_seed(self):
+        # The one failure of a 1,000-seed sweep: gaussian[6].scale[1] at
+        # max_rel 1.26e-4 against rel_tol 1e-4. The error follows h^2, so
+        # it is the central difference's truncation, not a gradient fault;
+        # a fourth-order stencil is to turn this into a pass.
+        report = run_audit(1335712691)
+        assert report.passed, report.to_text()
+
     def test_all_parameter_classes_present(self):
         report = run_audit(1)
         assert set(report.classes.keys()) == set(AUDIT_CLASSES)

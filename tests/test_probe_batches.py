@@ -11,11 +11,9 @@ so the audit's peak memory stays near one slice's compositing.
 
 import pickle
 
-import numpy as np
 import pytest
 
 from splatgrad import Splats, gradcheck, make_audit_scene, run_audit
-from splatgrad.raster_forward import _project_stack
 
 from test_footprint_pairs import traced_peak
 
@@ -24,9 +22,8 @@ def slice_count(seed):
     """The probe slices audit seed `seed` composites."""
     scene, camera, _, _, _ = make_audit_scene(seed, 16 if seed % 2 == 0 else 32)
     splats = Splats.of(scene)
-    stack, views, probed, _ = gradcheck._probes(splats, camera, 1e-5)
-    proj = _project_stack(stack, camera, np.full(len(views), len(splats)), views)
-    windows = gradcheck._windows(proj, probed, camera.width, camera.height)
+    stack, views, table, probed, _ = gradcheck._probes(splats, camera, 1e-5)
+    windows = gradcheck._probe_rows(stack, views, table, probed, camera)[1]
     size = windows[:, 2:] - windows[:, :2]
     return len(gradcheck._slices(size[:, 0] * size[:, 1]))
 

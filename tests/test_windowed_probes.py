@@ -11,9 +11,10 @@ the off-centre 37x23 audit cases and drawn scenes:
 - every window pixel of the windowed batch equals the same pixel of the
   whole-image render bitwise.
 
-The probe stack must hold exactly the scenes one dataclasses.replace per
-probe gives, in the same order, with the same coordinate table. A splat
-culled in both probes has an empty window and a difference of exactly 0.
+The probe table, expanded to one scene per probe, must hold exactly the
+scenes one dataclasses.replace per probe gives, in the same order, with
+the same coordinate table. A splat culled in both probes has an empty
+window and a difference of exactly 0.
 """
 
 from dataclasses import replace
@@ -24,8 +25,8 @@ from hypothesis import HealthCheck, given, settings
 
 from splatgrad import Camera, Gaussian3D, Splats, audit_scene, make_audit_scene, render
 from splatgrad import gradcheck
-from splatgrad.gradcheck import PROBE_FIELDS, _probe_differences, _probes, _windows
-from splatgrad.raster_forward import _project_stack, _render_batch
+from splatgrad.gradcheck import PROBE_FIELDS, _probe_differences, _probe_rows, _probes
+from splatgrad.raster_forward import _render_batch
 
 from test_batched_probes import off_centre_audit_case
 from test_footprint_pairs import cameras, scenes
@@ -33,12 +34,20 @@ from test_footprint_pairs import cameras, scenes
 H = 1e-5
 
 
+def expand(stack, views, table):
+    """_probes' table expanded to one scene per probe: (a Splats whose rows
+    k * n to k * n + n - 1 are probe k's scene, each probe's view)."""
+    rows = table.ravel()
+    return Splats(*(a[rows] for a in (stack.means, stack.scales, stack.quats,
+                                      stack.opacities, stack.colors))), views[table[:, 0]]
+
+
 def project_probes(splats, camera, h=H):
-    """(stack, views, probed, coords, proj, windows) of audit_scene's probes."""
-    stack, views, probed, coords = _probes(splats, camera, h)
-    proj = _project_stack(stack, camera, np.full(len(views), len(splats)), views)
-    return stack, views, probed, coords, proj, _windows(proj, probed, camera.width,
-                                                        camera.height)
+    """(stack, views, probed, coords, proj, windows) of audit_scene's
+    probes, the stack and views expanded to one scene per probe."""
+    stack, views, table, probed, coords = _probes(splats, camera, h)
+    proj, windows = _probe_rows(stack, views, table, probed, camera)
+    return (*expand(stack, views, table), probed, coords, proj, windows)
 
 
 def probe_renders(stack, views, n, camera, background):
@@ -101,7 +110,8 @@ def test_probe_stack_matches_one_scene_per_probe():
     scene, camera, _, _, _ = make_audit_scene(3, 32)
     splats = Splats.of(scene)
     n = len(splats)
-    stack, views, probed, coords = _probes(splats, camera, H)
+    stack, views, table, probed, coords = _probes(splats, camera, H)
+    stack, views = expand(stack, views, table)
     scenes_, views_, labels, pairs = [], [], [], []
     for i in range(n):
         for name, attr in PROBE_FIELDS:
@@ -193,7 +203,7 @@ class TestAuditInputs:
 
     def test_non_finite_difference_names_its_coordinate(self, monkeypatch):
         scene, camera, target, background, mask = make_audit_scene(0)
-        _, _, _, coords = _probes(Splats.of(scene), camera, H)
+        coords = _probes(Splats.of(scene), camera, H)[-1]
         bad = coords["label"].tolist().index("gaussian[3].scale[1]")
 
         def poisoned(*args):
