@@ -11,11 +11,12 @@ before its n_contrib. Alpha and its clamp come back from exp(-sigma)
 through the forward kernel's expressions, and dx, dy from the pixel
 centers, so every value equals the forward pass's bitwise and nothing
 is divided by (1 - alpha). The color composited behind each pair is
-needed only through its product with dL/dC, so a walk over the blocks
-back to front carries that scalar per pixel and keeps it per pair. Then
-the blocks are visited front to back, and each per-splat total is one
-sequential sum over the pairs in pair order (np.add.at), with no BLAS
-product, so the gradients do not depend on where the blocks fall.
+needed only through its product with dL/dC, so one walk over the pairs
+back to front (the blocks last to first, each block's pairs reversed)
+carries that scalar per pixel and adds each pair's terms as it goes.
+Each per-splat total is one sequential sum over the pairs in reverse
+pair order (np.add.at), with no BLAS product, so the gradients do not
+depend on where the blocks fall.
 """
 
 from dataclasses import dataclass
@@ -58,26 +59,20 @@ def _backward(blocks, packed, centers, rows, n, background, final_t, d_pixels):
     """
     # The color behind each pair enters only through its product with
     # dL/dC, so carry s = suffix . dL/dC, seeded with the attenuated
-    # background, back to front, keeping each block's values (8 bytes per
-    # pair).
+    # background, back to front: each block's pairs reversed, the blocks
+    # last to first. Every term is added to its total as it is built, with
+    # np.add.at: one sequential sum per total in reverse pair order, so
+    # where the blocks fall changes no bit. Rows: d_color (3), d_opacity,
+    # d_mean2d (2), d_cov2d [0, 0], [0, 1] and [1, 1].
     s = (background[0] * d_pixels[:, 0] + background[1] * d_pixels[:, 1]
          + background[2] * d_pixels[:, 2]) * final_t
-    behind = [None] * len(blocks)
-    for k in reversed(range(len(blocks))):
-        terms = _pair_terms(blocks[k], packed, d_pixels)
-        pix, *_, c_dl, weight = terms
-        behind[k] = _walk(pix, blocks[k].pos, weight * c_dl, s, np.add, reverse=True)
-    # Then front to back, each term added to its total with np.add.at:
-    # one sequential sum per total in pair order, so where the blocks fall
-    # changes no bit. Rows: d_color (3), d_opacity, d_mean2d (2), d_cov2d
-    # [0, 0], [0, 1] and [1, 1]. The walk ended on the first block, whose
-    # terms are reused.
     totals = np.zeros((9, n))
-    for k, pairs in enumerate(blocks):
-        if k:
-            terms = _pair_terms(pairs, packed, d_pixels)
-        _add_block(pairs, terms, behind[k], packed, centers, rows, totals)
-        behind[k] = None
+    for pairs in reversed(blocks):
+        pairs = pairs._make(x[::-1] for x in pairs)
+        terms = _pair_terms(pairs, packed, d_pixels)
+        pix, *_, c_dl, weight = terms
+        behind = _walk(pix, pairs.pos, weight * c_dl, s, np.add)
+        _add_block(pairs, terms, behind, packed, centers, rows, totals)
     # The covariance terms carry a factor 1/2, applied once to the totals
     # (scaling by 0.5 is exact).
     totals[6:] *= 0.5
@@ -90,8 +85,7 @@ def _backward(blocks, packed, centers, rows, n, background, final_t, d_pixels):
 
 
 def _pair_terms(pairs, packed, d_pixels):
-    """The values of one block's CommittedPairs that both passes of
-    _backward read: pix and splat as intp, alpha_raw, alpha, the upstream
+    """The values of one block's CommittedPairs that _backward reads: pix and splat as intp, alpha_raw, alpha, the upstream
     gradient d (M, 3) at each pair's pixel, c . d and the weight alpha T.
 
     alpha and its clamp come from the forward kernel's expressions, so
@@ -109,7 +103,7 @@ def _pair_terms(pairs, packed, d_pixels):
 
 def _add_block(pairs, terms, behind, packed, centers, rows, totals):
     """Add the gradient terms of one block's CommittedPairs to totals
-    (9, n), in pair order; terms is the block's _pair_terms and behind
+    (9, n), in their order; terms is the block's _pair_terms and behind
     the suffix . dL/dC behind each pair."""
     pix, splat, alpha_raw, alpha, d, c_dl, weight = terms
     row = rows[splat]

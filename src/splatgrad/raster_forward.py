@@ -395,19 +395,18 @@ def _evaluate(entries, e0, e1, packed):
     )
 
 
-def _walk(pix, pos, values, state, step, reverse=False):
-    """Walk pairs one bin position at a time, front to back (or back to
-    front when reverse), updating the per-pixel state in place to
-    step(state, value) at every pair. Returns the state before each pair.
+def _walk(pix, pos, values, state, step):
+    """Walk pairs one bin position at a time, in their order, updating the
+    per-pixel state in place to step(state, value) at every pair. Returns
+    the state before each pair.
 
     A pixel has at most one pair per bin position, so every step is one
     gather and one scatter with no duplicate index, and the updates at a
-    pixel happen in bin order.
+    pixel happen in the pairs' order (bin order, or its reverse).
     """
     edges = [0] + ((pos[1:] != pos[:-1]).nonzero()[0] + 1).tolist() + [pos.size]
-    spans = list(zip(edges[:-1], edges[1:]))
     before = np.empty_like(values)
-    for a, b in reversed(spans) if reverse else spans:
+    for a, b in zip(edges[:-1], edges[1:]):
         p = pix[a:b]
         s = state[p]
         before[a:b] = s
