@@ -259,8 +259,12 @@ def matprod(a, b):
 
 def matvec(a, v):
     """Matrix-vector product over the last axes, broadcasting the others,
-    as a sum of elementwise products (see matprod)."""
-    return np.sum(a * v[..., None, :], axis=-1)
+    as products added in index order from +0.0, like matprod."""
+    out = a[..., 0] * v[..., None, 0]
+    out += 0.0
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * v[..., None, k]
+    return out
 
 
 class RowError(ValueError):

@@ -357,3 +357,19 @@ def test_stacked_covariance_uses_the_broadcast_product():
                                         rng.uniform(0.1, 2.0, size=(50, 3)))
     assert np.array_equal(bundle.sigma,
                           core.matprod(bundle.M, np.swapaxes(bundle.M, 1, 2)))
+
+
+@pytest.mark.parametrize("shape_a, shape_v", [((600, 4, 4), (600, 4)), ((4, 4), (600, 4)),
+                                              ((3, 3), (600, 3)), ((600, 3, 4), (600, 4))])
+def test_matvec_equals_the_sum_over_its_last_axis(shape_a, shape_v):
+    # matvec adds in index order from +0.0, as np.sum over the last axis
+    # does, so the two agree bitwise, signed zeros included.
+    rng = np.random.default_rng(11)
+
+    def draw(shape):
+        x = rng.normal(size=shape)
+        x[rng.random(shape) < 0.4] = 0.0
+        return np.where(rng.random(shape) < 0.5, -x, x)
+
+    a, v = draw(shape_a), draw(shape_v)
+    assert core.matvec(a, v).tobytes() == np.sum(a * v[..., None, :], axis=-1).tobytes()
