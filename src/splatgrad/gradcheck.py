@@ -184,11 +184,9 @@ def _probes(splats, camera, h):
     for s, (_, attr, j) in enumerate(row):
         pair = np.arange(n) * len(row) + s
         arrays[attr][(n + 2 * pair[:, None] + [0, 1],) + j] += step
-    views = np.repeat(camera.view[None], 24, axis=0)
-    q = np.arange(12)
-    views[2 * q[:, None] + [0, 1], (q // 4)[:, None], (q % 4)[:, None]] += step
-    views = np.concatenate([np.repeat(camera.view[None], n + stepped, axis=0),
-                            views.repeat(n, axis=0)])
+    views = np.repeat(camera.view[None], n + stepped + 24 * n, axis=0)
+    q = np.arange(12)[:, None, None]
+    views[n + stepped + n * (2 * q + [[0], [1]]) + np.arange(n), q // 4, q % 4] += step[:, None]
     table = np.tile(np.arange(n), (stepped + 24, 1))
     k = np.arange(stepped)
     table[k, k // (2 * len(row))] = n + k
@@ -223,14 +221,14 @@ def _probe_rows(stack, views, table, probed, camera):
     lo[c], hi[c] = moved[:, :, :2].min(axis=1), moved[:, :, 2:].max(axis=1)
     lo = lo.clip(0, size)
     windows = np.concatenate([lo, hi.clip(lo, size)], axis=1).astype(np.int64)
-    # The probe images' rows, dropping those that miss their window.
-    at = np.zeros(len(views), dtype=np.intp)
-    at[rows.image] = np.arange(len(rows.image))
+    # The probe images' rows, dropping those that miss their window; the
+    # kept rows' stack indices (rows.image) ascend.
     win = windows.repeat(2, axis=0)[:, None]
     moved = box[table]
     hit = (np.maximum(moved[..., :2], win[..., :2])
            < np.minimum(moved[..., 2:], win[..., 2:])).all(axis=2).ravel().nonzero()[0]
-    return rows.take(at[table.ravel()[hit]])._replace(image=hit // table.shape[1]), windows
+    proj = rows.take(rows.image.searchsorted(table.ravel()[hit]))
+    return proj._replace(image=hit // table.shape[1]), windows
 
 
 def _slices(area):

@@ -68,11 +68,7 @@ def _backward(blocks, packed, centers, rows, n, background, final_t, d_pixels):
          + background[2] * d_pixels[:, 2]) * final_t
     totals = np.zeros((9, n))
     for pairs in reversed(blocks):
-        pairs = pairs._make(x[::-1] for x in pairs)
-        terms = _pair_terms(pairs, packed, d_pixels)
-        pix, *_, c_dl, weight = terms
-        behind = _walk(pix, pairs.pos, weight * c_dl, s, np.add)
-        _add_block(pairs, terms, behind, packed, centers, rows, totals)
+        _add_block(pairs._make(x[::-1] for x in pairs), packed, d_pixels, s, centers, rows, totals)
     # The covariance terms carry a factor 1/2, applied once to the totals
     # (scaling by 0.5 is exact).
     totals[6:] *= 0.5
@@ -84,9 +80,10 @@ def _backward(blocks, packed, centers, rows, n, background, final_t, d_pixels):
     )
 
 
-def _pair_terms(pairs, packed, d_pixels):
-    """The values of one block's CommittedPairs that _backward reads: pix and splat as intp, alpha_raw, alpha, the upstream
-    gradient d (M, 3) at each pair's pixel, c . d and the weight alpha T.
+def _add_block(pairs, packed, d_pixels, s, centers, rows, totals):
+    """Walk one block's CommittedPairs in their order, carrying the
+    per-pixel s = suffix . dL/dC in place, and add their gradient terms to
+    totals (9, n) in that order.
 
     alpha and its clamp come from the forward kernel's expressions, so
     they are bitwise the forward values."""
@@ -98,14 +95,8 @@ def _pair_terms(pairs, packed, d_pixels):
     c = np.take(packed.color, splat, axis=0)
     d = np.take(d_pixels, pix, axis=0)
     c_dl = c[:, 0] * d[:, 0] + c[:, 1] * d[:, 1] + c[:, 2] * d[:, 2]
-    return pix, splat, alpha_raw, alpha, d, c_dl, alpha * pairs.t_before
-
-
-def _add_block(pairs, terms, behind, packed, centers, rows, totals):
-    """Add the gradient terms of one block's CommittedPairs to totals
-    (9, n), in their order; terms is the block's _pair_terms and behind
-    the suffix . dL/dC behind each pair."""
-    pix, splat, alpha_raw, alpha, d, c_dl, weight = terms
+    weight = alpha * pairs.t_before
+    behind = _walk(pix, pairs.pos, weight * c_dl, s, np.add)
     row = rows[splat]
 
     def add(k, x):
