@@ -51,9 +51,9 @@ AUDIT_CLASSES = ("mean", "scale", "quat", "opacity", "color", "view")
 # both images of each pair's window, up to PROBE_PIXELS, at least one
 # pair. A batch holds its per-pixel state (48 bytes a pixel), its kept
 # pairs (28 bytes each, about four a window pixel) and one PAIR_BUDGET
-# block of about 1.1 MB, and only its color outlives its compositing. At
-# 2^14, audit seeds 0-19 take 52 batches (358 at 2^11) and seed 0 peaks
-# at 4.85 MB under tracemalloc (2.97 MB at 2^11); 2^15 and 2^16 were no
+# block of about 1.1 MB, and nothing of it outlives its slice. At
+# 2^14, audit seeds 0-19 take 52 batches (358 at 2^11) and peak under
+# tracemalloc at 4.88 MB (seed 2; 2.97 MB at 2^11); 2^15 and 2^16 were no
 # faster and peaked near 9 MB. perfbench figures: BENCH_probe_batches.json.
 PROBE_PIXELS = 1 << 14
 # The splat fields probed, in probe order, and their Splats arrays.
@@ -166,8 +166,7 @@ def _probes(splats, camera, h):
     through the probe's view, for each view probe. Row j of probe k's
     scene is stack row table[k, j] ((2C, n)). probed (C,) is the splat
     pair c moves (-1 for a view entry), and coords the COORDS table, one
-    row per pair. Every probe keeps camera's intrinsics, so all are
-    projected in one pass."""
+    row per pair."""
     n = len(splats)
     # The coordinates of one splat, in probe order.
     row = [(name, attr, j) for name, attr in PROBE_FIELDS
@@ -268,9 +267,11 @@ def _slice_differences(proj, win, a, target, weight, background):
     """_probe_differences of the pairs of one slice: proj holds their
     images, win their windows and a their areas."""
     height, width = target.shape[:2]
-    # Only the batch's color is kept: its grid, transmittance, contributor
-    # counts and kept pairs are dropped as soon as it returns.
-    color = _render_batch(proj, width, height, win.repeat(2, axis=0), background, True)[1][0]
+    # The batch lives until its terms are formed, so they reuse the memory
+    # its compositing freed; dropped first, glibc trimmed and re-faulted it
+    # (1,990 minor faults per audited seed against 255, about 2.8 us each).
+    batch = _render_batch(proj, width, height, win.repeat(2, axis=0), background, True)
+    color = batch[1][0]
     # Pair c's window pixels follow those of the pairs before it, and in
     # the slice's layout its +h image comes before its -h image.
     lo = a.cumsum() - a

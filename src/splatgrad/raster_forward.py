@@ -595,11 +595,10 @@ def _project_images(scenes, cameras):
         group = [scenes[k] for k in ks]
         stack = group[0] if len(ks) == 1 else Splats(*map(np.concatenate, zip(*(
             (s.means, s.scales, s.quats, s.opacities, s.colors) for s in group))))
-        sizes = [len(s) for s in group]
-        image = np.repeat(np.arange(len(ks)), sizes)
+        image = np.repeat(np.arange(len(ks)), [len(s) for s in group])
         views = None if len(ks) == 1 else np.stack([cameras[k].view for k in ks])[image]
-        p = _project_stack(stack, cameras[ks[0]],
-                           np.arange(image.size) - (np.cumsum(sizes) - sizes)[image], views)
+        local = np.concatenate([np.arange(len(s)) for s in group])
+        p = _project_stack(stack, cameras[ks[0]], local, views)
         parts.append(p._replace(image=np.array(ks)[image[p.image]]))
     if len(parts) == 1:
         return parts[0]

@@ -4,9 +4,9 @@ audit_scene bins and composites its probe windows in slices of whole
 probe pairs, about gradcheck.PROBE_PIXELS window pixels each. A window
 pixel equals the same pixel of its probe rendered alone, so the slice
 size must change no report bit: one pair per slice, the old 2^11 pixels
-and the current size give byte-equal reports. Only a slice's color
-outlives its compositing, and the probe stack is dropped once projected,
-so the audit's peak memory stays near one slice's compositing.
+and the current size give byte-equal reports. Nothing of a slice
+outlives it, and the probe stack is dropped once projected, so the
+audit's peak memory stays near one slice's compositing.
 """
 
 import pickle
@@ -42,8 +42,8 @@ def test_reports_do_not_depend_on_probe_pixels(seed, monkeypatch):
 
 
 def test_audit_peak_memory():
-    # Seed 0 has the largest peak of audit seeds 0-19. Measured peak:
-    # 4.85 MB over 3 slices; 8.28 MB when each slice's compositing
-    # outputs and pixel terms were held while the next slice rendered,
-    # and 3.08 MB at 2,048 window pixels per slice.
+    # Seed 0 peaks at 4.58 MB over 3 slices, near seed 2's 4.88 MB, the
+    # largest of audit seeds 0-19. Seed 0 read 8.28 MB when each slice's
+    # compositing outputs and pixel terms were held while the next slice
+    # rendered, and 3.08 MB at 2,048 window pixels per slice.
     assert traced_peak(lambda: run_audit(0)) < 6e6
