@@ -269,7 +269,7 @@ def _slice_differences(proj, win, a, target, weight, background):
     height, width = target.shape[:2]
     # The batch lives until its terms are formed, so they reuse the memory
     # its compositing freed; dropped first, glibc trimmed and re-faulted it
-    # (1,990 minor faults per audited seed against 255, about 2.8 us each).
+    # (1,990 minor faults per audited seed, not 255; 2.8 us each on a Xeon VM).
     batch = _render_batch(proj, width, height, win.repeat(2, axis=0), background, True)
     color = batch[1][0]
     # Pair c's window pixels follow those of the pairs before it, and in
