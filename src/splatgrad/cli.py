@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .core import Camera, Gaussian3D
+from .core import Camera, Splats
 from .gradcheck import run_audit
 from .optimize import FitConfig, fit
 from .raster_forward import ImageBuffer, render, render_brute_force
@@ -63,11 +63,13 @@ def _vector(value, n, path):
 
 
 def parse_scene(data):
-    """Parse a scene document into (scene, camera, background).
+    """Parse a scene document into (scene, camera, background), scene a
+    Splats.
 
     Accepts str or UTF-8 bytes. Raises ValueError naming the offending
     field (e.g. scene.gaussians[3].scale) on any syntax error, unknown or
-    missing field, or type-invariant violation.
+    missing field, or type-invariant violation; the rows are stacked once
+    and checked with Splats.validate.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -103,28 +105,31 @@ def parse_scene(data):
 
     if not isinstance(doc["gaussians"], list):
         raise ValueError("scene.gaussians must be a list")
-    scene = []
+    columns = {key: [] for key in _GAUSSIAN_FIELDS}
     for i, item in enumerate(doc["gaussians"]):
         path = f"scene.gaussians[{i}]"
         _check_keys(item, _GAUSSIAN_FIELDS, path)
-        g = Gaussian3D(
-            mean=_vector(item["mean"], 3, f"{path}.mean"),
-            scale=_vector(item["scale"], 3, f"{path}.scale"),
-            quat=_vector(item["quat"], 4, f"{path}.quat"),
-            opacity=_number(item, "opacity", path),
-            color=_vector(item["color"], 3, f"{path}.color"),
-        )
-        try:
-            g.validate()
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        scene.append(g)
+        for key, size in zip(_GAUSSIAN_FIELDS, (3, 3, 4, None, 3)):
+            columns[key].append(_number(item, key, path) if size is None
+                                else _vector(item[key], size, f"{path}.{key}"))
+    n = len(columns["opacity"])
+    scene = Splats(means=np.reshape(columns["mean"], (n, 3)),
+                   scales=np.reshape(columns["scale"], (n, 3)),
+                   quats=np.reshape(columns["quat"], (n, 4)),
+                   opacities=np.array(columns["opacity"], dtype=np.float64),
+                   colors=np.reshape(columns["color"], (n, 3)))
+    try:
+        scene.validate()
+    except ValueError as exc:
+        raise ValueError(f"scene.{exc}") from None
     return scene, camera, background
 
 
 def serialize_scene(scene, camera: Camera, background):
-    """Scene document as a JSON string. Floats keep full precision, so
-    parse(serialize(x)) reproduces x exactly."""
+    """Scene document, scene a Splats or a list of Gaussian3D, as a JSON
+    string. Floats keep full precision, so parse(serialize(x)) reproduces
+    x exactly."""
+    splats = Splats.of(scene)
     doc = {
         "version": 1,
         "camera": {
@@ -141,13 +146,15 @@ def serialize_scene(scene, camera: Camera, background):
         "background": [float(c) for c in background],
         "gaussians": [
             {
-                "mean": [float(v) for v in g.mean],
-                "scale": [float(v) for v in g.scale],
-                "quat": [float(v) for v in g.quat],
-                "opacity": g.opacity,
-                "color": [float(v) for v in g.color],
+                "mean": mean.tolist(),
+                "scale": scale.tolist(),
+                "quat": quat.tolist(),
+                "opacity": opacity,
+                "color": color.tolist(),
             }
-            for g in scene
+            for mean, scale, quat, opacity, color in zip(
+                splats.means, splats.scales, splats.quats,
+                splats.opacities.tolist(), splats.colors)
         ],
     }
     return json.dumps(doc, indent=2)

@@ -5,14 +5,17 @@ types here. All math is in 64-bit floats. Quaternions are stored in
 (w, x, y, z) order and may be unnormalized; they are normalized on use so
 optimizer steps need no constraint handling.
 
-A scene travels through the pipeline as one Splats: an array per field,
-one row per splat. Gaussian3D is a single splat, the unit of JSON input
-and output. The geometric ops here and downstream take one splat or a
-stack with leading axes, and the stacked forms are written as broadcast
-products and sums (matprod, matvec), never as BLAS matrix products, so
-their results cannot depend on the BLAS thread count. A failed check on
-a stack, Splats.check included, raises RowError naming the row as a
-splat; a caller that stacked several scenes renames it by scene index.
+A scene is one Splats: an array per field, one row per splat. The
+builders, the scene parser and fit return it. Gaussian3D is one row, a
+record a caller may build a scene from as a list: the public entry
+points stack such a list once with Splats.of, and everything inside
+them takes the Splats. The geometric ops here and downstream take one
+splat or a stack with leading axes, and the stacked forms are written
+as broadcast products and sums (matprod, matvec), never as BLAS matrix
+products, so their results cannot depend on the BLAS thread count. A
+failed check on a stack, Splats.check included, raises RowError naming
+the row as a splat; a caller that stacked several scenes renames it by
+scene index.
 """
 
 from dataclasses import dataclass
@@ -31,12 +34,8 @@ def _as_f64(value, shape, name):
 
 @dataclass
 class Gaussian3D:
-    """One splat: position, per-axis extent, orientation, opacity and color.
-
-    Fields are kept as plain arrays so tests and the optimizer can poke
-    individual coordinates. Use validate() at trust boundaries; the math
-    paths deliberately do not re-validate per call.
-    """
+    """One splat as a row record: position, per-axis extent, orientation,
+    opacity and color. Splats.of stacks a list of them into a scene."""
 
     mean: np.ndarray
     scale: np.ndarray
@@ -51,23 +50,6 @@ class Gaussian3D:
         self.opacity = float(self.opacity)
         self.color = _as_f64(self.color, (3,), "color")
 
-    def validate(self):
-        """Raise ValueError when a field is outside its documented domain."""
-        if not np.all(np.isfinite(self.mean)):
-            raise ValueError("mean must be finite")
-        if not np.all(np.isfinite(self.scale)) or np.any(self.scale <= 0.0):
-            raise ValueError("scale components must be positive")
-        if not np.all(np.isfinite(self.quat)):
-            raise ValueError("quat must be finite")
-        if np.sqrt(np.dot(self.quat, self.quat)) <= QUAT_NORM_EPS:
-            raise ValueError("quat norm is too small")
-        if not 0.0 <= self.opacity <= 1.0:
-            raise ValueError("opacity must lie in [0, 1]")
-        if not np.all(np.isfinite(self.color)):
-            raise ValueError("color must be finite")
-        if np.any(self.color < 0.0) or np.any(self.color > 1.0):
-            raise ValueError("color channels must lie in [0, 1]")
-
 
 def _raise_first(bad, field, problem):
     hit = np.flatnonzero(bad)
@@ -80,9 +62,8 @@ class Splats:
     """A scene as arrays, one row per splat.
 
     means (N, 3), scales (N, 3), quats (N, 4) in (w, x, y, z) order,
-    opacities (N,) and colors (N, 3). The batched kernels and the
-    optimizer work on this form; from_gaussians and to_gaussians convert
-    to and from a list of Gaussian3D.
+    opacities (N,) and colors (N, 3). validate() is the one domain check
+    of a scene.
     """
 
     means: np.ndarray
@@ -107,33 +88,18 @@ class Splats:
         return self.opacities.shape[0]
 
     @classmethod
-    def from_gaussians(cls, gaussians):
-        n = len(gaussians)
-        return cls(
-            means=np.array([g.mean for g in gaussians]).reshape(n, 3),
-            scales=np.array([g.scale for g in gaussians]).reshape(n, 3),
-            quats=np.array([g.quat for g in gaussians]).reshape(n, 4),
-            opacities=np.array([g.opacity for g in gaussians], dtype=np.float64),
-            colors=np.array([g.color for g in gaussians]).reshape(n, 3),
-        )
-
-    @classmethod
     def of(cls, scene):
-        """scene itself if it is a Splats, else from_gaussians(scene)."""
-        return scene if isinstance(scene, cls) else cls.from_gaussians(scene)
-
-    def to_gaussians(self):
-        """One Gaussian3D per row, holding copies of the row's values."""
-        return [
-            Gaussian3D(
-                mean=self.means[i].copy(),
-                scale=self.scales[i].copy(),
-                quat=self.quats[i].copy(),
-                opacity=self.opacities[i],
-                color=self.colors[i].copy(),
-            )
-            for i in range(len(self))
-        ]
+        """scene itself if it is a Splats, else its Gaussian3D rows stacked."""
+        if isinstance(scene, cls):
+            return scene
+        n = len(scene)
+        return cls(
+            means=np.array([g.mean for g in scene]).reshape(n, 3),
+            scales=np.array([g.scale for g in scene]).reshape(n, 3),
+            quats=np.array([g.quat for g in scene]).reshape(n, 4),
+            opacities=np.array([g.opacity for g in scene], dtype=np.float64),
+            colors=np.array([g.color for g in scene]).reshape(n, 3),
+        )
 
     def check(self):
         """Raise ValueError unless every splat can be rendered.
@@ -157,8 +123,9 @@ class Splats:
         _raise_first(norms <= QUAT_NORM_EPS, "quat", "norm is too small")
 
     def validate(self):
-        """check(), then the ranges Gaussian3D.validate enforces: opacity
-        and color channels in [0, 1]."""
+        """check(), then the ranges: opacity and color channels in [0, 1].
+        The message names the field, e.g. gaussians[1].opacity must lie in
+        [0, 1]."""
         self.check()
         _raise_first((self.opacities < 0.0) | (self.opacities > 1.0),
                      "opacity", "must lie in [0, 1]")

@@ -40,7 +40,7 @@ import numpy as np
 
 # compose_covariance_3d is not called here; it stays importable from this
 # module because perfbench/spans.py wraps gradcheck.compose_covariance_3d.
-from .core import Camera, Gaussian3D, Splats, compose_covariance_3d, quat_to_rotmat  # noqa: F401
+from .core import Camera, Splats, compose_covariance_3d, quat_to_rotmat  # noqa: F401
 from .projection import project_splats
 from .proj_backward import scene_backward
 from .raster_forward import (SIGMA_CUT, T_MIN, _footprints, _pack_splats, _pair_alpha,
@@ -324,13 +324,14 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
         "pixel_mask", pixel_mask, shape)
     background = np.asarray(background, dtype=np.float64)
 
-    result = render(scene, camera, background)
+    splats = Splats.of(scene)
+    result = render(splats, camera, background)
     d_image = 2.0 * weight[:, :, None] * (result.image.channels - target)
-    analytic = scene_backward(scene, camera, result, d_image)
+    analytic = scene_backward(splats, camera, result, d_image)
     if gradient_transform is not None:
         analytic = gradient_transform(analytic)
 
-    stack, views, table, probed, coords = _probes(Splats.of(scene), camera, h)
+    stack, views, table, probed, coords = _probes(splats, camera, h)
     proj, windows = _probe_rows(stack, views, table, probed, camera)
     del stack, views, table  # not read again while the probes are composited
     delta = _probe_differences(proj, windows, target, weight, background)
@@ -400,37 +401,28 @@ def _audit_camera(rng, image_size):
 
 
 def _draw_scene(rng, n, camera):
-    # Splats are placed by choosing a pixel and a depth, then backprojecting,
-    # so footprints land on the image. Opacity stays in [0.5, 0.9]: high
-    # enough that nothing hovers near the ALPHA_MIN skip, low enough that
-    # the ALPHA_MAX clamp never engages.
-    gaussians = []
-    for _ in range(n):
+    """(Splats, background) drawn from rng, splat by splat.
+
+    Splats are placed by choosing a pixel and a depth, then backprojecting,
+    so footprints land on the image. Opacity stays in [0.5, 0.9]: high
+    enough that nothing hovers near the ALPHA_MIN skip, low enough that
+    the ALPHA_MAX clamp never engages."""
+    means, scales, colors = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3))
+    quats, opacities = np.empty((n, 4)), np.empty(n)
+    for i in range(n):
         px = rng.uniform(2.0, camera.width - 2.0)
         py = rng.uniform(2.0, camera.height - 2.0)
         depth = rng.uniform(2.5, 4.5)
-        t_cam = np.array(
-            [
-                (px - 0.5 - camera.cx) * depth / camera.fx,
-                (py - 0.5 - camera.cy) * depth / camera.fy,
-                depth,
-            ]
-        )
-        mean = camera.rotation.T @ (t_cam - camera.translation)
-        scale_px = rng.uniform(1.0, 2.2, size=3)
+        t_cam = np.array([(px - 0.5 - camera.cx) * depth / camera.fx,
+                          (py - 0.5 - camera.cy) * depth / camera.fy, depth])
+        means[i] = camera.rotation.T @ (t_cam - camera.translation)
+        scales[i] = rng.uniform(1.0, 2.2, size=3) * depth / camera.fx
         quat = rng.normal(size=4)
-        quat = quat / np.sqrt(np.dot(quat, quat)) * rng.uniform(0.8, 1.4)
-        gaussians.append(
-            Gaussian3D(
-                mean=mean,
-                scale=scale_px * depth / camera.fx,
-                quat=quat,
-                opacity=rng.uniform(0.5, 0.9),
-                color=rng.uniform(0.05, 0.95, size=3),
-            )
-        )
+        quats[i] = quat / np.sqrt(np.dot(quat, quat)) * rng.uniform(0.8, 1.4)
+        opacities[i] = rng.uniform(0.5, 0.9)
+        colors[i] = rng.uniform(0.05, 0.95, size=3)
     background = rng.uniform(0.1, 0.5, size=3)
-    return gaussians, background
+    return Splats(means, scales, quats, opacities, colors), background
 
 
 # _pixel_safety_mask's margins around SIGMA_CUT, around T_MIN (a factor)
@@ -440,7 +432,7 @@ T_MARGIN = 4.0
 DEPTH_MARGIN = 5e-3
 
 
-def _pixel_safety_mask(scene, camera, background):
+def _pixel_safety_mask(splats, camera, background):
     """Pixels whose color stays differentiable under probes up to ~1e-4.
 
     Returns None to reject the whole scene when a depth sits near the clip
@@ -453,7 +445,6 @@ def _pixel_safety_mask(scene, camera, background):
     shift sigma by at most ~1e-2 at step 1e-4, so the margins hold
     fivefold headroom.
     """
-    splats = Splats.of(scene)
     # Every splat in front of the camera, image-culled ones included; a
     # splat missing here was depth-culled, which rejects the scene anyway.
     projected = project_splats(splats, camera, keep_offscreen=True)
@@ -505,7 +496,8 @@ def _pattern_target(width, height):
 
 
 def make_audit_scene(seed, image_size=16):
-    """Deterministic (scene, camera, target, background, mask) for one run.
+    """Deterministic (scene, camera, target, background, mask) for one
+    run; scene is a Splats.
 
     Scenes are redrawn from the seeded stream until depths are safely
     separated and at least half the pixels are branch-safe; the mask marks

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QUAT_NORM_EPS, Camera, Gaussian3D, Splats
+from .core import QUAT_NORM_EPS, Camera, Splats
 from .proj_backward import scene_backward
 from .raster_forward import render
 
@@ -38,12 +38,12 @@ class FitConfig:
 
 
 def init_random(config: FitConfig, camera: Camera, target):
-    """Seeded starting scene for a fit.
+    """Seeded starting scene for a fit, as a Splats.
 
     Splats are backprojected from uniformly drawn pixels at depths in a
     band past the near plane, sized so their footprints roughly tile the
     image area, colored from the target pixel under their center, and
-    given opacity 0.5.
+    given opacity 0.5. Each splat draws its pixel and depth in turn.
     """
     rng = np.random.default_rng(config.seed)
     target = np.asarray(target, dtype=np.float64)
@@ -52,31 +52,19 @@ def init_random(config: FitConfig, camera: Camera, target):
     n = config.n_gaussians
     if n > 0:
         sigma_px = 0.5 * np.sqrt(camera.width * camera.height / n / np.pi)
-    scene = []
-    for _ in range(n):
+    means, scales, colors = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3))
+    for i in range(n):
         px = rng.uniform(0.0, camera.width)
         py = rng.uniform(0.0, camera.height)
         depth = rng.uniform(depth_lo, depth_hi)
-        t_cam = np.array(
-            [
-                (px - 0.5 - camera.cx) * depth / camera.fx,
-                (py - 0.5 - camera.cy) * depth / camera.fy,
-                depth,
-            ]
-        )
-        mean = camera.rotation.T @ (t_cam - camera.translation)
-        row = min(camera.height - 1, max(0, int(py)))
-        col = min(camera.width - 1, max(0, int(px)))
-        scene.append(
-            Gaussian3D(
-                mean=mean,
-                scale=np.full(3, sigma_px * depth / camera.fx),
-                quat=np.array([1.0, 0.0, 0.0, 0.0]),
-                opacity=0.5,
-                color=target[row, col].copy(),
-            )
-        )
-    return scene
+        t_cam = np.array([(px - 0.5 - camera.cx) * depth / camera.fx,
+                          (py - 0.5 - camera.cy) * depth / camera.fy, depth])
+        means[i] = camera.rotation.T @ (t_cam - camera.translation)
+        scales[i] = sigma_px * depth / camera.fx
+        colors[i] = target[min(camera.height - 1, max(0, int(py))),
+                           min(camera.width - 1, max(0, int(px)))]
+    return Splats(means=means, scales=scales, quats=np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
+                  opacities=np.full(n, 0.5), colors=colors)
 
 
 @dataclass
@@ -121,11 +109,13 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
             logit map.
 
     Returns:
-        (scene, loss_history): the fitted scene as a list of Gaussian3D,
-        and one loss value per iteration, measured before that
-        iteration's update.
+        (scene, loss_history): the fitted scene as a Splats, and one loss
+        value per iteration, measured before that iteration's update.
 
     Raises:
+        ValueError naming the field when config.n_gaussians or
+        config.iterations is negative, or naming the splat and field
+        when init fails Splats.validate.
         FloatingPointError when the loss or a gradient class turns
         non-finite, naming the loss or the class (e.g. d_quat) and the
         iteration, or when a step leaves a quaternion with norm at or
@@ -138,16 +128,21 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
             f"target shape {target.shape} does not match camera "
             f"{(camera.height, camera.width, 3)}"
         )
+    for name in ("n_gaussians", "iterations"):
+        if getattr(config, name) < 0:
+            raise ValueError(f"config.{name} must be at least 0, "
+                             f"got {getattr(config, name)}")
     background = np.asarray(config.background, dtype=np.float64)
 
-    start = Splats.of(init_random(config, camera, target) if init is None else init)
+    start = init_random(config, camera, target) if init is None else Splats.of(init)
     start.validate()
-    # Every update below makes new arrays, so start's own are never written.
-    means = start.means
+    # Copies, so the fitted scene shares no array with init even when no
+    # iteration runs; every update below makes new arrays.
+    means = start.means.copy()
     log_scales = np.log(start.scales)
-    quats = start.quats
+    quats = start.quats.copy()
     logits = _logit(np.clip(start.opacities, 1e-4, 1.0 - 1e-4))
-    colors = start.colors
+    colors = start.colors.copy()
 
     adam = {
         name: _AdamState(np.zeros_like(p), np.zeros_like(p))
@@ -193,4 +188,4 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
 
     final = Splats(means=means, scales=np.exp(log_scales), quats=quats,
                    opacities=1.0 / (1.0 + np.exp(-logits)), colors=colors)
-    return final.to_gaussians(), history
+    return final, history

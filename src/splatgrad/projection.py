@@ -187,7 +187,7 @@ def project_gaussian(g: Gaussian3D, camera: Camera, source_index=0):
     outside (near, far), or a footprint that cannot touch any pixel.
     Culling is a normal outcome, not an error.
     """
-    projected = project_splats(Splats.from_gaussians([g]), camera)
+    projected = project_splats(Splats.of([g]), camera)
     if not len(projected):
         return None
     row = projected[0]

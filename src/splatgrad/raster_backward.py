@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import Splats
 from .projection import ProjectedSplats
 from .raster_forward import ALPHA_MAX, _composite, _pack_splats, _pixel_entries, _walk
 
@@ -129,12 +130,12 @@ def _add_block(pairs, packed, d_pixels, s, centers, rows, totals):
     add(8, g * y1)
 
 
-def _pixel_pairs(sorted_bin, projected, scene, pixel_center, n_contrib):
+def _pixel_pairs(sorted_bin, projected, splats, pixel_center, n_contrib):
     """The packed splats and contributing pairs of composite_pixel's one
     pixel. Composited without early termination, every visible pair
     commits; T never increases, so the ones before n_contrib are exactly
     those the forward pass committed, with either setting."""
-    packed = _pack_splats(projected, scene)
+    packed = _pack_splats(projected, splats)
     *_, blocks = _composite(_pixel_entries(sorted_bin, pixel_center), packed, 1,
                             np.zeros(3), False)
     return packed, [p._make(x[p.pos < n_contrib] for x in p) for p in blocks]
@@ -149,14 +150,15 @@ def composite_pixel_backward(sorted_bin, projected, scene, pixel_center,
     starts from its final_T. Returns a Splat2DGrads with one row per
     gaussian in `scene`.
     """
-    packed, pairs = _pixel_pairs(sorted_bin, projected, scene, pixel_center,
+    splats = Splats.of(scene)
+    packed, pairs = _pixel_pairs(sorted_bin, projected, splats, pixel_center,
                                  aux_entry.n_contrib)
     return _backward(
         pairs,
         packed,
         (np.array([float(pixel_center[0])]), np.array([float(pixel_center[1])])),
         ProjectedSplats.of(projected).source_index,
-        len(scene),
+        len(splats),
         np.asarray(background, dtype=np.float64),
         np.array([aux_entry.final_T]),
         np.asarray(d_pixel, dtype=np.float64).reshape(1, 3),
@@ -173,7 +175,7 @@ def transmittance_replay(sorted_bin, projected, scene, pixel_center,
     values. background is unused; it is accepted so the call mirrors
     composite_pixel_backward.
     """
-    _, pairs = _pixel_pairs(sorted_bin, projected, scene, pixel_center,
+    _, pairs = _pixel_pairs(sorted_bin, projected, Splats.of(scene), pixel_center,
                             aux_entry.n_contrib)
     return [(int(k), float(t)) for p in reversed(pairs)
             for k, t in zip(p.pos[::-1], p.t_before[::-1])]
@@ -185,7 +187,7 @@ def accumulate_image_backward(scene, result, d_image):
     Reads the committed pairs render kept on result.pairs.
 
     Args:
-        scene: the Splats or gaussian list the render used.
+        scene: the Splats, or list of Gaussian3D, the render used.
         result: RenderResult from render() on identical inputs.
         d_image: upstream gradient, shape (height, width, 3).
 
@@ -193,6 +195,7 @@ def accumulate_image_backward(scene, result, d_image):
         Splat2DGrads totals, one row per scene gaussian, summed in a fixed
         pair order so repeated runs agree bitwise.
     """
+    splats = Splats.of(scene)
     d_image = np.asarray(d_image, dtype=np.float64)
     h, w = result.image.height, result.image.width
     if d_image.shape != (h, w, 3):
@@ -201,10 +204,10 @@ def accumulate_image_backward(scene, result, d_image):
         )
     return _backward(
         result.pairs,
-        _pack_splats(result.projected, scene),
+        _pack_splats(result.projected, splats),
         (np.tile(np.arange(w) + 0.5, h), np.repeat(np.arange(h) + 0.5, w)),
         result.projected.source_index,
-        len(scene),
+        len(splats),
         result.background,
         result.aux.final_T.ravel(),
         d_image.reshape(-1, 3),

@@ -23,28 +23,26 @@ renderer reuses the compositor with the tile bins replaced by the full
 globally sorted list, which is what makes the tiled-versus-brute-force
 equivalence checks meaningful.
 
-The pipeline has an image axis. render_images renders K scenes, each
-from its own camera, in one pass. Projection makes one project_splats
-call per distinct set of intrinsics, each row seen through its own
-camera's view. Then tile t of image k is binned as k * n_tiles + t (the
-sort key stays tile, depth, scene-local source index), each entry's
-pixels are offset by k * height * width, and one walk composites all
-K * height * width pixels. A pixel still has at most one pair per bin
-position, so image k equals a render of scene k alone bitwise. render
-is the K = 1 case; the audit projects each distinct row of a scene's
-probes once, then bins and composites the probes in slices.
+The pipeline has an image axis. _project_stack projects a stack of
+rows in one project_splats pass, each row through its own view, and the
+caller maps each kept row to its image. Then tile t of image k is
+binned as k * n_tiles + t (the sort key stays tile, depth, scene-local
+source index), and one walk composites the pixels of all K images. A
+pixel still has at most one pair per bin position, so image k equals a
+render of its rows alone bitwise. render is the K = 1 case; the audit
+projects each distinct row of a scene's probes once, then bins and
+composites the probes in slices.
 
 Each image is composited only inside its window, a pixel rectangle
 (x0, y0, x1, y1): entries are clipped to it as well as to their tile,
 and the windows' pixels are laid out one after another, each
-row-major. render, render_images and render_brute_force pass whole-image
-windows, which give the layout above. The audit passes the pixels a
-probed splat can reach; every pixel inside a window equals the same
-pixel of the whole image bitwise.
+row-major. render and render_brute_force pass the whole image. The
+audit passes the pixels a probed splat can reach; every pixel inside a
+window equals the same pixel of the whole image bitwise.
 
-render takes the scene as a Splats or a list of Gaussian3D, checks it
-once with Splats.check, and projects every splat in one batched pass
-(projection.project_splats); result.projected is the resulting
+render takes the scene as a Splats or a list of Gaussian3D, stacks it
+once with Splats.of, checks it with Splats.check, and projects every
+splat in one batched pass; result.projected is the resulting
 ProjectedSplats.
 
 render keeps the pairs it commits, one CommittedPairs record per block
@@ -191,12 +189,10 @@ class _PackedSplats:
         )
 
 
-def _pack_splats(projected, scene):
+def _pack_splats(projected, splats):
     """Pack the projected splats (ProjectedSplats or a list of
-    ProjectedGaussian) with their scene opacity and color (scene a Splats
-    or a list of Gaussian3D)."""
+    ProjectedGaussian) with their opacity and color from the Splats."""
     p = ProjectedSplats.of(projected)
-    splats = Splats.of(scene)
     return _PackedSplats.of(
         mean2d=p.mean2d,
         cov2d=p.cov2d,
@@ -527,7 +523,7 @@ def composite_pixel(sorted_bin, projected, scene, pixel_center, background,
     """
     color, trans, n_contrib, _ = _composite(
         _pixel_entries(sorted_bin, pixel_center),
-        _pack_splats(projected, scene),
+        _pack_splats(projected, Splats.of(scene)),
         1,
         np.asarray(background, dtype=np.float64),
         early_termination,
@@ -581,33 +577,6 @@ def _project_stack(stack, camera, local, views=None):
                        stack.opacities[row], stack.colors[row])
 
 
-def _project_images(scenes, cameras):
-    """Check and project the Splats scenes[k] seen by cameras[k].
-
-    The scenes of cameras with equal intrinsics are stacked and projected
-    by one _project_stack call, each row through its own camera's view.
-    """
-    groups = {}
-    for k, c in enumerate(cameras):
-        groups.setdefault((c.fx, c.fy, c.cx, c.cy, c.near, c.far), []).append(k)
-    parts = []
-    for ks in groups.values():
-        group = [scenes[k] for k in ks]
-        stack = group[0] if len(ks) == 1 else Splats(*map(np.concatenate, zip(*(
-            (s.means, s.scales, s.quats, s.opacities, s.colors) for s in group))))
-        image = np.repeat(np.arange(len(ks)), [len(s) for s in group])
-        views = None if len(ks) == 1 else np.stack([cameras[k].view for k in ks])[image]
-        local = np.concatenate([np.arange(len(s)) for s in group])
-        p = _project_stack(stack, cameras[ks[0]], local, views)
-        parts.append(p._replace(image=np.array(ks)[image[p.image]]))
-    if len(parts) == 1:
-        return parts[0]
-    return _Projection(
-        ProjectedSplats(*(np.concatenate([getattr(p.projected, f.name) for p in parts])
-                          for f in fields(ProjectedSplats))),
-        *(np.concatenate(column) for column in zip(*(p[1:] for p in parts))))
-
-
 def _composite_grid(grid, proj, windows, background, early_termination):
     """Composite the windows (K, 4) of the K images of grid's entries:
     _composite's (color, final_T, n_contrib, pairs) over the windows'
@@ -651,8 +620,6 @@ def _result(camera, background, projected, grid, composited):
 def render(scene, camera: Camera, background, *, early_termination=True):
     """Render a scene: project, bin, sort, then composite every pixel.
 
-    The one-image case of render_images.
-
     Args:
         scene: Splats, or a list of Gaussian3D. Checked with Splats.check,
             so a non-finite value, a non-positive scale or a vanishing
@@ -668,41 +635,14 @@ def render(scene, camera: Camera, background, *, early_termination=True):
         pair, n_contrib.sum() pairs at most).
     """
     background = np.asarray(background, dtype=np.float64)
-    proj = _project_images([Splats.of(scene)], [camera])
+    splats = Splats.of(scene)
+    proj = _project_stack(splats, camera, np.arange(len(splats)))
+    # _project_stack tags each row with its stack index; all are image 0.
+    proj = proj._replace(image=np.zeros_like(proj.image))
     grid, composited = _render_batch(proj, camera.width, camera.height,
                                      _full_windows(1, camera.width, camera.height),
                                      background, early_termination)
     return _result(camera, background, proj.projected, grid, composited)
-
-
-def render_images(scenes, cameras, background):
-    """Render K scenes, scenes[k] seen by cameras[k], in one pass.
-
-    The cameras must share width and height. The scenes of cameras with
-    equal intrinsics are projected in one pass, each through its own
-    camera's view. Every image is bitwise equal to render(scenes[k],
-    cameras[k], background), early termination on; a bad splat raises
-    render's ValueError, naming the splat by its index in its own scene.
-
-    Returns:
-        (images, aux): images (K, height, width, 3), and a RenderAux whose
-        final_T and n_contrib are (K, height, width).
-    """
-    if not cameras or len(scenes) != len(cameras):
-        raise ValueError(
-            f"need one camera per scene and at least one of each, got "
-            f"{len(scenes)} scenes and {len(cameras)} cameras"
-        )
-    sizes = {(c.width, c.height) for c in cameras}
-    if len(sizes) > 1:
-        raise ValueError(f"cameras must share width and height, got {sorted(sizes)}")
-    proj = _project_images([Splats.of(s) for s in scenes], cameras)
-    shape = (len(cameras), cameras[0].height, cameras[0].width)
-    _, (color, trans, n_contrib, _) = _render_batch(
-        proj, shape[2], shape[1], _full_windows(shape[0], shape[2], shape[1]),
-        np.asarray(background, dtype=np.float64), True)
-    return (np.ascontiguousarray(color.T).reshape(shape + (3,)),
-            RenderAux(final_T=trans.reshape(shape), n_contrib=n_contrib.reshape(shape)))
 
 
 def render_brute_force(scene, camera: Camera, background, *, early_termination=True):
@@ -713,7 +653,8 @@ def render_brute_force(scene, camera: Camera, background, *, early_termination=T
     Any disagreement with render() therefore isolates a binning bug.
     """
     background = np.asarray(background, dtype=np.float64)
-    proj = _project_images([Splats.of(scene)], [camera])
+    splats = Splats.of(scene)
+    proj = _project_stack(splats, camera, np.arange(len(splats)))
     projected = proj.projected
     tiles_x, tiles_y = grid_shape(camera.width, camera.height)
     order = np.lexsort((projected.source_index, projected.depth))

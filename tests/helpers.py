@@ -3,8 +3,17 @@ across the test modules."""
 
 import numpy as np
 
-from splatgrad import Camera, Gaussian3D, ProjectedGaussian, project_gaussian
+from splatgrad import Camera, Gaussian3D, ProjectedGaussian, Splats, project_gaussian
 from splatgrad.raster_forward import ALPHA_MAX, ALPHA_MIN, SIGMA_CUT, T_MIN
+
+
+def rows(scene):
+    """The scene (a Splats or a list of Gaussian3D) as a list of
+    Gaussian3D rows holding copies of its values, for the per-splat
+    oracles."""
+    s = Splats.of(scene)
+    return [Gaussian3D(*(x.copy() for x in row))
+            for row in zip(s.means, s.scales, s.quats, s.opacities, s.colors)]
 
 
 def frustum_camera(width, height, fx=None, near=0.1, far=100.0):
@@ -77,6 +86,7 @@ def naive_render(scene, camera, background, early_termination=True):
     not bitwise, because the solver path rounds differently.
     """
     background = np.asarray(background, dtype=np.float64)
+    scene = rows(scene)
     projected = []
     for i, g in enumerate(scene):
         p = project_gaussian(g, camera, source_index=i)
@@ -140,7 +150,7 @@ def oracle_render(scene, result, early_termination):
     composited tile by tile with oracle_composite_tile at every pixel."""
     from splatgrad.raster_forward import _pack_splats
 
-    packed = _pack_splats(result.projected, scene)
+    packed = _pack_splats(result.projected, Splats.of(scene))
     h, w = result.image.height, result.image.width
     image = np.zeros((h, w, 3))
     final_t = np.ones((h, w))
@@ -163,7 +173,7 @@ def oracle_image_backward(scene, result, d_image):
     from splatgrad.raster_forward import _pack_splats
 
     grads = Splat2DGrads.zeros(len(scene))
-    packed = _pack_splats(result.projected, scene)
+    packed = _pack_splats(result.projected, Splats.of(scene))
     h, w = result.image.height, result.image.width
     bins = result.grid.bins
     for b, rows, cols, xs, ys in iter_tiles(result.grid, w, h):
@@ -292,6 +302,7 @@ def reference_pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
         world_to_camera,
     )
 
+    scene = rows(scene)
     projected = []
     for g in scene:
         t_cam = world_to_camera(g.mean, camera)
@@ -380,6 +391,7 @@ def oracle_audit_scene(scene, camera, target, *, background, pixel_mask,
     )
     from splatgrad.raster_forward import _footprints, _pack_splats
 
+    scene = rows(scene)
     target = np.asarray(target, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
     weight = np.asarray(pixel_mask, dtype=np.float64)
@@ -393,7 +405,7 @@ def oracle_audit_scene(scene, camera, target, *, background, pixel_mask,
         x1 = y1 = -np.inf
         for res, probe_scene in results:
             p = res.projected
-            boxes = _footprints(_pack_splats(p, probe_scene), p.radius)
+            boxes = _footprints(_pack_splats(p, Splats.of(probe_scene)), p.radius)
             for box in boxes[p.source_index == splat].tolist():
                 x0, y0 = min(x0, box[0]), min(y0, box[1])
                 x1, y1 = max(x1, box[2]), max(y1, box[3])
@@ -536,7 +548,7 @@ def oracle_project_scene(scene, camera):
     """The projection one splat at a time: ProjectedGaussian for every
     splat that survives the depth and off-image culls."""
     projected = []
-    for idx, g in enumerate(scene):
+    for idx, g in enumerate(rows(scene)):
         depth = float((camera.view @ np.append(g.mean, 1.0))[2])
         if depth <= camera.near or depth >= camera.far:
             continue
@@ -569,6 +581,7 @@ def oracle_scene_backward(scene, camera, result, d_image):
     """
     from splatgrad import SceneGradients, accumulate_image_backward
 
+    scene = rows(scene)
     splat = accumulate_image_backward(scene, result, d_image)
     grads = SceneGradients.zeros(len(scene))
     grads.d_color = splat.d_color

@@ -117,8 +117,8 @@ class TestAcceptance:
                         if pos >= aux.n_contrib:
                             break
                         p = res.projected[idx]
-                        g = scene[p.source_index]
-                        alpha, _, _ = eval_alpha(p, g.opacity, px)
+                        alpha, _, _ = eval_alpha(
+                            p, scene.opacities[p.source_index], px)
                         if alpha == 0.0:
                             continue
                         forward[pos] = t

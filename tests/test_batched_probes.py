@@ -1,16 +1,17 @@
 """Rendering with an image axis, and the audit that renders its probes
 through it.
 
-render_images must give, for every image, the bytes render gives for that
-scene and camera alone: image, final_T and n_contrib. The property test
-draws batches that mix scene sizes, empty and all-culled scenes, scenes
-within 1e-6 of the near or far plane, views shared by several images and
-views of their own, with cameras that differ in their intrinsics (one
-projection per camera) or only in their views (one projection for the
-batch). render's own tests cover early termination off. The audit tests
-run audit_scene on non-square scenes with an off-centre principal point
-and require the batched report to pass and to equal the report of the
-per-probe loop kept in helpers.
+The audit stacks the scenes of several images, projects the stack with
+one _project_stack call, each row through its own image's view and all
+with one set of intrinsics, and bins and composites every image with
+one _render_batch call. Every image must get the bytes render gives for
+its scene and camera alone: image, final_T and n_contrib. The property
+test draws batches that mix scene sizes, empty and all-culled scenes,
+scenes within 1e-6 of the near or far plane, and views shared by several
+images or of their own. render's own tests cover early termination off.
+The audit tests run audit_scene on non-square scenes with an off-centre
+principal point and require the batched report to pass and to equal the
+report of the per-probe loop kept in helpers.
 """
 
 from dataclasses import replace
@@ -23,14 +24,15 @@ from hypothesis import strategies as st
 from splatgrad import (
     Camera,
     Gaussian3D,
+    Splats,
     audit_scene,
     quat_to_rotmat,
     render,
-    render_images,
 )
 from splatgrad.gradcheck import _draw_scene, _pattern_target, _pixel_safety_mask
+from splatgrad.raster_forward import _full_windows, _project_stack, _render_batch
 
-from helpers import oracle_audit_scene
+from helpers import oracle_audit_scene, rows
 from test_footprint_pairs import scenes as drawn_scenes
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -88,9 +90,8 @@ def batches(draw):
     side = st.integers(5, 40)
     width, height = draw(side), draw(side)
     cameras = [draw(views(width, height)) for _ in range(draw(st.integers(1, 3)))]
-    if draw(st.booleans()):
-        # As in the audit: one set of intrinsics, a view of each camera's own.
-        cameras = [replace(cameras[0], view=camera.view) for camera in cameras]
+    # As in the audit: one set of intrinsics, a view of each camera's own.
+    cameras = [replace(cameras[0], view=camera.view) for camera in cameras]
     picked, scenes = [], []
     for _ in range(draw(st.integers(1, 5))):
         # Images that pick the same view share its Camera object.
@@ -110,16 +111,37 @@ def batches(draw):
     return scenes, picked, background
 
 
+def render_stack(scenes, cameras, background):
+    """Render scenes[k] seen by cameras[k] as the audit does: one
+    _project_stack call over all their rows with the intrinsics of
+    cameras[0], each row through its own camera's view, and one
+    _render_batch call. Returns (images (K, h, w, 3), final_T (K, h, w),
+    n_contrib (K, h, w))."""
+    splats = [Splats.of(scene) for scene in scenes]
+    stack = Splats(*(np.concatenate([getattr(s, f) for s in splats])
+                     for f in ("means", "scales", "quats", "opacities", "colors")))
+    image = np.repeat(np.arange(len(scenes)), [len(s) for s in splats])
+    local = np.concatenate([np.arange(len(s)) for s in splats])
+    view_stack = np.stack([camera.view for camera in cameras])[image]
+    proj = _project_stack(stack, cameras[0], local, view_stack)
+    proj = proj._replace(image=image[proj.image])
+    k, h, w = len(scenes), cameras[0].height, cameras[0].width
+    _, (color, final_t, n_contrib, _) = _render_batch(
+        proj, w, h, _full_windows(k, w, h), background, True)
+    return (color.T.reshape(k, h, w, 3), final_t.reshape(k, h, w),
+            n_contrib.reshape(k, h, w))
+
+
 def assert_images_match_renders(scenes, cameras, background):
-    images, aux = render_images(scenes, cameras, background)
+    images, final_t, n_contrib = render_stack(scenes, cameras, background)
     k, h, w = len(scenes), cameras[0].height, cameras[0].width
     assert images.shape == (k, h, w, 3)
-    assert aux.final_T.shape == aux.n_contrib.shape == (k, h, w)
+    assert final_t.shape == n_contrib.shape == (k, h, w)
     for i, (scene, camera) in enumerate(zip(scenes, cameras)):
         ref = render(scene, camera, background)
         assert images[i].tobytes() == ref.image.channels.tobytes(), i
-        assert aux.final_T[i].tobytes() == ref.aux.final_T.tobytes(), i
-        assert aux.n_contrib[i].tobytes() == ref.aux.n_contrib.tobytes(), i
+        assert final_t[i].tobytes() == ref.aux.final_T.tobytes(), i
+        assert n_contrib[i].tobytes() == ref.aux.n_contrib.tobytes(), i
 
 
 @settings(max_examples=40, deadline=None, derandomize=True,
@@ -133,10 +155,12 @@ def test_empty_and_culled_scenes_in_one_batch():
     rng = np.random.default_rng(3)
     shared = Camera(view=np.eye(4), fx=30.0, fy=30.0, cx=11.0, cy=15.0,
                     width=37, height=23, near=0.1, far=100.0)
-    own = Camera(view=np.eye(4), fx=30.0, fy=30.0, cx=20.0, cy=8.0,
-                 width=37, height=23, near=0.1, far=100.0)
+    view = np.eye(4)
+    view[:3, :3] = quat_to_rotmat([1.0, 0.05, -0.1, 0.02])
+    view[:3, 3] = [0.1, -0.05, 0.2]
+    own = replace(shared, view=view)
     drawn, _ = _draw_scene(rng, 6, shared)
-    scenes = [drawn, [], culled_scene(shared, 3), drawn[:2], drawn]
+    scenes = [drawn, [], culled_scene(shared, 3), rows(drawn)[:2], drawn]
     cameras = [shared, shared, shared, shared, own]
     assert_images_match_renders(scenes, cameras, np.array([0.1, 0.2, 0.3]))
 
@@ -146,36 +170,21 @@ def test_empty_and_culled_scenes_in_one_batch():
     ("scale", np.full(3, 1e200), r"^gaussians\[2\]: 2d covariance"),
 ])
 def test_bad_probe_splat_named_by_scene_index(field, value, message):
-    # The bad splat is row 2 of the third scene, and row 8 of the stack
-    # projected with it unless it has intrinsics of its own, so the
-    # scene-local index must be named. The third camera is the shared
-    # one, one with a moved view and the same intrinsics (as a view probe
-    # has), or one with intrinsics of its own.
+    # The bad splat is row 2 of the third scene and row 8 of the stack,
+    # so the scene-local index must be named. The third camera is the
+    # shared one or one with a moved view (as a view probe has).
     rng = np.random.default_rng(0)
     camera = Camera(view=np.eye(4), fx=16.0, fy=16.0, cx=7.5, cy=7.5,
                     width=16, height=16, near=0.1, far=100.0)
     scene, background = _draw_scene(rng, 3, camera)
-    bad = list(scene)
-    bad[2] = Gaussian3D(**{**vars(scene[2]), field: value})
+    bad = rows(scene)
+    bad[2] = Gaussian3D(**{**vars(bad[2]), field: value})
     view = camera.view.copy()
     view[0, 3] += 1e-5
-    for third in (camera, replace(camera, view=view), replace(camera, cx=7.0)):
+    for third in (camera, replace(camera, view=view)):
         with pytest.raises(ValueError, match=message), np.errstate(over="ignore",
                                                                    invalid="ignore"):
-            render_images([scene, scene, bad], [camera, camera, third], background)
-
-
-def test_rejects_mismatched_cameras():
-    a = Camera(view=np.eye(4), fx=16.0, fy=16.0, cx=7.5, cy=7.5,
-               width=16, height=16, near=0.1, far=100.0)
-    b = Camera(view=np.eye(4), fx=16.0, fy=16.0, cx=7.5, cy=7.5,
-               width=16, height=17, near=0.1, far=100.0)
-    with pytest.raises(ValueError, match="share width and height"):
-        render_images([[], []], [a, b], np.zeros(3))
-    with pytest.raises(ValueError, match="one camera per scene"):
-        render_images([[]], [a, a], np.zeros(3))
-    with pytest.raises(ValueError, match="one camera per scene"):
-        render_images([], [], np.zeros(3))
+            render_stack([scene, scene, bad], [camera, camera, third], background)
 
 
 def off_centre_audit_case(seed, width=37, height=23):

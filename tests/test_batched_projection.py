@@ -44,6 +44,7 @@ from helpers import (
     oracle_project_scene,
     oracle_scene_backward,
     rotated_camera,
+    rows,
 )
 
 GRADIENT_CLASSES = ("d_mean", "d_scale", "d_quat", "d_opacity", "d_color", "d_view")
@@ -141,7 +142,7 @@ def assert_close(got, want, name, rel=1e-12):
 
 def test_projection_matches_per_splat_loop(case):
     scene, camera, _ = case
-    got = projection.project_splats(Splats.from_gaussians(scene), camera)
+    got = projection.project_splats(Splats.of(scene), camera)
     want = oracle_project_scene(scene, camera)
     assert got.source_index.tolist() == [p.source_index for p in want]
     assert len(got) == len(want)
@@ -165,11 +166,11 @@ def test_view_stack_equals_one_call_per_camera():
     scenes = [culled_scene(rng, camera) for camera in cameras]
     views = np.concatenate([np.repeat(camera.view[None], len(scene), axis=0)
                             for scene, camera in zip(scenes, cameras)])
-    got = projection.project_splats(Splats.from_gaussians(sum(scenes, [])),
+    got = projection.project_splats(Splats.of(sum(scenes, [])),
                                     cameras[0], view=views)
     start = 0
     for scene, camera in zip(scenes, cameras):
-        want = projection.project_splats(Splats.from_gaussians(scene), camera)
+        want = projection.project_splats(Splats.of(scene), camera)
         assert want.source_index.tolist() == [0, 4, 5, 6, 7]
         rows = (got.source_index >= start) & (got.source_index < start + len(scene))
         for field in dataclasses.fields(want):
@@ -216,21 +217,21 @@ def test_culled_case_culls_every_way():
 
 def test_splats_round_trip():
     scene, _, _ = rotated_off_centre_case()
-    splats = Splats.from_gaussians(scene)
+    splats = Splats.of(scene)
     assert len(splats) == len(scene)
-    back = splats.to_gaussians()
+    back = rows(splats)
     for a, b in zip(scene, back):
         for field in ("mean", "scale", "quat", "color"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert a.opacity == b.opacity
     assert Splats.of(splats) is splats
-    assert len(Splats.from_gaussians([])) == 0
+    assert len(Splats.of([])) == 0
 
 
 def test_render_of_splats_equals_render_of_list():
     scene, camera, background = rotated_off_centre_case()
     a = render(scene, camera, background)
-    b = render(Splats.from_gaussians(scene), camera, background)
+    b = render(Splats.of(scene), camera, background)
     assert np.array_equal(a.image.channels, b.image.channels)
     assert np.array_equal(a.aux.final_T, b.aux.final_T)
 
@@ -304,7 +305,7 @@ def test_projection_failures_raise_by_name(depth, message):
     scene = [g3([0.0, 0.0, 3.0]), g3([0.0, 0.0, 200.0]), g3([0.0, 0.0, 4.0]),
              g3([0.0, 0.0, depth], scale=0.1)]
     with pytest.raises(ValueError, match=rf"^gaussians\[3\]: {message}"):
-        projection.project_splats(Splats.from_gaussians(scene), camera)
+        projection.project_splats(Splats.of(scene), camera)
     with pytest.raises(ValueError):
         projection.project_gaussian(scene[3], camera, 3)
 

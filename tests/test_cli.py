@@ -159,3 +159,13 @@ class TestFitCommand:
         assert main(["render", str(fitted), "-o", str(rendered)]) == 0
         img = read_image(str(rendered))
         assert img.shape == (16, 16, 3)
+
+    @pytest.mark.parametrize("flag, field", [("-n", "n_gaussians"), ("--iters", "iterations")])
+    def test_fit_negative_count_exits_2(self, tmp_path, capsys, flag, field):
+        target_path = tmp_path / "t.ppm"
+        write_image(ImageBuffer(width=8, height=8, channels=np.full((8, 8, 3), 0.5)),
+                    str(target_path))
+        out = tmp_path / "s.json"
+        assert main(["fit", str(target_path), flag, "-3", "-o", str(out)]) == 2
+        assert f"config.{field} must be at least 0" in capsys.readouterr().err
+        assert not out.exists()

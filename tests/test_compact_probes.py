@@ -21,6 +21,7 @@ from splatgrad.gradcheck import _probe_rows, _probes
 from splatgrad.projection import ProjectedSplats
 from splatgrad.raster_forward import _footprints, _project_stack
 
+from helpers import rows
 from test_batched_probes import off_centre_audit_case
 from test_windowed_probes import H, expand
 
@@ -113,7 +114,7 @@ def test_compact_rows_match_full_stack_when_a_probe_culls_its_splat():
     # view's z translation cull it; every other probe keeps it.
     scene, camera, *_ = make_audit_scene(0)
     t_cam = np.array([0.0, 0.0, camera.near + 0.3 * H])
-    scene = list(scene) + [Gaussian3D(
+    scene = rows(scene) + [Gaussian3D(
         mean=camera.rotation.T @ (t_cam - camera.translation), scale=np.full(3, 0.01),
         quat=np.array([1.0, 0.2, 0.0, 0.0]), opacity=0.7, color=np.array([0.5, 0.5, 0.5]))]
     want = assert_compact_matches_full(scene, camera)
@@ -130,6 +131,6 @@ def test_probe_row_error_names_its_splat():
     # on quat[0] zeroes it. That probe's row sits far down the stack, and
     # the error must name the splat by its index in the scene.
     scene, camera, target, background, mask = make_audit_scene(3, 32)
-    scene[2] = Gaussian3D(**{**vars(scene[2]), "quat": np.array([1e-5, 0.0, 0.0, 0.0])})
+    scene.quats[2] = [1e-5, 0.0, 0.0, 0.0]
     with pytest.raises(ValueError, match=r"^gaussians\[2\]\.quat norm is too small$"):
         audit_scene(scene, camera, target, background=background, pixel_mask=mask)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from splatgrad import (
     Camera,
     Gaussian3D,
+    Splats,
     compose_covariance_3d,
     frobenius_inner,
     quat_to_rotmat,
@@ -185,12 +186,14 @@ class TestFrobeniusInner:
 
 
 class TestGaussianValidation:
+    """Splats.validate on a scene of one Gaussian3D row."""
+
     def test_valid_gaussian_passes(self):
         g = Gaussian3D(
             mean=[0, 0, 3], scale=[0.1, 0.2, 0.3], quat=[1, 0, 0, 0],
             opacity=0.5, color=[0.1, 0.5, 0.9],
         )
-        g.validate()
+        Splats.of([g]).validate()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -213,8 +216,9 @@ class TestGaussianValidation:
             opacity=0.5, color=[0.1, 0.5, 0.9],
         )
         base.update(kwargs)
-        with pytest.raises(ValueError):
-            Gaussian3D(**base).validate()
+        field = next(iter(kwargs))
+        with pytest.raises(ValueError, match=rf"^gaussians\[0\]\.{field} "):
+            Splats.of([Gaussian3D(**base)]).validate()
 
     def test_bad_shape_raises_on_construction(self):
         with pytest.raises(ValueError):

@@ -107,9 +107,8 @@ class TestAuditScene:
         a = make_audit_scene(5)
         b = make_audit_scene(5)
         assert len(a[0]) == len(b[0])
-        for ga, gb in zip(a[0], b[0]):
-            assert_allclose(ga.mean, gb.mean, atol=0.0)
-            assert_allclose(ga.quat, gb.quat, atol=0.0)
+        assert_allclose(a[0].means, b[0].means, atol=0.0)
+        assert_allclose(a[0].quats, b[0].quats, atol=0.0)
         assert_allclose(a[1].view, b[1].view, atol=0.0)
         assert_allclose(a[2], b[2], atol=0.0)
         assert_allclose(a[3], b[3], atol=0.0)

@@ -8,13 +8,22 @@ from numpy.testing import assert_allclose
 
 from splatgrad import (
     ImageBuffer,
+    Splats,
     parse_scene,
     read_image,
     serialize_scene,
     write_image,
 )
 
-from helpers import frustum_camera, frustum_scene, rotated_camera
+from helpers import frustum_camera, frustum_scene, rotated_camera, rows
+
+# A field of a scene row set out of its range, and the message naming it.
+OUT_OF_RANGE = [
+    ("scale", [0.3, -0.2, 0.4], "scale components must be positive"),
+    ("quat", [0.0, 0.0, 0.0, 0.0], "quat norm is too small"),
+    ("opacity", 1.5, r"opacity must lie in \[0, 1\]"),
+    ("color", [0.9, 1.5, 0.1], r"color channels must lie in \[0, 1\]"),
+]
 
 
 def sample_doc():
@@ -46,8 +55,8 @@ class TestParseScene:
         assert camera.width == 8
         assert camera.height == 6
         assert_allclose(background, [0.0, 0.0, 0.0])
-        assert_allclose(scene[0].mean, [0.1, -0.2, 3.0])
-        assert scene[0].opacity == 0.7
+        assert_allclose(scene.means[0], [0.1, -0.2, 3.0])
+        assert scene.opacities[0] == 0.7
 
     def test_accepts_bytes(self):
         scene, _, _ = parse_scene(json.dumps(sample_doc()).encode())
@@ -83,14 +92,18 @@ class TestParseScene:
                            match=r"unknown field scene.gaussians\[0\]"):
             parse_scene(json.dumps(doc))
 
-    def test_error_names_offending_gaussian_and_field(self):
+    @pytest.mark.parametrize("field, value, message", OUT_OF_RANGE,
+                             ids=[case[0] for case in OUT_OF_RANGE])
+    def test_error_names_offending_gaussian_and_field(self, field, value, message):
         doc = sample_doc()
         doc["gaussians"].append(dict(doc["gaussians"][0]))
-        doc["gaussians"][1]["scale"] = [0.3, -0.2, 0.4]
+        doc["gaussians"][1][field] = value
         with pytest.raises(ValueError) as err:
             parse_scene(json.dumps(doc))
         assert "scene.gaussians[1]" in str(err.value)
-        assert "scale" in str(err.value)
+        assert field in str(err.value)
+        with pytest.raises(ValueError, match=rf"^scene\.gaussians\[1\]\.{message}$"):
+            parse_scene(json.dumps(doc))
 
     def test_wrong_vector_length_rejected(self):
         doc = sample_doc()
@@ -105,10 +118,14 @@ class TestParseScene:
         with pytest.raises(ValueError):
             parse_scene(json.dumps(doc))
 
-    def test_opacity_out_of_range_rejected(self):
+    @pytest.mark.parametrize("field, value, message", OUT_OF_RANGE,
+                             ids=[case[0] for case in OUT_OF_RANGE])
+    def test_opacity_out_of_range_rejected(self, field, value, message):
         doc = sample_doc()
-        doc["gaussians"][0]["opacity"] = 1.5
+        doc["gaussians"][0][field] = value
         with pytest.raises(ValueError, match=r"scene.gaussians\[0\]"):
+            parse_scene(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"^scene\.gaussians\[0\]\.{message}$"):
             parse_scene(json.dumps(doc))
 
     def test_background_out_of_range_rejected(self):
@@ -167,13 +184,15 @@ class TestSerializeScene:
         scene = frustum_scene(rng, 7, camera)
         background = rng.uniform(0.0, 1.0, size=3)
         text = serialize_scene(scene, camera, background)
+        # The same scene as a Splats serializes to the same bytes.
+        assert serialize_scene(Splats.of(scene), camera, background) == text
         scene2, camera2, background2 = parse_scene(text)
         assert np.array_equal(camera.view, camera2.view)
         assert camera.fx == camera2.fx
         assert camera.near == camera2.near
         assert np.array_equal(background, background2)
         assert len(scene) == len(scene2)
-        for a, b in zip(scene, scene2):
+        for a, b in zip(scene, rows(scene2)):
             assert np.array_equal(a.mean, b.mean)
             assert np.array_equal(a.scale, b.scale)
             assert np.array_equal(a.quat, b.quat)

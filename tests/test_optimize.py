@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from splatgrad import FitConfig, Gaussian3D, fit, init_random, render
 
-from helpers import frustum_camera
+from helpers import frustum_camera, rows
 
 
 class TestInitRandom:
@@ -17,23 +17,22 @@ class TestInitRandom:
         a = init_random(config, camera, target)
         b = init_random(config, camera, target)
         assert len(a) == len(b) == 20
-        for ga, gb in zip(a, b):
-            assert_allclose(ga.mean, gb.mean, atol=0.0)
-            assert_allclose(ga.scale, gb.scale, atol=0.0)
-            assert_allclose(ga.quat, gb.quat, atol=0.0)
-            assert ga.opacity == gb.opacity
+        assert_allclose(a.means, b.means, atol=0.0)
+        assert_allclose(a.scales, b.scales, atol=0.0)
+        assert_allclose(a.quats, b.quats, atol=0.0)
+        assert np.array_equal(a.opacities, b.opacities)
 
     def test_seeds_differ(self):
         camera = frustum_camera(32, 32)
         target = np.full((32, 32, 3), 0.5)
         a = init_random(FitConfig(n_gaussians=5, seed=1), camera, target)
         b = init_random(FitConfig(n_gaussians=5, seed=2), camera, target)
-        assert not np.allclose(a[0].mean, b[0].mean)
+        assert not np.allclose(a.means[0], b.means[0])
 
     def test_zero_gaussians(self):
         camera = frustum_camera(16, 16)
         target = np.zeros((16, 16, 3))
-        assert init_random(FitConfig(n_gaussians=0), camera, target) == []
+        assert len(init_random(FitConfig(n_gaussians=0), camera, target)) == 0
 
     def test_splats_start_visible(self):
         from splatgrad import project_gaussian
@@ -43,8 +42,8 @@ class TestInitRandom:
         target = rng.uniform(size=(32, 48, 3))
         scene = init_random(FitConfig(n_gaussians=30, seed=4), camera,
                             target)
-        for i, g in enumerate(scene):
-            g.validate()
+        scene.validate()
+        for i, g in enumerate(rows(scene)):
             p = project_gaussian(g, camera, i)
             assert p is not None
             assert 0.0 <= p.mean2d[0] < camera.width
@@ -57,9 +56,9 @@ class TestInitRandom:
         target[:, 8:] = [0.0, 0.0, 1.0]
         scene = init_random(FitConfig(n_gaussians=40, seed=7), camera,
                             target)
-        for g in scene:
-            assert tuple(g.color) in ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
-            assert g.opacity == 0.5
+        for color, opacity in zip(scene.colors, scene.opacities):
+            assert tuple(color) in ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+            assert opacity == 0.5
 
 
 class TestFit:
@@ -67,6 +66,24 @@ class TestFit:
         camera = frustum_camera(16, 16)
         with pytest.raises(ValueError):
             fit(np.zeros((8, 8, 3)), camera, FitConfig(n_gaussians=1))
+
+    @pytest.mark.parametrize("field", ["n_gaussians", "iterations"])
+    def test_negative_count_rejected(self, field):
+        camera = frustum_camera(16, 16)
+        target = np.zeros((16, 16, 3))
+        with pytest.raises(ValueError, match=rf"^config\.{field} must be at least 0, got -3$"):
+            fit(target, camera, FitConfig(**{field: -3}))
+        # Zero stays allowed.
+        scene, history = fit(target, camera,
+                             FitConfig(**{"n_gaussians": 2, "iterations": 2, field: 0}))
+        assert (len(scene), len(history)) == ((0, 2) if field == "n_gaussians" else (2, 0))
+
+    def test_fitted_scene_shares_no_array_with_init(self):
+        camera = frustum_camera(16, 16)
+        init = init_random(FitConfig(n_gaussians=3), camera, np.full((16, 16, 3), 0.5))
+        scene, _ = fit(np.zeros((16, 16, 3)), camera, FitConfig(iterations=0), init=init)
+        for attr in ("means", "scales", "quats", "opacities", "colors"):
+            assert not np.shares_memory(getattr(scene, attr), getattr(init, attr)), attr
 
     def test_perfect_start_stays_put(self):
         # When the target is the render of the starting scene the loss is
@@ -77,10 +94,9 @@ class TestFit:
         target = render(init, camera, np.zeros(3)).image.channels
         scene, history = fit(target, camera, config, init=init)
         assert_allclose(history, 0.0, atol=0.0)
-        for g0, g1 in zip(init, scene):
-            assert_allclose(g0.mean, g1.mean, atol=0.0)
-            assert_allclose(g0.color, g1.color, atol=0.0)
-            assert g0.opacity == g1.opacity
+        assert_allclose(init.means, scene.means, atol=0.0)
+        assert_allclose(init.colors, scene.colors, atol=0.0)
+        assert np.array_equal(init.opacities, scene.opacities)
 
     def test_single_gaussian_recovery(self):
         # One splat, perturbed start: the loss must collapse by two
@@ -110,12 +126,11 @@ class TestFit:
         scene_b, hist_b = fit(target, camera, config)
         assert len(hist_a) == 40
         assert hist_a == hist_b
-        for ga, gb in zip(scene_a, scene_b):
-            assert_allclose(ga.mean, gb.mean, atol=0.0)
-            assert_allclose(ga.scale, gb.scale, atol=0.0)
-            assert_allclose(ga.quat, gb.quat, atol=0.0)
-            assert_allclose(ga.color, gb.color, atol=0.0)
-            assert ga.opacity == gb.opacity
+        assert_allclose(scene_a.means, scene_b.means, atol=0.0)
+        assert_allclose(scene_a.scales, scene_b.scales, atol=0.0)
+        assert_allclose(scene_a.quats, scene_b.quats, atol=0.0)
+        assert_allclose(scene_a.colors, scene_b.colors, atol=0.0)
+        assert np.array_equal(scene_a.opacities, scene_b.opacities)
 
     def test_loss_decreases_on_simple_target(self):
         camera = frustum_camera(24, 24)
@@ -131,12 +146,11 @@ class TestFit:
         target = rng.uniform(size=(16, 16, 3))
         config = FitConfig(n_gaussians=6, iterations=60, seed=5)
         scene, _ = fit(target, camera, config)
-        for g in scene:
-            assert np.all(g.scale > 0.0)
-            assert 0.0 < g.opacity < 1.0
-            assert np.all(g.color >= 0.0)
-            assert np.all(g.color <= 1.0)
-            assert np.linalg.norm(g.quat) > 1e-6
+        assert np.all(scene.scales > 0.0)
+        assert np.all((0.0 < scene.opacities) & (scene.opacities < 1.0))
+        assert np.all(scene.colors >= 0.0)
+        assert np.all(scene.colors <= 1.0)
+        assert np.all(np.linalg.norm(scene.quats, axis=1) > 1e-6)
 
     def test_scale_stays_positive_under_pressure(self):
         # A target of pure background pushes opacity down and scale
@@ -147,8 +161,7 @@ class TestFit:
         config = FitConfig(n_gaussians=4, iterations=150, seed=6,
                            lr_scale=5e-2)
         scene, _ = fit(target, camera, config)
-        for g in scene:
-            assert np.all(g.scale > 0.0)
+        assert np.all(scene.scales > 0.0)
 
     def test_divergence_raises(self):
         camera = frustum_camera(16, 16)
@@ -199,7 +212,7 @@ class TestGradientSpaces:
         # leaving lr * g / (|g| + eps).
         step = 1e-2 * g_log / (np.abs(g_log) + 1e-8)
         want = np.exp(np.log(start[0].scale) - step)
-        assert_allclose(scene[0].scale, want, rtol=1e-10)
+        assert_allclose(scene.scales[0], want, rtol=1e-10)
 
     def test_opacity_stays_in_unit_interval(self):
         camera = frustum_camera(16, 16)
@@ -207,8 +220,7 @@ class TestGradientSpaces:
         config = FitConfig(n_gaussians=3, iterations=200, seed=12,
                            lr_opacity=0.5)
         scene, _ = fit(target, camera, config)
-        for g in scene:
-            assert 0.0 < g.opacity < 1.0
+        assert np.all((0.0 < scene.opacities) & (scene.opacities < 1.0))
 
 
 class TestNonFiniteGradient:
@@ -260,7 +272,7 @@ class TestQuatNormCollapse:
         target = np.full((16, 16, 3), 0.5)
         config = FitConfig(n_gaussians=4, iterations=10, seed=2, lr_quat=0.25)
         init = init_random(config, camera, target)
-        init[2].quat = np.array([0.75, 0.75, -0.75, 0.75])
+        init.quats[2] = [0.75, 0.75, -0.75, 0.75]
         with pytest.raises(FloatingPointError,
                            match=r"^gaussians\[2\]\.quat norm collapsed at iteration 2$"):
             fit(target, camera, config, init=init)

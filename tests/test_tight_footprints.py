@@ -25,6 +25,7 @@ from splatgrad import (
     Camera,
     FitConfig,
     Gaussian3D,
+    Splats,
     accumulate_image_backward,
     bounding_radius,
     init_random,
@@ -182,7 +183,7 @@ def test_footprint_is_tighter_than_the_square():
         entries = _image_entries(res.grid, boxes, windows)
         return int(np.sum(entries.width * entries.height))
 
-    tight = pairs(_footprints(_pack_splats(p, scene), p.radius))
+    tight = pairs(_footprints(_pack_splats(p, Splats.of(scene)), p.radius))
     square = pairs(square_boxes(p.mean2d, p.radius))
     assert tight < 0.67 * square
     assert sum(k.pix.size for k in res.pairs) <= tight

@@ -19,6 +19,7 @@ import test_acceptance
 from splatgrad import (
     Camera,
     Gaussian3D,
+    Splats,
     accumulate_image_backward,
     gradcheck,
     raster_backward,
@@ -89,7 +90,7 @@ def test_long_bin_case_spans_blocks():
     res = renderer(scene, camera, bg)
     assert min(len(b) for b in res.grid.bins) == len(scene)
     footprints = raster_forward._footprints(
-        raster_forward._pack_splats(res.projected, scene), res.projected.radius)
+        raster_forward._pack_splats(res.projected, Splats.of(scene)), res.projected.radius)
     entries = raster_forward._image_entries(
         res.grid, footprints, raster_forward._full_windows(1, camera.width, camera.height))
     assert int(np.sum(entries.width * entries.height)) > 3 * PAIR_BUDGET
@@ -133,7 +134,7 @@ def test_backward_matches_oracle(case, early_termination):
 def test_replay_bitwise_equals_oracle_forward(case, early_termination):
     scene, camera, bg, renderer = case
     res = renderer(scene, camera, bg, early_termination=early_termination)
-    packed = raster_forward._pack_splats(res.projected, scene)
+    packed = raster_forward._pack_splats(res.projected, Splats.of(scene))
     w, h = camera.width, camera.height
     checked = 0
     bins = res.grid.bins
@@ -192,7 +193,7 @@ def test_safety_mask_transmittance_band_matches_pixel_walk():
     scene = frustum_scene(rng, 40, camera, depth_range=(3.0, 9.0),
                           scale_px=(2.0, 4.0), opacity=(0.8, 0.99))
     bg = np.array([0.2, 0.3, 0.4])
-    got = gradcheck._pixel_safety_mask(scene, camera, bg)
+    got = gradcheck._pixel_safety_mask(Splats.of(scene), camera, bg)
     want = reference_pixel_safety_mask(scene, camera, bg)
     no_band = reference_pixel_safety_mask(scene, camera, bg, t_margin=1.0)
     assert got is not None and want is not None
@@ -211,7 +212,7 @@ def test_safety_mask_clears_a_last_step_in_the_band():
                         quat=[1.0, 0.0, 0.0, 0.0], opacity=0.99, color=[0.5, 0.5, 0.5])
              for depth in (3.0, 4.0)]
     bg = np.zeros(3)
-    got = gradcheck._pixel_safety_mask(scene, camera, bg)
+    got = gradcheck._pixel_safety_mask(Splats.of(scene), camera, bg)
     want = reference_pixel_safety_mask(scene, camera, bg)
     no_band = reference_pixel_safety_mask(scene, camera, bg, t_margin=1.0)
     assert np.array_equal(got, want)

@@ -28,6 +28,7 @@ from splatgrad import gradcheck
 from splatgrad.gradcheck import PROBE_FIELDS, _probe_differences, _probe_rows, _probes
 from splatgrad.raster_forward import _render_batch
 
+from helpers import rows
 from test_batched_probes import off_centre_audit_case
 from test_footprint_pairs import cameras, scenes
 
@@ -152,7 +153,7 @@ def test_splat_culled_in_both_probes_has_empty_window():
                      opacity=0.7, color=np.array([0.5, 0.5, 0.5]))
     behind = replace(off, mean=camera.rotation.T @ (np.array([0.0, 0.0, -1.0])
                                                     - camera.translation))
-    scene = list(scene) + [off, behind]
+    scene = rows(scene) + [off, behind]
     splats = Splats.of(scene)
     _, _, probed, _, proj, windows = project_probes(splats, camera)
     culled = probed >= len(scene) - 2
