@@ -16,18 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    QUAT_NORM_EPS,
-    Camera,
-    Cov3DBundle,
-    RowError,
-    Splats,
-    compose_covariance_3d,
-    matprod,
-    matvec,
-    reject,
-)
-from .projection import projection_jacobian
+from .core import QUAT_NORM_EPS, Camera, RowError, Splats, matprod, matvec, reject
+# compose_covariance_3d is not called here; it stays importable from this
+# module because perfbench/spans.py wraps proj_backward.compose_covariance_3d.
+from .core import compose_covariance_3d  # noqa: F401
 from .raster_backward import accumulate_image_backward
 
 
@@ -92,27 +84,25 @@ def mean2d_backward(d_mean2d, t_cam, camera: Camera):
     return matvec(proj.T, d_t_prime)
 
 
-def _cov_transform_grad(d_cov2d, T_proj, sigma):
-    # dL/dT for cov2d = T sigma T^T: G T sigma^T + G^T T sigma. Shared by
-    # cov2d_backward (continuing to J and t) and scene_backward (continuing
-    # to the view rotation block), so the two consumers cannot drift apart.
-    return (matprod(matprod(d_cov2d, T_proj), _t(sigma))
-            + matprod(matprod(_t(d_cov2d), T_proj), sigma))
-
-
 def cov2d_backward(d_cov2d, T_proj, sigma, J, R_cw, t_cam, camera: Camera):
-    """Pull a 2D-covariance gradient back to the 3D covariance and point.
+    """Pull a 2D-covariance gradient back to the 3D covariance, the point
+    and the view's rotation block.
 
-    T_proj must be the forward pass's J @ R_cw. The gradient reaches t_cam
-    only through J's dependence on it; the diagonal dilation added in the
-    forward pass is constant and drops out. Every argument but R_cw and
-    the camera may be a stack with leading axes.
+    T_proj must be the forward pass's J @ R_cw, and d_cov2d and sigma
+    symmetric, so that dL/dT = G T sigma^T + G^T T sigma is twice either
+    half. The gradient reaches t_cam only through J's dependence on it;
+    the diagonal dilation added in the forward pass is constant and drops
+    out. Every argument but R_cw and the camera may be a stack with
+    leading axes.
 
-    Returns (d_sigma 3x3, d_t 4-vector), with the stack's leading axes.
+    Returns (d_sigma 3x3, d_t 4-vector, d_R_cw 3x3), with the stack's
+    leading axes.
     """
     g = np.asarray(d_cov2d, dtype=np.float64)
     d_sigma = matprod(matprod(_t(T_proj), g), T_proj)
-    d_J = matprod(_cov_transform_grad(g, T_proj, sigma), R_cw.T)
+    half = matprod(matprod(g, T_proj), sigma)
+    d_T = half + half
+    d_J = matprod(d_T, R_cw.T)
 
     t = np.asarray(t_cam, dtype=np.float64)
     tx, ty, tz = t[..., 0], t[..., 1], t[..., 2]
@@ -135,7 +125,7 @@ def cov2d_backward(d_cov2d, T_proj, sigma, J, R_cw, t_cam, camera: Camera):
         ],
         axis=-1,
     )
-    return d_sigma, d_t
+    return d_sigma, d_t, matprod(_t(J), d_T)
 
 
 def world_backward(d_t_total, camera: Camera, mean):
@@ -171,23 +161,26 @@ def _rotmat_quat_jacobians(w, x, y, z):
     ).reshape(np.shape(w) + (4, 3, 3))
 
 
-def covariance3d_backward(d_sigma, bundle: Cov3DBundle, quat, scale):
+def covariance3d_backward(d_sigma, rot, quat, scale):
     """Pull a world-covariance gradient back to scale and quaternion.
 
-    Walks sigma = M M^T with M = R S: the scale gradient reads off the
-    diagonal of R^T dM, and the quaternion gradient contracts dR with the
-    rotation's per-component Jacobians, then goes through the
-    normalization map q / |q| so it is valid for unnormalized storage.
-    All inputs may be stacks with matching leading axes.
+    Walks sigma = M M^T with M = R S, R = rot the forward pass's rotation
+    of quat: the scale gradient reads off the diagonal of R^T dM, and the
+    quaternion gradient contracts dR with the rotation's per-component
+    Jacobians, then goes through the normalization map q / |q| so it is
+    valid for unnormalized storage. All inputs may be stacks with
+    matching leading axes.
 
     Returns (d_quat 4-vector in (w, x, y, z) order, d_scale 3-vector),
     with the stack's leading axes.
     """
     g = np.asarray(d_sigma, dtype=np.float64)
-    d_M = matprod(g, bundle.M) + matprod(_t(g), bundle.M)
-    d_R = matprod(d_M, _t(bundle.S))
+    s = np.asarray(scale, dtype=np.float64)
+    m = rot * s[..., None, :]
+    d_M = matprod(g, m) + matprod(_t(g), m)
+    d_R = matprod(d_M, _t(s[..., :, None] * np.eye(3)))
     # The diagonal of R^T dM.
-    d_scale = np.sum(bundle.R * d_M, axis=-2)
+    d_scale = np.sum(rot * d_M, axis=-2)
 
     q = np.asarray(quat, dtype=np.float64)
     norm = np.sqrt(np.sum(q * q, axis=-1))
@@ -226,20 +219,15 @@ def scene_backward(scene, camera: Camera, result, d_image):
     grads.d_color = splat.d_color
     grads.d_opacity = splat.d_opacity
 
-    projected = result.projected
-    src = projected.source_index
-    t_cam = projected.t_cam
-    quats, scales = splats.quats[src], splats.scales[src]
-    d_cov2d = splat.d_cov2d[src]
+    p = result.projected
+    src = p.source_index
     try:
-        bundle = compose_covariance_3d(quats, scales)
-        jac = projection_jacobian(t_cam, camera)
-        t_proj = matprod(jac, camera.rotation)
-        d_t_mean = mean2d_backward(splat.d_mean2d[src], t_cam, camera)
-        d_sigma, d_t_cov = cov2d_backward(d_cov2d, t_proj, bundle.sigma, jac,
-                                          camera.rotation, t_cam, camera)
+        d_t_mean = mean2d_backward(splat.d_mean2d[src], p.t_cam, camera)
+        d_sigma, d_t_cov, d_rot = cov2d_backward(splat.d_cov2d[src], p.t_proj, p.sigma,
+                                                 p.jac, camera.rotation, p.t_cam, camera)
         d_mean, d_view = world_backward(d_t_mean + d_t_cov, camera, splats.means[src])
-        d_quat, d_scale = covariance3d_backward(d_sigma, bundle, quats, scales)
+        d_quat, d_scale = covariance3d_backward(d_sigma, p.rot, splats.quats[src],
+                                                splats.scales[src])
     except RowError as exc:
         raise RowError(exc.problem, src[exc.row], exc.field) from None
     grads.d_mean[src] = d_mean
@@ -249,6 +237,5 @@ def scene_backward(scene, camera: Camera, result, d_image):
     # The view's rotation block also enters the covariance projection
     # directly through T_proj = J R_cw; the point-gradient outer product
     # in world_backward cannot see that path.
-    d_T = _cov_transform_grad(d_cov2d, t_proj, bundle.sigma)
-    grads.d_view[:3, :3] += np.sum(matprod(_t(jac), d_T), axis=0)
+    grads.d_view[:3, :3] += np.sum(d_rot, axis=0)
     return grads

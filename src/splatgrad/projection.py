@@ -53,7 +53,11 @@ class ProjectedSplats:
     Rows keep source order. t_cam (K, 4), mean2d (K, 2), cov2d (K, 2, 2),
     depth (K,), radius (K,) and source_index (K,), the row's index in the
     scene, hold what ProjectedGaussian holds for one splat; indexing a row
-    returns it as a ProjectedGaussian.
+    returns it as a ProjectedGaussian. The factors project_splats formed
+    on the way, which the backward pass reads, follow: rot (K, 3, 3), the
+    rotation of the splat's quaternion, sigma (K, 3, 3), its world
+    covariance, jac (K, 2, 3), the projection's Jacobian at t_cam, and
+    t_proj (K, 2, 3) = jac R_cw. of() leaves them None.
     """
 
     t_cam: np.ndarray
@@ -62,6 +66,10 @@ class ProjectedSplats:
     depth: np.ndarray
     radius: np.ndarray
     source_index: np.ndarray
+    rot: np.ndarray = None
+    sigma: np.ndarray = None
+    jac: np.ndarray = None
+    t_proj: np.ndarray = None
 
     def __len__(self):
         return self.depth.shape[0]
@@ -144,16 +152,16 @@ def projection_jacobian(t_cam, camera: Camera):
     return jac
 
 
-def project_covariance(J, R_cw, sigma):
+def project_covariance(t_proj, sigma):
     """Push a world covariance through the linearized projection.
 
-    Computes J R_cw sigma R_cw^T J^T and adds the diagonal dilation. The
+    Computes T sigma T^T for T = J R_cw, the projection's Jacobian times
+    the view's rotation block, and adds the diagonal dilation. The
     backward pass treats the dilation as a constant, so gradients flow
-    through this map unchanged. J and sigma may be stacks (..., 2, 3) and
+    through this map unchanged. T and sigma may be stacks (..., 2, 3) and
     (..., 3, 3).
     """
-    t = matprod(J, R_cw)
-    cov2d = matprod(matprod(t, sigma), np.swapaxes(t, -1, -2))
+    cov2d = matprod(matprod(t_proj, sigma), np.swapaxes(t_proj, -1, -2))
     cov2d[..., 0, 0] += DILATION
     cov2d[..., 1, 1] += DILATION
     return cov2d
@@ -221,8 +229,8 @@ def project_splats(splats, camera: Camera, *, view=None, keep_offscreen=False):
     try:
         bundle = compose_covariance_3d(splats.quats[src], splats.scales[src])
         jac = projection_jacobian(t_cam, camera)
-        rotation = camera.rotation if view is None else view[src, :3, :3]
-        cov2d = project_covariance(jac, rotation, bundle.sigma)
+        t_proj = matprod(jac, camera.rotation if view is None else view[src, :3, :3])
+        cov2d = project_covariance(t_proj, bundle.sigma)
         mean2d = camera_to_pixel(t_cam, camera)
         radius = bounding_radius(cov2d)
     except RowError as exc:
@@ -243,4 +251,8 @@ def project_splats(splats, camera: Camera, *, view=None, keep_offscreen=False):
         depth=t_cam[keep, 2],
         radius=radius[keep],
         source_index=src[keep],
+        rot=bundle.R[keep],
+        sigma=bundle.sigma[keep],
+        jac=jac[keep],
+        t_proj=t_proj[keep],
     )

@@ -301,6 +301,7 @@ def reference_pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
         render,
         world_to_camera,
     )
+    from splatgrad.core import matprod
 
     scene = rows(scene)
     projected = []
@@ -311,7 +312,7 @@ def reference_pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
             return None
         bundle = compose_covariance_3d(g.quat, g.scale)
         jac = projection_jacobian(t_cam, camera)
-        cov2d = project_covariance(jac, camera.rotation, bundle.sigma)
+        cov2d = project_covariance(matprod(jac, camera.rotation), bundle.sigma)
         projected.append(
             ProjectedGaussian(
                 t_cam=t_cam,

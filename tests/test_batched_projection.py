@@ -292,6 +292,25 @@ def test_backward_failure_raises_by_name():
         scene_backward(scene, camera, result, np.ones((16, 16, 3)))
 
 
+def test_backward_reads_the_forward_factors(monkeypatch):
+    # The render's projection carries R, sigma, J and T = J R_cw, so the
+    # backward pass forms none of them again and gives the same bytes.
+    scene, camera, background = rotated_off_centre_case()
+    res = render(scene, camera, background)
+    d_image = np.random.default_rng(5).normal(size=(camera.height, camera.width, 3))
+    want = scene_backward(scene, camera, res, d_image)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the backward pass formed a forward factor again")
+
+    for module in (proj_backward, projection):
+        monkeypatch.setattr(module, "compose_covariance_3d", fail)
+        monkeypatch.setattr(module, "projection_jacobian", fail, raising=False)
+    got = scene_backward(scene, camera, res, d_image)
+    for name in GRADIENT_CLASSES:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 @pytest.mark.parametrize(
     "depth, message",
     [(-0.5, "point is behind the camera"), (5e-13, "degenerate projection")],
@@ -322,7 +341,6 @@ BATCHED_KERNELS = [
     projection.bounding_radius,
     projection.project_splats,
     proj_backward.mean2d_backward,
-    proj_backward._cov_transform_grad,
     proj_backward.cov2d_backward,
     proj_backward.world_backward,
     proj_backward.covariance3d_backward,

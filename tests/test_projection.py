@@ -148,12 +148,12 @@ class TestProjectionJacobian:
 class TestProjectCovariance:
     def test_identity_passthrough_plus_dilation(self):
         j = np.array([[1.0, 0, 0], [0, 1.0, 0]])
-        got = project_covariance(j, np.eye(3), np.eye(3))
+        got = project_covariance(j, np.eye(3))
         assert_allclose(got, np.eye(2) + DILATION * np.eye(2))
 
     def test_z_row_dropped(self):
         j = np.array([[1.0, 0, 0], [0, 1.0, 0]])
-        got = project_covariance(j, np.eye(3), np.diag([4.0, 9.0, 16.0]))
+        got = project_covariance(j, np.diag([4.0, 9.0, 16.0]))
         assert_allclose(got, np.diag([4.0 + DILATION, 9.0 + DILATION]))
 
     def test_matches_triple_product_oracle(self):
@@ -163,7 +163,7 @@ class TestProjectCovariance:
             r = quat_to_rotmat(unit_quat(rng))
             a = rng.normal(size=(3, 3))
             sigma = a @ a.T
-            got = project_covariance(j, r, sigma)
+            got = project_covariance(j @ r, sigma)
             expect = j @ r @ sigma @ r.T @ j.T + DILATION * np.eye(2)
             assert_allclose(got, expect, atol=1e-12)
 
@@ -173,7 +173,7 @@ class TestProjectCovariance:
             j = rng.normal(size=(2, 3))
             r = quat_to_rotmat(unit_quat(rng))
             a = rng.normal(size=(3, 3))
-            got = project_covariance(j, r, a @ a.T) - DILATION * np.eye(2)
+            got = project_covariance(j @ r, a @ a.T) - DILATION * np.eye(2)
             assert np.linalg.eigvalsh(got).min() >= -1e-12
 
 
