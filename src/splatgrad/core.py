@@ -256,15 +256,15 @@ def reject(bad, problem):
 
 @dataclass
 class Cov3DBundle:
-    """World-space covariance with the factors the backward pass reuses.
+    """World-space covariance with its factors.
 
-    R is the rotation from the quaternion, S the diagonal scale matrix,
-    M their product, and sigma = M M^T the covariance itself. For stacked
-    inputs every field has the stack's leading axes.
+    R is the rotation from the quaternion, M = R diag(scale), and sigma =
+    M M^T the covariance itself. For stacked inputs every field has the
+    stack's leading axes. project_splats keeps R and sigma for the
+    backward pass, which forms M again from R and the scale.
     """
 
     R: np.ndarray
-    S: np.ndarray
     M: np.ndarray
     sigma: np.ndarray
 
@@ -317,7 +317,7 @@ def compose_covariance_3d(quat, scale):
             (..., 3) matching quat.
 
     Returns:
-        Cov3DBundle holding R, S, M and sigma.
+        Cov3DBundle holding R, M and sigma.
     """
     s = np.asarray(scale, dtype=np.float64)
     if s.shape[-1:] != (3,):
@@ -329,7 +329,7 @@ def compose_covariance_3d(quat, scale):
     # One splat keeps the BLAS product, so its sigma is M @ M.T bitwise; a
     # stack never reaches BLAS.
     sigma = m @ mt if m.ndim == 2 else matprod(m, mt)
-    return Cov3DBundle(R=rot, S=s[..., :, None] * np.eye(3), M=m, sigma=sigma)
+    return Cov3DBundle(R=rot, M=m, sigma=sigma)
 
 
 def frobenius_inner(x, y):

@@ -218,7 +218,8 @@ def project_splats(splats, camera: Camera, *, view=None, keep_offscreen=False):
     not finite and positive definite.
 
     Returns:
-        ProjectedSplats, rows in source order.
+        ProjectedSplats, rows in source order, with the factors the
+        backward pass reads.
     """
     t_all = world_to_camera(splats.means, camera, view)
     depth_all = t_all[:, 2]

@@ -114,8 +114,8 @@ class TestCov2DBackward:
 
     def test_zero_upstream_is_zero(self):
         t, sigma, jac, r_cw, t_proj = self.sample()
-        d_sigma, d_t, d_rot = cov2d_backward(np.zeros((2, 2)), t_proj, sigma, jac,
-                                      r_cw, t, self.camera)
+        d_sigma, d_t, d_rot = cov2d_backward(np.zeros((2, 2)), t_proj, sigma,
+                                             jac, r_cw, t)
         assert_allclose(d_sigma, 0.0, atol=0.0)
         assert_allclose(d_t, 0.0, atol=0.0)
         assert_allclose(d_rot, 0.0, atol=0.0)
@@ -138,8 +138,7 @@ class TestCov2DBackward:
             t, sigma, jac, r_cw, t_proj = self.sample()
             g = self.rng.normal(size=(2, 2))
             g = 0.5 * (g + g.T)
-            d_sigma, _, _ = cov2d_backward(g, t_proj, sigma, jac, r_cw, t,
-                                        self.camera)
+            d_sigma, _, _ = cov2d_backward(g, t_proj, sigma, jac, r_cw, t)
             pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
             for (r, c) in pairs:
                 sp, sm = sigma.copy(), sigma.copy()
@@ -161,8 +160,7 @@ class TestCov2DBackward:
             t, sigma, jac, r_cw, t_proj = self.sample()
             g = self.rng.normal(size=(2, 2))
             g = 0.5 * (g + g.T)
-            _, d_t, _ = cov2d_backward(g, t_proj, sigma, jac, r_cw, t,
-                                    self.camera)
+            _, d_t, _ = cov2d_backward(g, t_proj, sigma, jac, r_cw, t)
 
             def loss(t_probe):
                 j = projection_jacobian(t_probe, self.camera)
@@ -181,8 +179,8 @@ class TestCov2DBackward:
         # through two sigmas differing only by that shift are identical.
         t, sigma, jac, r_cw, t_proj = self.sample()
         g = np.array([[1.0, 0.2], [0.2, 2.0]])
-        a = cov2d_backward(g, t_proj, sigma, jac, r_cw, t, self.camera)
-        b = cov2d_backward(g, t_proj, sigma, jac, r_cw, t, self.camera)
+        a = cov2d_backward(g, t_proj, sigma, jac, r_cw, t)
+        b = cov2d_backward(g, t_proj, sigma, jac, r_cw, t)
         for x, y in zip(a, b):
             assert_allclose(x, y, atol=0.0)
 
