@@ -44,12 +44,15 @@ def init_random(config: FitConfig, camera: Camera, target):
     band past the near plane, sized so their footprints roughly tile the
     image area, colored from the target pixel under their center, and
     given opacity 0.5. Each splat draws its pixel and depth in turn.
+    A negative config.n_gaussians raises ValueError naming the field.
     """
+    n = config.n_gaussians
+    if n < 0:
+        raise ValueError(f"config.n_gaussians must be at least 0, got {n}")
     rng = np.random.default_rng(config.seed)
     target = np.asarray(target, dtype=np.float64)
     depth_lo = camera.near + 2.0
     depth_hi = min(camera.far, depth_lo + 4.0)
-    n = config.n_gaussians
     if n > 0:
         sigma_px = 0.5 * np.sqrt(camera.width * camera.height / n / np.pi)
     means, scales, colors = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3))
@@ -113,9 +116,9 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
         value per iteration, measured before that iteration's update.
 
     Raises:
-        ValueError naming the field when config.n_gaussians or
-        config.iterations is negative, or naming the splat and field
-        when init fails Splats.validate.
+        ValueError naming the field when config.iterations is negative,
+        or config.n_gaussians when init_random builds the start, or
+        naming the splat and field when init fails Splats.validate.
         FloatingPointError when the loss or a gradient class turns
         non-finite, naming the loss or the class (e.g. d_quat) and the
         iteration, or when a step leaves a quaternion with norm at or
@@ -128,10 +131,8 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
             f"target shape {target.shape} does not match camera "
             f"{(camera.height, camera.width, 3)}"
         )
-    for name in ("n_gaussians", "iterations"):
-        if getattr(config, name) < 0:
-            raise ValueError(f"config.{name} must be at least 0, "
-                             f"got {getattr(config, name)}")
+    if config.iterations < 0:
+        raise ValueError(f"config.iterations must be at least 0, got {config.iterations}")
     background = np.asarray(config.background, dtype=np.float64)
 
     start = init_random(config, camera, target) if init is None else Splats.of(init)

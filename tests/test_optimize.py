@@ -34,6 +34,11 @@ class TestInitRandom:
         target = np.zeros((16, 16, 3))
         assert len(init_random(FitConfig(n_gaussians=0), camera, target)) == 0
 
+    def test_negative_count_rejected_by_name(self):
+        camera = frustum_camera(16, 16)
+        with pytest.raises(ValueError, match=r"^config\.n_gaussians must be at least 0, got -3$"):
+            init_random(FitConfig(n_gaussians=-3), camera, np.zeros((16, 16, 3)))
+
     def test_splats_start_visible(self):
         from splatgrad import project_gaussian
 
