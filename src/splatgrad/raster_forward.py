@@ -51,7 +51,7 @@ on result.pairs. The backward pass reads them instead of evaluating and
 walking the pairs a second time.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -547,10 +547,12 @@ class _Projection(NamedTuple):
         return _PackedSplats.of(p.mean2d, p.cov2d, self.opacity, self.color)
 
     def take(self, rows):
-        """The rows at the indices rows, in their order."""
+        """The rows at the indices rows, in their order. The rows taken
+        are probe rows, composited but never differentiated, so the
+        factors the backward pass reads stay behind."""
         p = self.projected
-        return _Projection(ProjectedSplats(*(np.take(getattr(p, f.name), rows, axis=0)
-                                             for f in fields(p))),
+        footprint = (p.t_cam, p.mean2d, p.cov2d, p.depth, p.radius, p.source_index)
+        return _Projection(ProjectedSplats(*(np.take(x, rows, axis=0) for x in footprint)),
                            *(np.take(x, rows, axis=0) for x in self[1:]))
 
     def images(self, a, b):

@@ -57,6 +57,10 @@ def full_windows(proj, probed, width, height):
 def assert_rows_equal(got, want):
     for f in fields(ProjectedSplats):
         a, b = getattr(got.projected, f.name), getattr(want.projected, f.name)
+        if a is None:
+            # Probe rows leave the factors the backward pass reads behind.
+            assert f.name in ("rot", "sigma", "jac", "t_proj"), f.name
+            continue
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
     for name in ("image", "opacity", "color"):
         a, b = getattr(got, name), getattr(want, name)
