@@ -174,6 +174,25 @@ class TestCov2DBackward:
                 fd_check(d_t[k], num)
             assert d_t[3] == 0.0
 
+    def test_d_rotation_finite_differences(self):
+        # The third output is the gradient of the view's rotation block
+        # through T = J R_cw, with J held at t.
+        h = 1e-6
+        for _ in range(10):
+            t, sigma, jac, r_cw, t_proj = self.sample()
+            g = self.rng.normal(size=(2, 2))
+            g = 0.5 * (g + g.T)
+            _, _, d_rot = cov2d_backward(g, t_proj, sigma, jac, r_cw, t)
+            for r in range(3):
+                for c in range(3):
+                    rp, rm = r_cw.copy(), r_cw.copy()
+                    rp[r, c] += h
+                    rm[r, c] -= h
+                    num = (float(np.sum(g * project_covariance(jac @ rp, sigma)))
+                           - float(np.sum(g * project_covariance(jac @ rm, sigma)))
+                           ) / (2 * h)
+                    fd_check(d_rot[r, c], num)
+
     def test_dilation_does_not_leak_into_gradient(self):
         # The forward dilation shifts cov2d by a constant, so gradients
         # through two sigmas differing only by that shift are identical.
