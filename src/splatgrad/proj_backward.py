@@ -90,9 +90,9 @@ def cov2d_backward(d_cov2d, T_proj, sigma, J, R_cw, t_cam):
     leading axes.
     """
     g = np.asarray(d_cov2d, dtype=np.float64)
-    g_t = matprod(g, T_proj)
-    d_sigma = matprod(_t(T_proj), g_t)
-    half = matprod(g_t, sigma)
+    g_T = matprod(g, T_proj)
+    d_sigma = matprod(_t(T_proj), g_T)
+    half = matprod(g_T, sigma)
     d_T = half + half
     d_J = matprod(d_T, R_cw.T)
     # J's nonzero entries are fx/tz, -fx tx/tz^2, fy/tz and -fy ty/tz^2,
