@@ -5,7 +5,6 @@ from .binning import TILE_SIZE, TileGrid, assign_tiles, sort_bins
 from .cli import main, parse_scene, read_image, serialize_scene, write_image
 from .core import (
     Camera,
-    Cov3DBundle,
     Gaussian3D,
     Splats,
     compose_covariance_3d,
@@ -32,7 +31,6 @@ from .proj_backward import (
 )
 from .projection import (
     DILATION,
-    ProjectedGaussian,
     ProjectedSplats,
     bounding_radius,
     camera_to_pixel,
@@ -42,12 +40,7 @@ from .projection import (
     projection_jacobian,
     world_to_camera,
 )
-from .raster_backward import (
-    Splat2DGrads,
-    accumulate_image_backward,
-    composite_pixel_backward,
-    transmittance_replay,
-)
+from .raster_backward import Splat2DGrads, accumulate_image_backward
 from .raster_forward import (
     ALPHA_MAX,
     ALPHA_MIN,
@@ -56,8 +49,6 @@ from .raster_forward import (
     ImageBuffer,
     RenderAux,
     RenderResult,
-    composite_pixel,
-    eval_alpha,
     render,
     render_brute_force,
 )
@@ -70,13 +61,11 @@ __all__ = [
     "AUDIT_CLASSES",
     "Camera",
     "ClassCheck",
-    "Cov3DBundle",
     "DILATION",
     "FitConfig",
     "Gaussian3D",
     "GradReport",
     "ImageBuffer",
-    "ProjectedGaussian",
     "ProjectedSplats",
     "RenderAux",
     "RenderResult",
@@ -93,11 +82,8 @@ __all__ = [
     "bounding_radius",
     "camera_to_pixel",
     "compose_covariance_3d",
-    "composite_pixel",
-    "composite_pixel_backward",
     "cov2d_backward",
     "covariance3d_backward",
-    "eval_alpha",
     "finite_difference",
     "fit",
     "frobenius_inner",
@@ -118,7 +104,6 @@ __all__ = [
     "scene_backward",
     "serialize_scene",
     "sort_bins",
-    "transmittance_replay",
     "world_backward",
     "world_to_camera",
     "write_image",

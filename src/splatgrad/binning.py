@@ -48,33 +48,29 @@ def grid_shape(width, height):
     return (width + TILE_SIZE - 1) // TILE_SIZE, (height + TILE_SIZE - 1) // TILE_SIZE
 
 
-def assign_tiles(projected, width, height):
+def assign_tiles(projected: ProjectedSplats, width, height):
     """Bin splats by bounding-box overlap; bins come back unsorted.
 
     A splat lands in every tile whose pixel rectangle intersects the closed
     square [mean2d - radius, mean2d + radius]. Tile rectangles are treated
     as half-open ([16*tx, 16*tx + 16) and likewise in y), which makes the
     floor arithmetic below exact at shared edges. Within a bin, splats
-    keep their order in `projected`.
-
-    Args:
-        projected: ProjectedSplats, or a list of ProjectedGaussian.
+    keep their row order in `projected`.
     """
-    p = ProjectedSplats.of(projected)
     tiles_x, tiles_y = grid_shape(width, height)
     # Tile ranges per splat, clamped to the grid while still floats so the
     # cast to integers cannot overflow.
-    r = p.radius[:, None]
+    mean2d, r = projected.mean2d, projected.radius[:, None]
     last = np.array([tiles_x - 1, tiles_y - 1])
-    lo = np.clip(np.floor((p.mean2d - r) / TILE_SIZE), 0, last + 1).astype(np.int64)
-    hi = np.clip(np.floor((p.mean2d + r) / TILE_SIZE), -1, last).astype(np.int64)
+    lo = np.clip(np.floor((mean2d - r) / TILE_SIZE), 0, last + 1).astype(np.int64)
+    hi = np.clip(np.floor((mean2d + r) / TILE_SIZE), -1, last).astype(np.int64)
     span = np.maximum(0, hi - lo + 1)
     tx0, ty0 = lo[:, 0], lo[:, 1]
     nx = span[:, 0]
     count = nx * span[:, 1]
     # One entry per (splat, tile) pair, splat-major, then a stable sort by
     # tile, which keeps each bin in splat order.
-    splat = np.repeat(np.arange(len(p)), count)
+    splat = np.repeat(np.arange(len(projected)), count)
     offset = np.arange(splat.size) - np.repeat(np.cumsum(count) - count, count)
     tile = ((ty0[splat] + offset // nx[splat]) * tiles_x
             + tx0[splat] + offset % nx[splat])
@@ -83,16 +79,16 @@ def assign_tiles(projected, width, height):
                     entry_tile=tile[order], entry_splat=splat[order])
 
 
-def sort_bins(grid: TileGrid, projected):
+def sort_bins(grid: TileGrid, projected: ProjectedSplats):
     """Front-to-back ordering per bin: depth ascending, ties by source index.
 
     Every bin is ordered by one lexsort over the flat (tile, depth, source
     index) keys. The tie-break keeps the ordering fully deterministic,
     which both the compositing passes and the golden-image tests rely on.
     """
-    p = ProjectedSplats.of(projected)
     splat = grid.entry_splat
-    order = np.lexsort((p.source_index[splat], p.depth[splat], grid.entry_tile))
+    order = np.lexsort((projected.source_index[splat], projected.depth[splat],
+                        grid.entry_tile))
     return TileGrid(
         tile_size=grid.tile_size,
         tiles_x=grid.tiles_x,

@@ -254,21 +254,6 @@ def reject(bad, problem):
     raise RowError(problem, int(np.flatnonzero(bad.ravel())[0]))
 
 
-@dataclass
-class Cov3DBundle:
-    """World-space covariance with its factors.
-
-    R is the rotation from the quaternion, M = R diag(scale), and sigma =
-    M M^T the covariance itself. For stacked inputs every field has the
-    stack's leading axes. project_splats keeps R and sigma for the
-    backward pass, which forms M again from R and the scale.
-    """
-
-    R: np.ndarray
-    M: np.ndarray
-    sigma: np.ndarray
-
-
 # Entry k of a rotation matrix, row-major, is I_k + 2 (SA_k p[A_k] + SB_k p[B_k])
 # where p holds the 16 products of unit-quaternion components, index
 # 4 * i + j for components i, j in (w, x, y, z) order. For example R[0, 0]
@@ -317,7 +302,8 @@ def compose_covariance_3d(quat, scale):
             (..., 3) matching quat.
 
     Returns:
-        Cov3DBundle holding R, M and sigma.
+        (R, sigma): the rotation of the quaternion and the covariance,
+        with the stack's leading axes in front.
     """
     s = np.asarray(scale, dtype=np.float64)
     if s.shape[-1:] != (3,):
@@ -329,7 +315,7 @@ def compose_covariance_3d(quat, scale):
     # One splat keeps the BLAS product, so its sigma is M @ M.T bitwise; a
     # stack never reaches BLAS.
     sigma = m @ mt if m.ndim == 2 else matprod(m, mt)
-    return Cov3DBundle(R=rot, M=m, sigma=sigma)
+    return rot, sigma
 
 
 def frobenius_inner(x, y):

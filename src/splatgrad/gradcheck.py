@@ -64,17 +64,6 @@ COORDS = np.dtype([("cls", object), ("label", object), ("field", object),
                    ("index", np.intp)])
 
 
-def _central(f_hi, f_lo, h):
-    """(f(x + h) - f(x - h)) / (2 h) from the probe values f_hi = f(x + h)
-    and f_lo = f(x - h), elementwise; FloatingPointError if any of them
-    is not finite."""
-    f_hi = np.asarray(f_hi, dtype=np.float64)
-    f_lo = np.asarray(f_lo, dtype=np.float64)
-    if not (np.isfinite(f_hi).all() and np.isfinite(f_lo).all()):
-        raise FloatingPointError("probe returned a non-finite value")
-    return (f_hi - f_lo) / (2.0 * h)
-
-
 def finite_difference(probe, params, h=1e-5):
     """Central-difference gradient of a scalar function.
 
@@ -86,6 +75,10 @@ def finite_difference(probe, params, h=1e-5):
     Returns:
         Array of params' shape holding (f(x + h e) - f(x - h e)) / (2 h)
         for each coordinate direction e.
+
+    Raises:
+        FloatingPointError at the first coordinate where a probe value is
+        not finite.
     """
     base = np.asarray(params, dtype=np.float64)
     grad = np.empty(base.shape)
@@ -94,7 +87,10 @@ def finite_difference(probe, params, h=1e-5):
         hi[idx] += h
         lo = base.copy()
         lo[idx] -= h
-        grad[idx] = _central(probe(hi), probe(lo), h)
+        f = np.array([probe(hi), probe(lo)], dtype=np.float64)
+        if not np.isfinite(f).all():
+            raise FloatingPointError("probe returned a non-finite value")
+        grad[idx] = (f[0] - f[1]) / (2.0 * h)
     return grad
 
 

@@ -6,8 +6,9 @@ coordinates. The covariance is mapped by the Jacobian of that projection
 dilation so the 2x2 result stays invertible even for sub-pixel splats.
 
 Each step takes one splat or a stack of them. project_splats runs the
-steps once for every splat of a scene and returns a ProjectedSplats; the
-renderer uses it. project_gaussian is its one-splat case.
+steps once for every splat of a scene and returns a ProjectedSplats, the
+one projection record; the renderer uses it. project_gaussian is its
+one-splat case.
 """
 
 from dataclasses import dataclass
@@ -31,33 +32,19 @@ DILATION = 0.3
 
 
 @dataclass
-class ProjectedGaussian:
-    """Per-view footprint of one splat.
-
-    radius is a conservative integer half-width in pixels covering the
-    3-sigma extent of cov2d; depth is the camera-space z used as sort key.
-    """
-
-    t_cam: np.ndarray
-    mean2d: np.ndarray
-    cov2d: np.ndarray
-    depth: float
-    radius: int
-    source_index: int
-
-
-@dataclass
 class ProjectedSplats:
     """Footprints of the splats that survived culling, one row each.
 
-    Rows keep source order. t_cam (K, 4), mean2d (K, 2), cov2d (K, 2, 2),
-    depth (K,), radius (K,) and source_index (K,), the row's index in the
-    scene, hold what ProjectedGaussian holds for one splat; indexing a row
-    returns it as a ProjectedGaussian. The factors project_splats formed
-    on the way, which the backward pass reads, follow: rot (K, 3, 3), the
-    rotation of the splat's quaternion, sigma (K, 3, 3), its world
-    covariance, jac (K, 2, 3), the projection's Jacobian at t_cam, and
-    t_proj (K, 2, 3) = jac R_cw. of() leaves them None.
+    Rows keep source order. t_cam (K, 4) is the camera-space point,
+    mean2d (K, 2) and cov2d (K, 2, 2) the footprint on the image, depth
+    (K,) the camera-space z used as sort key, radius (K,) a conservative
+    integer half-width in pixels covering the 3-sigma extent of cov2d, and
+    source_index (K,) the row's index in the scene. The factors
+    project_splats formed on the way, which the backward pass reads,
+    follow: rot (K, 3, 3), the rotation of the splat's quaternion, sigma
+    (K, 3, 3), its world covariance, jac (K, 2, 3), the projection's
+    Jacobian at t_cam, and t_proj (K, 2, 3) = jac R_cw. Only the audit's
+    probe rows (raster_forward._Projection.take) leave them None.
     """
 
     t_cam: np.ndarray
@@ -73,35 +60,6 @@ class ProjectedSplats:
 
     def __len__(self):
         return self.depth.shape[0]
-
-    def __getitem__(self, k):
-        return ProjectedGaussian(
-            t_cam=self.t_cam[k].copy(),
-            mean2d=self.mean2d[k].copy(),
-            cov2d=self.cov2d[k].copy(),
-            depth=float(self.depth[k]),
-            radius=int(self.radius[k]),
-            source_index=int(self.source_index[k]),
-        )
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
-
-    @classmethod
-    def of(cls, projected):
-        """projected itself if it is a ProjectedSplats, else its
-        ProjectedGaussian entries stacked."""
-        if isinstance(projected, cls):
-            return projected
-        n = len(projected)
-        return cls(
-            t_cam=np.array([p.t_cam for p in projected], dtype=np.float64).reshape(n, 4),
-            mean2d=np.array([p.mean2d for p in projected], dtype=np.float64).reshape(n, 2),
-            cov2d=np.array([p.cov2d for p in projected], dtype=np.float64).reshape(n, 2, 2),
-            depth=np.array([p.depth for p in projected], dtype=np.float64),
-            radius=np.array([p.radius for p in projected], dtype=np.int64),
-            source_index=np.array([p.source_index for p in projected], dtype=np.int64),
-        )
 
 
 def world_to_camera(mean, camera: Camera, view=None):
@@ -187,35 +145,30 @@ def bounding_radius(cov2d):
     return int(radius) if radius.ndim == 0 else radius
 
 
-def project_gaussian(g: Gaussian3D, camera: Camera, source_index=0):
-    """Run the full projection pipeline for one splat: project_splats on a
-    one-splat scene.
+def project_gaussian(g: Gaussian3D, camera: Camera):
+    """project_splats on the one-splat scene [g].
 
-    Returns a ProjectedGaussian, or None when the splat is culled: depth
-    outside (near, far), or a footprint that cannot touch any pixel.
+    Returns its one-row ProjectedSplats, or None when the splat is culled:
+    depth outside (near, far), or a footprint that cannot touch any pixel.
     Culling is a normal outcome, not an error.
     """
     projected = project_splats(Splats.of([g]), camera)
-    if not len(projected):
-        return None
-    row = projected[0]
-    row.source_index = source_index
-    return row
+    return projected if len(projected) else None
 
 
 def project_splats(splats, camera: Camera, *, view=None, keep_offscreen=False):
     """Project every splat of a Splats in one pass.
 
-    The batched project_gaussian: the same ops run once on stacks, giving
-    t_cam, J, T = J R_cw, cov2d, mean2d, radius and the cull decisions
-    for all splats. Splats with depth outside (near, far) are culled, and
-    so are splats whose footprint misses the image unless keep_offscreen
-    is set. view, an (N, 4, 4) stack, replaces camera.view splat by splat.
+    The steps above run once on stacks, giving t_cam, J, T = J R_cw,
+    cov2d, mean2d, radius and the cull decisions for all splats. Splats
+    with depth outside (near, far) are culled, and so are splats whose
+    footprint misses the image unless keep_offscreen is set. view, an
+    (N, 4, 4) stack, replaces camera.view splat by splat.
 
-    Raises ValueError naming the splat, e.g. gaussians[4], where
-    project_gaussian raises: a point behind the camera or a degenerate
-    projection (possible only when near <= 0), or a 2D covariance that is
-    not finite and positive definite.
+    Raises ValueError naming the splat, e.g. gaussians[4], on a point
+    behind the camera or a degenerate projection (possible only when
+    near <= 0), or on a 2D covariance that is not finite and positive
+    definite.
 
     Returns:
         ProjectedSplats, rows in source order, with the factors the
@@ -228,10 +181,10 @@ def project_splats(splats, camera: Camera, *, view=None, keep_offscreen=False):
     src = np.flatnonzero(~((depth_all <= camera.near) | (depth_all >= camera.far)))
     t_cam = t_all[src]
     try:
-        bundle = compose_covariance_3d(splats.quats[src], splats.scales[src])
+        rot, sigma = compose_covariance_3d(splats.quats[src], splats.scales[src])
         jac = projection_jacobian(t_cam, camera)
         t_proj = matprod(jac, camera.rotation if view is None else view[src, :3, :3])
-        cov2d = project_covariance(t_proj, bundle.sigma)
+        cov2d = project_covariance(t_proj, sigma)
         mean2d = camera_to_pixel(t_cam, camera)
         radius = bounding_radius(cov2d)
     except RowError as exc:
@@ -252,8 +205,8 @@ def project_splats(splats, camera: Camera, *, view=None, keep_offscreen=False):
         depth=t_cam[keep, 2],
         radius=radius[keep],
         source_index=src[keep],
-        rot=bundle.R[keep],
-        sigma=bundle.sigma[keep],
+        rot=rot[keep],
+        sigma=sigma[keep],
         jac=jac[keep],
         t_proj=t_proj[keep],
     )

@@ -4,16 +4,14 @@ Pushes each pixel's loss gradient onto every contributor's color,
 opacity, 2D mean and 2D covariance. It reads the pairs the forward pass
 committed and render kept on its result, one CommittedPairs record per
 pair block: pixel, bin position, splat, exp(-sigma) and the
-transmittance before the pair. The per-pixel operations composite their
-one pixel with early termination off, where every visible pair commits
-with the T before it that any render gives it, and keep the pairs
-before its n_contrib. Alpha and its clamp come back from exp(-sigma)
-through the forward kernel's expressions, and dx, dy from the pixel
-centers, so every value equals the forward pass's bitwise and nothing
-is divided by (1 - alpha). The color composited behind each pair is
-needed only through its product with dL/dC, so one walk over the pairs
-back to front (the blocks last to first, each block's pairs reversed)
-carries that scalar per pixel and adds each pair's terms as it goes.
+transmittance before the pair. Alpha and its clamp come back from
+exp(-sigma) through the forward kernel's expressions, and dx, dy from
+the pixel centers, so every value equals the forward pass's bitwise
+and nothing is divided by (1 - alpha). The color composited behind
+each pair is needed only through its product with dL/dC, so one walk
+over the pairs back to front (the blocks last to first, each block's
+pairs reversed) carries that scalar per pixel and adds each pair's
+terms as it goes.
 Each per-splat total is one sequential sum over the pairs in reverse
 pair order (np.add.at), with no BLAS product, so the gradients do not
 depend on where the blocks fall.
@@ -24,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Splats
-from .projection import ProjectedSplats
-from .raster_forward import ALPHA_MAX, _composite, _pack_splats, _pixel_entries, _walk
+from .raster_forward import ALPHA_MAX, _pack_splats, _walk
 
 
 @dataclass
@@ -128,57 +125,6 @@ def _add_block(pairs, packed, d_pixels, s, centers, rows, totals):
     g = d_neg_sig * y1
     add(5, g)
     add(8, g * y1)
-
-
-def _pixel_pairs(sorted_bin, projected, splats, pixel_center, n_contrib):
-    """The packed splats and contributing pairs of composite_pixel's one
-    pixel. Composited without early termination, every visible pair
-    commits; T never increases, so the ones before n_contrib are exactly
-    those the forward pass committed, with either setting."""
-    packed = _pack_splats(projected, splats)
-    *_, blocks = _composite(_pixel_entries(sorted_bin, pixel_center), packed, 1,
-                            np.zeros(3), False)
-    return packed, [p._make(x[p.pos < n_contrib] for x in p) for p in blocks]
-
-
-def composite_pixel_backward(sorted_bin, projected, scene, pixel_center,
-                             background, aux_entry, d_pixel):
-    """Gradients of one pixel's composited color, per scene gaussian.
-
-    aux_entry must come from composite_pixel on identical inputs; only the
-    first n_contrib bin entries are revisited, and the background term
-    starts from its final_T. Returns a Splat2DGrads with one row per
-    gaussian in `scene`.
-    """
-    splats = Splats.of(scene)
-    packed, pairs = _pixel_pairs(sorted_bin, projected, splats, pixel_center,
-                                 aux_entry.n_contrib)
-    return _backward(
-        pairs,
-        packed,
-        (np.array([float(pixel_center[0])]), np.array([float(pixel_center[1])])),
-        ProjectedSplats.of(projected).source_index,
-        len(splats),
-        np.asarray(background, dtype=np.float64),
-        np.array([aux_entry.final_T]),
-        np.asarray(d_pixel, dtype=np.float64).reshape(1, 3),
-    )
-
-
-def transmittance_replay(sorted_bin, projected, scene, pixel_center,
-                         background, aux_entry):
-    """Transmittance values the backward pass reads at one pixel.
-
-    Returns (bin position, T before the splat) pairs in back-to-front
-    order, one per splat that contributed in the forward pass. Exposed so
-    the walk can be checked against independently recomputed forward
-    values. background is unused; it is accepted so the call mirrors
-    composite_pixel_backward.
-    """
-    _, pairs = _pixel_pairs(sorted_bin, projected, Splats.of(scene), pixel_center,
-                            aux_entry.n_contrib)
-    return [(int(k), float(t)) for p in reversed(pairs)
-            for k, t in zip(p.pos[::-1], p.t_before[::-1])]
 
 
 def accumulate_image_backward(scene, result, d_image):

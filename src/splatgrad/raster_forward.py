@@ -8,8 +8,8 @@ and SIGMA_CUT leave visible, capped by its bounding square. No other
 pixel can pass _pair_alpha's visibility test, so the footprints change
 which pairs are evaluated, never which commit. One kernel, _pair_alpha,
 evaluates sigma and alpha on those flat pairs. The forward pass, the
-backward pass, the audit mask and the per-pixel operations all run it,
-so every view of the math agrees bitwise.
+backward pass and the audit mask all run it, so every view of the math
+agrees bitwise.
 
 Transmittance comes from a walk with one step per bin position,
 vectorised over pixels. A pixel sits in exactly one tile, so it has at
@@ -131,11 +131,6 @@ class RenderAux:
     n_contrib: np.ndarray
 
 
-class PixelAux(NamedTuple):
-    final_T: float
-    n_contrib: int
-
-
 @dataclass
 class RenderResult:
     """Everything the backward pass consumes, bundled.
@@ -189,15 +184,14 @@ class _PackedSplats:
         )
 
 
-def _pack_splats(projected, splats):
-    """Pack the projected splats (ProjectedSplats or a list of
-    ProjectedGaussian) with their opacity and color from the Splats."""
-    p = ProjectedSplats.of(projected)
+def _pack_splats(projected: ProjectedSplats, splats: Splats):
+    """Pack the projected splats with their opacity and color from the
+    Splats they were projected from."""
     return _PackedSplats.of(
-        mean2d=p.mean2d,
-        cov2d=p.cov2d,
-        opacity=splats.opacities[p.source_index],
-        color=splats.colors[p.source_index],
+        mean2d=projected.mean2d,
+        cov2d=projected.cov2d,
+        opacity=splats.opacities[projected.source_index],
+        color=splats.colors[projected.source_index],
     )
 
 
@@ -321,23 +315,6 @@ def _image_entries(grid, footprints, windows):
         width=size[:, 0],
         height=size[:, 1],
         row_stride=stride,
-    )
-
-
-def _pixel_entries(sorted_bin, pixel_center):
-    """One entry per bin position, each covering the single pixel 0 at
-    pixel_center."""
-    splat = np.asarray(sorted_bin, dtype=np.int64).reshape(-1)
-    ones = np.ones(splat.size, dtype=np.int64)
-    return _Entries(
-        pos=np.arange(splat.size),
-        splat=splat,
-        base=np.zeros(splat.size, dtype=np.int64),
-        x0=np.full(splat.size, float(pixel_center[0])),
-        y0=np.full(splat.size, float(pixel_center[1])),
-        width=ones,
-        height=ones,
-        row_stride=ones,
     )
 
 
@@ -476,59 +453,6 @@ def _composite_block(entries, e0, e1, packed, early_termination,
     np.maximum.at(n_contrib, pix, pos + 1)
     return CommittedPairs(pix.astype(np.int32), pos.astype(np.int32),
                           splat.astype(np.int32), pairs.exp_neg[index], t_before)
-
-
-def eval_alpha(g, opacity, pixel_center):
-    """Evaluate one splat's opacity contribution at a pixel center.
-
-    Args:
-        g: ProjectedGaussian supplying mean2d and cov2d.
-        opacity: the splat's opacity in [0, 1].
-        pixel_center: length-2 pixel coordinates.
-
-    Returns:
-        (alpha, delta, sigma) where delta = pixel_center - mean2d and
-        sigma is half the squared Mahalanobis distance. alpha is 0.0 when
-        the contribution falls below ALPHA_MIN or past the SIGMA_CUT
-        footprint cutoff, marking the splat as skipped at this pixel.
-    """
-    packed = _PackedSplats.of(
-        mean2d=np.asarray(g.mean2d, dtype=np.float64).reshape(1, 2),
-        cov2d=np.asarray(g.cov2d, dtype=np.float64).reshape(1, 2, 2),
-        opacity=np.array([opacity], dtype=np.float64),
-        color=np.zeros((1, 3)),
-    )
-    dx, dy, sigma, _, _, alpha, visible = _pair_alpha(
-        np.array([float(pixel_center[0])]),
-        np.array([float(pixel_center[1])]),
-        packed,
-        np.zeros(1, dtype=np.int64),
-    )
-    return (float(alpha[0]) if visible[0] else 0.0,
-            np.array([dx[0], dy[0]]), float(sigma[0]))
-
-
-def composite_pixel(sorted_bin, projected, scene, pixel_center, background,
-                    early_termination=True):
-    """Composite one pixel against its tile's depth-ordered splats.
-
-    sorted_bin holds indices into `projected` in front-to-back order, and
-    scene supplies opacity and color via each splat's source_index. Splats
-    whose alpha falls below ALPHA_MIN are skipped without counting toward
-    n_contrib; compositing stops once transmittance would drop below T_MIN
-    (the stopping splat is not composited). The background, attenuated by
-    the final transmittance, is added after the loop.
-
-    Returns (color 3-vector, PixelAux(final_T, n_contrib)).
-    """
-    color, trans, n_contrib, _ = _composite(
-        _pixel_entries(sorted_bin, pixel_center),
-        _pack_splats(projected, Splats.of(scene)),
-        1,
-        np.asarray(background, dtype=np.float64),
-        early_termination,
-    )
-    return color[:, 0], PixelAux(float(trans[0]), int(n_contrib[0]))
 
 
 class _Projection(NamedTuple):

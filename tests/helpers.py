@@ -1,10 +1,24 @@
-"""Shared scene builders and the independent reference compositor used
-across the test modules."""
+"""Shared scene builders, the independent reference compositor, and the
+one-pixel views of the compositing kernels used across the test
+modules."""
+
+from typing import NamedTuple
 
 import numpy as np
 
-from splatgrad import Camera, Gaussian3D, ProjectedGaussian, Splats, project_gaussian
-from splatgrad.raster_forward import ALPHA_MAX, ALPHA_MIN, SIGMA_CUT, T_MIN
+from splatgrad import Camera, Gaussian3D, ProjectedSplats, Splats, project_splats
+from splatgrad.raster_backward import _backward
+from splatgrad.raster_forward import (
+    ALPHA_MAX,
+    ALPHA_MIN,
+    SIGMA_CUT,
+    T_MIN,
+    _composite,
+    _Entries,
+    _pack_splats,
+    _PackedSplats,
+    _pair_alpha,
+)
 
 
 def rows(scene):
@@ -14,6 +28,18 @@ def rows(scene):
     s = Splats.of(scene)
     return [Gaussian3D(*(x.copy() for x in row))
             for row in zip(s.means, s.scales, s.quats, s.opacities, s.colors)]
+
+
+def stack_projected(entries):
+    """A ProjectedSplats from (t_cam, mean2d, cov2d, depth, radius,
+    source_index) entries, one row each; the backward pass's factors stay
+    None."""
+    n = len(entries)
+    columns = list(zip(*entries)) if n else [()] * 6
+    shapes = ((n, 4), (n, 2), (n, 2, 2), (n,), (n,), (n,))
+    types = (np.float64,) * 4 + (np.int64,) * 2
+    return ProjectedSplats(*(np.array(c, dtype=t).reshape(shape)
+                             for c, shape, t in zip(columns, shapes, types)))
 
 
 def frustum_camera(width, height, fx=None, near=0.1, far=100.0):
@@ -86,13 +112,9 @@ def naive_render(scene, camera, background, early_termination=True):
     not bitwise, because the solver path rounds differently.
     """
     background = np.asarray(background, dtype=np.float64)
-    scene = rows(scene)
-    projected = []
-    for i, g in enumerate(scene):
-        p = project_gaussian(g, camera, source_index=i)
-        if p is not None:
-            projected.append(p)
-    projected.sort(key=lambda p: (p.depth, p.source_index))
+    splats = Splats.of(scene)
+    p = project_splats(splats, camera)
+    order = np.lexsort((p.source_index, p.depth)).tolist()
 
     image = np.empty((camera.height, camera.width, 3))
     final_t = np.empty((camera.height, camera.width))
@@ -101,25 +123,126 @@ def naive_render(scene, camera, background, early_termination=True):
             center = np.array([col + 0.5, row + 0.5])
             color = np.zeros(3)
             trans = 1.0
-            for p in projected:
-                delta = center - p.mean2d
-                sigma = 0.5 * float(delta @ np.linalg.solve(p.cov2d, delta))
+            for k in order:
+                delta = center - p.mean2d[k]
+                sigma = 0.5 * float(delta @ np.linalg.solve(p.cov2d[k], delta))
                 if sigma > SIGMA_CUT:
                     continue
-                alpha = min(
-                    scene[p.source_index].opacity * float(np.exp(-sigma)),
-                    ALPHA_MAX,
-                )
+                src = p.source_index[k]
+                alpha = min(splats.opacities[src] * float(np.exp(-sigma)), ALPHA_MAX)
                 if alpha < ALPHA_MIN:
                     continue
                 next_trans = trans * (1.0 - alpha)
                 if early_termination and next_trans < T_MIN:
                     break
-                color = color + alpha * trans * scene[p.source_index].color
+                color = color + alpha * trans * splats.colors[src]
                 trans = next_trans
             image[row, col] = color + background * trans
             final_t[row, col] = trans
     return image, final_t
+
+
+# One pixel through the library's compositing kernels (_pair_alpha,
+# _composite, _backward): each pixel's bin is composited alone, as one
+# entry per bin position covering pixel 0 at pixel_center, which need not
+# be a pixel center of any image.
+
+
+class PixelAux(NamedTuple):
+    """One pixel's final transmittance and contributor count."""
+
+    final_T: float
+    n_contrib: int
+
+
+def _pixel_entries(sorted_bin, pixel_center):
+    """One entry per bin position, each covering the single pixel 0 at
+    pixel_center."""
+    splat = np.asarray(sorted_bin, dtype=np.int64).reshape(-1)
+    ones = np.ones(splat.size, dtype=np.int64)
+    return _Entries(
+        pos=np.arange(splat.size),
+        splat=splat,
+        base=np.zeros(splat.size, dtype=np.int64),
+        x0=np.full(splat.size, float(pixel_center[0])),
+        y0=np.full(splat.size, float(pixel_center[1])),
+        width=ones,
+        height=ones,
+        row_stride=ones,
+    )
+
+
+def eval_alpha(projected, row, opacity, pixel_center):
+    """_pair_alpha for row `row` of a ProjectedSplats at one pixel center.
+
+    Returns (alpha, delta, sigma): delta = pixel_center - mean2d, sigma
+    half the squared Mahalanobis distance, and alpha 0.0 where the pair is
+    not visible (below ALPHA_MIN or past the SIGMA_CUT cutoff).
+    """
+    packed = _PackedSplats.of(
+        mean2d=projected.mean2d[row:row + 1],
+        cov2d=projected.cov2d[row:row + 1],
+        opacity=np.array([opacity], dtype=np.float64),
+        color=np.zeros((1, 3)),
+    )
+    dx, dy, sigma, _, _, alpha, visible = _pair_alpha(
+        np.array([float(pixel_center[0])]), np.array([float(pixel_center[1])]),
+        packed, np.zeros(1, dtype=np.int64))
+    return (float(alpha[0]) if visible[0] else 0.0,
+            np.array([dx[0], dy[0]]), float(sigma[0]))
+
+
+def composite_pixel(sorted_bin, projected, splats, pixel_center, background,
+                    early_termination=True):
+    """Composite one pixel against sorted_bin, indices into the
+    ProjectedSplats projected in front-to-back order; opacity and color
+    come from the Splats splats by source_index.
+
+    Returns (color 3-vector, PixelAux(final_T, n_contrib)).
+    """
+    color, trans, n_contrib, _ = _composite(
+        _pixel_entries(sorted_bin, pixel_center), _pack_splats(projected, splats), 1,
+        np.asarray(background, dtype=np.float64), early_termination)
+    return color[:, 0], PixelAux(float(trans[0]), int(n_contrib[0]))
+
+
+def _pixel_pairs(sorted_bin, projected, splats, pixel_center, n_contrib):
+    """The packed splats and contributing pairs of one pixel. Composited
+    without early termination, every visible pair commits; T never
+    increases, so the ones before n_contrib are exactly those the forward
+    pass committed, with either setting."""
+    packed = _pack_splats(projected, splats)
+    *_, blocks = _composite(_pixel_entries(sorted_bin, pixel_center), packed, 1,
+                            np.zeros(3), False)
+    return packed, [p._make(x[p.pos < n_contrib] for x in p) for p in blocks]
+
+
+def composite_pixel_backward(sorted_bin, projected, splats, pixel_center,
+                             background, aux, d_pixel):
+    """Gradients of one pixel's composited color, a Splat2DGrads with one
+    row per splat of splats. aux must come from composite_pixel (or the
+    render) on identical inputs."""
+    packed, pairs = _pixel_pairs(sorted_bin, projected, splats, pixel_center,
+                                 aux.n_contrib)
+    return _backward(
+        pairs,
+        packed,
+        (np.array([float(pixel_center[0])]), np.array([float(pixel_center[1])])),
+        projected.source_index,
+        len(splats),
+        np.asarray(background, dtype=np.float64),
+        np.array([aux.final_T]),
+        np.asarray(d_pixel, dtype=np.float64).reshape(1, 3),
+    )
+
+
+def transmittance_replay(sorted_bin, projected, splats, pixel_center, aux):
+    """(bin position, T before the splat) for every splat that contributed
+    at one pixel, back to front."""
+    _, pairs = _pixel_pairs(sorted_bin, projected, splats, pixel_center,
+                            aux.n_contrib)
+    return [(int(k), float(t)) for p in reversed(pairs)
+            for k, t in zip(p.pos[::-1], p.t_before[::-1])]
 
 
 # Reference oracles for the compositing passes: the per-splat loops the
@@ -148,8 +271,6 @@ def iter_tiles(grid, width, height):
 def oracle_render(scene, result, early_termination):
     """(image, final_T, n_contrib) of result's grid and projection,
     composited tile by tile with oracle_composite_tile at every pixel."""
-    from splatgrad.raster_forward import _pack_splats
-
     packed = _pack_splats(result.projected, Splats.of(scene))
     h, w = result.image.height, result.image.width
     image = np.zeros((h, w, 3))
@@ -170,7 +291,6 @@ def oracle_image_backward(scene, result, d_image):
     """accumulate_image_backward computed tile by tile with
     oracle_backward_tile."""
     from splatgrad import Splat2DGrads
-    from splatgrad.raster_forward import _pack_splats
 
     grads = Splat2DGrads.zeros(len(scene))
     packed = _pack_splats(result.projected, Splats.of(scene))
@@ -292,8 +412,6 @@ def reference_pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
     found by walking every pixel's bin in pure Python and a scalar alpha
     expression of its own."""
     from splatgrad import (
-        ProjectedGaussian,
-        bounding_radius,
         camera_to_pixel,
         compose_covariance_3d,
         project_covariance,
@@ -304,44 +422,36 @@ def reference_pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
     from splatgrad.core import matprod
 
     scene = rows(scene)
-    projected = []
+    footprints = []
     for g in scene:
         t_cam = world_to_camera(g.mean, camera)
         depth = float(t_cam[2])
         if not camera.near + 0.5 < depth < camera.far - 0.5:
             return None
-        bundle = compose_covariance_3d(g.quat, g.scale)
+        _, sigma = compose_covariance_3d(g.quat, g.scale)
         jac = projection_jacobian(t_cam, camera)
-        cov2d = project_covariance(matprod(jac, camera.rotation), bundle.sigma)
-        projected.append(
-            ProjectedGaussian(
-                t_cam=t_cam,
-                mean2d=camera_to_pixel(t_cam, camera),
-                cov2d=cov2d,
-                depth=depth,
-                radius=bounding_radius(cov2d),
-                source_index=0,
-            )
-        )
-    depths = sorted(p.depth for p in projected)
+        cov2d = project_covariance(matprod(jac, camera.rotation), sigma)
+        footprints.append((camera_to_pixel(t_cam, camera), cov2d, depth))
+    depths = sorted(depth for _, _, depth in footprints)
     if any(b - a < depth_margin for a, b in zip(depths, depths[1:])):
         return None
 
-    def sigma_at(p, xs, ys):
-        a, b, c = p.cov2d[0, 0], p.cov2d[0, 1], p.cov2d[1, 1]
+    def sigma_at(mean2d, cov2d, xs, ys):
+        a, b, c = cov2d[0, 0], cov2d[0, 1], cov2d[1, 1]
         det = a * c - b * b
         inv_a, inv_b, inv_c = c / det, -b / det, a / det
-        dx = xs - p.mean2d[0]
-        dy = ys - p.mean2d[1]
+        dx = xs - mean2d[0]
+        dy = ys - mean2d[1]
         return 0.5 * (inv_a * dx * dx + inv_c * dy * dy) + inv_b * dx * dy
 
     mask = np.ones((camera.height, camera.width), dtype=bool)
     ys, xs = np.mgrid[0:camera.height, 0:camera.width]
-    for p in projected:
-        sigma = sigma_at(p, xs + 0.5, ys + 0.5)
+    for mean2d, cov2d, _ in footprints:
+        sigma = sigma_at(mean2d, cov2d, xs + 0.5, ys + 0.5)
         mask &= np.abs(sigma - SIGMA_CUT) > sigma_margin
 
     res = render(scene, camera, background)
+    p = res.projected
     ts = res.grid.tile_size
     for ty in range(res.grid.tiles_y):
         for tx in range(res.grid.tiles_x):
@@ -350,10 +460,10 @@ def reference_pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
                 for col in range(tx * ts, min((tx + 1) * ts, camera.width)):
                     trans = 1.0
                     for idx in order:
-                        p = res.projected[idx]
-                        sigma = float(sigma_at(p, col + 0.5, row + 0.5))
+                        sigma = float(sigma_at(p.mean2d[idx], p.cov2d[idx],
+                                               col + 0.5, row + 0.5))
                         alpha = min(
-                            scene[p.source_index].opacity * float(np.exp(-sigma)),
+                            scene[p.source_index[idx]].opacity * float(np.exp(-sigma)),
                             ALPHA_MAX,
                         )
                         if sigma > SIGMA_CUT or alpha < ALPHA_MIN:
@@ -390,7 +500,7 @@ def oracle_audit_scene(scene, camera, target, *, background, pixel_mask,
         render,
         scene_backward,
     )
-    from splatgrad.raster_forward import _footprints, _pack_splats
+    from splatgrad.raster_forward import _footprints
 
     scene = rows(scene)
     target = np.asarray(target, dtype=np.float64)
@@ -546,7 +656,7 @@ def _ref_project(g, camera):
 
 
 def oracle_project_scene(scene, camera):
-    """The projection one splat at a time: ProjectedGaussian for every
+    """The projection one splat at a time: a ProjectedSplats row for every
     splat that survives the depth and off-image culls."""
     projected = []
     for idx, g in enumerate(rows(scene)):
@@ -557,10 +667,8 @@ def oracle_project_scene(scene, camera):
         if (mean2d[0] + radius < 0.0 or mean2d[0] - radius >= camera.width
                 or mean2d[1] + radius < 0.0 or mean2d[1] - radius >= camera.height):
             continue
-        projected.append(ProjectedGaussian(t_cam=t_cam, mean2d=mean2d, cov2d=cov2d,
-                                           depth=depth, radius=radius,
-                                           source_index=idx))
-    return projected
+        projected.append((t_cam, mean2d, cov2d, depth, radius, idx))
+    return stack_projected(projected)
 
 
 def _ref_quat_jacobians(w, x, y, z):
@@ -590,19 +698,19 @@ def oracle_scene_backward(scene, camera, result, d_image):
     fx, fy = camera.fx, camera.fy
     rot_cw = camera.rotation
     proj = camera.projection_matrix()
-    for p in result.projected:
-        i = p.source_index
+    for k, i in enumerate(result.projected.source_index.tolist()):
+        t_cam = result.projected.t_cam[k]
         g = scene[i]
-        tx, ty, tz = p.t_cam[0], p.t_cam[1], p.t_cam[2]
+        tx, ty, tz = t_cam[0], t_cam[1], t_cam[2]
         r = _ref_rotmat(g.quat)
         smat = np.diag(g.scale)
         m = r @ smat
         sigma = m @ m.T
-        jac = _ref_jacobian(p.t_cam, camera)
+        jac = _ref_jacobian(t_cam, camera)
         t_proj = jac @ rot_cw
 
         # Through the projected mean and the perspective divide.
-        t_prime = proj @ p.t_cam
+        t_prime = proj @ t_cam
         t_w = t_prime[3]
         wdx = camera.width * splat.d_mean2d[i, 0]
         hdy = camera.height * splat.d_mean2d[i, 1]

@@ -27,7 +27,6 @@ from splatgrad import (
     FitConfig,
     Gaussian3D,
     compose_covariance_3d,
-    eval_alpha,
     fit,
     frobenius_inner,
     make_audit_scene,
@@ -35,11 +34,9 @@ from splatgrad import (
     render,
     render_brute_force,
     run_audit,
-    transmittance_replay,
 )
-from splatgrad.raster_forward import PixelAux
 
-from helpers import frustum_camera, frustum_scene
+from helpers import PixelAux, eval_alpha, frustum_camera, frustum_scene, transmittance_replay
 
 
 def verdict(capsys, num, label, ok, detail=""):
@@ -110,15 +107,15 @@ class TestAcceptance:
                         final_T=float(res.aux.final_T[row, col]),
                         n_contrib=int(res.aux.n_contrib[row, col]))
                     pairs = transmittance_replay(sbin, res.projected,
-                                                 scene, px, background, aux)
+                                                 scene, px, aux)
                     t = 1.0
                     forward = {}
                     for pos, idx in enumerate(sbin):
                         if pos >= aux.n_contrib:
                             break
-                        p = res.projected[idx]
                         alpha, _, _ = eval_alpha(
-                            p, scene.opacities[p.source_index], px)
+                            res.projected, idx,
+                            scene.opacities[res.projected.source_index[idx]], px)
                         if alpha == 0.0:
                             continue
                         forward[pos] = t
@@ -152,7 +149,7 @@ class TestAcceptance:
         for _ in range(1000):
             q = rng.normal(size=4)
             s = rng.uniform(0.05, 3.0, size=3)
-            sigma = compose_covariance_3d(q, s).sigma
+            _, sigma = compose_covariance_3d(q, s)
             lam = float(np.min(np.linalg.eigvalsh(sigma)))
             worst_eig = min(worst_eig, lam)
 
@@ -194,9 +191,8 @@ class TestAcceptance:
                     px = np.array([col + 0.5, row + 0.5])
                     t = 1.0
                     for idx in sbin:
-                        p = res.projected[idx]
-                        g = scene[p.source_index]
-                        alpha, _, _ = eval_alpha(p, g.opacity, px)
+                        g = scene[res.projected.source_index[idx]]
+                        alpha, _, _ = eval_alpha(res.projected, idx, g.opacity, px)
                         t_next = t * (1.0 - alpha)
                         monotone = monotone and t_next <= t
                         t = t_next
@@ -266,10 +262,12 @@ class TestAcceptance:
     def test_criterion_6_determinism(self, capsys, tmp_path):
         driver = tmp_path / "driver.py"
         driver.write_text(DETERMINISM_DRIVER)
+        # The driver imports the per-pixel replay from helpers.
+        path = [os.path.dirname(os.path.abspath(__file__)), os.environ.get("PYTHONPATH")]
         digests = {}
         for threads in ("1", "4"):
             for rep in range(2):
-                env = dict(os.environ)
+                env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
                 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                             "MKL_NUM_THREADS"):
                     env[var] = threads
@@ -346,9 +344,9 @@ from splatgrad import (
     render_brute_force,
     run_audit,
     serialize_scene,
-    transmittance_replay,
 )
-from splatgrad.raster_forward import PixelAux
+
+from helpers import PixelAux, transmittance_replay
 
 h = hashlib.sha256()
 
@@ -371,7 +369,7 @@ sbin = res.grid.bin_at(0, 0)
 aux = PixelAux(final_T=float(res.aux.final_T[7, 7]),
                n_contrib=int(res.aux.n_contrib[7, 7]))
 pairs = transmittance_replay(sbin, res.projected, scene,
-                             np.array([7.5, 7.5]), background, aux)
+                             np.array([7.5, 7.5]), aux)
 h.update(repr(pairs).encode())
 
 # Algebra battery.
@@ -381,7 +379,7 @@ for _ in range(100):
     q = rng.normal(size=4)
     s = rng.uniform(0.1, 2.0, size=3)
     mats.append(quat_to_rotmat(q))
-    mats.append(compose_covariance_3d(q, s).sigma)
+    mats.append(compose_covariance_3d(q, s)[1])
 h.update(np.stack(mats).tobytes())
 
 # Fit pipeline.

@@ -18,6 +18,7 @@ from splatgrad import (
     mean2d_backward,
     project_covariance,
     project_gaussian,
+    projection,
     projection_jacobian,
     quat_to_rotmat,
     render,
@@ -193,15 +194,29 @@ class TestCov2DBackward:
                            ) / (2 * h)
                     fd_check(d_rot[r, c], num)
 
-    def test_dilation_does_not_leak_into_gradient(self):
-        # The forward dilation shifts cov2d by a constant, so gradients
-        # through two sigmas differing only by that shift are identical.
+    def test_dilation_does_not_leak_into_gradient(self, monkeypatch):
+        # The forward dilation shifts cov2d by a constant, so with it at 0
+        # and at 2 the central differences in sigma match the one analytic
+        # d_sigma. A dilation that depended on sigma would move them apart.
+        h = 1e-6
         t, sigma, jac, r_cw, t_proj = self.sample()
         g = np.array([[1.0, 0.2], [0.2, 2.0]])
-        a = cov2d_backward(g, t_proj, sigma, jac, r_cw, t)
-        b = cov2d_backward(g, t_proj, sigma, jac, r_cw, t)
-        for x, y in zip(a, b):
-            assert_allclose(x, y, atol=0.0)
+        d_sigma, _, _ = cov2d_backward(g, t_proj, sigma, jac, r_cw, t)
+        for dilation in (0.0, 2.0):
+            monkeypatch.setattr(projection, "DILATION", dilation)
+            for (r, c) in [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]:
+                sp, sm = sigma.copy(), sigma.copy()
+                sp[r, c] += h
+                sp[c, r] = sp[r, c]
+                sm[r, c] -= h
+                sm[c, r] = sm[r, c]
+                num = (float(np.sum(g * project_covariance(t_proj, sp)))
+                       - float(np.sum(g * project_covariance(t_proj, sm)))
+                       ) / (2 * h)
+                analytic = d_sigma[r, c]
+                if r != c:
+                    analytic = analytic + d_sigma[c, r]
+                fd_check(analytic, num)
 
 
 class TestWorldBackward:
@@ -257,9 +272,9 @@ class TestWorldBackward:
 
 class TestCovariance3DBackward:
     def test_zero_upstream_is_zero(self):
-        bundle = compose_covariance_3d(np.array([1.0, 0, 0, 0]),
+        rot, _ = compose_covariance_3d(np.array([1.0, 0, 0, 0]),
                                        np.ones(3))
-        d_quat, d_scale = covariance3d_backward(np.zeros((3, 3)), bundle.R,
+        d_quat, d_scale = covariance3d_backward(np.zeros((3, 3)), rot,
                                                 np.array([1.0, 0, 0, 0]),
                                                 np.ones(3))
         assert_allclose(d_quat, 0.0, atol=0.0)
@@ -271,8 +286,8 @@ class TestCovariance3DBackward:
         # stationary point so the quaternion gradient vanishes.
         quat = np.array([1.0, 0.0, 0.0, 0.0])
         scale = np.ones(3)
-        bundle = compose_covariance_3d(quat, scale)
-        d_quat, d_scale = covariance3d_backward(np.eye(3), bundle.R, quat,
+        rot, _ = compose_covariance_3d(quat, scale)
+        d_quat, d_scale = covariance3d_backward(np.eye(3), rot, quat,
                                                 scale)
         assert_allclose(d_scale, [2.0, 2.0, 2.0], rtol=1e-14)
         assert_allclose(d_quat, 0.0, atol=1e-14)
@@ -285,14 +300,14 @@ class TestCovariance3DBackward:
             scale = rng.uniform(0.3, 2.0, size=3)
             g = rng.normal(size=(3, 3))
             g = 0.5 * (g + g.T)
-            bundle = compose_covariance_3d(quat, scale)
-            _, d_scale = covariance3d_backward(g, bundle.R, quat, scale)
+            rot, _ = compose_covariance_3d(quat, scale)
+            _, d_scale = covariance3d_backward(g, rot, quat, scale)
             for k in range(3):
                 sp, sm = scale.copy(), scale.copy()
                 sp[k] += h
                 sm[k] -= h
-                num = (float(np.sum(g * compose_covariance_3d(quat, sp).sigma))
-                       - float(np.sum(g * compose_covariance_3d(quat, sm).sigma))
+                num = (float(np.sum(g * compose_covariance_3d(quat, sp)[1]))
+                       - float(np.sum(g * compose_covariance_3d(quat, sm)[1]))
                        ) / (2 * h)
                 fd_check(d_scale[k], num)
 
@@ -306,14 +321,14 @@ class TestCovariance3DBackward:
             scale = rng.uniform(0.3, 2.0, size=3)
             g = rng.normal(size=(3, 3))
             g = 0.5 * (g + g.T)
-            bundle = compose_covariance_3d(quat, scale)
-            d_quat, _ = covariance3d_backward(g, bundle.R, quat, scale)
+            rot, _ = compose_covariance_3d(quat, scale)
+            d_quat, _ = covariance3d_backward(g, rot, quat, scale)
             for k in range(4):
                 qp, qm = quat.copy(), quat.copy()
                 qp[k] += h
                 qm[k] -= h
-                num = (float(np.sum(g * compose_covariance_3d(qp, scale).sigma))
-                       - float(np.sum(g * compose_covariance_3d(qm, scale).sigma))
+                num = (float(np.sum(g * compose_covariance_3d(qp, scale)[1]))
+                       - float(np.sum(g * compose_covariance_3d(qm, scale)[1]))
                        ) / (2 * h)
                 fd_check(d_quat[k], num)
 
@@ -328,8 +343,8 @@ class TestCovariance3DBackward:
             scale = rng.uniform(0.3, 2.0, size=3)
             g = rng.normal(size=(3, 3))
             g = 0.5 * (g + g.T)
-            bundle = compose_covariance_3d(quat, scale)
-            d_quat, _ = covariance3d_backward(g, bundle.R, quat, scale)
+            rot, _ = compose_covariance_3d(quat, scale)
+            d_quat, _ = covariance3d_backward(g, rot, quat, scale)
             q_hat = quat / np.linalg.norm(quat)
             assert abs(float(d_quat @ q_hat)) < 1e-9
 
@@ -384,9 +399,9 @@ class TestSceneBackward:
                        quat=np.array([1.0, 0, 0, 0]), opacity=0.9,
                        color=np.array([1.0, 1.0, 1.0])),
         ]
-        p = project_gaussian(scene[0], camera, 0)
+        p = project_gaussian(scene[0], camera)
         assert p is not None
-        assert p.mean2d[0] < 0.0
+        assert p.mean2d[0, 0] < 0.0
         res = render(scene, camera, np.zeros(3))
         assert_allclose(res.image.channels, 0.0, atol=1e-12)
         grads = scene_backward(scene, camera, res, np.ones((16, 16, 3)))

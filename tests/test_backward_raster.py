@@ -5,6 +5,8 @@ central differences through composite_pixel, and consistency of the
 whole-image accumulator with the per-pixel op.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,16 +14,22 @@ from numpy.testing import assert_allclose
 from splatgrad import (
     ALPHA_MAX,
     Gaussian3D,
+    Splats,
     accumulate_image_backward,
+    project_splats,
+    render,
+)
+
+from helpers import (
+    PixelAux,
     composite_pixel,
     composite_pixel_backward,
-    project_gaussian,
-    render,
+    eval_alpha,
+    frustum_camera,
+    frustum_scene,
+    naive_render,
     transmittance_replay,
 )
-from splatgrad.raster_forward import PixelAux
-
-from helpers import frustum_camera, frustum_scene, naive_render
 
 
 def center_gaussian(opacity, color, depth=4.0, offset=(0.0, 0.0)):
@@ -35,16 +43,13 @@ def center_gaussian(opacity, color, depth=4.0, offset=(0.0, 0.0)):
 
 
 def project_all(scene, camera):
-    projected = []
-    for i, g in enumerate(scene):
-        p = project_gaussian(g, camera, i)
-        assert p is not None
-        projected.append(p)
+    projected = project_splats(Splats.of(scene), camera)
+    assert len(projected) == len(scene)
     return projected
 
 
 def pixel_aux_for(sorted_bin, projected, scene, px, background):
-    _, aux = composite_pixel(sorted_bin, projected, scene, px, background)
+    _, aux = composite_pixel(sorted_bin, projected, Splats.of(scene), px, background)
     return aux
 
 
@@ -65,7 +70,7 @@ class TestSingleSplatHandExpansion:
                                  self.bg)
 
     def test_color_grad_is_alpha_times_t(self):
-        grads = composite_pixel_backward([0], self.projected, self.scene,
+        grads = composite_pixel_backward([0], self.projected, Splats.of(self.scene),
                                          self.px, self.bg, self.aux,
                                          np.ones(3))
         # The splat is first, so T = 1 and d color = alpha * T = 0.5
@@ -73,7 +78,7 @@ class TestSingleSplatHandExpansion:
         assert_allclose(grads.d_color[0], [0.5, 0.5, 0.5], rtol=1e-14)
 
     def test_opacity_grad_matches_closed_form(self):
-        grads = composite_pixel_backward([0], self.projected, self.scene,
+        grads = composite_pixel_backward([0], self.projected, Splats.of(self.scene),
                                          self.px, self.bg, self.aux,
                                          np.ones(3))
         # d loss / d alpha = sum_c (c - bg) = 1, and sigma = 0 makes
@@ -81,7 +86,7 @@ class TestSingleSplatHandExpansion:
         assert_allclose(grads.d_opacity[0], 1.0, rtol=1e-14)
 
     def test_zero_offset_kills_position_grads(self):
-        grads = composite_pixel_backward([0], self.projected, self.scene,
+        grads = composite_pixel_backward([0], self.projected, Splats.of(self.scene),
                                          self.px, self.bg, self.aux,
                                          np.ones(3))
         # d sigma / d mean2d is proportional to delta, which is zero here.
@@ -90,7 +95,7 @@ class TestSingleSplatHandExpansion:
     def test_background_pulls_opacity_down(self):
         bg = np.ones(3)
         aux = pixel_aux_for([0], self.projected, self.scene, self.px, bg)
-        grads = composite_pixel_backward([0], self.projected, self.scene,
+        grads = composite_pixel_backward([0], self.projected, Splats.of(self.scene),
                                          self.px, bg, aux, np.ones(3))
         # Raising alpha now removes background: sum_c (c - bg) = 1 - 3.
         assert_allclose(grads.d_opacity[0], -2.0, rtol=1e-13)
@@ -116,7 +121,7 @@ class TestFiniteDifferences:
         self.weights = np.array([0.7, -0.4, 1.3])
 
     def loss(self, projected, scene):
-        color, _ = composite_pixel(self.order, projected, scene, self.px,
+        color, _ = composite_pixel(self.order, projected, Splats.of(scene), self.px,
                                    self.bg)
         return float(self.weights @ color)
 
@@ -124,7 +129,7 @@ class TestFiniteDifferences:
         aux = pixel_aux_for(self.order, self.projected, self.scene, self.px,
                             self.bg)
         return composite_pixel_backward(self.order, self.projected,
-                                        self.scene, self.px, self.bg, aux,
+                                        Splats.of(self.scene), self.px, self.bg, aux,
                                         self.weights)
 
     def check(self, analytic, numeric):
@@ -185,11 +190,8 @@ class TestFiniteDifferences:
         for i in range(3):
             for axis in range(2):
                 def shifted(sign):
-                    import copy
-
-                    proj = [copy.deepcopy(p) for p in self.projected]
-                    proj[i].mean2d = proj[i].mean2d.copy()
-                    proj[i].mean2d[axis] += sign * h
+                    proj = replace(self.projected, mean2d=self.projected.mean2d.copy())
+                    proj.mean2d[i, axis] += sign * h
                     return proj
 
                 num = (self.loss(shifted(+1.0), self.scene)
@@ -203,14 +205,10 @@ class TestFiniteDifferences:
         for i in range(3):
             for (r, c) in pairs:
                 def shifted(sign):
-                    import copy
-
-                    proj = [copy.deepcopy(p) for p in self.projected]
-                    cov = proj[i].cov2d.copy()
-                    cov[r, c] += sign * h
-                    cov[c, r] = cov[r, c]
-                    proj[i].cov2d = cov
-                    return proj
+                    cov = self.projected.cov2d.copy()
+                    cov[i, r, c] += sign * h
+                    cov[i, c, r] = cov[i, r, c]
+                    return replace(self.projected, cov2d=cov)
 
                 num = (self.loss(shifted(+1.0), self.scene)
                        - self.loss(shifted(-1.0), self.scene)) / (2.0 * h)
@@ -234,10 +232,10 @@ class TestAlphaClamp:
         scene = [center_gaussian(0.9999, [0.3, 0.6, 0.9])]
         projected = project_all(scene, camera)
         bg = np.zeros(3)
-        color, aux = composite_pixel([0], projected, scene, px, bg)
+        color, aux = composite_pixel([0], projected, Splats.of(scene), px, bg)
         # opacity 0.9999 at sigma 0 exceeds the alpha ceiling.
         assert_allclose(color, ALPHA_MAX * scene[0].color, rtol=1e-13)
-        grads = composite_pixel_backward([0], projected, scene, px, bg, aux,
+        grads = composite_pixel_backward([0], projected, Splats.of(scene), px, bg, aux,
                                          np.ones(3))
         # The clamp is flat in opacity, mean, and covariance, but color
         # still flows through the clamped alpha.
@@ -257,7 +255,7 @@ class TestAlphaClamp:
         def loss(opacity):
             scene = [center_gaussian(opacity, [0.3, 0.6, 0.9])]
             projected = project_all(scene, camera)
-            color, _ = composite_pixel([0], projected, scene, px, bg)
+            color, _ = composite_pixel([0], projected, Splats.of(scene), px, bg)
             return float(np.sum(color))
 
         num = (loss(0.9999 + h) - loss(0.9999 - h)) / (2.0 * h)
@@ -278,18 +276,15 @@ class TestTransmittanceReplay:
             px = np.array([col + 0.5, row + 0.5])
             aux = PixelAux(final_T=float(res.aux.final_T[row, col]),
                            n_contrib=int(res.aux.n_contrib[row, col]))
-            pairs = transmittance_replay(sbin, res.projected, scene, px, bg,
+            pairs = transmittance_replay(sbin, res.projected, Splats.of(scene), px,
                                          aux)
             # Recompute the forward transmittance independently, walking
             # front to back and recording T before each composited splat.
-            from splatgrad import eval_alpha
-
             t = 1.0
             forward = {}
             for pos, idx in enumerate(sbin):
-                p = res.projected[idx]
-                g = scene[p.source_index]
-                alpha, _, _ = eval_alpha(p, g.opacity, px)
+                g = scene[res.projected.source_index[idx]]
+                alpha, _, _ = eval_alpha(res.projected, idx, g.opacity, px)
                 if alpha == 0.0:
                     continue
                 if pos >= aux.n_contrib:
@@ -310,8 +305,8 @@ class TestTransmittanceReplay:
                  for d in (3.0, 4.0, 5.0)]
         projected = project_all(scene, camera)
         aux = pixel_aux_for([0, 1, 2], projected, scene, px, np.zeros(3))
-        pairs = transmittance_replay([0, 1, 2], projected, scene, px,
-                                     np.zeros(3), aux)
+        pairs = transmittance_replay([0, 1, 2], projected, Splats.of(scene), px,
+                                     aux)
         positions = [pos for pos, _ in pairs]
         assert positions == [2, 1, 0]
         # T before the front splat is exactly 1.
@@ -370,7 +365,7 @@ class TestAccumulateImageBackward:
                 px = np.array([col + 0.5, row + 0.5])
                 aux = PixelAux(final_T=float(res.aux.final_T[row, col]),
                                n_contrib=int(res.aux.n_contrib[row, col]))
-                g = composite_pixel_backward(sbin, res.projected, scene, px,
+                g = composite_pixel_backward(sbin, res.projected, Splats.of(scene), px,
                                              bg, aux, d_image[row, col])
                 want.d_color += g.d_color
                 want.d_opacity += g.d_opacity

@@ -144,16 +144,14 @@ def test_projection_matches_per_splat_loop(case):
     scene, camera, _ = case
     got = projection.project_splats(Splats.of(scene), camera)
     want = oracle_project_scene(scene, camera)
-    assert got.source_index.tolist() == [p.source_index for p in want]
+    assert got.source_index.tolist() == want.source_index.tolist()
     assert len(got) == len(want)
     for field in ("t_cam", "mean2d", "cov2d", "depth"):
-        stacked = np.array([getattr(p, field) for p in want], dtype=np.float64)
-        assert_close(getattr(got, field), stacked.reshape(getattr(got, field).shape),
-                     field)
-    assert got.radius.tolist() == [p.radius for p in want]
-    for k, p in enumerate(got):
-        assert p.source_index == want[k].source_index
-        assert p.radius == want[k].radius
+        assert_close(getattr(got, field), getattr(want, field), field)
+    assert got.radius.tolist() == want.radius.tolist()
+    for k in range(len(got)):
+        assert got.source_index[k] == want.source_index[k]
+        assert got.radius[k] == want.radius[k]
 
 
 def test_view_stack_equals_one_call_per_camera():
@@ -326,7 +324,7 @@ def test_projection_failures_raise_by_name(depth, message):
     with pytest.raises(ValueError, match=rf"^gaussians\[3\]: {message}"):
         projection.project_splats(Splats.of(scene), camera)
     with pytest.raises(ValueError):
-        projection.project_gaussian(scene[3], camera, 3)
+        projection.project_gaussian(scene[3], camera)
 
 
 BATCHED_KERNELS = [
@@ -372,10 +370,10 @@ def test_stacked_covariance_uses_the_broadcast_product():
     # not in the list above. On a stack its sigma must be matprod's
     # result bitwise; a BLAS product rounds differently on most rows.
     rng = np.random.default_rng(8)
-    bundle = core.compose_covariance_3d(rng.normal(size=(50, 4)),
-                                        rng.uniform(0.1, 2.0, size=(50, 3)))
-    assert np.array_equal(bundle.sigma,
-                          core.matprod(bundle.M, np.swapaxes(bundle.M, 1, 2)))
+    quat, scale = rng.normal(size=(50, 4)), rng.uniform(0.1, 2.0, size=(50, 3))
+    rot, sigma = core.compose_covariance_3d(quat, scale)
+    m = rot * scale[..., None, :]
+    assert np.array_equal(sigma, core.matprod(m, np.swapaxes(m, 1, 2)))
 
 
 @pytest.mark.parametrize("shape_a, shape_v", [((600, 4, 4), (600, 4)), ((4, 4), (600, 4)),

@@ -95,47 +95,48 @@ class TestQuatToRotmat:
 
 class TestComposeCovariance:
     def test_identity(self):
-        bundle = compose_covariance_3d([1, 0, 0, 0], [1.0, 1.0, 1.0])
-        assert_allclose(bundle.sigma, np.eye(3))
+        _, sigma = compose_covariance_3d([1, 0, 0, 0], [1.0, 1.0, 1.0])
+        assert_allclose(sigma, np.eye(3))
 
     def test_diagonal_squares(self):
-        bundle = compose_covariance_3d([1, 0, 0, 0], [2.0, 3.0, 4.0])
-        assert_allclose(bundle.sigma, np.diag([4.0, 9.0, 16.0]))
+        _, sigma = compose_covariance_3d([1, 0, 0, 0], [2.0, 3.0, 4.0])
+        assert_allclose(sigma, np.diag([4.0, 9.0, 16.0]))
 
     def test_rotated_ellipsoid(self):
         # A quarter turn about y carries the x-elongated ellipsoid onto z.
         quat = [0.7071068, 0.0, 0.7071068, 0.0]
-        bundle = compose_covariance_3d(quat, [2.0, 1.0, 1.0])
-        assert_allclose(bundle.sigma, np.diag([1.0, 1.0, 4.0]), atol=1e-7)
+        _, sigma = compose_covariance_3d(quat, [2.0, 1.0, 1.0])
+        assert_allclose(sigma, np.diag([1.0, 1.0, 4.0]), atol=1e-7)
         r = quat_to_rotmat(quat)
-        assert_allclose(bundle.sigma, r @ np.diag([4.0, 1.0, 1.0]) @ r.T, atol=1e-12)
+        assert_allclose(sigma, r @ np.diag([4.0, 1.0, 1.0]) @ r.T, atol=1e-12)
 
     def test_matches_sandwich_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
             q = random_quat(rng)
             s = rng.uniform(0.1, 3.0, size=3)
-            bundle = compose_covariance_3d(q, s)
+            _, sigma = compose_covariance_3d(q, s)
             r = quat_to_rotmat(q)
-            assert_allclose(bundle.sigma, r @ np.diag(s * s) @ r.T, atol=1e-12)
+            assert_allclose(sigma, r @ np.diag(s * s) @ r.T, atol=1e-12)
 
     def test_factors_are_consistent(self):
         rng = np.random.default_rng(22)
         for _ in range(50):
             q = random_quat(rng)
             s = rng.uniform(0.1, 3.0, size=3)
-            bundle = compose_covariance_3d(q, s)
-            assert_allclose(bundle.M, bundle.R @ np.diag(s))
-            assert np.array_equal(bundle.sigma, bundle.M @ bundle.M.T)
-            assert np.max(np.abs(bundle.sigma - bundle.sigma.T)) <= 1e-12
+            rot, sigma = compose_covariance_3d(q, s)
+            m = rot * s[..., None, :]
+            assert_allclose(m, rot @ np.diag(s))
+            assert np.array_equal(sigma, m @ m.T)
+            assert np.max(np.abs(sigma - sigma.T)) <= 1e-12
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
-            bundle = compose_covariance_3d(
+            _, sigma = compose_covariance_3d(
                 random_quat(rng), rng.uniform(1e-3, 5.0, size=3)
             )
-            assert np.linalg.eigvalsh(bundle.sigma).min() >= -1e-12
+            assert np.linalg.eigvalsh(sigma).min() >= -1e-12
 
     def test_nonpositive_scale_raises(self):
         with pytest.raises(ValueError):

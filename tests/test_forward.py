@@ -11,25 +11,25 @@ from splatgrad import (
     SIGMA_CUT,
     T_MIN,
     Gaussian3D,
-    ProjectedGaussian,
-    composite_pixel,
-    eval_alpha,
+    Splats,
+    project_splats,
     render,
     render_brute_force,
 )
 
-from helpers import frustum_camera, frustum_scene, naive_render, rotated_camera
+from helpers import (
+    composite_pixel,
+    eval_alpha,
+    frustum_camera,
+    frustum_scene,
+    naive_render,
+    rotated_camera,
+    stack_projected,
+)
 
 
 def make_splat2d(mean2d, cov2d, source_index=0):
-    return ProjectedGaussian(
-        t_cam=np.array([0.0, 0.0, 1.0, 1.0]),
-        mean2d=np.asarray(mean2d, dtype=np.float64),
-        cov2d=np.asarray(cov2d, dtype=np.float64),
-        depth=1.0,
-        radius=10,
-        source_index=source_index,
-    )
+    return stack_projected([([0.0, 0.0, 1.0, 1.0], mean2d, cov2d, 1.0, 10, source_index)])
 
 
 def center_gaussian(opacity, color, depth=4.0):
@@ -47,7 +47,7 @@ def center_gaussian(opacity, color, depth=4.0):
 class TestEvalAlpha:
     def test_at_center_sigma_zero(self):
         g = make_splat2d([3.5, 7.5], np.eye(2))
-        alpha, delta, sigma = eval_alpha(g, 0.7, np.array([3.5, 7.5]))
+        alpha, delta, sigma = eval_alpha(g, 0, 0.7, np.array([3.5, 7.5]))
         assert sigma == 0.0
         assert_allclose(delta, [0.0, 0.0])
         assert alpha == 0.7
@@ -55,7 +55,7 @@ class TestEvalAlpha:
     def test_unit_isotropic_unit_offset(self):
         # cov2d = I, delta = (1, 0): sigma = 0.5, alpha = o * exp(-0.5).
         g = make_splat2d([0.0, 0.0], np.eye(2))
-        alpha, delta, sigma = eval_alpha(g, 1.0, np.array([1.0, 0.0]))
+        alpha, delta, sigma = eval_alpha(g, 0, 1.0, np.array([1.0, 0.0]))
         assert_allclose(sigma, 0.5, rtol=1e-15)
         assert_allclose(alpha, np.exp(-0.5), rtol=1e-15)
         assert_allclose(delta, [1.0, 0.0])
@@ -69,7 +69,7 @@ class TestEvalAlpha:
             px = mean + rng.uniform(-2.0, 2.0, size=2)
             opacity = rng.uniform(0.1, 1.0)
             g = make_splat2d(mean, cov)
-            alpha, delta, sigma = eval_alpha(g, opacity, px)
+            alpha, delta, sigma = eval_alpha(g, 0, opacity, px)
             d = px - mean
             want_sigma = 0.5 * float(d @ np.linalg.inv(cov) @ d)
             assert_allclose(sigma, want_sigma, rtol=1e-10)
@@ -86,18 +86,18 @@ class TestEvalAlpha:
     def test_footprint_cutoff_zeroes_alpha(self):
         g = make_splat2d([0.0, 0.0], np.eye(2))
         # sigma = 0.5 * 16 = 8 > cutoff even though opacity is 1.
-        alpha, _, sigma = eval_alpha(g, 1.0, np.array([4.0, 0.0]))
+        alpha, _, sigma = eval_alpha(g, 0, 1.0, np.array([4.0, 0.0]))
         assert sigma > SIGMA_CUT
         assert alpha == 0.0
 
     def test_tiny_contribution_zeroes_alpha(self):
         g = make_splat2d([0.0, 0.0], np.eye(2))
-        alpha, _, _ = eval_alpha(g, 1e-5, np.array([0.0, 0.0]))
+        alpha, _, _ = eval_alpha(g, 0, 1e-5, np.array([0.0, 0.0]))
         assert alpha == 0.0
 
     def test_alpha_clamped_at_max(self):
         g = make_splat2d([0.0, 0.0], np.eye(2))
-        alpha, _, _ = eval_alpha(g, 1.0, np.array([0.0, 0.0]))
+        alpha, _, _ = eval_alpha(g, 0, 1.0, np.array([0.0, 0.0]))
         assert alpha == ALPHA_MAX
 
 
@@ -106,19 +106,14 @@ class TestCompositePixel:
         self.camera = frustum_camera(1, 1, fx=8.0)
         self.px = np.array([0.5, 0.5])
 
-    def project_one(self, gaussians):
-        from splatgrad import project_gaussian
-
-        projected = []
-        for i, g in enumerate(gaussians):
-            p = project_gaussian(g, self.camera, i)
-            assert p is not None
-            projected.append(p)
+    def project_one(self, gaussians, camera=None):
+        projected = project_splats(Splats.of(gaussians), camera or self.camera)
+        assert len(projected) == len(gaussians)
         return projected
 
     def test_empty_bin_is_background(self):
         bg = np.array([0.2, 0.4, 0.6])
-        color, aux = composite_pixel([], [], [], self.px, bg)
+        color, aux = composite_pixel([], stack_projected([]), Splats.of([]), self.px, bg)
         assert_allclose(color, bg)
         assert aux.final_T == 1.0
         assert aux.n_contrib == 0
@@ -129,8 +124,8 @@ class TestCompositePixel:
         # The projected mean lands exactly on the pixel center, so alpha
         # equals the stored opacity and the composited color is
         # 0.5 * (1, 0, 0) over black.
-        assert_allclose(projected[0].mean2d, self.px, atol=1e-12)
-        color, aux = composite_pixel([0], projected, scene, self.px,
+        assert_allclose(projected.mean2d[0], self.px, atol=1e-12)
+        color, aux = composite_pixel([0], projected, Splats.of(scene), self.px,
                                      np.zeros(3))
         assert_allclose(color, [0.5, 0.0, 0.0], rtol=1e-15)
         assert_allclose(aux.final_T, 0.5, rtol=1e-15)
@@ -142,7 +137,7 @@ class TestCompositePixel:
             center_gaussian(0.5, [0.0, 1.0, 0.0], depth=5.0),
         ]
         projected = self.project_one(scene)
-        color, aux = composite_pixel([0, 1], projected, scene, self.px,
+        color, aux = composite_pixel([0, 1], projected, Splats.of(scene), self.px,
                                      np.zeros(3))
         # Front contributes 0.5, rear 0.5 * remaining T of 0.5.
         assert_allclose(color, [0.5, 0.25, 0.0], rtol=1e-15)
@@ -153,7 +148,7 @@ class TestCompositePixel:
         scene = [center_gaussian(0.5, [1.0, 0.0, 0.0])]
         projected = self.project_one(scene)
         bg = np.array([0.0, 0.0, 0.8])
-        color, aux = composite_pixel([0], projected, scene, self.px, bg)
+        color, aux = composite_pixel([0], projected, Splats.of(scene), self.px, bg)
         assert_allclose(color, [0.5, 0.0, 0.5 * 0.8], rtol=1e-15)
 
     def test_skipped_splat_not_counted(self):
@@ -168,16 +163,9 @@ class TestCompositePixel:
             color=np.array([0.0, 1.0, 0.0]),
         )
         scene = [near, off]
-        projected = []
-        from splatgrad import project_gaussian
-
-        camera = frustum_camera(32, 32, fx=8.0)
-        for i, g in enumerate(scene):
-            p = project_gaussian(g, camera, i)
-            assert p is not None
-            projected.append(p)
-        px = projected[0].mean2d.copy()
-        color, aux = composite_pixel([0, 1], projected, scene, px,
+        projected = self.project_one(scene, frustum_camera(32, 32, fx=8.0))
+        px = projected.mean2d[0].copy()
+        color, aux = composite_pixel([0, 1], projected, Splats.of(scene), px,
                                      np.zeros(3))
         assert_allclose(color, [0.5, 0.0, 0.0], rtol=1e-14)
         # n_contrib points one past the last splat that composited; the
@@ -193,7 +181,7 @@ class TestCompositePixel:
             g.color = np.array([1.0, 1.0, 1.0])
         projected = self.project_one(scene)
         order = list(range(len(scene)))
-        color, aux = composite_pixel(order, projected, scene, self.px,
+        color, aux = composite_pixel(order, projected, Splats.of(scene), self.px,
                                      np.zeros(3))
         assert aux.n_contrib < len(scene)
         # Replaying the committed prefix reproduces the stored final_T.
@@ -210,7 +198,7 @@ class TestCompositePixel:
         projected = self.project_one(scene)
         order = list(range(len(scene)))
         color_off, aux_off = composite_pixel(
-            order, projected, scene, self.px, np.zeros(3),
+            order, projected, Splats.of(scene), self.px, np.zeros(3),
             early_termination=False)
         assert aux_off.n_contrib == len(scene)
         assert aux_off.final_T < T_MIN

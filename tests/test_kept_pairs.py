@@ -3,7 +3,7 @@ them again.
 
 render and render_brute_force keep their committed pairs on
 result.pairs, and the backward pass reads them. transmittance_replay
-finds one pixel's pairs its own way: it walks that pixel alone with
+(in helpers) finds one pixel's pairs its own way: it walks that pixel alone with
 early termination off and keeps the visible pairs before its n_contrib.
 At every sampled pixel the two must agree bitwise on each pair's bin
 position and transmittance before it, with early termination on and
@@ -16,10 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import test_acceptance
-from splatgrad import render, render_brute_force, scene_backward, transmittance_replay
+from splatgrad import Splats, render, render_brute_force, scene_backward
 from splatgrad.gradcheck import make_audit_scene
-from splatgrad.raster_forward import PixelAux
 
+from helpers import PixelAux, transmittance_replay
 from test_footprint_pairs import cases, traced_peak
 from test_tile_kernels import criterion5_case, long_bin_case, odd_size_case
 
@@ -56,11 +56,12 @@ def assert_kept_equals_replay(scene, camera, bg, early_termination):
     sampled = (np.arange(n_px) if n_px <= SAMPLED_PIXELS
                else rng.choice(n_px, SAMPLED_PIXELS, replace=False))
     ts = res.grid.tile_size
+    splats = Splats.of(scene)
     for p in sampled.tolist():
         row, col = divmod(p, w)
         aux = PixelAux(float(res.aux.final_T[row, col]), int(res.aux.n_contrib[row, col]))
         replay = transmittance_replay(res.grid.bin_at(col // ts, row // ts), res.projected,
-                                      scene, np.array([col + 0.5, row + 0.5]), bg, aux)
+                                      splats, np.array([col + 0.5, row + 0.5]), aux)
         at = np.flatnonzero(pix == p)[::-1]
         assert [k for k, _ in replay] == pos[at].tolist(), p
         assert np.array([t for _, t in replay], dtype=np.float64).tobytes() \

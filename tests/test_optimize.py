@@ -48,11 +48,11 @@ class TestInitRandom:
         scene = init_random(FitConfig(n_gaussians=30, seed=4), camera,
                             target)
         scene.validate()
-        for i, g in enumerate(rows(scene)):
-            p = project_gaussian(g, camera, i)
+        for g in rows(scene):
+            p = project_gaussian(g, camera)
             assert p is not None
-            assert 0.0 <= p.mean2d[0] < camera.width
-            assert 0.0 <= p.mean2d[1] < camera.height
+            assert 0.0 <= p.mean2d[0, 0] < camera.width
+            assert 0.0 <= p.mean2d[0, 1] < camera.height
 
     def test_colors_sampled_from_target(self):
         camera = frustum_camera(16, 16)

@@ -234,10 +234,10 @@ class TestProjectGaussian:
         g = self.make_gaussian([0.0, 0.0, 4.0], scale=0.1)
         p = project_gaussian(g, cam)
         assert p is not None
-        assert_allclose(p.mean2d, [0.5, 0.5])
-        assert_allclose(p.cov2d, np.diag([6.25 + DILATION, 6.25 + DILATION]))
-        assert p.depth == 4.0
-        assert p.radius == int(np.ceil(3.0 * np.sqrt(6.25 + DILATION)))
+        assert_allclose(p.mean2d[0], [0.5, 0.5])
+        assert_allclose(p.cov2d[0], np.diag([6.25 + DILATION, 6.25 + DILATION]))
+        assert p.depth[0] == 4.0
+        assert p.radius[0] == int(np.ceil(3.0 * np.sqrt(6.25 + DILATION)))
 
     def test_mean2d_ignores_shape(self):
         rng = np.random.default_rng(46)

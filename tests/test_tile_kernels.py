@@ -26,11 +26,11 @@ from splatgrad import (
     raster_forward,
     render,
     render_brute_force,
-    transmittance_replay,
 )
-from splatgrad.raster_forward import PAIR_BUDGET, PixelAux
+from splatgrad.raster_forward import PAIR_BUDGET
 
 from helpers import (
+    PixelAux,
     frustum_scene,
     iter_tiles,
     oracle_composite_tile,
@@ -38,6 +38,7 @@ from helpers import (
     oracle_render,
     reference_pixel_safety_mask,
     rotated_camera,
+    transmittance_replay,
 )
 
 
@@ -149,8 +150,8 @@ def test_replay_bitwise_equals_oracle_forward(case, early_termination):
             col = cols.start + p % (cols.stop - cols.start)
             aux = PixelAux(final_T=float(res.aux.final_T[row, col]),
                            n_contrib=int(res.aux.n_contrib[row, col]))
-            pairs = transmittance_replay(sbin, res.projected, scene,
-                                         (xs[p], ys[p]), bg, aux)
+            pairs = transmittance_replay(sbin, res.projected, Splats.of(scene),
+                                         (xs[p], ys[p]), aux)
             forward = [(pos, float(t[p])) for pos, t in reversed(t_log)
                        if np.isfinite(t[p])]
             assert pairs == forward, (row, col)
