@@ -262,7 +262,7 @@ class TestAcceptance:
     def test_criterion_6_determinism(self, capsys, tmp_path):
         driver = tmp_path / "driver.py"
         driver.write_text(DETERMINISM_DRIVER)
-        # The driver imports the per-pixel replay from helpers.
+        # The script imports the one-pixel replay from tests/helpers.py.
         path = [os.path.dirname(os.path.abspath(__file__)), os.environ.get("PYTHONPATH")]
         digests = {}
         for threads in ("1", "4"):

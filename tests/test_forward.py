@@ -28,8 +28,8 @@ from helpers import (
 )
 
 
-def make_splat2d(mean2d, cov2d, source_index=0):
-    return stack_projected([([0.0, 0.0, 1.0, 1.0], mean2d, cov2d, 1.0, 10, source_index)])
+def make_splat2d(mean2d, cov2d):
+    return stack_projected([([0.0, 0.0, 1.0, 1.0], mean2d, cov2d, 1.0, 10, 0)])
 
 
 def center_gaussian(opacity, color, depth=4.0):

@@ -3,8 +3,9 @@ them again.
 
 render and render_brute_force keep their committed pairs on
 result.pairs, and the backward pass reads them. transmittance_replay
-(in helpers) finds one pixel's pairs its own way: it walks that pixel alone with
-early termination off and keeps the visible pairs before its n_contrib.
+in helpers finds one pixel's pairs its own way: it walks that pixel
+alone with early termination off and keeps the visible pairs before its
+n_contrib.
 At every sampled pixel the two must agree bitwise on each pair's bin
 position and transmittance before it, with early termination on and
 off. The memory guard bounds one fit iteration.
