@@ -63,14 +63,14 @@ class TestSingleSplatHandExpansion:
     def setup_method(self):
         self.camera = frustum_camera(1, 1, fx=8.0)
         self.px = np.array([0.5, 0.5])
-        self.scene = [center_gaussian(0.5, [1.0, 0.0, 0.0])]
+        self.scene = Splats.of([center_gaussian(0.5, [1.0, 0.0, 0.0])])
         self.projected = project_all(self.scene, self.camera)
         self.bg = np.zeros(3)
         self.aux = pixel_aux_for([0], self.projected, self.scene, self.px,
                                  self.bg)
 
     def test_color_grad_is_alpha_times_t(self):
-        grads = composite_pixel_backward([0], self.projected, Splats.of(self.scene),
+        grads = composite_pixel_backward([0], self.projected, self.scene,
                                          self.px, self.bg, self.aux,
                                          np.ones(3))
         # The splat is first, so T = 1 and d color = alpha * T = 0.5
@@ -78,7 +78,7 @@ class TestSingleSplatHandExpansion:
         assert_allclose(grads.d_color[0], [0.5, 0.5, 0.5], rtol=1e-14)
 
     def test_opacity_grad_matches_closed_form(self):
-        grads = composite_pixel_backward([0], self.projected, Splats.of(self.scene),
+        grads = composite_pixel_backward([0], self.projected, self.scene,
                                          self.px, self.bg, self.aux,
                                          np.ones(3))
         # d loss / d alpha = sum_c (c - bg) = 1, and sigma = 0 makes
@@ -86,7 +86,7 @@ class TestSingleSplatHandExpansion:
         assert_allclose(grads.d_opacity[0], 1.0, rtol=1e-14)
 
     def test_zero_offset_kills_position_grads(self):
-        grads = composite_pixel_backward([0], self.projected, Splats.of(self.scene),
+        grads = composite_pixel_backward([0], self.projected, self.scene,
                                          self.px, self.bg, self.aux,
                                          np.ones(3))
         # d sigma / d mean2d is proportional to delta, which is zero here.
@@ -95,7 +95,7 @@ class TestSingleSplatHandExpansion:
     def test_background_pulls_opacity_down(self):
         bg = np.ones(3)
         aux = pixel_aux_for([0], self.projected, self.scene, self.px, bg)
-        grads = composite_pixel_backward([0], self.projected, Splats.of(self.scene),
+        grads = composite_pixel_backward([0], self.projected, self.scene,
                                          self.px, bg, aux, np.ones(3))
         # Raising alpha now removes background: sum_c (c - bg) = 1 - 3.
         assert_allclose(grads.d_opacity[0], -2.0, rtol=1e-13)
