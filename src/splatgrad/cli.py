@@ -78,7 +78,8 @@ def parse_scene(data):
     except json.JSONDecodeError as exc:
         raise ValueError(f"scene file is not valid JSON: {exc}") from None
     _check_keys(doc, _TOP_FIELDS, "scene")
-    if doc["version"] != 1:
+    # type(...) is int: True and 1.0 compare equal to 1 but are not 1.
+    if type(doc["version"]) is not int or doc["version"] != 1:
         raise ValueError(f"scene.version must be 1, got {doc['version']!r}")
 
     cam = doc["camera"]

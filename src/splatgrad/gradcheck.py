@@ -41,10 +41,10 @@ import numpy as np
 # compose_covariance_3d is not called here; it stays importable from this
 # module because perfbench/spans.py wraps gradcheck.compose_covariance_3d.
 from .core import Camera, Splats, compose_covariance_3d, quat_to_rotmat  # noqa: F401
-from .projection import project_splats
+from .projection import ProjectedSplats, project_splats
 from .proj_backward import scene_backward
-from .raster_forward import (SIGMA_CUT, T_MIN, _footprints, _pack_splats, _pair_alpha,
-                             _project_stack, _render_batch, render)
+from .raster_forward import (SIGMA_CUT, T_MIN, _footprints, _pair_alpha, _project_stack,
+                             _render_batch, render)
 
 AUDIT_CLASSES = ("mean", "scale", "quat", "opacity", "color", "view")
 # Probe window pixels binned and composited at once: whole probe pairs,
@@ -190,25 +190,38 @@ def _probes(splats, camera, h):
     return Splats(**arrays), views, table, probed, np.array(coords, dtype=COORDS)
 
 
+def _take(projected, rows):
+    """The rows of a ProjectedSplats at the indices rows, in their order.
+    The rows taken are probe rows, composited but never differentiated, so
+    the factors the backward pass reads stay behind (None)."""
+    p = projected
+    return ProjectedSplats(*(np.take(x, rows, axis=0) for x in (
+        p.t_cam, p.mean2d, p.cov2d, p.conic, p.depth, p.radius, p.source_index,
+        p.opacity, p.color)))
+
+
 def _probe_rows(stack, views, table, probed, camera):
     """Project _probes' distinct rows once and gather them into the probe
-    images. Returns (proj, windows).
+    images. Returns (projected, image, footprints, windows).
 
     windows (C, 4) holds each pair's window (x0, y0, x1, y1): the box
     bounding the footprints of the probed splat in the pair's two images,
     clipped to the image; empty (zero area) when both probes cull it. View
     pairs get the whole image. Outside its window a pair's two images are
-    bitwise equal. proj holds the rows of the 2C probe images, image k
+    bitwise equal. projected holds the rows of the 2C probe images, image k
     being probe k, less those whose footprint misses their pair's window:
-    they cover no window pixel, and each image keeps its rows' order."""
+    they cover no window pixel, and each image keeps its rows' order.
+    image holds each row's image, ascending, and footprints its
+    _footprints box."""
     # A row's scene-local index is its column in the table. (Only a
     # one-splat scene leaves a row, its scene row, out of every probe.)
     local = np.zeros(len(views), dtype=np.intp)
     local[table] = np.arange(table.shape[1])
-    rows = _project_stack(stack, camera, local, views)
+    rows, stack_row = _project_stack(stack, camera, local, views)
+    footprints = _footprints(rows)
     # Each stack row's footprint; a culled row's is empty.
     box = np.tile([np.inf, np.inf, -np.inf, -np.inf], (len(views), 1))
-    box[rows.image] = _footprints(rows.packed(), rows.projected.radius)
+    box[stack_row] = footprints
     size = (camera.width, camera.height)
     c = (probed >= 0).nonzero()[0]
     moved = box[table[2 * c[:, None] + [0, 1], probed[c, None]]]
@@ -217,13 +230,14 @@ def _probe_rows(stack, views, table, probed, camera):
     lo = lo.clip(0, size)
     windows = np.concatenate([lo, hi.clip(lo, size)], axis=1).astype(np.int64)
     # The probe images' rows, dropping those that miss their window; the
-    # kept rows' stack indices (rows.image) ascend.
+    # kept rows' stack indices (stack_row) ascend.
     win = windows.repeat(2, axis=0)[:, None]
     moved = box[table]
     hit = (np.maximum(moved[..., :2], win[..., :2])
            < np.minimum(moved[..., 2:], win[..., 2:])).all(axis=2).ravel().nonzero()[0]
-    proj = rows.take(rows.image.searchsorted(table.ravel()[hit]))
-    return proj._replace(image=hit // table.shape[1]), windows
+    index = stack_row.searchsorted(table.ravel()[hit])
+    return (_take(rows, index), hit // table.shape[1], np.take(footprints, index, axis=0),
+            windows)
 
 
 def _slices(area):
@@ -239,11 +253,13 @@ def _slices(area):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _probe_differences(proj, windows, target, weight, background):
+def _probe_differences(projected, image, footprints, windows, target, weight,
+                       background):
     """L(+h) - L(-h) of every probe pair c, the images 2c and 2c + 1 of
-    proj, summed over the pair's window as w (I+ - I-) (I+ + I- - 2 T)
-    with w the pixel weight and T the target; its pixels in row-major
-    order, the three channels of a pixel together.
+    _probe_rows' (projected, image, footprints), summed over the pair's
+    window as w (I+ - I-) (I+ + I- - 2 T) with w the pixel weight and T
+    the target; its pixels in row-major order, the three channels of a
+    pixel together.
 
     Outside the window I+ = I- bitwise, so this is the difference of the
     two masked losses, without the rounding of subtracting two sums of
@@ -254,19 +270,24 @@ def _probe_differences(proj, windows, target, weight, background):
     area = size[:, 0] * size[:, 1]
     delta = np.zeros(len(windows))
     for c0, c1 in _slices(area):
-        delta[c0:c1] = _slice_differences(proj.images(2 * c0, 2 * c1), windows[c0:c1],
-                                          area[c0:c1], target, weight, background)
+        # The rows of images 2 c0 to 2 c1 - 1, renumbered from image 0.
+        rows = np.arange(*image.searchsorted([2 * c0, 2 * c1]))
+        delta[c0:c1] = _slice_differences(
+            _take(projected, rows), image[rows] - 2 * c0, np.take(footprints, rows, axis=0),
+            windows[c0:c1], area[c0:c1], target, weight, background)
     return delta
 
 
-def _slice_differences(proj, win, a, target, weight, background):
-    """_probe_differences of the pairs of one slice: proj holds their
-    images, win their windows and a their areas."""
+def _slice_differences(projected, image, footprints, win, a, target, weight, background):
+    """_probe_differences of the pairs of one slice: (projected, image,
+    footprints) holds the rows of their images, win their windows and a
+    their areas."""
     height, width = target.shape[:2]
     # The batch lives until its terms are formed, so they reuse the memory
     # its compositing freed; dropped first, glibc trimmed and re-faulted it
     # (1,990 minor faults per audited seed, not 255; 2.8 us each on a Xeon VM).
-    batch = _render_batch(proj, width, height, win.repeat(2, axis=0), background, True)
+    batch = _render_batch(projected, image, footprints, width, height, win.repeat(2, axis=0),
+                          background, True)
     color = batch[1][0]
     # Pair c's window pixels follow those of the pairs before it, and in
     # the slice's layout its +h image comes before its -h image.
@@ -328,9 +349,9 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
         analytic = gradient_transform(analytic)
 
     stack, views, table, probed, coords = _probes(splats, camera, h)
-    proj, windows = _probe_rows(stack, views, table, probed, camera)
+    probe = _probe_rows(stack, views, table, probed, camera)
     del stack, views, table  # not read again while the probes are composited
-    delta = _probe_differences(proj, windows, target, weight, background)
+    delta = _probe_differences(*probe, target, weight, background)
     bad = ~np.isfinite(delta)
     if bad.any():
         raise FloatingPointError(
@@ -456,8 +477,7 @@ def _pixel_safety_mask(splats, camera, background):
     n = len(projected)
     xs = np.tile(np.arange(w, dtype=np.float64) + 0.5, h * n)
     ys = np.tile(np.repeat(np.arange(h, dtype=np.float64) + 0.5, w), n)
-    sigma = _pair_alpha(xs, ys, _pack_splats(projected, splats),
-                        np.repeat(np.arange(n), h * w))[2]
+    sigma = _pair_alpha(xs, ys, projected, np.repeat(np.arange(n), h * w))[2]
     mask = np.all(np.abs(sigma.reshape(n, h * w) - SIGMA_CUT) > SIGMA_MARGIN,
                   axis=0).reshape(h, w)
 

@@ -30,9 +30,9 @@ from .raster_backward import accumulate_image_backward
 class SceneGradients:
     """Loss gradients for every optimizable quantity.
 
-    Per-gaussian arrays are indexed like the scene list; d_view is the
-    4x4 gradient of the world-to-camera matrix summed over all splats
-    (its bottom row is structurally zero).
+    Per-gaussian arrays have one row per splat of the scene's Splats, in
+    its order; d_view is the 4x4 gradient of the world-to-camera matrix
+    summed over all splats (its bottom row is structurally zero).
     """
 
     d_mean: np.ndarray

@@ -7,8 +7,9 @@ dilation so the 2x2 result stays invertible even for sub-pixel splats.
 
 Each step takes one splat or a stack of them. project_splats runs the
 steps once for every splat of a scene and returns a ProjectedSplats, the
-one projection record; the renderer uses it. project_gaussian is its
-one-splat case.
+one projection record: each kept splat's footprint, conic, opacity and
+color, which the rasterizer reads, and the factors the backward pass
+reads. project_gaussian is its one-splat case.
 """
 
 from dataclasses import dataclass
@@ -36,23 +37,28 @@ class ProjectedSplats:
     """Footprints of the splats that survived culling, one row each.
 
     Rows keep source order. t_cam (K, 4) is the camera-space point,
-    mean2d (K, 2) and cov2d (K, 2, 2) the footprint on the image, depth
+    mean2d (K, 2) and cov2d (K, 2, 2) the footprint on the image, conic
+    (K, 3) the entries (A, B, C) of its inverse [[A, B], [B, C]], depth
     (K,) the camera-space z used as sort key, radius (K,) a conservative
-    integer half-width in pixels covering the 3-sigma extent of cov2d, and
-    source_index (K,) the row's index in the scene. The factors
-    project_splats formed on the way, which the backward pass reads,
-    follow: rot (K, 3, 3), the rotation of the splat's quaternion, sigma
-    (K, 3, 3), its world covariance, jac (K, 2, 3), the projection's
-    Jacobian at t_cam, and t_proj (K, 2, 3) = jac R_cw. Only the audit's
-    probe rows (raster_forward._Projection.take) leave them None.
+    integer half-width in pixels covering the 3-sigma extent of cov2d,
+    source_index (K,) the row's index in the scene, and opacity (K,) and
+    color (K, 3) the splat's. The factors project_splats formed on the
+    way, which the backward pass reads, follow: rot (K, 3, 3), the
+    rotation of the splat's quaternion, sigma (K, 3, 3), its world
+    covariance, jac (K, 2, 3), the projection's Jacobian at t_cam, and
+    t_proj (K, 2, 3) = jac R_cw. Only the audit's probe rows
+    (gradcheck._take) leave them None.
     """
 
     t_cam: np.ndarray
     mean2d: np.ndarray
     cov2d: np.ndarray
+    conic: np.ndarray
     depth: np.ndarray
     radius: np.ndarray
     source_index: np.ndarray
+    opacity: np.ndarray
+    color: np.ndarray
     rot: np.ndarray = None
     sigma: np.ndarray = None
     jac: np.ndarray = None
@@ -145,6 +151,15 @@ def bounding_radius(cov2d):
     return int(radius) if radius.ndim == 0 else radius
 
 
+def _conic(cov2d):
+    """The conics (A, B, C) = (c, -b, a) / det of a stack (K, 2, 2) of
+    symmetric [[a, b], [b, c]] with positive det = ac - b^2, (K, 3):
+    [[A, B], [B, C]] is the inverse."""
+    a, b, c = cov2d[:, 0, 0], cov2d[:, 0, 1], cov2d[:, 1, 1]
+    det = a * c - b * b
+    return np.stack([c, -b, a], axis=1) / det[:, None]
+
+
 def project_gaussian(g: Gaussian3D, camera: Camera):
     """project_splats on the one-splat scene [g].
 
@@ -171,8 +186,8 @@ def project_splats(splats, camera: Camera, *, view=None, keep_offscreen=False):
     definite.
 
     Returns:
-        ProjectedSplats, rows in source order, with the factors the
-        backward pass reads.
+        ProjectedSplats, rows in source order, with each row's conic,
+        opacity and color and the factors the backward pass reads.
     """
     t_all = world_to_camera(splats.means, camera, view)
     depth_all = t_all[:, 2]
@@ -190,7 +205,6 @@ def project_splats(splats, camera: Camera, *, view=None, keep_offscreen=False):
     except RowError as exc:
         raise RowError(exc.problem, src[exc.row], exc.field) from None
 
-    keep = slice(None)
     if not keep_offscreen:
         keep = ~(
             (mean2d[:, 0] + radius < 0.0)
@@ -198,15 +212,10 @@ def project_splats(splats, camera: Camera, *, view=None, keep_offscreen=False):
             | (mean2d[:, 1] + radius < 0.0)
             | (mean2d[:, 1] - radius >= camera.height)
         )
+        src, t_cam, mean2d, cov2d, radius, rot, sigma, jac, t_proj = (
+            x[keep] for x in (src, t_cam, mean2d, cov2d, radius, rot, sigma, jac, t_proj))
+    # bounding_radius has checked that every det is positive.
     return ProjectedSplats(
-        t_cam=t_cam[keep],
-        mean2d=mean2d[keep],
-        cov2d=cov2d[keep],
-        depth=t_cam[keep, 2],
-        radius=radius[keep],
-        source_index=src[keep],
-        rot=rot[keep],
-        sigma=sigma[keep],
-        jac=jac[keep],
-        t_proj=t_proj[keep],
-    )
+        t_cam=t_cam, mean2d=mean2d, cov2d=cov2d, conic=_conic(cov2d), depth=t_cam[:, 2],
+        radius=radius, source_index=src, opacity=splats.opacities[src],
+        color=splats.colors[src], rot=rot, sigma=sigma, jac=jac, t_proj=t_proj)

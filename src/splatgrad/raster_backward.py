@@ -4,14 +4,15 @@ Pushes each pixel's loss gradient onto every contributor's color,
 opacity, 2D mean and 2D covariance. It reads the pairs the forward pass
 committed and render kept on its result, one CommittedPairs record per
 pair block: pixel, bin position, splat, exp(-sigma) and the
-transmittance before the pair. Alpha and its clamp come back from
-exp(-sigma) through the forward kernel's expressions, and dx, dy from
-the pixel centers, so every value equals the forward pass's bitwise
-and nothing is divided by (1 - alpha). The color composited behind
-each pair is needed only through its product with dL/dC, so one walk
-over the pairs back to front (the blocks last to first, each block's
-pairs reversed) carries that scalar per pixel and adds each pair's
-terms as it goes.
+transmittance before the pair; and each splat's mean2d, conic, opacity
+and color from the result's ProjectedSplats. Alpha and its clamp come
+back from exp(-sigma) through the forward kernel's expressions, and dx,
+dy from the pixel centers, so every value equals the forward pass's
+bitwise and nothing is divided by (1 - alpha). The color composited
+behind each pair is needed only through its product with dL/dC, so one
+walk over the pairs back to front (the blocks last to first, each
+block's pairs reversed) carries that scalar per pixel and adds each
+pair's terms as it goes.
 Each per-splat total is one sequential sum over the pairs in reverse
 pair order (np.add.at), with no BLAS product, so the gradients do not
 depend on where the blocks fall.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Splats
-from .raster_forward import ALPHA_MAX, _pack_splats, _walk
+from .raster_forward import ALPHA_MAX, _walk
 
 
 @dataclass
@@ -48,9 +49,10 @@ class Splat2DGrads:
         )
 
 
-def _backward(blocks, packed, centers, rows, n, background, final_t, d_pixels):
-    """Screen-space gradients of the committed pairs in blocks, summed
-    into n rows; packed splat k lands in row rows[k].
+def _backward(blocks, projected, centers, n, background, final_t, d_pixels):
+    """Screen-space gradients of the committed pairs in blocks, whose
+    splats index the rows of the ProjectedSplats projected, summed into n
+    rows; row k lands in row projected.source_index[k].
 
     centers is (x, y), the center of every pixel, and final_t the forward
     pass's per-pixel final T; d_pixels is the upstream gradient, (P, 3).
@@ -66,7 +68,7 @@ def _backward(blocks, packed, centers, rows, n, background, final_t, d_pixels):
          + background[2] * d_pixels[:, 2]) * final_t
     totals = np.zeros((9, n))
     for pairs in reversed(blocks):
-        _add_block(pairs._make(x[::-1] for x in pairs), packed, d_pixels, s, centers, rows, totals)
+        _add_block(pairs._make(x[::-1] for x in pairs), projected, d_pixels, s, centers, totals)
     # The covariance terms carry a factor 1/2, applied once to the totals
     # (scaling by 0.5 is exact).
     totals[6:] *= 0.5
@@ -78,7 +80,7 @@ def _backward(blocks, packed, centers, rows, n, background, final_t, d_pixels):
     )
 
 
-def _add_block(pairs, packed, d_pixels, s, centers, rows, totals):
+def _add_block(pairs, projected, d_pixels, s, centers, totals):
     """Walk one block's CommittedPairs in their order, carrying the
     per-pixel s = suffix . dL/dC in place, and add their gradient terms to
     totals (9, n) in that order.
@@ -87,15 +89,15 @@ def _add_block(pairs, packed, d_pixels, s, centers, rows, totals):
     they are bitwise the forward values."""
     # Indexing with int32 arrays converts them on every gather; once here.
     pix, splat = pairs.pix.astype(np.intp), pairs.splat.astype(np.intp)
-    alpha_raw = packed.opacity[splat] * pairs.exp_neg
+    alpha_raw = projected.opacity[splat] * pairs.exp_neg
     alpha = np.minimum(alpha_raw, ALPHA_MAX)
     # (np.take gathers rows several times faster than fancy indexing.)
-    c = np.take(packed.color, splat, axis=0)
+    c = np.take(projected.color, splat, axis=0)
     d = np.take(d_pixels, pix, axis=0)
     c_dl = c[:, 0] * d[:, 0] + c[:, 1] * d[:, 1] + c[:, 2] * d[:, 2]
     weight = alpha * pairs.t_before
     behind = _walk(pix, pairs.pos, weight * c_dl, s, np.add)
-    row = rows[splat]
+    row = projected.source_index[splat]
 
     def add(k, x):
         np.add.at(totals[k], row, x)
@@ -113,11 +115,13 @@ def _add_block(pairs, packed, d_pixels, s, centers, rows, totals):
     d_neg_sig = np.where(live, alpha_raw * d_alpha, 0.0)
     # The pixel centers the forward kernel used (integers plus 0.5 in an
     # image, exact in float64), so dx and dy equal its values bitwise.
-    dx = centers[0][pix] - packed.mean_x[splat]
-    dy = centers[1][pix] - packed.mean_y[splat]
-    inv_b = packed.inv_b[splat]
-    y0 = packed.inv_a[splat] * dx + inv_b * dy
-    y1 = inv_b * dx + packed.inv_c[splat] * dy
+    mean_x, mean_y = projected.mean2d.T
+    inv_a, inv_b, inv_c = projected.conic.T
+    dx = centers[0][pix] - mean_x[splat]
+    dy = centers[1][pix] - mean_y[splat]
+    inv_b = inv_b[splat]
+    y0 = inv_a[splat] * dx + inv_b * dy
+    y1 = inv_b * dx + inv_c[splat] * dy
     g = d_neg_sig * y0
     add(4, g)
     add(6, g * y0)
@@ -141,7 +145,6 @@ def accumulate_image_backward(scene, result, d_image):
         Splat2DGrads totals, one row per scene gaussian, summed in a fixed
         pair order so repeated runs agree bitwise.
     """
-    splats = Splats.of(scene)
     d_image = np.asarray(d_image, dtype=np.float64)
     h, w = result.image.height, result.image.width
     if d_image.shape != (h, w, 3):
@@ -150,10 +153,9 @@ def accumulate_image_backward(scene, result, d_image):
         )
     return _backward(
         result.pairs,
-        _pack_splats(result.projected, splats),
+        result.projected,
         (np.tile(np.arange(w) + 0.5, h), np.repeat(np.arange(h) + 0.5, w)),
-        result.projected.source_index,
-        len(splats),
+        len(Splats.of(scene)),
         result.background,
         result.aux.final_T.ravel(),
         d_image.reshape(-1, 3),

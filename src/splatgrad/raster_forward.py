@@ -7,7 +7,8 @@ the splat's footprint (_footprints): the box of the ellipse its opacity
 and SIGMA_CUT leave visible, capped by its bounding square. No other
 pixel can pass _pair_alpha's visibility test, so the footprints change
 which pairs are evaluated, never which commit. One kernel, _pair_alpha,
-evaluates sigma and alpha on those flat pairs. The forward pass, the
+evaluates sigma and alpha on those flat pairs from the rows of one
+ProjectedSplats: mean2d, conic, opacity and color. The forward pass, the
 backward pass and the audit mask all run it, so every view of the math
 agrees bitwise.
 
@@ -24,14 +25,15 @@ globally sorted list, which is what makes the tiled-versus-brute-force
 equivalence checks meaningful.
 
 The pipeline has an image axis. _project_stack projects a stack of
-rows in one project_splats pass, each row through its own view, and the
-caller maps each kept row to its image. Then tile t of image k is
-binned as k * n_tiles + t (the sort key stays tile, depth, scene-local
-source index), and one walk composites the pixels of all K images. A
-pixel still has at most one pair per bin position, so image k equals a
-render of its rows alone bitwise. render is the K = 1 case; the audit
-projects each distinct row of a scene's probes once, then bins and
-composites the probes in slices.
+rows in one project_splats pass, each row through its own view, and
+returns each kept row's stack index, from which the caller maps the row
+to its image. _render_batch takes the rows, that image array and their
+footprints. Tile t of image k is binned as k * n_tiles + t (the sort
+key stays tile, depth, scene-local source index), and one walk
+composites the pixels of all K images. A pixel still has at most one
+pair per bin position, so image k equals a render of its rows alone
+bitwise. The audit projects each distinct row of a scene's probes once,
+then bins and composites the probes in slices.
 
 Each image is composited only inside its window, a pixel rectangle
 (x0, y0, x1, y1): entries are clipped to it as well as to their tile,
@@ -43,7 +45,7 @@ window equals the same pixel of the whole image bitwise.
 render takes the scene as a Splats or a list of Gaussian3D, stacks it
 once with Splats.of, checks it with Splats.check, and projects every
 splat in one batched pass; result.projected is the resulting
-ProjectedSplats.
+ProjectedSplats, which the backward pass reads too.
 
 render keeps the pairs it commits, one CommittedPairs record per block
 (28 bytes per pair, 2.2-2.5 MB for a 256 x 256 view of 1,000 splats),
@@ -84,7 +86,7 @@ SIGMA_CUT = 4.5
 # its test a little outside the exact ellipse, and the box grows c:
 # - sigma is off by a few ulps of 0.5 (A dx^2 + C dy^2) + |B dx dy|, which
 #   is at most kappa * sigma, kappa = (A + C)^2 / (A C - B^2) bounding the
-#   condition number of the packed inverse [[A, B], [B, C]]; the box's own
+#   condition number of the conic [[A, B], [B, C]]; the box's own
 #   A C - B^2 cancels to within as many ulps. So c grows by the relative
 #   FOOTPRINT_SLACK * kappa, over a million ulps times kappa.
 # - exp, the product with opacity and the log move the alpha cut by a few
@@ -147,58 +149,10 @@ class RenderResult:
     pairs: list
 
 
-@dataclass
-class _PackedSplats:
-    """Per-splat scalars the kernels read, packed once per pass.
-
-    inv_a, inv_b and inv_c are the entries of the symmetric inverse
-    [[A, B], [B, C]] of each 2D covariance.
-    """
-
-    mean_x: np.ndarray
-    mean_y: np.ndarray
-    inv_a: np.ndarray
-    inv_b: np.ndarray
-    inv_c: np.ndarray
-    opacity: np.ndarray
-    color: np.ndarray
-
-    @classmethod
-    def of(cls, mean2d, cov2d, opacity, color):
-        """Pack mean2d (N, 2), cov2d (N, 2, 2), opacity (N,), color (N, 3)."""
-        a, b, c = cov2d[:, 0, 0], cov2d[:, 0, 1], cov2d[:, 1, 1]
-        det = a * c - b * b
-        bad = np.flatnonzero(~(det > 0.0))
-        if bad.size:
-            raise ValueError(
-                f"2d covariance of projected splat {bad[0]} is not invertible"
-            )
-        return cls(
-            mean_x=mean2d[:, 0],
-            mean_y=mean2d[:, 1],
-            inv_a=c / det,
-            inv_b=-b / det,
-            inv_c=a / det,
-            opacity=opacity,
-            color=color,
-        )
-
-
-def _pack_splats(projected: ProjectedSplats, splats: Splats):
-    """Pack the projected splats with their opacity and color from the
-    Splats they were projected from."""
-    return _PackedSplats.of(
-        mean2d=projected.mean2d,
-        cov2d=projected.cov2d,
-        opacity=splats.opacities[projected.source_index],
-        color=splats.colors[projected.source_index],
-    )
-
-
-def _pair_alpha(xs, ys, packed, splat):
-    """Evaluate the splats packed[splat] at the pixel centers (xs, ys), one
-    pair per index; all three are (M,). The one sigma/alpha expression of
-    the rasterizer.
+def _pair_alpha(xs, ys, projected, splat):
+    """Evaluate the rows projected[splat] of a ProjectedSplats at the
+    pixel centers (xs, ys), one pair per index; all three are (M,). The
+    one sigma/alpha expression of the rasterizer.
 
     Returns (dx, dy, sigma, exp_neg, alpha_raw, alpha, visible), each (M,):
     (dx, dy) is pixel center minus mean2d, sigma half the squared
@@ -206,14 +160,13 @@ def _pair_alpha(xs, ys, packed, splat):
     clamp at ALPHA_MAX. visible marks the pairs inside the SIGMA_CUT
     footprint with alpha >= ALPHA_MIN; every other pair is skipped.
     """
-    dx = xs - packed.mean_x[splat]
-    dy = ys - packed.mean_y[splat]
-    sigma = (
-        0.5 * (packed.inv_a[splat] * dx * dx + packed.inv_c[splat] * dy * dy)
-        + packed.inv_b[splat] * dx * dy
-    )
+    mean_x, mean_y = projected.mean2d.T
+    a, b, c = projected.conic.T
+    dx = xs - mean_x[splat]
+    dy = ys - mean_y[splat]
+    sigma = 0.5 * (a[splat] * dx * dx + c[splat] * dy * dy) + b[splat] * dx * dy
     exp_neg = np.exp(-sigma)
-    alpha_raw = packed.opacity[splat] * exp_neg
+    alpha_raw = projected.opacity[splat] * exp_neg
     alpha = np.minimum(alpha_raw, ALPHA_MAX)
     visible = (sigma <= SIGMA_CUT) & (alpha >= ALPHA_MIN)
     return dx, dy, sigma, exp_neg, alpha_raw, alpha, visible
@@ -238,21 +191,22 @@ class _Entries(NamedTuple):
     row_stride: np.ndarray
 
 
-def _footprints(packed, radius):
-    """Each packed splat's footprint, (K, 4) floats (x_lo, y_lo, x_hi,
-    y_hi): the pixels x_lo <= x < x_hi, y_lo <= y < y_hi whose centers lie
-    within (hx, hy) of the mean. No other pixel is visible.
+def _footprints(projected):
+    """Each row's footprint, (K, 4) floats (x_lo, y_lo, x_hi, y_hi): the
+    pixels x_lo <= x < x_hi, y_lo <= y < y_hi whose centers lie within
+    (hx, hy) of the mean. No other pixel is visible.
 
     (hx, hy) = (sqrt(2 c S_xx), sqrt(2 c S_yy)) bound the ellipse
     sigma <= c of SIGMA_CUT, c grown by FOOTPRINT_SLACK, with
-    S = [[A, B], [B, C]]^-1 the covariance _pair_alpha evaluates. They are
-    capped at the square's half-width radius (K,), and a conic too
-    ill-conditioned for A C - B^2 to stay positive gets the square."""
-    a, b, c = packed.inv_a, packed.inv_b, packed.inv_c
-    ratio = packed.opacity / ALPHA_MIN
+    S = [[A, B], [B, C]]^-1 the covariance of the conic _pair_alpha
+    evaluates. They are capped at the square's half-width radius, and a
+    conic too ill-conditioned for A C - B^2 to stay positive gets the
+    square."""
+    a, b, c = projected.conic.T
+    ratio = projected.opacity / ALPHA_MIN
     cut = np.minimum(SIGMA_CUT, np.log(ratio, out=np.full(ratio.shape, -np.inf),
                                        where=ratio > 0.0))
-    radius = radius[:, None].astype(np.float64)
+    radius = projected.radius[:, None].astype(np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         det = a * c - b * b
         cut = (cut + FOOTPRINT_SLACK) * (1.0 + FOOTPRINT_SLACK * (a + c) ** 2 / det)
@@ -261,7 +215,7 @@ def _footprints(packed, radius):
     half = np.where(det[:, None] > 0.0, np.fmin(half, radius), radius)
     # Centers x + 0.5 within h of the mean m span
     # [ceil(m - h - 0.5), floor(m + h + 0.5)) in each axis.
-    mean = np.stack([packed.mean_x, packed.mean_y], axis=1)
+    mean = projected.mean2d
     return np.concatenate([np.ceil(mean - (half + 0.5)), np.floor(mean + (half + 0.5))],
                           axis=1)
 
@@ -348,7 +302,7 @@ class _Pairs(NamedTuple):
     visible: np.ndarray
 
 
-def _evaluate(entries, e0, e1, packed):
+def _evaluate(entries, e0, e1, projected):
     """Expand entries[e0:e1] into pairs, row-major within each entry, and
     evaluate them."""
     height = entries.height[e0:e1]
@@ -360,7 +314,7 @@ def _evaluate(entries, e0, e1, packed):
     splat = entries.splat[entry].repeat(width)
     _, _, _, exp_neg, _, alpha, visible = _pair_alpha(
         entries.x0[entry].repeat(width) + col,
-        (entries.y0[entry] + row).repeat(width), packed, splat)
+        (entries.y0[entry] + row).repeat(width), projected, splat)
     return _Pairs(
         (entries.base[entry] + row * entries.row_stride[entry]).repeat(width) + col,
         entries.pos[entry].repeat(width),
@@ -389,7 +343,7 @@ def _walk(pix, pos, values, state, step):
 
 class CommittedPairs(NamedTuple):
     """The committed pairs of one block, in walk order: each pair's pixel
-    index, bin position and packed splat (int32), exp(-sigma) and the
+    index, bin position and projected row (int32), exp(-sigma) and the
     transmittance before it (float64), 28 bytes per pair. The backward
     pass reads alpha back from exp_neg with the forward expression, and
     dx, dy from the pixel centers."""
@@ -401,8 +355,9 @@ class CommittedPairs(NamedTuple):
     t_before: np.ndarray
 
 
-def _composite(entries, packed, n_px, background, early_termination):
-    """Composite the entries' pairs onto n_px pixels.
+def _composite(entries, projected, n_px, background, early_termination):
+    """Composite the entries' pairs, whose splats index the rows of the
+    ProjectedSplats projected, onto n_px pixels.
 
     Transmittance multiplies through every visible pair, stops included.
     T never increases, so with early termination a pair commits exactly
@@ -418,20 +373,20 @@ def _composite(entries, packed, n_px, background, early_termination):
     trans = np.ones(n_px)
     final_t = np.ones(n_px)
     n_contrib = np.zeros(n_px, dtype=np.int64)
-    kept = [_composite_block(entries, e0, e1, packed, early_termination,
+    kept = [_composite_block(entries, e0, e1, projected, early_termination,
                              trans, color, final_t, n_contrib)
             for e0, e1 in _blocks(entries)]
     color += background[:, None] * final_t
     return color, final_t, n_contrib, kept
 
 
-def _composite_block(entries, e0, e1, packed, early_termination,
+def _composite_block(entries, e0, e1, projected, early_termination,
                      trans, color, final_t, n_contrib):
     """Evaluate entries[e0:e1], walk its visible pairs from the per-pixel
     transmittance trans and commit them, updating trans, color, final_t
     and n_contrib in place. Returns the block's CommittedPairs; nothing
     else outlives the call."""
-    pairs = _evaluate(entries, e0, e1, packed)
+    pairs = _evaluate(entries, e0, e1, projected)
     index = pairs.visible.nonzero()[0]
     pix, pos, alpha = pairs.pix[index], pairs.pos[index], pairs.alpha[index]
     one_minus = 1.0 - alpha
@@ -446,7 +401,7 @@ def _composite_block(entries, e0, e1, packed, early_termination,
     splat = pairs.splat[index]
     weight = alpha * t_before
     # (np.take gathers rows several times faster than fancy indexing.)
-    c = np.take(packed.color, splat, axis=0)
+    c = np.take(projected.color, splat, axis=0)
     for ch in range(3):
         np.add.at(color[ch], pix, weight * c[:, ch])
     np.minimum.at(final_t, pix, t_after)
@@ -455,83 +410,46 @@ def _composite_block(entries, e0, e1, packed, early_termination,
                           splat.astype(np.int32), pairs.exp_neg[index], t_before)
 
 
-class _Projection(NamedTuple):
-    """The splats of K images that survived culling, one row each:
-    projected (its source_index scene-local), the image each row belongs
-    to, and each row's opacity and color."""
-
-    projected: ProjectedSplats
-    image: np.ndarray
-    opacity: np.ndarray
-    color: np.ndarray
-
-    def packed(self):
-        """The rows packed for the kernels."""
-        p = self.projected
-        return _PackedSplats.of(p.mean2d, p.cov2d, self.opacity, self.color)
-
-    def take(self, rows):
-        """The rows at the indices rows, in their order. The rows taken
-        are probe rows, composited but never differentiated, so the
-        factors the backward pass reads stay behind."""
-        p = self.projected
-        footprint = (p.t_cam, p.mean2d, p.cov2d, p.depth, p.radius, p.source_index)
-        return _Projection(ProjectedSplats(*(np.take(x, rows, axis=0) for x in footprint)),
-                           *(np.take(x, rows, axis=0) for x in self[1:]))
-
-    def images(self, a, b):
-        """The rows of images a to b - 1, renumbered from image 0."""
-        part = self.take(((self.image >= a) & (self.image < b)).nonzero()[0])
-        return part._replace(image=part.image - a)
-
-
 def _project_stack(stack, camera, local, views=None):
     """Check the Splats stack with Splats.check and project it in one
     pass with camera's intrinsics, row r seen through views[r] ((N, 4, 4);
     camera.view when views is None).
 
     local (N,) holds each row's index in its own scene: source_index comes
-    back as it, and a failure names the splat by it. image holds each
-    kept row's index in the stack."""
+    back as it, and a failure names the splat by it. Returns (projected,
+    stack_row), stack_row (K,) holding each kept row's index in the
+    stack."""
     try:
         stack.check()
         p = project_splats(stack, camera, view=views)
     except RowError as exc:
         raise RowError(exc.problem, local[exc.row], exc.field) from None
-    row = p.source_index
-    return _Projection(replace(p, source_index=local[row]), row,
-                       stack.opacities[row], stack.colors[row])
+    return replace(p, source_index=local[p.source_index]), p.source_index
 
 
-def _composite_grid(grid, proj, windows, background, early_termination):
-    """Composite the windows (K, 4) of the K images of grid's entries:
-    _composite's (color, final_T, n_contrib, pairs) over the windows'
-    pixels, laid out as _image_entries lays them out."""
-    packed = proj.packed()
-    return _composite(
-        _image_entries(grid, _footprints(packed, proj.projected.radius), windows),
-        packed,
-        int(np.prod(windows[:, 2:] - windows[:, :2], axis=1).sum()),
-        background,
-        early_termination,
-    )
-
-
-def _render_batch(proj, width, height, windows, background, early_termination):
+def _render_batch(projected, image, footprints, width, height, windows, background,
+                  early_termination):
     """Bin, sort and composite the windows (K, 4) of the K width x height
-    images of the projected rows proj, tile t of image k binned as
-    k * n_tiles + t. Returns (the grid over all images, _composite_grid's
-    output)."""
-    grid = assign_tiles(proj.projected, width, height)
+    images of the projected rows, row r in image image[r] with footprint
+    footprints[r] and tile t of image k binned as k * n_tiles + t.
+    Returns the grid over all images and _composite's output over the
+    windows' pixels, laid out as _image_entries lays them out."""
+    grid = assign_tiles(projected, width, height)
     grid = replace(grid, entry_tile=grid.entry_tile
-                   + proj.image[grid.entry_splat] * (grid.tiles_x * grid.tiles_y))
-    grid = sort_bins(grid, proj.projected)
-    return grid, _composite_grid(grid, proj, windows, background, early_termination)
+                   + image[grid.entry_splat] * (grid.tiles_x * grid.tiles_y))
+    grid = sort_bins(grid, projected)
+    n_px = int(np.prod(windows[:, 2:] - windows[:, :2], axis=1).sum())
+    return grid, _composite(_image_entries(grid, footprints, windows), projected, n_px,
+                            background, early_termination)
 
 
-def _result(camera, background, projected, grid, composited):
+def _result(camera, background, projected, grid, early_termination):
+    """Composite every pixel of the one image of grid's entries, which
+    index the rows of projected, into a RenderResult."""
     h, w = camera.height, camera.width
-    color, trans, n_contrib, pairs = composited
+    color, trans, n_contrib, pairs = _composite(
+        _image_entries(grid, _footprints(projected), _full_windows(1, w, h)), projected,
+        w * h, background, early_termination)
     return RenderResult(
         image=ImageBuffer(width=w, height=h,
                           channels=np.ascontiguousarray(color.T).reshape(h, w, 3)),
@@ -562,13 +480,9 @@ def render(scene, camera: Camera, background, *, early_termination=True):
     """
     background = np.asarray(background, dtype=np.float64)
     splats = Splats.of(scene)
-    proj = _project_stack(splats, camera, np.arange(len(splats)))
-    # _project_stack tags each row with its stack index; all are image 0.
-    proj = proj._replace(image=np.zeros_like(proj.image))
-    grid, composited = _render_batch(proj, camera.width, camera.height,
-                                     _full_windows(1, camera.width, camera.height),
-                                     background, early_termination)
-    return _result(camera, background, proj.projected, grid, composited)
+    projected, _ = _project_stack(splats, camera, np.arange(len(splats)))
+    grid = sort_bins(assign_tiles(projected, camera.width, camera.height), projected)
+    return _result(camera, background, projected, grid, early_termination)
 
 
 def render_brute_force(scene, camera: Camera, background, *, early_termination=True):
@@ -580,8 +494,7 @@ def render_brute_force(scene, camera: Camera, background, *, early_termination=T
     """
     background = np.asarray(background, dtype=np.float64)
     splats = Splats.of(scene)
-    proj = _project_stack(splats, camera, np.arange(len(splats)))
-    projected = proj.projected
+    projected, _ = _project_stack(splats, camera, np.arange(len(splats)))
     tiles_x, tiles_y = grid_shape(camera.width, camera.height)
     order = np.lexsort((projected.source_index, projected.depth))
     n_tiles = tiles_x * tiles_y
@@ -592,6 +505,4 @@ def render_brute_force(scene, camera: Camera, background, *, early_termination=T
         entry_tile=np.repeat(np.arange(n_tiles), order.size),
         entry_splat=np.tile(order, n_tiles),
     )
-    return _result(camera, background, projected, grid,
-                   _composite_grid(grid, proj, _full_windows(1, camera.width, camera.height),
-                                   background, early_termination))
+    return _result(camera, background, projected, grid, early_termination)

@@ -2,11 +2,13 @@
 one-pixel views of the compositing kernels used across the test
 modules."""
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from splatgrad import Camera, Gaussian3D, ProjectedSplats, Splats, project_splats
+from splatgrad.projection import _conic
 from splatgrad.raster_backward import _backward
 from splatgrad.raster_forward import (
     ALPHA_MAX,
@@ -15,8 +17,6 @@ from splatgrad.raster_forward import (
     T_MIN,
     _composite,
     _Entries,
-    _pack_splats,
-    _PackedSplats,
     _pair_alpha,
 )
 
@@ -32,14 +32,24 @@ def rows(scene):
 
 def stack_projected(entries):
     """A ProjectedSplats from (t_cam, mean2d, cov2d, depth, radius,
-    source_index) entries, one row each; the backward pass's factors stay
-    None."""
+    source_index) entries, one row each, its conic formed as in
+    project_splats. Opacity and color are zero (the per-pixel helpers take
+    them from a Splats); the backward pass's factors stay None."""
     n = len(entries)
     columns = list(zip(*entries)) if n else [()] * 6
     shapes = ((n, 4), (n, 2), (n, 2, 2), (n,), (n,), (n,))
     types = (np.float64,) * 4 + (np.int64,) * 2
-    return ProjectedSplats(*(np.array(c, dtype=t).reshape(shape)
-                             for c, shape, t in zip(columns, shapes, types)))
+    t_cam, mean2d, cov2d, depth, radius, source_index = (
+        np.array(c, dtype=t).reshape(shape) for c, shape, t in zip(columns, shapes, types))
+    return ProjectedSplats(t_cam, mean2d, cov2d, _conic(cov2d), depth, radius, source_index,
+                           np.zeros(n), np.zeros((n, 3)))
+
+
+def with_scene_values(projected, splats):
+    """projected with the opacity and color of the Splats splats at its
+    source_index, so a test can perturb them against one projection."""
+    src = projected.source_index
+    return replace(projected, opacity=splats.opacities[src], color=splats.colors[src])
 
 
 def frustum_camera(width, height, fx=None, near=0.1, far=100.0):
@@ -179,15 +189,9 @@ def eval_alpha(projected, row, opacity, pixel_center):
     half the squared Mahalanobis distance, and alpha 0.0 where the pair is
     not visible (below ALPHA_MIN or past the SIGMA_CUT cutoff).
     """
-    packed = _PackedSplats.of(
-        mean2d=projected.mean2d[row:row + 1],
-        cov2d=projected.cov2d[row:row + 1],
-        opacity=np.array([opacity], dtype=np.float64),
-        color=np.zeros((1, 3)),
-    )
     dx, dy, sigma, _, _, alpha, visible = _pair_alpha(
         np.array([float(pixel_center[0])]), np.array([float(pixel_center[1])]),
-        packed, np.zeros(1, dtype=np.int64))
+        replace(projected, opacity=np.full(len(projected), float(opacity))), np.array([row]))
     return (float(alpha[0]) if visible[0] else 0.0,
             np.array([dx[0], dy[0]]), float(sigma[0]))
 
@@ -201,20 +205,21 @@ def composite_pixel(sorted_bin, projected, splats, pixel_center, background,
     Returns (color 3-vector, PixelAux(final_T, n_contrib)).
     """
     color, trans, n_contrib, _ = _composite(
-        _pixel_entries(sorted_bin, pixel_center), _pack_splats(projected, splats), 1,
+        _pixel_entries(sorted_bin, pixel_center), with_scene_values(projected, splats), 1,
         np.asarray(background, dtype=np.float64), early_termination)
     return color[:, 0], PixelAux(float(trans[0]), int(n_contrib[0]))
 
 
 def _pixel_pairs(sorted_bin, projected, splats, pixel_center, n_contrib):
-    """The packed splats and contributing pairs of one pixel. Composited
-    without early termination, every visible pair commits; T never
-    increases, so the ones before n_contrib are exactly those the forward
-    pass committed, with either setting."""
-    packed = _pack_splats(projected, splats)
-    *_, blocks = _composite(_pixel_entries(sorted_bin, pixel_center), packed, 1,
+    """The projected rows, with the opacity and color of splats, and the
+    contributing pairs of one pixel. Composited without early termination,
+    every visible pair commits; T never increases, so the ones before
+    n_contrib are exactly those the forward pass committed, with either
+    setting."""
+    projected = with_scene_values(projected, splats)
+    *_, blocks = _composite(_pixel_entries(sorted_bin, pixel_center), projected, 1,
                             np.zeros(3), False)
-    return packed, [p._make(x[p.pos < n_contrib] for x in p) for p in blocks]
+    return projected, [p._make(x[p.pos < n_contrib] for x in p) for p in blocks]
 
 
 def composite_pixel_backward(sorted_bin, projected, splats, pixel_center,
@@ -222,13 +227,12 @@ def composite_pixel_backward(sorted_bin, projected, splats, pixel_center,
     """Gradients of one pixel's composited color, a Splat2DGrads with one
     row per splat of splats. aux must come from composite_pixel (or the
     render) on identical inputs."""
-    packed, pairs = _pixel_pairs(sorted_bin, projected, splats, pixel_center,
-                                 aux.n_contrib)
+    projected, pairs = _pixel_pairs(sorted_bin, projected, splats, pixel_center,
+                                    aux.n_contrib)
     return _backward(
         pairs,
-        packed,
+        projected,
         (np.array([float(pixel_center[0])]), np.array([float(pixel_center[1])])),
-        projected.source_index,
         len(splats),
         np.asarray(background, dtype=np.float64),
         np.array([aux.final_T]),
@@ -271,7 +275,7 @@ def iter_tiles(grid, width, height):
 def oracle_render(scene, result, early_termination):
     """(image, final_T, n_contrib) of result's grid and projection,
     composited tile by tile with oracle_composite_tile at every pixel."""
-    packed = _pack_splats(result.projected, Splats.of(scene))
+    projected = with_scene_values(result.projected, Splats.of(scene))
     h, w = result.image.height, result.image.width
     image = np.zeros((h, w, 3))
     final_t = np.ones((h, w))
@@ -279,7 +283,7 @@ def oracle_render(scene, result, early_termination):
     bins = result.grid.bins
     for b, rows, cols, xs, ys in iter_tiles(result.grid, w, h):
         color, trans, contrib = oracle_composite_tile(
-            xs, ys, bins[b], packed, result.background, early_termination)
+            xs, ys, bins[b], projected, result.background, early_termination)
         shape = (rows.stop - rows.start, cols.stop - cols.start)
         image[rows, cols] = color.reshape(shape + (3,))
         final_t[rows, cols] = trans.reshape(shape)
@@ -293,22 +297,22 @@ def oracle_image_backward(scene, result, d_image):
     from splatgrad import Splat2DGrads
 
     grads = Splat2DGrads.zeros(len(scene))
-    packed = _pack_splats(result.projected, Splats.of(scene))
+    projected = with_scene_values(result.projected, Splats.of(scene))
     h, w = result.image.height, result.image.width
     bins = result.grid.bins
     for b, rows, cols, xs, ys in iter_tiles(result.grid, w, h):
         if bins[b]:
             oracle_backward_tile(
-                xs, ys, bins[b], packed, result.projected.source_index,
-                result.background, result.aux.final_T[rows, cols].ravel(),
-                result.aux.n_contrib[rows, cols].ravel(),
+                xs, ys, bins[b], projected, result.background,
+                result.aux.final_T[rows, cols].ravel(), result.aux.n_contrib[rows, cols].ravel(),
                 d_image[rows, cols].reshape(-1, 3), grads)
     return grads
 
 
-def oracle_composite_tile(xs, ys, order, packed, background,
+def oracle_composite_tile(xs, ys, order, projected, background,
                           early_termination, t_log=None):
-    """Front-to-back compositing, one splat of `order` at a time.
+    """Front-to-back compositing, one row of the ProjectedSplats projected
+    in `order` at a time.
 
     Returns (color (P, 3), final_T (P,), n_contrib (P,)). When t_log is a
     list, (bin position, T before the splat) is appended for every splat
@@ -320,13 +324,11 @@ def oracle_composite_tile(xs, ys, order, packed, background,
     n_contrib = np.zeros(n_px, dtype=np.int64)
     done = np.zeros(n_px, dtype=bool)
     for pos, j in enumerate(order):
-        dx = xs - packed.mean_x[j]
-        dy = ys - packed.mean_y[j]
-        sigma = (
-            0.5 * (packed.inv_a[j] * dx * dx + packed.inv_c[j] * dy * dy)
-            + packed.inv_b[j] * dx * dy
-        )
-        alpha = np.minimum(packed.opacity[j] * np.exp(-sigma), ALPHA_MAX)
+        dx = xs - projected.mean2d[j, 0]
+        dy = ys - projected.mean2d[j, 1]
+        inv_a, inv_b, inv_c = projected.conic[j]
+        sigma = 0.5 * (inv_a * dx * dx + inv_c * dy * dy) + inv_b * dx * dy
+        alpha = np.minimum(projected.opacity[j] * np.exp(-sigma), ALPHA_MAX)
         visible = (sigma <= SIGMA_CUT) & (alpha >= ALPHA_MIN) & ~done
         if not visible.any():
             continue
@@ -340,7 +342,7 @@ def oracle_composite_tile(xs, ys, order, packed, background,
         if t_log is not None and commit.any():
             t_log.append((pos, np.where(commit, trans, np.nan)))
         weight = np.where(commit, alpha * trans, 0.0)
-        color += weight[:, None] * packed.color[j]
+        color += weight[:, None] * projected.color[j]
         trans = np.where(commit, next_trans, trans)
         n_contrib = np.where(commit, pos + 1, n_contrib)
         if done.all():
@@ -349,7 +351,7 @@ def oracle_composite_tile(xs, ys, order, packed, background,
     return color, trans, n_contrib
 
 
-def oracle_backward_tile(xs, ys, order, packed, sources, background, final_t,
+def oracle_backward_tile(xs, ys, order, projected, background, final_t,
                          n_contrib, d_pixels, grads, t_log=None):
     """Back-to-front gradient walk, one splat at a time, rebuilding T from
     final_t by division (T_before = T_after / (1 - alpha)) and carrying
@@ -360,14 +362,12 @@ def oracle_backward_tile(xs, ys, order, packed, sources, background, final_t,
     for pos in range(max_n - 1, -1, -1):
         j = order[pos]
         active = n_contrib > pos
-        dx = xs - packed.mean_x[j]
-        dy = ys - packed.mean_y[j]
-        sigma = (
-            0.5 * (packed.inv_a[j] * dx * dx + packed.inv_c[j] * dy * dy)
-            + packed.inv_b[j] * dx * dy
-        )
+        dx = xs - projected.mean2d[j, 0]
+        dy = ys - projected.mean2d[j, 1]
+        inv_a, inv_b, inv_c = projected.conic[j]
+        sigma = 0.5 * (inv_a * dx * dx + inv_c * dy * dy) + inv_b * dx * dy
         exp_neg = np.exp(-sigma)
-        alpha_raw = packed.opacity[j] * exp_neg
+        alpha_raw = projected.opacity[j] * exp_neg
         alpha = np.minimum(alpha_raw, ALPHA_MAX)
         contrib = active & (sigma <= SIGMA_CUT) & (alpha >= ALPHA_MIN)
         if not contrib.any():
@@ -377,11 +377,11 @@ def oracle_backward_tile(xs, ys, order, packed, sources, background, final_t,
         if t_log is not None:
             t_log.append((pos, np.where(contrib, t_here, np.nan)))
 
-        src = sources[j]
+        src = projected.source_index[j]
         weight = np.where(contrib, alpha * t_here, 0.0)
         grads.d_color[src] += np.sum(weight[:, None] * d_pixels, axis=0)
         d_alpha = np.sum(
-            (packed.color[j][None, :] * t_here[:, None]
+            (projected.color[j][None, :] * t_here[:, None]
              - suffix / one_minus[:, None]) * d_pixels,
             axis=1,
         )
@@ -389,8 +389,8 @@ def oracle_backward_tile(xs, ys, order, packed, sources, background, final_t,
         grads.d_opacity[src] += np.sum(np.where(live, d_alpha * exp_neg, 0.0))
         d_sig = np.where(live, -alpha_raw * d_alpha, 0.0)
 
-        y0 = packed.inv_a[j] * dx + packed.inv_b[j] * dy
-        y1 = packed.inv_b[j] * dx + packed.inv_c[j] * dy
+        y0 = inv_a * dx + inv_b * dy
+        y1 = inv_b * dx + inv_c * dy
         grads.d_mean2d[src, 0] += np.sum(-d_sig * y0)
         grads.d_mean2d[src, 1] += np.sum(-d_sig * y1)
         c00 = np.sum(-0.5 * d_sig * y0 * y0)
@@ -401,7 +401,7 @@ def oracle_backward_tile(xs, ys, order, packed, sources, background, final_t,
         grads.d_cov2d[src, 1, 0] += c01
         grads.d_cov2d[src, 1, 1] += c11
 
-        suffix = suffix + weight[:, None] * packed.color[j][None, :]
+        suffix = suffix + weight[:, None] * projected.color[j][None, :]
         trans = t_here
 
 
@@ -516,7 +516,7 @@ def oracle_audit_scene(scene, camera, target, *, background, pixel_mask,
         x1 = y1 = -np.inf
         for res, probe_scene in results:
             p = res.projected
-            boxes = _footprints(_pack_splats(p, Splats.of(probe_scene)), p.radius)
+            boxes = _footprints(with_scene_values(p, Splats.of(probe_scene)))
             for box in boxes[p.source_index == splat].tolist():
                 x0, y0 = min(x0, box[0]), min(y0, box[1])
                 x1, y1 = max(x1, box[2]), max(y1, box[3])

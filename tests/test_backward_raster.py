@@ -19,6 +19,7 @@ from splatgrad import (
     project_splats,
     render,
 )
+from splatgrad.projection import _conic
 
 from helpers import (
     PixelAux,
@@ -208,7 +209,7 @@ class TestFiniteDifferences:
                     cov = self.projected.cov2d.copy()
                     cov[i, r, c] += sign * h
                     cov[i, c, r] = cov[i, r, c]
-                    return replace(self.projected, cov2d=cov)
+                    return replace(self.projected, cov2d=cov, conic=_conic(cov))
 
                 num = (self.loss(shifted(+1.0), self.scene)
                        - self.loss(shifted(-1.0), self.scene)) / (2.0 * h)

@@ -30,7 +30,7 @@ from splatgrad import (
     render,
 )
 from splatgrad.gradcheck import _draw_scene, _pattern_target, _pixel_safety_mask
-from splatgrad.raster_forward import _full_windows, _project_stack, _render_batch
+from splatgrad.raster_forward import _footprints, _full_windows, _project_stack, _render_batch
 
 from helpers import oracle_audit_scene, rows
 from test_footprint_pairs import scenes as drawn_scenes
@@ -123,11 +123,11 @@ def render_stack(scenes, cameras, background):
     image = np.repeat(np.arange(len(scenes)), [len(s) for s in splats])
     local = np.concatenate([np.arange(len(s)) for s in splats])
     view_stack = np.stack([camera.view for camera in cameras])[image]
-    proj = _project_stack(stack, cameras[0], local, view_stack)
-    proj = proj._replace(image=image[proj.image])
+    projected, stack_row = _project_stack(stack, cameras[0], local, view_stack)
     k, h, w = len(scenes), cameras[0].height, cameras[0].width
     _, (color, final_t, n_contrib, _) = _render_batch(
-        proj, w, h, _full_windows(k, w, h), background, True)
+        projected, image[stack_row], _footprints(projected), w, h, _full_windows(k, w, h),
+        background, True)
     return (color.T.reshape(k, h, w, 3), final_t.reshape(k, h, w),
             n_contrib.reshape(k, h, w))
 

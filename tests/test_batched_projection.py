@@ -5,6 +5,9 @@ project_splats must cull the same splats as one project_gaussian call per
 splat and agree on t_cam, mean2d, cov2d and depth to 1e-12 of each
 quantity's largest entry, with equal radii. On an (N, 4, 4) view stack
 it must give, row for row and bitwise, what one call per camera gives.
+Every kept row carries its conic, bitwise (c, -b, a) / det of its
+cov2d, and the opacity and color of its splat; the audit's probe rows
+(gradcheck._take) leave the backward pass's factors behind.
 scene_backward must match the
 per-splat chain to 1e-12 of each gradient class's largest entry, and
 culled splats must get rows that are exactly zero. Bad inputs and failed
@@ -181,6 +184,53 @@ def test_view_stack_equals_one_call_per_camera():
             assert value.tobytes() == expected.tobytes(), field.name
         start += len(scene)
     assert start == len(views)
+
+
+def projected_case(name):
+    """(projected, splats): project_splats on a plain camera, on an
+    (N, 4, 4) view stack of three cameras, or with keep_offscreen set.
+    Each case culls splats; culled_scene's splat 3 lies left of the image."""
+    rng = np.random.default_rng(29)
+    cameras = [rotated_camera(rng, 24, 20) for _ in range(3)]
+    scenes = [culled_scene(rng, camera) for camera in cameras]
+    if name != "view_stack":
+        splats = Splats.of(scenes[0])
+        return projection.project_splats(splats, cameras[0],
+                                         keep_offscreen=name == "keep_offscreen"), splats
+    views = np.concatenate([np.repeat(camera.view[None], len(scene), axis=0)
+                            for scene, camera in zip(scenes, cameras)])
+    splats = Splats.of(sum(scenes, []))
+    return projection.project_splats(splats, cameras[0], view=views), splats
+
+
+@pytest.mark.parametrize("name", ["plain", "view_stack", "keep_offscreen"])
+def test_rows_carry_conic_opacity_and_color(name):
+    projected, splats = projected_case(name)
+    assert len(projected) >= 5
+    assert (3 in projected.source_index.tolist()) == (name == "keep_offscreen")
+    cov = projected.cov2d
+    a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    det = a * c - b * b
+    want = np.stack([c / det, -b / det, a / det], axis=1)
+    assert projected.conic.dtype == want.dtype and projected.conic.tobytes() == want.tobytes()
+    inverse = projected.conic[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+    assert float(np.max(np.abs(inverse @ cov - np.eye(2)))) < 1e-12
+    src = projected.source_index
+    assert projected.opacity.tobytes() == splats.opacities[src].tobytes()
+    assert projected.color.tobytes() == splats.colors[src].tobytes()
+
+
+def test_take_leaves_the_backward_factors_behind():
+    projected, _ = projected_case("view_stack")
+    rows = np.array([3, 0, 3, len(projected) - 1])
+    got = gradcheck._take(projected, rows)
+    for field in dataclasses.fields(got):
+        value = getattr(got, field.name)
+        if field.name in ("rot", "sigma", "jac", "t_proj"):
+            assert value is None, field.name
+        else:
+            want = getattr(projected, field.name)[rows]
+            assert value.dtype == want.dtype and value.tobytes() == want.tobytes(), field.name
 
 
 def test_backward_matches_per_splat_chain(case):

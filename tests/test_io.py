@@ -71,6 +71,11 @@ class TestParseScene:
         doc["version"] = 2
         with pytest.raises(ValueError, match="version"):
             parse_scene(json.dumps(doc))
+        # Both compare equal to 1 in Python; neither is the integer 1.
+        for version, shown in ((True, "True"), (1.0, "1.0")):
+            doc["version"] = version
+            with pytest.raises(ValueError, match=f"^scene.version must be 1, got {shown}$"):
+                parse_scene(json.dumps(doc))
 
     def test_unknown_top_level_field_rejected(self):
         doc = sample_doc()

@@ -23,7 +23,7 @@ def slice_count(seed):
     scene, camera, _, _, _ = make_audit_scene(seed, 16 if seed % 2 == 0 else 32)
     splats = Splats.of(scene)
     stack, views, table, probed, _ = gradcheck._probes(splats, camera, 1e-5)
-    windows = gradcheck._probe_rows(stack, views, table, probed, camera)[1]
+    windows = gradcheck._probe_rows(stack, views, table, probed, camera)[-1]
     size = windows[:, 2:] - windows[:, :2]
     return len(gradcheck._slices(size[:, 0] * size[:, 1]))
 

@@ -25,7 +25,7 @@ from splatgrad import (
     Camera,
     FitConfig,
     Gaussian3D,
-    Splats,
+    ProjectedSplats,
     accumulate_image_backward,
     bounding_radius,
     init_random,
@@ -34,15 +34,13 @@ from splatgrad import (
     render_brute_force,
     scene_backward,
 )
-from splatgrad.projection import DILATION
+from splatgrad.projection import DILATION, _conic
 from splatgrad.raster_forward import (
     ALPHA_MIN,
     SIGMA_CUT,
     _footprints,
     _full_windows,
     _image_entries,
-    _pack_splats,
-    _PackedSplats,
     _pair_alpha,
 )
 
@@ -69,21 +67,29 @@ def square_boxes(mean2d, radius):
     return np.concatenate([np.ceil(mean2d - rh), np.floor(mean2d + rh)], axis=1)
 
 
+def screen_rows(mean2d, cov2d, opacity):
+    """Projected rows built by hand from mean2d (K, 2), cov2d (K, 2, 2)
+    and opacity (K,): the conic formed as project_splats forms it and the
+    radius bounding_radius gives; t_cam, depth and color zero."""
+    n = len(opacity)
+    return ProjectedSplats(np.zeros((n, 4)), mean2d, cov2d, _conic(cov2d), np.zeros(n),
+                           bounding_radius(cov2d), np.arange(n), opacity, np.zeros((n, 3)))
+
+
 def splat_2d(scale, ratio, angle, mean, opacity):
-    """One projected splat: the packed row, its radius and its square."""
+    """One projected splat, as a one-row ProjectedSplats, and its square."""
     rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
     cov2d = rot @ np.diag([scale ** 2, (scale * ratio) ** 2]) @ rot.T + DILATION * np.eye(2)
-    radius = np.atleast_1d(bounding_radius(cov2d))
     mean2d = np.asarray(mean, dtype=np.float64).reshape(1, 2)
-    packed = _PackedSplats.of(mean2d, cov2d[None], np.array([opacity]), np.zeros((1, 3)))
-    return packed, radius, square_boxes(mean2d, radius)
+    projected = screen_rows(mean2d, cov2d[None], np.array([opacity]))
+    return projected, square_boxes(mean2d, projected.radius)
 
 
-def invisible_outside(packed, radius, square, x_range, y_range):
+def invisible_outside(projected, square, x_range, y_range):
     """The pixels of x_range x y_range in splat 0's square and outside its
     footprint; asserts that none is visible and that the footprint lies in
     the square. Returns the count checked."""
-    box = _footprints(packed, radius)[0]
+    box = _footprints(projected)[0]
     square = square[0]
     assert np.all(box[:2] >= square[:2]) and np.all(box[2:] <= square[2:])
     xs, ys = np.meshgrid(np.arange(*x_range), np.arange(*y_range))
@@ -91,7 +97,7 @@ def invisible_outside(packed, radius, square, x_range, y_range):
     in_square = (xs >= square[0]) & (xs < square[2]) & (ys >= square[1]) & (ys < square[3])
     in_box = (xs >= box[0]) & (xs < box[2]) & (ys >= box[1]) & (ys < box[3])
     check = (in_square & ~in_box).nonzero()[0]
-    visible = _pair_alpha(xs[check] + 0.5, ys[check] + 0.5, packed,
+    visible = _pair_alpha(xs[check] + 0.5, ys[check] + 0.5, projected,
                           np.zeros(check.size, dtype=np.intp))[-1]
     assert not visible.any(), (xs[check][visible], ys[check][visible], box)
     return check.size
@@ -109,9 +115,9 @@ def test_footprint_drops_no_visible_pixel_on_the_image(log_scale, log_ratio, ang
     # Every pixel of a 37 x 23 image in the square and outside the box.
     # Means sit on a pixel center, within 1e-6 of one or anywhere, on the
     # image or up to 60 pixels off it.
-    packed, radius, square = splat_2d(10.0 ** log_scale, 10.0 ** log_ratio, angle,
-                                      (px + 0.5 + offset, py + 0.5 - offset), opacity)
-    invisible_outside(packed, radius, square, (0, WIDTH), (0, HEIGHT))
+    projected, square = splat_2d(10.0 ** log_scale, 10.0 ** log_ratio, angle,
+                                 (px + 0.5 + offset, py + 0.5 - offset), opacity)
+    invisible_outside(projected, square, (0, WIDTH), (0, HEIGHT))
 
 
 def test_footprint_ring_is_invisible():
@@ -129,10 +135,9 @@ def test_footprint_ring_is_invisible():
         mean = rng.integers(-5, 40, size=2) + 0.5 + rng.choice([0.0, 1e-6, rng.uniform(-0.5, 0.5)])
         scale = 10.0 ** rng.uniform(-3.0, 1.0)
         ratio = min(10.0 ** rng.uniform(0.0, 3.0), 30.0 / scale)
-        packed, radius, square = splat_2d(scale, ratio, rng.uniform(0.0, np.pi), mean,
-                                          opacity)
-        x0, y0, x1, y1 = _footprints(packed, radius)[0].astype(np.int64)
-        checked += invisible_outside(packed, radius, square, (x0 - 1, x1 + 1), (y0 - 1, y1 + 1))
+        projected, square = splat_2d(scale, ratio, rng.uniform(0.0, np.pi), mean, opacity)
+        x0, y0, x1, y1 = _footprints(projected)[0].astype(np.int64)
+        checked += invisible_outside(projected, square, (x0 - 1, x1 + 1), (y0 - 1, y1 + 1))
     assert checked > 100_000
 
 
@@ -155,12 +160,12 @@ def test_footprint_keeps_knife_edge_pixels():
         cov2d = np.zeros((n, 2, 2))
         cov2d[:, axis, axis], cov2d[:, 1 - axis, 1 - axis] = edge, other
         mean2d = np.full((n, 2), 0.5)
-        packed = _PackedSplats.of(mean2d, cov2d, opacity, np.zeros((n, 3)))
-        box = _footprints(packed, bounding_radius(cov2d))
+        projected = screen_rows(mean2d, cov2d, opacity)
+        box = _footprints(projected)
         for step in (k, -k):
             centers = mean2d.copy()
             centers[:, axis] += step
-            hit = _pair_alpha(centers[:, 0], centers[:, 1], packed, np.arange(n))[-1]
+            hit = _pair_alpha(centers[:, 0], centers[:, 1], projected, np.arange(n))[-1]
             pixel = centers - 0.5
             inside = np.all((pixel >= box[:, :2]) & (pixel < box[:, 2:]), axis=1)
             assert not (hit & ~inside).any()
@@ -183,7 +188,7 @@ def test_footprint_is_tighter_than_the_square():
         entries = _image_entries(res.grid, boxes, windows)
         return int(np.sum(entries.width * entries.height))
 
-    tight = pairs(_footprints(_pack_splats(p, Splats.of(scene)), p.radius))
+    tight = pairs(_footprints(p))
     square = pairs(square_boxes(p.mean2d, p.radius))
     assert tight < 0.67 * square
     assert sum(k.pix.size for k in res.pairs) <= tight

@@ -90,8 +90,7 @@ def test_long_bin_case_spans_blocks():
     scene, camera, bg, renderer = long_bin_case()
     res = renderer(scene, camera, bg)
     assert min(len(b) for b in res.grid.bins) == len(scene)
-    footprints = raster_forward._footprints(
-        raster_forward._pack_splats(res.projected, Splats.of(scene)), res.projected.radius)
+    footprints = raster_forward._footprints(res.projected)
     entries = raster_forward._image_entries(
         res.grid, footprints, raster_forward._full_windows(1, camera.width, camera.height))
     assert int(np.sum(entries.width * entries.height)) > 3 * PAIR_BUDGET
@@ -135,14 +134,13 @@ def test_backward_matches_oracle(case, early_termination):
 def test_replay_bitwise_equals_oracle_forward(case, early_termination):
     scene, camera, bg, renderer = case
     res = renderer(scene, camera, bg, early_termination=early_termination)
-    packed = raster_forward._pack_splats(res.projected, Splats.of(scene))
     w, h = camera.width, camera.height
     checked = 0
     bins = res.grid.bins
     for b, rows, cols, xs, ys in iter_tiles(res.grid, w, h):
         sbin = bins[b]
         t_log = []
-        oracle_composite_tile(xs, ys, sbin, packed, bg, early_termination,
+        oracle_composite_tile(xs, ys, sbin, res.projected, bg, early_termination,
                               t_log=t_log)
         # Thin the pixels to keep the per-pixel replays cheap.
         for p in range(0, xs.size, 7):

@@ -44,11 +44,12 @@ def expand(stack, views, table):
 
 
 def project_probes(splats, camera, h=H):
-    """(stack, views, probed, coords, proj, windows) of audit_scene's
-    probes, the stack and views expanded to one scene per probe."""
+    """(stack, views, probed, coords, probe, windows) of audit_scene's
+    probes, the stack and views expanded to one scene per probe; probe is
+    _probe_rows' (projected, image, footprints)."""
     stack, views, table, probed, coords = _probes(splats, camera, h)
-    proj, windows = _probe_rows(stack, views, table, probed, camera)
-    return (*expand(stack, views, table), probed, coords, proj, windows)
+    *probe, windows = _probe_rows(stack, views, table, probed, camera)
+    return (*expand(stack, views, table), probed, coords, probe, windows)
 
 
 def probe_renders(stack, views, n, camera, background):
@@ -61,7 +62,7 @@ def probe_renders(stack, views, n, camera, background):
 
 def assert_windows_cover(scene, camera, background):
     splats = Splats.of(scene)
-    stack, views, probed, _, proj, windows = project_probes(splats, camera)
+    stack, views, probed, _, probe, windows = project_probes(splats, camera)
     full = probe_renders(stack, views, len(splats), camera, background)
     w, h = camera.width, camera.height
     for c, (x0, y0, x1, y1) in enumerate(windows):
@@ -73,7 +74,7 @@ def assert_windows_cover(scene, camera, background):
         assert full[2 * c][outside].tobytes() == full[2 * c + 1][outside].tobytes(), c
     # Every probe image composited inside its pair's window, in one batch.
     windows = windows.repeat(2, axis=0)
-    _, (color, *_) = _render_batch(proj, w, h, windows, background, True)
+    _, (color, *_) = _render_batch(*probe, w, h, windows, background, True)
     at = 0
     for k, (x0, y0, x1, y1) in enumerate(windows):
         area = (x1 - x0) * (y1 - y0)
@@ -155,13 +156,13 @@ def test_splat_culled_in_both_probes_has_empty_window():
                                                     - camera.translation))
     scene = rows(scene) + [off, behind]
     splats = Splats.of(scene)
-    _, _, probed, _, proj, windows = project_probes(splats, camera)
+    _, _, probed, _, probe, windows = project_probes(splats, camera)
     culled = probed >= len(scene) - 2
     assert culled.sum() == 28
     size = windows[:, 2:] - windows[:, :2]
     assert np.all(size[culled].min(axis=1) == 0)
     assert np.all(size[~culled].min(axis=1) > 0)
-    delta = _probe_differences(proj, windows, target, mask.astype(np.float64), background)
+    delta = _probe_differences(*probe, windows, target, mask.astype(np.float64), background)
     assert np.all(delta[culled] == 0.0)
     assert np.all(delta[~culled] != 0.0)
     report = audit_scene(scene, camera, target, background=background, pixel_mask=mask)
