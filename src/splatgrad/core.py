@@ -32,6 +32,15 @@ def _as_f64(value, shape, name):
     return arr
 
 
+def as_finite(value, shape, name):
+    """value as a float64 array; ValueError naming it unless it has shape
+    and every entry is finite."""
+    arr = _as_f64(value, shape, name)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} of shape {arr.shape} must be finite")
+    return arr
+
+
 @dataclass
 class Gaussian3D:
     """One splat as a row record: position, per-axis extent, orientation,

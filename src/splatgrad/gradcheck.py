@@ -40,7 +40,7 @@ import numpy as np
 
 # compose_covariance_3d is not called here; it stays importable from this
 # module because perfbench/spans.py wraps gradcheck.compose_covariance_3d.
-from .core import Camera, Splats, compose_covariance_3d, quat_to_rotmat  # noqa: F401
+from .core import Camera, Splats, as_finite, compose_covariance_3d, quat_to_rotmat  # noqa: F401
 from .projection import ProjectedSplats, project_splats
 from .proj_backward import scene_backward
 from .raster_forward import (SIGMA_CUT, T_MIN, _footprints, _pair_alpha, _project_stack,
@@ -336,9 +336,9 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
     Returns a GradReport.
     """
     shape = (camera.height, camera.width)
-    target = _finite_input("target", target, shape + (3,))
-    weight = np.ones(shape) if pixel_mask is None else _finite_input(
-        "pixel_mask", pixel_mask, shape)
+    target = as_finite(target, shape + (3,), "target")
+    weight = np.ones(shape) if pixel_mask is None else as_finite(
+        pixel_mask, shape, "pixel_mask")
     background = np.asarray(background, dtype=np.float64)
 
     splats = Splats.of(scene)
@@ -386,17 +386,6 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
         classes=classes, passed=all(c.passed for c in classes.values()), h=h,
         rel_tol=rel_tol, abs_tol=abs_tol, grad_floor=grad_floor,
     )
-
-
-def _finite_input(name, value, shape):
-    """value as a float64 array; ValueError naming it unless it has shape
-    and every entry is finite."""
-    value = np.asarray(value, dtype=np.float64)
-    if value.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
-    if not np.isfinite(value).all():
-        raise ValueError(f"{name} of shape {value.shape} must be finite")
-    return value
 
 
 def _audit_camera(rng, image_size):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QUAT_NORM_EPS, Camera, Splats
+from .core import QUAT_NORM_EPS, Camera, Splats, as_finite
 from .proj_backward import scene_backward
 from .raster_forward import render
 
@@ -116,6 +116,8 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
         value per iteration, measured before that iteration's update.
 
     Raises:
+        ValueError naming target unless it has the camera's (height,
+        width, 3) shape and is finite, checked before anything else;
         ValueError naming the field when config.iterations is negative,
         or config.n_gaussians when init_random builds the start, or
         naming the splat and field when init fails Splats.validate.
@@ -125,12 +127,7 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
         below QUAT_NORM_EPS, naming the splat and the iteration (e.g.
         gaussians[2].quat norm collapsed at iteration 41).
     """
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != (camera.height, camera.width, 3):
-        raise ValueError(
-            f"target shape {target.shape} does not match camera "
-            f"{(camera.height, camera.width, 3)}"
-        )
+    target = as_finite(target, (camera.height, camera.width, 3), "target")
     if config.iterations < 0:
         raise ValueError(f"config.iterations must be at least 0, got {config.iterations}")
     background = np.asarray(config.background, dtype=np.float64)

@@ -13,16 +13,19 @@ behind each pair is needed only through its product with dL/dC, so one
 walk over the pairs back to front (the blocks last to first, each
 block's pairs reversed) carries that scalar per pixel and adds each
 pair's terms as it goes.
-Each per-splat total is one sequential sum over the pairs in reverse
-pair order (np.add.at), with no BLAS product, so the gradients do not
-depend on where the blocks fall.
+The reversed pairs fall into runs: stretches of consecutive pairs with
+the same splat and bin position, such as one entry's pairs. Each term is
+summed once per run (np.add.reduceat), and the run sums are added to
+their splat's total in reverse pair order (np.add.at), with no BLAS
+product. A run never spans a bin position and a block holds whole
+positions, so the gradients do not depend on where the blocks fall.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Splats
+from .core import RowError, Splats, as_finite
 from .raster_forward import ALPHA_MAX, _walk
 
 
@@ -60,10 +63,12 @@ def _backward(blocks, projected, centers, n, background, final_t, d_pixels):
     # The color behind each pair enters only through its product with
     # dL/dC, so carry s = suffix . dL/dC, seeded with the attenuated
     # background, back to front: each block's pairs reversed, the blocks
-    # last to first. Every term is added to its total as it is built, with
-    # np.add.at: one sequential sum per total in reverse pair order, so
-    # where the blocks fall changes no bit. Rows: d_color (3), d_opacity,
-    # d_mean2d (2), d_cov2d [0, 0], [0, 1] and [1, 1].
+    # last to first. Every term is summed per run of pairs with one splat
+    # and bin position (np.add.reduceat) as it is built, and the run sums
+    # are added to their totals in reverse pair order (np.add.at). Runs end
+    # at every bin position, and so at every block edge, so where the
+    # blocks fall changes no bit. Rows: d_color (3), d_opacity, d_mean2d
+    # (2), d_cov2d [0, 0], [0, 1] and [1, 1].
     s = (background[0] * d_pixels[:, 0] + background[1] * d_pixels[:, 1]
          + background[2] * d_pixels[:, 2]) * final_t
     totals = np.zeros((9, n))
@@ -83,10 +88,15 @@ def _backward(blocks, projected, centers, n, background, final_t, d_pixels):
 def _add_block(pairs, projected, d_pixels, s, centers, totals):
     """Walk one block's CommittedPairs in their order, carrying the
     per-pixel s = suffix . dL/dC in place, and add their gradient terms to
-    totals (9, n) in that order.
+    totals (9, n), one sum per run of pairs with the same splat and bin
+    position, in that order.
 
     alpha and its clamp come from the forward kernel's expressions, so
     they are bitwise the forward values."""
+    if not pairs.pix.size:
+        # A block may commit no pair; a render with no bin entries keeps
+        # one empty block.
+        return
     # Indexing with int32 arrays converts them on every gather; once here.
     pix, splat = pairs.pix.astype(np.intp), pairs.splat.astype(np.intp)
     alpha_raw = projected.opacity[splat] * pairs.exp_neg
@@ -97,10 +107,13 @@ def _add_block(pairs, projected, d_pixels, s, centers, totals):
     c_dl = c[:, 0] * d[:, 0] + c[:, 1] * d[:, 1] + c[:, 2] * d[:, 2]
     weight = alpha * pairs.t_before
     behind = _walk(pix, pairs.pos, weight * c_dl, s, np.add)
-    row = projected.source_index[splat]
+    # The first pair of each run of pairs with one splat and bin position.
+    start = np.flatnonzero((splat[1:] != splat[:-1]) | (pairs.pos[1:] != pairs.pos[:-1]))
+    start = np.concatenate(([0], start + 1))
+    row = projected.source_index[splat[start]]
 
     def add(k, x):
-        np.add.at(totals[k], row, x)
+        np.add.at(totals[k], row, np.add.reduceat(x, start))
 
     for ch in range(3):
         add(ch, weight * d[:, ch])
@@ -134,29 +147,53 @@ def _add_block(pairs, projected, d_pixels, s, centers, totals):
 def accumulate_image_backward(scene, result, d_image):
     """Sum per-pixel compositing gradients over the whole image.
 
-    Reads the committed pairs render kept on result.pairs.
+    Reads the committed pairs render kept on result.pairs, and each
+    splat's opacity and color from result.projected.
 
     Args:
         scene: the Splats, or list of Gaussian3D, the render used.
         result: RenderResult from render() on identical inputs.
-        d_image: upstream gradient, shape (height, width, 3).
+        d_image: upstream gradient, shape (height, width, 3), finite.
 
     Returns:
         Splat2DGrads totals, one row per scene gaussian, summed in a fixed
         pair order so repeated runs agree bitwise.
+
+    Raises:
+        ValueError naming d_image unless it has the image's shape and is
+        finite; naming the scene when it has too few splats for the
+        render's rows; and naming the first splat and field (e.g.
+        gaussians[3].opacity) whose opacity or color differs from the
+        render's.
     """
-    d_image = np.asarray(d_image, dtype=np.float64)
     h, w = result.image.height, result.image.width
-    if d_image.shape != (h, w, 3):
-        raise ValueError(
-            f"d_image must have shape {(h, w, 3)}, got {d_image.shape}"
-        )
+    d_image = as_finite(d_image, (h, w, 3), "d_image")
+    splats = Splats.of(scene)
+    _check_scene(splats, result.projected)
     return _backward(
         result.pairs,
         result.projected,
         (np.tile(np.arange(w) + 0.5, h), np.repeat(np.arange(h) + 0.5, w)),
-        len(Splats.of(scene)),
+        len(splats),
         result.background,
         result.aux.final_T.ravel(),
         d_image.reshape(-1, 3),
     )
+
+
+def _check_scene(splats, projected):
+    """Raise ValueError unless the Splats holds the rows of the
+    ProjectedSplats projected: at least source_index.max() + 1 splats,
+    with the same opacity and color at each source_index."""
+    src = projected.source_index
+    n = int(src.max(initial=-1)) + 1
+    if len(splats) < n:
+        raise ValueError(f"scene has {len(splats)} splats, but the render "
+                         f"projected gaussians[{n - 1}]")
+    opacity = splats.opacities[src] != projected.opacity
+    bad = opacity | np.any(splats.colors[src] != projected.color, axis=1)
+    if bad.any():
+        # Rows are in source order, so the first bad row is the first splat.
+        k = np.flatnonzero(bad)[0]
+        raise RowError("differs from the render's", int(src[k]),
+                       "opacity" if opacity[k] else "color")

@@ -59,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .binning import TILE_SIZE, TileGrid, assign_tiles, grid_shape, sort_bins
-from .core import Camera, RowError, Splats
+from .core import Camera, RowError, Splats, as_finite
 # project_gaussian is not called here; it stays importable from this
 # module because perfbench/spans.py wraps raster_forward.project_gaussian.
 from .projection import ProjectedSplats, project_gaussian, project_splats  # noqa: F401
@@ -469,7 +469,8 @@ def render(scene, camera: Camera, background, *, early_termination=True):
             so a non-finite value, a non-positive scale or a vanishing
             quaternion raises ValueError naming the splat and field.
         camera: the viewpoint; not re-validated here.
-        background: 3-vector composited behind the splats.
+        background: 3-vector composited behind the splats. Anything but
+            a finite vector of shape (3,) raises ValueError naming it.
         early_termination: stop per-pixel compositing below T_MIN. Disable
             to compare renderers bitwise.
 
@@ -478,7 +479,7 @@ def render(scene, camera: Camera, background, *, early_termination=True):
         needs, the committed (splat, pixel) pairs included (28 bytes per
         pair, n_contrib.sum() pairs at most).
     """
-    background = np.asarray(background, dtype=np.float64)
+    background = as_finite(background, (3,), "background")
     splats = Splats.of(scene)
     projected, _ = _project_stack(splats, camera, np.arange(len(splats)))
     grid = sort_bins(assign_tiles(projected, camera.width, camera.height), projected)
@@ -492,7 +493,7 @@ def render_brute_force(scene, camera: Camera, background, *, early_termination=T
     is the full list of non-culled splats in global front-to-back order.
     Any disagreement with render() therefore isolates a binning bug.
     """
-    background = np.asarray(background, dtype=np.float64)
+    background = as_finite(background, (3,), "background")
     splats = Splats.of(scene)
     projected, _ = _project_stack(splats, camera, np.arange(len(splats)))
     tiles_x, tiles_y = grid_shape(camera.width, camera.height)

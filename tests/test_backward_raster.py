@@ -18,6 +18,7 @@ from splatgrad import (
     accumulate_image_backward,
     project_splats,
     render,
+    scene_backward,
 )
 from splatgrad.projection import _conic
 
@@ -412,3 +413,98 @@ class TestAccumulateImageBackward:
         res = render(scene, camera, np.zeros(3))
         with pytest.raises(ValueError):
             accumulate_image_backward(scene, res, np.zeros((8, 8, 3)))
+
+
+def assert_all_zero(grads, shapes):
+    for name, shape in shapes.items():
+        value = getattr(grads, name)
+        assert value.shape == shape, name
+        assert not value.any(), name
+
+
+class TestEmptyRender:
+    """A render with no bin entries keeps one empty CommittedPairs block;
+    the backward pass returns exact zeros of the scene's shapes."""
+
+    def check(self, scene, camera):
+        res = render(scene, camera, np.array([0.2, 0.4, 0.6]))
+        assert len(res.projected) == 0
+        assert [len(b.pix) for b in res.pairs] == [0]
+        d_image = np.ones((camera.height, camera.width, 3))
+        n = len(Splats.of(scene))
+        assert_all_zero(accumulate_image_backward(scene, res, d_image), {
+            "d_color": (n, 3), "d_opacity": (n,), "d_mean2d": (n, 2),
+            "d_cov2d": (n, 2, 2)})
+        assert_all_zero(scene_backward(scene, camera, res, d_image), {
+            "d_mean": (n, 3), "d_scale": (n, 3), "d_quat": (n, 4),
+            "d_opacity": (n,), "d_color": (n, 3), "d_view": (4, 4)})
+
+    def test_every_splat_culled(self):
+        camera = frustum_camera(16, 16, far=10.0)
+        self.check([center_gaussian(0.8, [1.0, 0.0, 0.0], depth=-5.0),
+                    center_gaussian(0.8, [0.0, 1.0, 0.0], depth=20.0)], camera)
+
+    def test_empty_splats(self):
+        empty = Splats(means=np.zeros((0, 3)), scales=np.zeros((0, 3)),
+                       quats=np.zeros((0, 4)), opacities=np.zeros(0),
+                       colors=np.zeros((0, 3)))
+        self.check(empty, frustum_camera(16, 16))
+
+
+class TestSceneMustMatchRender:
+    """The backward pass reads opacity and color from the render's
+    projected rows, so a scene that differs from them is rejected by
+    name rather than silently given the render's gradients."""
+
+    def setup_method(self):
+        self.camera = frustum_camera(16, 16)
+        self.scene = Splats.of([
+            center_gaussian(0.8, [1.0, 0.0, 0.0]),
+            center_gaussian(0.5, [0.0, 1.0, 0.0], depth=-5.0),  # culled
+            center_gaussian(0.6, [0.0, 0.0, 1.0], depth=5.0, offset=(0.5, 0.0)),
+        ])
+        self.res = render(self.scene, self.camera, np.zeros(3))
+        self.d_image = np.ones((16, 16, 3))
+
+    def changed(self, field, row, value):
+        scene = replace(self.scene, opacities=self.scene.opacities.copy(),
+                        colors=self.scene.colors.copy())
+        getattr(scene, field)[row] = value
+        return scene
+
+    @pytest.mark.parametrize("backward", ["image", "scene"])
+    @pytest.mark.parametrize("field, row, value, message", [
+        ("opacities", 0, 0.1, r"^gaussians\[0\]\.opacity differs from the render's$"),
+        ("colors", 2, [0.0, 0.0, 0.9], r"^gaussians\[2\]\.color differs from the render's$"),
+    ], ids=["opacity", "color"])
+    def test_changed_row_rejected_by_name(self, backward, field, row, value, message):
+        scene = self.changed(field, row, value)
+        with pytest.raises(ValueError, match=message):
+            if backward == "image":
+                accumulate_image_backward(scene, self.res, self.d_image)
+            else:
+                scene_backward(scene, self.camera, self.res, self.d_image)
+
+    def test_culled_row_may_differ(self):
+        scene = self.changed("opacities", 1, 0.1)
+        want = accumulate_image_backward(self.scene, self.res, self.d_image)
+        got = accumulate_image_backward(scene, self.res, self.d_image)
+        assert np.array_equal(got.d_opacity, want.d_opacity)
+
+    def test_too_few_splats_rejected(self):
+        scene = Splats(*(x[:2] for x in (self.scene.means, self.scene.scales,
+                                         self.scene.quats, self.scene.opacities,
+                                         self.scene.colors)))
+        with pytest.raises(ValueError, match=r"^scene has 2 splats, but the render "
+                                             r"projected gaussians\[2\]$"):
+            accumulate_image_backward(scene, self.res, self.d_image)
+
+    @pytest.mark.parametrize("backward", ["image", "scene"])
+    def test_non_finite_d_image_rejected_by_name(self, backward):
+        d_image = self.d_image.copy()
+        d_image[3, 4, 1] = np.inf
+        with pytest.raises(ValueError, match=r"^d_image of shape \(16, 16, 3\) must be finite$"):
+            if backward == "image":
+                accumulate_image_backward(self.scene, self.res, d_image)
+            else:
+                scene_backward(self.scene, self.camera, self.res, d_image)

@@ -306,3 +306,15 @@ class TestRender:
         res = render(scene, camera, np.zeros(3))
         assert np.all(res.aux.final_T <= 1.0)
         assert np.all(res.aux.final_T > 0.0)
+
+    @pytest.mark.parametrize("renderer", [render, render_brute_force])
+    @pytest.mark.parametrize("background, message", [
+        ([0.0, 0.0, 0.0, 0.0], r"^background must have shape \(3,\), got \(4,\)$"),
+        (0.5, r"^background must have shape \(3,\), got \(\)$"),
+        ([np.nan, 0.0, 0.0], r"^background of shape \(3,\) must be finite$"),
+    ], ids=["four_channels", "scalar", "nan"])
+    def test_bad_background_rejected_by_name(self, renderer, background, message):
+        camera = frustum_camera(20, 15)
+        scene = [center_gaussian(0.5, [1.0, 0.0, 0.0])]
+        with pytest.raises(ValueError, match=message):
+            renderer(scene, camera, background)

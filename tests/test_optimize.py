@@ -72,6 +72,16 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(np.zeros((8, 8, 3)), camera, FitConfig(n_gaussians=1))
 
+    @pytest.mark.parametrize("with_init", [False, True], ids=["init_random", "init"])
+    def test_non_finite_target_rejected_first(self, with_init):
+        # The check comes first: init_random would color the splats from
+        # the target, and a given init would reach a NaN loss.
+        camera = frustum_camera(20, 15)
+        config = FitConfig(n_gaussians=3, iterations=2)
+        init = init_random(config, camera, np.full((15, 20, 3), 0.5)) if with_init else None
+        with pytest.raises(ValueError, match=r"^target of shape \(15, 20, 3\) must be finite$"):
+            fit(np.full((15, 20, 3), np.nan), camera, config, init=init)
+
     @pytest.mark.parametrize("field", ["n_gaussians", "iterations"])
     def test_negative_count_rejected(self, field):
         camera = frustum_camera(16, 16)
