@@ -62,6 +62,9 @@ PROBE_FIELDS = (("mean", "means"), ("scale", "scales"), ("quat", "quats"),
 # A coordinate table row; index is into the raveled SceneGradients field.
 COORDS = np.dtype([("cls", object), ("label", object), ("field", object),
                    ("index", np.intp)])
+# Coordinates whose analytic or numeric magnitude exceeds this are held to
+# the relative tolerance; the rest to the absolute one.
+GRAD_FLOOR = 1e-7
 
 
 def finite_difference(probe, params, h=1e-5):
@@ -305,14 +308,13 @@ def _slice_differences(projected, image, footprints, win, a, target, weight, bac
 
 
 def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
-                rel_tol=1e-4, abs_tol=1e-8, grad_floor=1e-7,
-                gradient_transform=None, pixel_mask=None):
+                rel_tol=1e-4, abs_tol=1e-8, gradient_transform=None, pixel_mask=None):
     """Compare analytic gradients against central differences on one scene.
 
     The probed scalar is the summed squared pixel error against target.
     Every gaussian coordinate is probed, plus the twelve entries of the
     view matrix's rotation/translation block, each read through _probes'
-    coordinate table. Coordinates whose magnitude exceeds grad_floor are
+    coordinate table. Coordinates whose magnitude exceeds GRAD_FLOOR are
     held to rel_tol relative error; the rest to abs_tol absolute error. A
     class's worst coordinate is the first with the largest error over
     tolerance. A non-finite analytic coordinate fails its class, whose
@@ -365,7 +367,7 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
     diff = np.abs(a - fd)
     mag = np.maximum(np.abs(a), np.abs(fd))
     finite = np.isfinite(a)
-    big = finite & (mag > grad_floor)
+    big = finite & (mag > GRAD_FLOOR)
     rel = np.divide(diff, mag, out=np.zeros(len(a)), where=big)
     ratio = np.where(big, rel / rel_tol, diff / abs_tol)
     # A non-finite analytic coordinate is left out of big, so its relative
@@ -384,7 +386,7 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
         )
     return GradReport(
         classes=classes, passed=all(c.passed for c in classes.values()), h=h,
-        rel_tol=rel_tol, abs_tol=abs_tol, grad_floor=grad_floor,
+        rel_tol=rel_tol, abs_tol=abs_tol, grad_floor=GRAD_FLOOR,
     )
 
 
@@ -523,18 +525,12 @@ def make_audit_scene(seed, image_size=16):
     raise RuntimeError(f"no branch-safe audit scene found for seed {seed}")
 
 
-def run_audit(seed, *, image_size=None, h=1e-5, rel_tol=1e-4, abs_tol=1e-8,
-              grad_floor=1e-7, gradient_transform=None):
-    """Generate the audit scene for a seed and run audit_scene on it.
-
-    Even seeds use a 16x16 image, odd seeds 32x32, unless image_size is
-    given explicitly.
-    """
-    if image_size is None:
-        image_size = 16 if seed % 2 == 0 else 32
-    scene, camera, target, background, mask = make_audit_scene(seed, image_size)
+def run_audit(seed, *, h=1e-5, rel_tol=1e-4, abs_tol=1e-8, gradient_transform=None):
+    """Generate the audit scene for a seed, on a 16x16 image for an even
+    seed and 32x32 for an odd one, and run audit_scene on it."""
+    size = 16 if seed % 2 == 0 else 32
+    scene, camera, target, background, mask = make_audit_scene(seed, size)
     return audit_scene(
-        scene, camera, target, background=background, h=h,
-        rel_tol=rel_tol, abs_tol=abs_tol, grad_floor=grad_floor,
-        gradient_transform=gradient_transform, pixel_mask=mask,
+        scene, camera, target, background=background, h=h, rel_tol=rel_tol,
+        abs_tol=abs_tol, gradient_transform=gradient_transform, pixel_mask=mask,
     )

@@ -288,40 +288,6 @@ def _blocks(entries):
     return list(zip(edges[:-1], edges[1:]))
 
 
-class _Pairs(NamedTuple):
-    """Evaluated (splat, pixel) pairs of a block, in walk order; every
-    field is (M,). pix indexes the per-pixel state, pos is the entry's
-    bin position, and the rest is the part of _pair_alpha's output that
-    later steps read."""
-
-    pix: np.ndarray
-    pos: np.ndarray
-    splat: np.ndarray
-    exp_neg: np.ndarray
-    alpha: np.ndarray
-    visible: np.ndarray
-
-
-def _evaluate(entries, e0, e1, projected):
-    """Expand entries[e0:e1] into pairs, row-major within each entry, and
-    evaluate them."""
-    height = entries.height[e0:e1]
-    # One item per pixel row of an entry, then one per pixel of the row.
-    entry = np.arange(e0, e1).repeat(height)
-    row = np.arange(entry.size) - (height.cumsum() - height).repeat(height)
-    width = entries.width[entry]
-    col = np.arange(width.sum()) - (width.cumsum() - width).repeat(width)
-    splat = entries.splat[entry].repeat(width)
-    _, _, _, exp_neg, _, alpha, visible = _pair_alpha(
-        entries.x0[entry].repeat(width) + col,
-        (entries.y0[entry] + row).repeat(width), projected, splat)
-    return _Pairs(
-        (entries.base[entry] + row * entries.row_stride[entry]).repeat(width) + col,
-        entries.pos[entry].repeat(width),
-        splat, exp_neg, alpha, visible,
-    )
-
-
 def _walk(pix, pos, values, state, step):
     """Walk pairs one bin position at a time, in their order, updating the
     per-pixel state in place to step(state, value) at every pair. Returns
@@ -382,13 +348,26 @@ def _composite(entries, projected, n_px, background, early_termination):
 
 def _composite_block(entries, e0, e1, projected, early_termination,
                      trans, color, final_t, n_contrib):
-    """Evaluate entries[e0:e1], walk its visible pairs from the per-pixel
-    transmittance trans and commit them, updating trans, color, final_t
-    and n_contrib in place. Returns the block's CommittedPairs; nothing
-    else outlives the call."""
-    pairs = _evaluate(entries, e0, e1, projected)
-    index = pairs.visible.nonzero()[0]
-    pix, pos, alpha = pairs.pix[index], pairs.pos[index], pairs.alpha[index]
+    """Expand entries[e0:e1] into pairs, row-major within each entry,
+    evaluate them, walk the visible pairs from the per-pixel transmittance
+    trans and commit them, updating trans, color, final_t and n_contrib in
+    place. Returns the block's CommittedPairs; nothing else outlives the
+    call."""
+    height = entries.height[e0:e1]
+    # One item per pixel row of an entry, then one per pixel of the row.
+    entry = np.arange(e0, e1).repeat(height)
+    row = np.arange(entry.size) - (height.cumsum() - height).repeat(height)
+    width = entries.width[entry]
+    col = np.arange(width.sum()) - (width.cumsum() - width).repeat(width)
+    splat = entries.splat[entry].repeat(width)
+    _, _, _, exp_neg, _, alpha, visible = _pair_alpha(
+        entries.x0[entry].repeat(width) + col,
+        (entries.y0[entry] + row).repeat(width), projected, splat)
+    index = visible.nonzero()[0]
+    pix = ((entries.base[entry] + row * entries.row_stride[entry]).repeat(width)
+           + col)[index]
+    pos = entries.pos[entry].repeat(width)[index]
+    alpha = alpha[index]
     one_minus = 1.0 - alpha
     t_before = _walk(pix, pos, one_minus, trans, np.multiply)
     t_after = t_before * one_minus
@@ -398,7 +377,7 @@ def _composite_block(entries, e0, e1, projected, early_termination,
             commit = commit.nonzero()[0]
             index, pix, pos, alpha, t_before, t_after = (
                 x[commit] for x in (index, pix, pos, alpha, t_before, t_after))
-    splat = pairs.splat[index]
+    splat = splat[index]
     weight = alpha * t_before
     # (np.take gathers rows several times faster than fancy indexing.)
     c = np.take(projected.color, splat, axis=0)
@@ -407,7 +386,7 @@ def _composite_block(entries, e0, e1, projected, early_termination,
     np.minimum.at(final_t, pix, t_after)
     np.maximum.at(n_contrib, pix, pos + 1)
     return CommittedPairs(pix.astype(np.int32), pos.astype(np.int32),
-                          splat.astype(np.int32), pairs.exp_neg[index], t_before)
+                          splat.astype(np.int32), exp_neg[index], t_before)
 
 
 def _project_stack(stack, camera, local, views=None):
