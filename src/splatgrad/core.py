@@ -180,22 +180,6 @@ class Camera:
     def translation(self):
         return self.view[:3, 3]
 
-    def projection_matrix(self):
-        """Perspective matrix taking camera space to clip space.
-
-        Focal lengths are rescaled by the image size so the visible frustum
-        maps x and y into [-1, 1]; the third row encodes the near/far depth
-        remap and the last row copies z into the homogeneous slot.
-        """
-        n, f = self.near, self.far
-        p = np.zeros((4, 4))
-        p[0, 0] = 2.0 * self.fx / self.width
-        p[1, 1] = 2.0 * self.fy / self.height
-        p[2, 2] = (f + n) / (f - n)
-        p[2, 3] = -2.0 * f * n / (f - n)
-        p[3, 2] = 1.0
-        return p
-
     def validate(self):
         """Raise ValueError unless the camera is rigid and well-formed."""
         if not np.all(np.isfinite(self.view)):

@@ -1,9 +1,10 @@
 """Perspective projection of 3D splats onto the image plane.
 
-The camera-space mean goes through the perspective matrix to pixel
-coordinates. The covariance is mapped by the Jacobian of that projection
-(a first-order approximation) and then inflated by a small diagonal
-dilation so the 2x2 result stays invertible even for sub-pixel splats.
+The camera-space mean goes to pixel coordinates through the pinhole map
+(fx tx / tz + cx + 1/2, fy ty / tz + cy + 1/2). The covariance is mapped
+by the Jacobian of that map (a first-order approximation) and then
+inflated by a small diagonal dilation so the 2x2 result stays invertible
+even for sub-pixel splats.
 
 Each step takes one splat or a stack of them. project_splats runs the
 steps once for every splat of a scene and returns a ProjectedSplats, the
@@ -78,19 +79,20 @@ def world_to_camera(mean, camera: Camera, view=None):
 
 
 def camera_to_pixel(t_cam, camera: Camera):
-    """Pixel coordinates of a camera-space point, or of a stack (..., 4).
+    """Pixel coordinates (fx tx / tz + cx + 1/2, fy ty / tz + cy + 1/2) of
+    a camera-space point, or of a stack (..., 4).
 
-    Applies the perspective matrix, divides by the homogeneous component,
-    and maps the [-1, 1] range onto the image with the principal point
-    added in pixels.
+    This is the supplement's perspective matrix, whose x and y rows scale
+    by 2 fx / width and 2 fy / height, followed by the divide by its
+    homogeneous component tz and the map of [-1, 1] onto the image,
+    written out; projection_jacobian is its derivative.
     """
-    t_prime = matvec(camera.projection_matrix(), np.asarray(t_cam, dtype=np.float64))
-    t_w = t_prime[..., 3:]
-    reject(np.abs(t_w[..., 0]) < 1e-12,
+    t = np.asarray(t_cam, dtype=np.float64)
+    tz = t[..., 2:3]
+    reject(np.abs(tz[..., 0]) < 1e-12,
            "degenerate projection: homogeneous component is ~0")
-    size = np.array([camera.width, camera.height], dtype=np.float64)
-    centre = np.array([camera.cx, camera.cy])
-    return (size * t_prime[..., :2] / t_w + 1.0) / 2.0 + centre
+    return (np.array([camera.fx, camera.fy]) * t[..., :2] / tz
+            + np.array([camera.cx, camera.cy]) + 0.5)
 
 
 def projection_jacobian(t_cam, camera: Camera):

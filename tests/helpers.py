@@ -637,13 +637,27 @@ def _ref_jacobian(t_cam, camera):
     )
 
 
+def oracle_perspective(camera):
+    """The supplement's perspective matrix: camera space to clip space,
+    x and y scaled so the visible frustum spans [-1, 1], the near/far
+    depth remap in the third row and z copied into the homogeneous slot."""
+    n, f = camera.near, camera.far
+    p = np.zeros((4, 4))
+    p[0, 0] = 2.0 * camera.fx / camera.width
+    p[1, 1] = 2.0 * camera.fy / camera.height
+    p[2, 2] = (f + n) / (f - n)
+    p[2, 3] = -2.0 * f * n / (f - n)
+    p[3, 2] = 1.0
+    return p
+
+
 def _ref_project(g, camera):
     """(t_cam, mean2d, cov2d, radius) of one splat in front of the camera."""
     t_cam = camera.view @ np.array([g.mean[0], g.mean[1], g.mean[2], 1.0])
     m = _ref_rotmat(g.quat) @ np.diag(g.scale)
     t = _ref_jacobian(t_cam, camera) @ camera.rotation
     cov2d = t @ (m @ m.T) @ t.T + 0.3 * np.eye(2)
-    t_prime = camera.projection_matrix() @ t_cam
+    t_prime = oracle_perspective(camera) @ t_cam
     mean2d = np.array(
         [
             (camera.width * t_prime[0] / t_prime[3] + 1.0) / 2.0 + camera.cx,
@@ -697,7 +711,7 @@ def oracle_scene_backward(scene, camera, result, d_image):
     grads.d_opacity = splat.d_opacity
     fx, fy = camera.fx, camera.fy
     rot_cw = camera.rotation
-    proj = camera.projection_matrix()
+    proj = oracle_perspective(camera)
     for k, i in enumerate(result.projected.source_index.tolist()):
         t_cam = result.projected.t_cam[k]
         g = scene[i]

@@ -17,7 +17,7 @@ from splatgrad import (
     quat_to_rotmat,
     world_to_camera,
 )
-from helpers import frustum_camera, rotated_camera
+from helpers import frustum_camera, oracle_perspective, rotated_camera
 
 
 def quat_mul(a, b):
@@ -71,7 +71,7 @@ class TestCameraToPixel:
             )
 
     def test_substitution_oracle(self):
-        # Push a specific camera-space point through the projection matrix
+        # Push a specific camera-space point through the perspective matrix
         # by hand and compare coordinate by coordinate.
         cam = Camera(
             view=np.eye(4), fx=40.0, fy=30.0, cx=2.0, cy=-1.0,
@@ -94,6 +94,27 @@ class TestCameraToPixel:
         off1 = camera_to_pixel(t, cam1) - np.array([0.5 + cam1.cx, 0.5 + cam1.cy])
         off2 = camera_to_pixel(t, cam2) - np.array([0.5 + cam2.cx, 0.5 + cam2.cy])
         assert_allclose(off2, 2.0 * off1, rtol=1e-12)
+
+    def test_matches_perspective_matrix_oracle(self):
+        # The pinhole map against the supplement's perspective matrix,
+        # divide and viewport map, on a non-square, off-centre camera
+        # whose depths span near 1e-3 to far 1e6.
+        cam = Camera(
+            view=np.eye(4), fx=83.0, fy=61.5, cx=57.3, cy=12.9,
+            width=96, height=40, near=1e-3, far=1e6,
+        )
+        rng = np.random.default_rng(44)
+        px = rng.uniform([1.0, 1.0], [cam.width - 1.0, cam.height - 1.0], size=(200, 2))
+        tz = np.exp(rng.uniform(np.log(2e-3), np.log(5e5), size=200))
+        t = np.stack([(px[:, 0] - cam.cx) * tz / cam.fx, (px[:, 1] - cam.cy) * tz / cam.fy,
+                      tz, np.ones(200)], axis=1)
+        proj = oracle_perspective(cam)
+        for row, got in zip(t, camera_to_pixel(t, cam)):
+            clip = proj @ row
+            want = [(cam.width * clip[0] / clip[3] + 1.0) / 2.0 + cam.cx,
+                    (cam.height * clip[1] / clip[3] + 1.0) / 2.0 + cam.cy]
+            assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            assert_allclose(camera_to_pixel(row, cam), want, rtol=1e-12, atol=0.0)
 
     def test_degenerate_homogeneous_raises(self):
         cam = frustum_camera(16, 16)
