@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .core import Camera, Splats
+from .core import Camera, Splats, as_finite
 from .gradcheck import run_audit
 from .optimize import FitConfig, fit
 from .raster_forward import ImageBuffer, render, render_brute_force
@@ -166,8 +166,11 @@ def write_image(buffer: ImageBuffer, path):
 
     Channel bytes are floor(clamp(v, 0, 1) * 255 + 0.5): round half away
     from zero, fixed explicitly so golden files match across platforms.
+    Channels that are not finite, or whose shape is not (height, width,
+    3), raise ValueError naming them before the file is opened.
     """
-    quantized = np.clip(buffer.channels, 0.0, 1.0)
+    channels = as_finite(buffer.channels, (buffer.height, buffer.width, 3), "channels")
+    quantized = np.clip(channels, 0.0, 1.0)
     quantized *= 255.0
     quantized += 0.5
     # The values are non-negative, so the cast's truncation is the floor.

@@ -180,10 +180,25 @@ class Camera:
     def translation(self):
         return self.view[:3, 3]
 
-    def validate(self):
-        """Raise ValueError unless the camera is rigid and well-formed."""
-        if not np.all(np.isfinite(self.view)):
+    def check(self):
+        """Raise ValueError unless the camera can render: a finite view,
+        finite fx, fy, cx and cy, positive focal lengths, 0 < near < far
+        and a pixel each way. The audit renders non-rigid stepped views."""
+        if not np.isfinite(self.view).all():
             raise ValueError("view must be finite")
+        if not 0.0 < self.near < self.far:
+            raise ValueError("clip planes must satisfy 0 < near < far")
+        if self.width < 1 or self.height < 1:
+            raise ValueError("image dimensions must be at least 1 pixel")
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
+            raise ValueError("fx, fy, cx and cy must be finite")
+        if self.fx <= 0.0 or self.fy <= 0.0:
+            raise ValueError("focal lengths must be positive")
+
+    def validate(self):
+        """check(), then rigidity: an orthonormal rotation block with
+        determinant +1 and the bottom row [0, 0, 0, 1]."""
+        self.check()
         r = self.rotation
         if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-9:
             raise ValueError("view rotation block must be orthonormal")
@@ -191,14 +206,6 @@ class Camera:
             raise ValueError("view rotation block must have determinant +1")
         if np.max(np.abs(self.view[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > 1e-12:
             raise ValueError("view bottom row must be [0, 0, 0, 1]")
-        if not 0.0 < self.near < self.far:
-            raise ValueError("clip planes must satisfy 0 < near < far")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be at least 1 pixel")
-        if not np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy])):
-            raise ValueError("fx, fy, cx and cy must be finite")
-        if self.fx <= 0.0 or self.fy <= 0.0:
-            raise ValueError("focal lengths must be positive")
 
 
 def matprod(a, b):

@@ -15,11 +15,11 @@ projected splats, reading the factors the projection kept (R, sigma, J
 and T = J R_cw) instead of forming them again.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import QUAT_NORM_EPS, Camera, RowError, Splats, matprod, matvec, reject
+from .core import QUAT_NORM_EPS, Camera, Splats, matprod, matvec, reject
 # compose_covariance_3d is not called here; it stays importable from this
 # module because perfbench/spans.py wraps proj_backward.compose_covariance_3d.
 from .core import compose_covariance_3d  # noqa: F401
@@ -179,12 +179,21 @@ def scene_backward(scene, camera: Camera, result, d_image):
         scene: Splats, or a list of Gaussian3D, as rendered.
         camera: the render's camera.
         result: RenderResult from render() on identical inputs; the
-            chain reads the factors its projection kept.
+            chain reads the splat values and factors its projection kept.
         d_image: upstream gradient, shape (height, width, 3).
 
     Returns:
         SceneGradients.
+
+    Raises:
+        ValueError naming the first camera field that is not the
+        render's (camera.fx differs from the render's), and as
+        accumulate_image_backward does.
     """
+    for f in fields(Camera):
+        given, rendered = getattr(camera, f.name), getattr(result.camera, f.name)
+        if not (np.array_equal(given, rendered) if f.name == "view" else given == rendered):
+            raise ValueError(f"camera.{f.name} differs from the render's")
     splats = Splats.of(scene)
     splat = accumulate_image_backward(splats, result, d_image)
     grads = SceneGradients.zeros(len(splats))
@@ -193,15 +202,11 @@ def scene_backward(scene, camera: Camera, result, d_image):
 
     p = result.projected
     src = p.source_index
-    try:
-        d_t_mean = mean2d_backward(splat.d_mean2d[src], p.t_cam, camera)
-        d_sigma, d_t_cov, d_rot = cov2d_backward(splat.d_cov2d[src], p.t_proj, p.sigma,
-                                                 p.jac, camera.rotation, p.t_cam)
-        d_mean, d_view = world_backward(d_t_mean + d_t_cov, camera, splats.means[src])
-        d_quat, d_scale = covariance3d_backward(d_sigma, p.rot, splats.quats[src],
-                                                splats.scales[src])
-    except RowError as exc:
-        raise RowError(exc.problem, src[exc.row], exc.field) from None
+    d_t_mean = mean2d_backward(splat.d_mean2d[src], p.t_cam, camera)
+    d_sigma, d_t_cov, d_rot = cov2d_backward(splat.d_cov2d[src], p.t_proj, p.sigma, p.jac,
+                                             camera.rotation, p.t_cam)
+    d_mean, d_view = world_backward(d_t_mean + d_t_cov, camera, p.mean)
+    d_quat, d_scale = covariance3d_backward(d_sigma, p.rot, p.quat, p.scale)
     grads.d_mean[src] = d_mean
     grads.d_scale[src] = d_scale
     grads.d_quat[src] = d_quat

@@ -9,8 +9,8 @@ even for sub-pixel splats.
 Each step takes one splat or a stack of them. project_splats runs the
 steps once for every splat of a scene and returns a ProjectedSplats, the
 one projection record: each kept splat's footprint, conic, opacity and
-color, which the rasterizer reads, and the factors the backward pass
-reads. project_gaussian is its one-splat case.
+color, which the rasterizer reads, and its mean, scale and quaternion
+and the factors the backward pass reads. project_gaussian is its one-splat case.
 """
 
 from dataclasses import dataclass
@@ -43,12 +43,12 @@ class ProjectedSplats:
     (K,) the camera-space z used as sort key, radius (K,) a conservative
     integer half-width in pixels covering the 3-sigma extent of cov2d,
     source_index (K,) the row's index in the scene, and opacity (K,) and
-    color (K, 3) the splat's. The factors project_splats formed on the
-    way, which the backward pass reads, follow: rot (K, 3, 3), the
-    rotation of the splat's quaternion, sigma (K, 3, 3), its world
-    covariance, jac (K, 2, 3), the projection's Jacobian at t_cam, and
-    t_proj (K, 2, 3) = jac R_cw. Only the audit's probe rows
-    (gradcheck._take) leave them None.
+    color (K, 3) the splat's. What only the backward pass reads follows:
+    the splat's mean (K, 3), scale (K, 3) and quat (K, 4), copied, and the
+    factors project_splats formed on the way, rot (K, 3, 3), the rotation
+    of the quaternion, sigma (K, 3, 3), the world covariance, jac (K, 2,
+    3), the projection's Jacobian at t_cam, and t_proj (K, 2, 3) = jac
+    R_cw. Only the audit's probe rows (gradcheck._take) leave them None.
     """
 
     t_cam: np.ndarray
@@ -60,6 +60,9 @@ class ProjectedSplats:
     source_index: np.ndarray
     opacity: np.ndarray
     color: np.ndarray
+    mean: np.ndarray = None
+    scale: np.ndarray = None
+    quat: np.ndarray = None
     rot: np.ndarray = None
     sigma: np.ndarray = None
     jac: np.ndarray = None
@@ -80,13 +83,10 @@ def world_to_camera(mean, camera: Camera, view=None):
 
 def camera_to_pixel(t_cam, camera: Camera):
     """Pixel coordinates (fx tx / tz + cx + 1/2, fy ty / tz + cy + 1/2) of
-    a camera-space point, or of a stack (..., 4).
-
-    This is the supplement's perspective matrix, whose x and y rows scale
-    by 2 fx / width and 2 fy / height, followed by the divide by its
-    homogeneous component tz and the map of [-1, 1] onto the image,
-    written out; projection_jacobian is its derivative.
-    """
+    a camera-space point, or of a stack (..., 4): the supplement's
+    perspective matrix (x and y rows 2 fx / width and 2 fy / height), its
+    divide by tz and its map of [-1, 1] onto the image, written out.
+    projection_jacobian is its derivative."""
     t = np.asarray(t_cam, dtype=np.float64)
     tz = t[..., 2:3]
     reject(np.abs(tz[..., 0]) < 1e-12,
@@ -188,8 +188,9 @@ def project_splats(splats, camera: Camera, *, view=None, keep_offscreen=False):
     definite.
 
     Returns:
-        ProjectedSplats, rows in source order, with each row's conic,
-        opacity and color and the factors the backward pass reads.
+        ProjectedSplats, rows in source order, with each row's conic and
+        a copy of its splat's values and the factors the backward pass
+        reads.
     """
     t_all = world_to_camera(splats.means, camera, view)
     depth_all = t_all[:, 2]
@@ -220,4 +221,5 @@ def project_splats(splats, camera: Camera, *, view=None, keep_offscreen=False):
     return ProjectedSplats(
         t_cam=t_cam, mean2d=mean2d, cov2d=cov2d, conic=_conic(cov2d), depth=t_cam[:, 2],
         radius=radius, source_index=src, opacity=splats.opacities[src],
-        color=splats.colors[src], rot=rot, sigma=sigma, jac=jac, t_proj=t_proj)
+        color=splats.colors[src], mean=splats.means[src], scale=splats.scales[src],
+        quat=splats.quats[src], rot=rot, sigma=sigma, jac=jac, t_proj=t_proj)

@@ -148,7 +148,8 @@ def accumulate_image_backward(scene, result, d_image):
     """Sum per-pixel compositing gradients over the whole image.
 
     Reads the committed pairs render kept on result.pairs, and each
-    splat's opacity and color from result.projected.
+    splat's opacity and color from result.projected; the scene must hold
+    the rendered values.
 
     Args:
         scene: the Splats, or list of Gaussian3D, the render used.
@@ -163,8 +164,8 @@ def accumulate_image_backward(scene, result, d_image):
         ValueError naming d_image unless it has the image's shape and is
         finite; naming the scene when it has too few splats for the
         render's rows; and naming the first splat and field (e.g.
-        gaussians[3].opacity) whose opacity or color differs from the
-        render's.
+        gaussians[3].opacity) whose mean, scale, quat, opacity or color
+        differs from the render's.
     """
     h, w = result.image.height, result.image.width
     d_image = as_finite(d_image, (h, w, 3), "d_image")
@@ -184,16 +185,20 @@ def accumulate_image_backward(scene, result, d_image):
 def _check_scene(splats, projected):
     """Raise ValueError unless the Splats holds the rows of the
     ProjectedSplats projected: at least source_index.max() + 1 splats,
-    with the same opacity and color at each source_index."""
+    with the same mean, scale, quat, opacity and color at each
+    source_index. A culled splat may differ."""
     src = projected.source_index
     n = int(src.max(initial=-1)) + 1
     if len(splats) < n:
         raise ValueError(f"scene has {len(splats)} splats, but the render "
                          f"projected gaussians[{n - 1}]")
-    opacity = splats.opacities[src] != projected.opacity
-    bad = opacity | np.any(splats.colors[src] != projected.color, axis=1)
-    if bad.any():
+    fields = (("mean", splats.means, projected.mean), ("scale", splats.scales, projected.scale),
+              ("quat", splats.quats, projected.quat),
+              ("opacity", splats.opacities[:, None], projected.opacity[:, None]),
+              ("color", splats.colors, projected.color))
+    bad = [np.take(scene, src, axis=0) != rendered for _, scene, rendered in fields]
+    if any(b.any() for b in bad):
         # Rows are in source order, so the first bad row is the first splat.
-        k = np.flatnonzero(bad)[0]
-        raise RowError("differs from the render's", int(src[k]),
-                       "opacity" if opacity[k] else "color")
+        k = np.concatenate(bad, axis=1).any(axis=1).argmax()
+        name = next(name for (name, _, _), b in zip(fields, bad) if b[k].any())
+        raise RowError("differs from the render's", int(src[k]), name)

@@ -138,7 +138,8 @@ class RenderResult:
     """Everything the backward pass consumes, bundled.
 
     projected holds the splats that survived culling; the grid's bins
-    index its rows. pairs is one CommittedPairs per pair block.
+    index its rows. pairs is one CommittedPairs per pair block, and
+    camera a copy of the render's camera.
     """
 
     image: ImageBuffer
@@ -147,6 +148,7 @@ class RenderResult:
     projected: ProjectedSplats
     background: np.ndarray
     pairs: list
+    camera: Camera
 
 
 def _pair_alpha(xs, ys, projected, splat):
@@ -437,7 +439,20 @@ def _result(camera, background, projected, grid, early_termination):
         projected=projected,
         background=background,
         pairs=pairs,
+        camera=replace(camera, view=camera.view.copy()),
     )
+
+
+def _project_scene(scene, camera, background):
+    """render's and render_brute_force's checks and projection; returns
+    (background, projected)."""
+    background = as_finite(background, (3,), "background")
+    try:
+        camera.check()
+    except ValueError as exc:
+        raise ValueError(f"camera: {exc}") from None
+    splats = Splats.of(scene)
+    return background, _project_stack(splats, camera, np.arange(len(splats)))[0]
 
 
 def render(scene, camera: Camera, background, *, early_termination=True):
@@ -447,7 +462,8 @@ def render(scene, camera: Camera, background, *, early_termination=True):
         scene: Splats, or a list of Gaussian3D. Checked with Splats.check,
             so a non-finite value, a non-positive scale or a vanishing
             quaternion raises ValueError naming the splat and field.
-        camera: the viewpoint; not re-validated here.
+        camera: the viewpoint. Checked with Camera.check, which needs no
+            rigid view; a failure raises ValueError starting camera: .
         background: 3-vector composited behind the splats. Anything but
             a finite vector of shape (3,) raises ValueError naming it.
         early_termination: stop per-pixel compositing below T_MIN. Disable
@@ -458,9 +474,7 @@ def render(scene, camera: Camera, background, *, early_termination=True):
         needs, the committed (splat, pixel) pairs included (28 bytes per
         pair, n_contrib.sum() pairs at most).
     """
-    background = as_finite(background, (3,), "background")
-    splats = Splats.of(scene)
-    projected, _ = _project_stack(splats, camera, np.arange(len(splats)))
+    background, projected = _project_scene(scene, camera, background)
     grid = sort_bins(assign_tiles(projected, camera.width, camera.height), projected)
     return _result(camera, background, projected, grid, early_termination)
 
@@ -472,9 +486,7 @@ def render_brute_force(scene, camera: Camera, background, *, early_termination=T
     is the full list of non-culled splats in global front-to-back order.
     Any disagreement with render() therefore isolates a binning bug.
     """
-    background = as_finite(background, (3,), "background")
-    splats = Splats.of(scene)
-    projected, _ = _project_stack(splats, camera, np.arange(len(splats)))
+    background, projected = _project_scene(scene, camera, background)
     tiles_x, tiles_y = grid_shape(camera.width, camera.height)
     order = np.lexsort((projected.source_index, projected.depth))
     n_tiles = tiles_x * tiles_y

@@ -452,9 +452,10 @@ class TestEmptyRender:
 
 
 class TestSceneMustMatchRender:
-    """The backward pass reads opacity and color from the render's
-    projected rows, so a scene that differs from them is rejected by
-    name rather than silently given the render's gradients."""
+    """The backward pass reads every splat value from the render's
+    projected rows, and the projection's factors depend on the camera, so
+    a scene or camera that differs from the render's is rejected by name
+    rather than silently given the render's gradients."""
 
     def setup_method(self):
         self.camera = frustum_camera(16, 16)
@@ -467,16 +468,20 @@ class TestSceneMustMatchRender:
         self.d_image = np.ones((16, 16, 3))
 
     def changed(self, field, row, value):
-        scene = replace(self.scene, opacities=self.scene.opacities.copy(),
-                        colors=self.scene.colors.copy())
+        scene = Splats(*(x.copy() for x in (self.scene.means, self.scene.scales,
+                                            self.scene.quats, self.scene.opacities,
+                                            self.scene.colors)))
         getattr(scene, field)[row] = value
         return scene
 
     @pytest.mark.parametrize("backward", ["image", "scene"])
     @pytest.mark.parametrize("field, row, value, message", [
+        ("means", 2, [0.6, 0.0, 5.0], r"^gaussians\[2\]\.mean differs from the render's$"),
+        ("scales", 0, [0.9, 0.9, 0.9], r"^gaussians\[0\]\.scale differs from the render's$"),
+        ("quats", 2, [2.0, 0.0, 0.0, 0.0], r"^gaussians\[2\]\.quat differs from the render's$"),
         ("opacities", 0, 0.1, r"^gaussians\[0\]\.opacity differs from the render's$"),
         ("colors", 2, [0.0, 0.0, 0.9], r"^gaussians\[2\]\.color differs from the render's$"),
-    ], ids=["opacity", "color"])
+    ], ids=["mean", "scale", "quat", "opacity", "color"])
     def test_changed_row_rejected_by_name(self, backward, field, row, value, message):
         scene = self.changed(field, row, value)
         with pytest.raises(ValueError, match=message):
@@ -490,6 +495,36 @@ class TestSceneMustMatchRender:
         want = accumulate_image_backward(self.scene, self.res, self.d_image)
         got = accumulate_image_backward(scene, self.res, self.d_image)
         assert np.array_equal(got.d_opacity, want.d_opacity)
+
+    def test_culled_row_geometry_may_differ(self):
+        want = scene_backward(self.scene, self.camera, self.res, self.d_image)
+        for field, value in (("means", [3.0, 3.0, -9.0]), ("scales", [2.0, 2.0, 2.0]),
+                             ("quats", [0.0, 0.0, 0.0, 5.0])):
+            got = scene_backward(self.changed(field, 1, value), self.camera, self.res,
+                                 self.d_image)
+            for name in ("d_mean", "d_scale", "d_quat", "d_view"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (field, name)
+
+    def test_scene_changed_in_place_rejected(self):
+        # The render keeps copies, so editing the rendered arrays is caught.
+        self.scene.scales[2] *= 3.0
+        with pytest.raises(ValueError,
+                           match=r"^gaussians\[2\]\.scale differs from the render's$"):
+            scene_backward(self.scene, self.camera, self.res, self.d_image)
+
+    @pytest.mark.parametrize("field, value", [
+        ("fx", 40.0), ("cy", 3.0), ("width", 17), ("near", 0.2),
+        ("view", np.diag([1.0, 1.0, 1.0, 1.0]) + np.eye(4, k=3) * 0.1),
+    ], ids=["fx", "cy", "width", "near", "view"])
+    def test_changed_camera_rejected_by_name(self, field, value):
+        camera = replace(self.camera, **{field: value})
+        with pytest.raises(ValueError, match=rf"^camera\.{field} differs from the render's$"):
+            scene_backward(self.scene, camera, self.res, self.d_image)
+
+    def test_camera_changed_in_place_rejected(self):
+        self.camera.view[0, 3] = 0.1
+        with pytest.raises(ValueError, match=r"^camera\.view differs from the render's$"):
+            scene_backward(self.scene, self.camera, self.res, self.d_image)
 
     def test_too_few_splats_rejected(self):
         scene = Splats(*(x[:2] for x in (self.scene.means, self.scene.scales,

@@ -226,7 +226,7 @@ def test_take_leaves_the_backward_factors_behind():
     got = gradcheck._take(projected, rows)
     for field in dataclasses.fields(got):
         value = getattr(got, field.name)
-        if field.name in ("rot", "sigma", "jac", "t_proj"):
+        if field.name in ("mean", "scale", "quat", "rot", "sigma", "jac", "t_proj"):
             assert value is None, field.name
         else:
             want = getattr(projected, field.name)[rows]
@@ -336,7 +336,7 @@ def test_backward_failure_raises_by_name():
     scene = [g3([0.0, 0.0, 3.0]), g3([0.0, 0.0, 200.0]), g3([0.1, 0.0, 4.0])]
     result = render(scene, camera, np.zeros(3))
     scene[2].quat = np.zeros(4)
-    with pytest.raises(ValueError, match=r"^gaussians\[2\]: quaternion norm"):
+    with pytest.raises(ValueError, match=r"^gaussians\[2\]\.quat differs from the render's$"):
         scene_backward(scene, camera, result, np.ones((16, 16, 3)))
 
 
@@ -382,6 +382,7 @@ BATCHED_KERNELS = [
     core.matvec,
     core.quat_to_rotmat,
     core.Splats.check,
+    core.Camera.check,
     projection.world_to_camera,
     projection.camera_to_pixel,
     projection.projection_jacobian,

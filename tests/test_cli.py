@@ -104,6 +104,7 @@ class TestGradcheckCommand:
         assert set(payload.keys()) == {"3"}
         entry = payload["3"]
         assert entry["passed"] is True
+        assert '"grad_floor": 1e-07' in report.read_text()
         assert set(entry["classes"].keys()) == {
             "mean", "scale", "quat", "opacity", "color", "view",
         }

@@ -61,7 +61,7 @@ def assert_rows_equal(got, got_image, want, want_image):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if a is None:
             # Probe rows leave the factors the backward pass reads behind.
-            assert f.name in ("rot", "sigma", "jac", "t_proj"), f.name
+            assert f.name in ("mean", "scale", "quat", "rot", "sigma", "jac", "t_proj"), f.name
             continue
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
     assert got_image.dtype == want_image.dtype and got_image.tobytes() == want_image.tobytes()

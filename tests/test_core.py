@@ -247,6 +247,14 @@ class TestCameraValidation:
         with pytest.raises(ValueError):
             self.make_camera(view=view).validate()
 
+    def test_check_leaves_rigidity_to_validate(self):
+        # render calls check() only: the audit renders stepped views.
+        view = np.eye(4)
+        view[0, 1] = 0.01
+        self.make_camera(view=view).check()
+        with pytest.raises(ValueError, match="orthonormal"):
+            self.make_camera(view=view).validate()
+
     def test_reflection_rejected(self):
         view = np.eye(4)
         view[0, 0] = -1.0

@@ -1,6 +1,8 @@
 """Forward rasterizer tests: alpha evaluation, per-pixel compositing,
 and full-frame rendering against an independent per-pixel reference."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -318,3 +320,27 @@ class TestRender:
         scene = [center_gaussian(0.5, [1.0, 0.0, 0.0])]
         with pytest.raises(ValueError, match=message):
             renderer(scene, camera, background)
+
+    @pytest.mark.parametrize("renderer", [render, render_brute_force])
+    @pytest.mark.parametrize("field, value, message", [
+        ("width", 0, r"^camera: image dimensions must be at least 1 pixel$"),
+        ("width", -5, r"^camera: image dimensions must be at least 1 pixel$"),
+        ("fx", np.nan, r"^camera: fx, fy, cx and cy must be finite$"),
+        ("cx", np.inf, r"^camera: fx, fy, cx and cy must be finite$"),
+        ("far", np.nan, r"^camera: clip planes must satisfy 0 < near < far$"),
+        ("fx", -20.0, r"^camera: focal lengths must be positive$"),
+    ], ids=["zero_width", "negative_width", "nan_fx", "inf_cx", "nan_far", "negative_fx"])
+    def test_bad_camera_rejected_by_name(self, renderer, field, value, message):
+        camera = replace(frustum_camera(20, 16), **{field: value})
+        scene = [center_gaussian(0.5, [1.0, 0.0, 0.0])]
+        with pytest.raises(ValueError, match=message):
+            renderer(scene, camera, np.zeros(3))
+
+    @pytest.mark.parametrize("renderer", [render, render_brute_force])
+    def test_stepped_view_renders(self, renderer):
+        # Only Camera.validate asks for a rigid view; the audit renders
+        # views stepped off the rotation group.
+        camera = frustum_camera(20, 16)
+        camera.view[0, 1] = 1e-5
+        scene = [center_gaussian(0.5, [1.0, 0.0, 0.0])]
+        assert np.isfinite(renderer(scene, camera, np.zeros(3)).image.channels).all()

@@ -274,3 +274,16 @@ class TestImageFiles:
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(11))
         with pytest.raises(ValueError):
             read_image(str(path))
+
+    @pytest.mark.parametrize("width, height, channels, message", [
+        (2, 2, np.array([[[0.5, np.nan, 0.5]] * 2] * 2),
+         r"^channels of shape \(2, 2, 3\) must be finite$"),
+        (4, 4, np.full((3, 3, 3), 0.5),
+         r"^channels must have shape \(4, 4, 3\), got \(3, 3, 3\)$"),
+    ], ids=["nan", "header_mismatch"])
+    def test_unwritable_buffer_rejected_before_opening(self, tmp_path, width, height,
+                                                       channels, message):
+        path = tmp_path / "bad.ppm"
+        with pytest.raises(ValueError, match=message):
+            write_image(ImageBuffer(width=width, height=height, channels=channels), str(path))
+        assert not path.exists()
