@@ -10,7 +10,8 @@ Each step takes one splat or a stack of them. project_splats runs the
 steps once for every splat of a scene and returns a ProjectedSplats, the
 one projection record: each kept splat's footprint, conic, opacity and
 color, which the rasterizer reads, and its mean, scale and quaternion
-and the factors the backward pass reads. project_gaussian is its one-splat case.
+and the factors, which the backward pass reads. project_gaussian is its
+one-splat case.
 """
 
 from dataclasses import dataclass
