@@ -98,7 +98,7 @@ def parse_scene(data):
     try:
         camera.validate()
     except ValueError as exc:
-        raise ValueError(f"scene.camera: {exc}") from None
+        raise ValueError(f"scene.{exc}") from None
 
     background = _vector(doc["background"], 3, "scene.background")
     if np.any(background < 0.0) or np.any(background > 1.0):

@@ -18,6 +18,7 @@ the row as a splat; a caller that stacked several scenes renames it by
 scene index.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,12 +59,6 @@ class Gaussian3D:
         self.quat = _as_f64(self.quat, (4,), "quat")
         self.opacity = float(self.opacity)
         self.color = _as_f64(self.color, (3,), "color")
-
-
-def _raise_first(bad, field, problem):
-    hit = np.flatnonzero(bad)
-    if hit.size:
-        raise RowError(problem, int(hit[0]), field)
 
 
 @dataclass
@@ -125,21 +120,18 @@ class Splats:
                 and (self.scales > 0.0).all() and (norms > QUAT_NORM_EPS).all()):
             return
         for field, values in fields:
-            _raise_first(~np.all(np.isfinite(values), axis=1), field,
-                         "must be finite")
-        _raise_first(np.any(self.scales <= 0.0, axis=1), "scale",
-                     "components must be positive")
-        _raise_first(norms <= QUAT_NORM_EPS, "quat", "norm is too small")
+            reject(~np.all(np.isfinite(values), axis=1), "must be finite", field)
+        reject(np.any(self.scales <= 0.0, axis=1), "components must be positive", "scale")
+        reject(norms <= QUAT_NORM_EPS, "norm is too small", "quat")
 
     def validate(self):
         """check(), then the ranges: opacity and color channels in [0, 1].
         The message names the field, e.g. gaussians[1].opacity must lie in
         [0, 1]."""
         self.check()
-        _raise_first((self.opacities < 0.0) | (self.opacities > 1.0),
-                     "opacity", "must lie in [0, 1]")
-        _raise_first(np.any((self.colors < 0.0) | (self.colors > 1.0), axis=1),
-                     "color", "channels must lie in [0, 1]")
+        reject((self.opacities < 0.0) | (self.opacities > 1.0), "must lie in [0, 1]", "opacity")
+        reject(np.any((self.colors < 0.0) | (self.colors > 1.0), axis=1),
+               "channels must lie in [0, 1]", "color")
 
 
 @dataclass
@@ -182,18 +174,24 @@ class Camera:
 
     def check(self):
         """Raise ValueError unless the camera can render: a finite view,
-        finite fx, fy, cx and cy, positive focal lengths, 0 < near < far
-        and a pixel each way. The audit renders non-rigid stepped views."""
+        finite fx, fy, cx and cy, positive focal lengths, a pixel each way
+        and 0 < near < far. The audit renders non-rigid stepped views. The
+        message names the field, e.g. camera.fx must be finite."""
         if not np.isfinite(self.view).all():
-            raise ValueError("view must be finite")
-        if not 0.0 < self.near < self.far:
-            raise ValueError("clip planes must satisfy 0 < near < far")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be at least 1 pixel")
-        if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
-            raise ValueError("fx, fy, cx and cy must be finite")
-        if self.fx <= 0.0 or self.fy <= 0.0:
-            raise ValueError("focal lengths must be positive")
+            raise ValueError("camera.view must be finite")
+        for name in ("fx", "fy", "cx", "cy"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"camera.{name} must be finite")
+        for name in ("fx", "fy"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"camera.{name} must be positive")
+        for name in ("width", "height"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"camera.{name} must be at least 1")
+        if not self.near > 0.0:
+            raise ValueError("camera.near must be positive")
+        if not self.far > self.near:
+            raise ValueError("camera.far must exceed camera.near")
 
     def validate(self):
         """check(), then rigidity: an orthonormal rotation block with
@@ -201,11 +199,11 @@ class Camera:
         self.check()
         r = self.rotation
         if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-9:
-            raise ValueError("view rotation block must be orthonormal")
+            raise ValueError("camera.view rotation block must be orthonormal")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
-            raise ValueError("view rotation block must have determinant +1")
+            raise ValueError("camera.view rotation block must have determinant +1")
         if np.max(np.abs(self.view[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > 1e-12:
-            raise ValueError("view bottom row must be [0, 0, 0, 1]")
+            raise ValueError("camera.view bottom row must be [0, 0, 0, 1]")
 
 
 def matprod(a, b):
@@ -243,15 +241,15 @@ class RowError(ValueError):
         self.problem, self.row, self.field = problem, row, field
 
 
-def reject(bad, problem):
+def reject(bad, problem, field=None):
     """Raise where bad holds: ValueError(problem) for a single splat, or
-    RowError naming the first bad row of a stack."""
+    RowError naming the first bad row of a stack, and field when given."""
     bad = np.asarray(bad)
     if not bad.any():
         return
     if bad.ndim == 0:
         raise ValueError(problem)
-    raise RowError(problem, int(np.flatnonzero(bad.ravel())[0]))
+    raise RowError(problem, int(np.flatnonzero(bad.ravel())[0]), field)
 
 
 # Entry k of a rotation matrix, row-major, is I_k + 2 (SA_k p[A_k] + SB_k p[B_k])
@@ -311,11 +309,7 @@ def compose_covariance_3d(quat, scale):
     reject(np.any(s <= 0.0, axis=-1), "scale components must be positive")
     rot = quat_to_rotmat(quat)
     m = rot * s[..., None, :]
-    mt = np.swapaxes(m, -1, -2)
-    # One splat keeps the BLAS product, so its sigma is M @ M.T bitwise; a
-    # stack never reaches BLAS.
-    sigma = m @ mt if m.ndim == 2 else matprod(m, mt)
-    return rot, sigma
+    return rot, matprod(m, np.swapaxes(m, -1, -2))
 
 
 def frobenius_inner(x, y):
@@ -325,3 +319,4 @@ def frobenius_inner(x, y):
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.sum(a * b))
+

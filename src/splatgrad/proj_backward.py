@@ -10,7 +10,8 @@ Each op (mean2d_backward, cov2d_backward, world_backward,
 covariance3d_backward) takes one splat or a stack of them, written as
 broadcast products and sums on its operands' structure: J's two zeros,
 the symmetry of sigma and of the 2D covariance gradient, the diagonal
-scale matrix. scene_backward runs the chain once on the stack of
+scale matrix. Camera-space point gradients are 3-vectors, as the
+points are. scene_backward runs the chain once on the stack of
 projected splats, reading the factors the projection kept (R, sigma, J
 and T = J R_cw) instead of forming them again.
 """
@@ -64,7 +65,7 @@ def mean2d_backward(d_mean2d, t_cam, camera: Camera):
     The perspective divide's homogeneous component is tz, so the pixel
     coordinates are fx tx / tz and fy ty / tz plus constants.
 
-    Returns dL/dt as a 4-vector, or a stack (..., 4) for stacked inputs.
+    Returns dL/dt as a 3-vector, or a stack (..., 3) for stacked inputs.
     """
     t = np.asarray(t_cam, dtype=np.float64)
     tz = t[..., 2]
@@ -72,8 +73,7 @@ def mean2d_backward(d_mean2d, t_cam, camera: Camera):
            "degenerate projection: homogeneous component is ~0")
     d = np.asarray(d_mean2d, dtype=np.float64)
     dx, dy = camera.fx * d[..., 0] / tz, camera.fy * d[..., 1] / tz
-    return np.stack([dx, dy, -(dx * t[..., 0] + dy * t[..., 1]) / tz, np.zeros_like(tz)],
-                    axis=-1)
+    return np.stack([dx, dy, -(dx * t[..., 0] + dy * t[..., 1]) / tz], axis=-1)
 
 
 def cov2d_backward(d_cov2d, T_proj, sigma, J, R_cw, t_cam):
@@ -86,7 +86,7 @@ def cov2d_backward(d_cov2d, T_proj, sigma, J, R_cw, t_cam):
     J; the diagonal dilation added in the forward pass is constant and
     drops out. Every argument but R_cw may be a stack with leading axes.
 
-    Returns (d_sigma 3x3, d_t 4-vector, d_R_cw 3x3), with the stack's
+    Returns (d_sigma 3x3, d_t 3-vector, d_R_cw 3x3), with the stack's
     leading axes.
     """
     g = np.asarray(d_cov2d, dtype=np.float64)
@@ -103,16 +103,16 @@ def cov2d_backward(d_cov2d, T_proj, sigma, J, R_cw, t_cam):
     d_t = np.stack([j00 * d_J[..., 0, 2], j11 * d_J[..., 1, 2],
                     j00 * d_J[..., 0, 0] + j11 * d_J[..., 1, 1]
                     + 2.0 * (j02 * d_J[..., 0, 2] + j12 * d_J[..., 1, 2])], axis=-1) / -tz
-    return (d_sigma, np.concatenate([d_t, np.zeros_like(tz)], axis=-1),
-            matprod(_t(J), d_T))
+    return d_sigma, d_t, matprod(_t(J), d_T)
 
 
 def world_backward(d_t_total, camera: Camera, mean):
     """Distribute a camera-space point gradient to the world mean and view.
 
-    t = view @ [mean, 1], so the view gradient is the outer product of
-    d_t with the homogeneous point, and the mean feels d_t through the
-    rotation block.
+    t = R mean + t_view from the view's top three rows, so those rows'
+    gradient is the outer product of d_t with [mean, 1], and the mean
+    feels d_t through the rotation block. The view's bottom row does not
+    reach t, so its gradient is zero.
 
     Returns (d_mean 3-vector, d_view 4x4); for stacked inputs, d_mean per
     row and d_view summed over the rows, which share the view.
@@ -120,9 +120,10 @@ def world_backward(d_t_total, camera: Camera, mean):
     d_t = np.asarray(d_t_total, dtype=np.float64)
     m = np.asarray(mean, dtype=np.float64)
     rows = tuple(range(d_t.ndim - 1))
-    d_view = np.concatenate([np.sum(d_t[..., :, None] * m[..., None, :], axis=rows),
-                             np.sum(d_t, axis=rows)[:, None]], axis=1)
-    return matvec(camera.rotation.T, d_t[..., :3]), d_view
+    d_view = np.zeros((4, 4))
+    d_view[:3, :3] = np.sum(d_t[..., :, None] * m[..., None, :], axis=rows)
+    d_view[:3, 3] = np.sum(d_t, axis=rows)
+    return matvec(camera.rotation.T, d_t), d_view
 
 
 def covariance3d_backward(d_sigma, rot, quat, scale):

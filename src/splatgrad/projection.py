@@ -1,17 +1,19 @@
 """Perspective projection of 3D splats onto the image plane.
 
-The camera-space mean goes to pixel coordinates through the pinhole map
-(fx tx / tz + cx + 1/2, fy ty / tz + cy + 1/2). The covariance is mapped
-by the Jacobian of that map (a first-order approximation) and then
-inflated by a small diagonal dilation so the 2x2 result stays invertible
-even for sub-pixel splats.
+The camera-space mean, the 3-vector R m + t of the view's top three
+rows, goes to pixel coordinates through the pinhole map (fx tx / tz + cx
++ 1/2, fy ty / tz + cy + 1/2). The covariance is mapped by the Jacobian
+of that map (a first-order approximation) and then inflated by a small
+diagonal dilation so the 2x2 result stays invertible even for sub-pixel
+splats.
 
 Each step takes one splat or a stack of them. project_splats runs the
 steps once for every splat of a scene and returns a ProjectedSplats, the
 one projection record: each kept splat's footprint, conic, opacity and
 color, which the rasterizer reads, and its mean, scale and quaternion
 and the factors, which the backward pass reads. project_gaussian is its
-one-splat case.
+one-splat case. Every render, audit probe and audit mask projects
+through project_splats, which runs Camera.check and Splats.check first.
 """
 
 from dataclasses import dataclass
@@ -38,7 +40,7 @@ DILATION = 0.3
 class ProjectedSplats:
     """Footprints of the splats that survived culling, one row each.
 
-    Rows keep source order. t_cam (K, 4) is the camera-space point,
+    Rows keep source order. t_cam (K, 3) is the camera-space point,
     mean2d (K, 2) and cov2d (K, 2, 2) the footprint on the image, conic
     (K, 3) the entries (A, B, C) of its inverse [[A, B], [B, C]], depth
     (K,) the camera-space z used as sort key, radius (K,) a conservative
@@ -74,17 +76,16 @@ class ProjectedSplats:
 
 
 def world_to_camera(mean, camera: Camera, view=None):
-    """Map a world-space point, or a stack (..., 3) of them, to
-    homogeneous camera space through camera.view, or through view when
-    given (one 4x4 matrix or one per point); w is 1 for a rigid view."""
-    m = np.asarray(mean, dtype=np.float64)
-    homog = np.concatenate([m, np.ones(m.shape[:-1] + (1,))], axis=-1)
-    return matvec(camera.view if view is None else view, homog)
+    """Map a world-space point, or a stack (..., 3) of them, to the
+    camera-space point R m + t through camera.view, or through view when
+    given (one 4x4 matrix or one per point), R and t its top three rows."""
+    v = camera.view if view is None else view
+    return matvec(v[..., :3, :3], np.asarray(mean, dtype=np.float64)) + v[..., :3, 3]
 
 
 def camera_to_pixel(t_cam, camera: Camera):
     """Pixel coordinates (fx tx / tz + cx + 1/2, fy ty / tz + cy + 1/2) of
-    a camera-space point, or of a stack (..., 4): the supplement's
+    a camera-space point, or of a stack (..., 3): the supplement's
     perspective matrix (x and y rows 2 fx / width and 2 fy / height), its
     divide by tz and its map of [-1, 1] onto the image, written out.
     projection_jacobian is its derivative."""
@@ -100,8 +101,8 @@ def projection_jacobian(t_cam, camera: Camera):
     """Derivative of the camera-to-pixel map at t_cam, as a 2x3 matrix.
 
     Args:
-        t_cam: homogeneous camera-space point with positive depth, or a
-            stack (..., 4) of them.
+        t_cam: camera-space point with positive depth, or a stack
+            (..., 3) of them.
         camera: supplies the focal lengths.
 
     Returns:
@@ -139,7 +140,7 @@ def bounding_radius(cov2d):
 
     Uses the closed-form larger eigenvalue of the symmetric 2x2 matrix and
     rounds up, so the square [mean - r, mean + r] contains the whole
-    ellipse on both axes. A stack (..., 2, 2) gives an int64 array.
+    ellipse on both axes. Returns int64, with a stack's leading axes.
     """
     cov2d = np.asarray(cov2d, dtype=np.float64)
     a, b, c = cov2d[..., 0, 0], cov2d[..., 0, 1], cov2d[..., 1, 1]
@@ -150,8 +151,7 @@ def bounding_radius(cov2d):
            "2d covariance must be finite and positive definite")
     # A radius past 2**62 pixels covers any image; the cap keeps the cast
     # to int64 exact.
-    radius = np.minimum(np.ceil(3.0 * np.sqrt(lam_max)), 2.0**62).astype(np.int64)
-    return int(radius) if radius.ndim == 0 else radius
+    return np.minimum(np.ceil(3.0 * np.sqrt(lam_max)), 2.0**62).astype(np.int64)
 
 
 def _conic(cov2d):
@@ -164,7 +164,7 @@ def _conic(cov2d):
 
 
 def project_gaussian(g: Gaussian3D, camera: Camera):
-    """project_splats on the one-splat scene [g].
+    """project_splats on the one-splat scene [g], checks included.
 
     Returns its one-row ProjectedSplats, or None when the splat is culled:
     depth outside (near, far), or a footprint that cannot touch any pixel.
@@ -183,16 +183,19 @@ def project_splats(splats, camera: Camera, *, view=None, keep_offscreen=False):
     footprint misses the image unless keep_offscreen is set. view, an
     (N, 4, 4) stack, replaces camera.view splat by splat.
 
-    Raises ValueError naming the splat, e.g. gaussians[4], on a point
-    behind the camera or a degenerate projection (possible only when
-    near <= 0), or on a 2D covariance that is not finite and positive
-    definite.
+    Raises ValueError naming the field on a camera that fails
+    Camera.check or a scene that fails Splats.check (camera.fx must be
+    finite, gaussians[4].scale components must be positive), and naming
+    the splat on a 2D covariance that is not finite and positive
+    definite. Kept depths exceed near > 0: none is behind the camera.
 
     Returns:
         ProjectedSplats, rows in source order, with each row's conic and
         a copy of its splat's values and the factors the backward pass
         reads.
     """
+    camera.check()
+    splats.check()
     t_all = world_to_camera(splats.means, camera, view)
     depth_all = t_all[:, 2]
     # Written as the negation of the cull test, so a NaN depth is kept and

@@ -43,9 +43,10 @@ audit passes the pixels a probed splat can reach; every pixel inside a
 window equals the same pixel of the whole image bitwise.
 
 render takes the scene as a Splats or a list of Gaussian3D, stacks it
-once with Splats.of, checks it with Splats.check, and projects every
-splat in one batched pass; result.projected is the resulting
-ProjectedSplats, which the backward pass reads too.
+once with Splats.of, and projects every splat in one batched
+project_splats pass, which checks the camera and the scene first;
+result.projected is the resulting ProjectedSplats, which the backward
+pass reads too.
 
 render keeps the pairs it commits, one CommittedPairs record per block
 (28 bytes per pair, 2.2-2.5 MB for a 256 x 256 view of 1,000 splats),
@@ -392,16 +393,15 @@ def _composite_block(entries, e0, e1, projected, early_termination,
 
 
 def _project_stack(stack, camera, local, views=None):
-    """Check the Splats stack with Splats.check and project it in one
-    pass with camera's intrinsics, row r seen through views[r] ((N, 4, 4);
-    camera.view when views is None).
+    """Project the Splats stack in one project_splats pass with camera's
+    intrinsics, row r seen through views[r] ((N, 4, 4); camera.view when
+    views is None).
 
     local (N,) holds each row's index in its own scene: source_index comes
     back as it, and a failure names the splat by it. Returns (projected,
     stack_row), stack_row (K,) holding each kept row's index in the
     stack."""
     try:
-        stack.check()
         p = project_splats(stack, camera, view=views)
     except RowError as exc:
         raise RowError(exc.problem, local[exc.row], exc.field) from None
@@ -443,18 +443,6 @@ def _result(camera, background, projected, grid, early_termination):
     )
 
 
-def _project_scene(scene, camera, background):
-    """render's and render_brute_force's checks and projection; returns
-    (background, projected)."""
-    background = as_finite(background, (3,), "background")
-    try:
-        camera.check()
-    except ValueError as exc:
-        raise ValueError(f"camera: {exc}") from None
-    splats = Splats.of(scene)
-    return background, _project_stack(splats, camera, np.arange(len(splats)))[0]
-
-
 def render(scene, camera: Camera, background, *, early_termination=True):
     """Render a scene: project, bin, sort, then composite every pixel.
 
@@ -463,7 +451,8 @@ def render(scene, camera: Camera, background, *, early_termination=True):
             so a non-finite value, a non-positive scale or a vanishing
             quaternion raises ValueError naming the splat and field.
         camera: the viewpoint. Checked with Camera.check, which needs no
-            rigid view; a failure raises ValueError starting camera: .
+            rigid view; a failure raises ValueError naming the field,
+            e.g. camera.fx must be finite.
         background: 3-vector composited behind the splats. Anything but
             a finite vector of shape (3,) raises ValueError naming it.
         early_termination: stop per-pixel compositing below T_MIN. Disable
@@ -474,7 +463,8 @@ def render(scene, camera: Camera, background, *, early_termination=True):
         needs, the committed (splat, pixel) pairs included (28 bytes per
         pair, n_contrib.sum() pairs at most).
     """
-    background, projected = _project_scene(scene, camera, background)
+    background = as_finite(background, (3,), "background")
+    projected = project_splats(Splats.of(scene), camera)
     grid = sort_bins(assign_tiles(projected, camera.width, camera.height), projected)
     return _result(camera, background, projected, grid, early_termination)
 
@@ -486,7 +476,8 @@ def render_brute_force(scene, camera: Camera, background, *, early_termination=T
     is the full list of non-culled splats in global front-to-back order.
     Any disagreement with render() therefore isolates a binning bug.
     """
-    background, projected = _project_scene(scene, camera, background)
+    background = as_finite(background, (3,), "background")
+    projected = project_splats(Splats.of(scene), camera)
     tiles_x, tiles_y = grid_shape(camera.width, camera.height)
     order = np.lexsort((projected.source_index, projected.depth))
     n_tiles = tiles_x * tiles_y

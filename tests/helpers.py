@@ -37,7 +37,7 @@ def stack_projected(entries):
     them from a Splats); the backward pass's factors stay None."""
     n = len(entries)
     columns = list(zip(*entries)) if n else [()] * 6
-    shapes = ((n, 4), (n, 2), (n, 2, 2), (n,), (n,), (n,))
+    shapes = ((n, 3), (n, 2), (n, 2, 2), (n,), (n,), (n,))
     types = (np.float64,) * 4 + (np.int64,) * 2
     t_cam, mean2d, cov2d, depth, radius, source_index = (
         np.array(c, dtype=t).reshape(shape) for c, shape, t in zip(columns, shapes, types))
@@ -652,7 +652,9 @@ def oracle_perspective(camera):
 
 
 def _ref_project(g, camera):
-    """(t_cam, mean2d, cov2d, radius) of one splat in front of the camera."""
+    """(t_cam, mean2d, cov2d, radius) of one splat in front of the camera,
+    t_cam the 3-vector the library keeps; the oracle itself works on the
+    supplement's homogeneous point."""
     t_cam = camera.view @ np.array([g.mean[0], g.mean[1], g.mean[2], 1.0])
     m = _ref_rotmat(g.quat) @ np.diag(g.scale)
     t = _ref_jacobian(t_cam, camera) @ camera.rotation
@@ -666,7 +668,7 @@ def _ref_project(g, camera):
     )
     a, b, c = cov2d[0, 0], cov2d[0, 1], cov2d[1, 1]
     lam_max = 0.5 * (a + c) + np.sqrt(0.25 * (a - c) * (a - c) + b * b)
-    return t_cam, mean2d, cov2d, int(np.ceil(3.0 * np.sqrt(lam_max)))
+    return t_cam[:3], mean2d, cov2d, int(np.ceil(3.0 * np.sqrt(lam_max)))
 
 
 def oracle_project_scene(scene, camera):
@@ -713,7 +715,7 @@ def oracle_scene_backward(scene, camera, result, d_image):
     rot_cw = camera.rotation
     proj = oracle_perspective(camera)
     for k, i in enumerate(result.projected.source_index.tolist()):
-        t_cam = result.projected.t_cam[k]
+        t_cam = np.append(result.projected.t_cam[k], 1.0)
         g = scene[i]
         tx, ty, tz = t_cam[0], t_cam[1], t_cam[2]
         r = _ref_rotmat(g.quat)

@@ -48,14 +48,14 @@ class TestMean2DBackward:
         self.camera = frustum_camera(64, 48, fx=70.0)
 
     def test_zero_upstream_is_zero(self):
-        t = np.array([0.3, -0.2, 5.0, 1.0])
+        t = np.array([0.3, -0.2, 5.0])
         d_t = mean2d_backward(np.zeros(2), t, self.camera)
-        assert_allclose(d_t, np.zeros(4), atol=0.0)
+        assert_allclose(d_t, np.zeros(3), atol=0.0)
 
     def test_on_axis_point_is_separable(self):
-        # At t = (0, 0, z, 1) the perspective divide has no cross terms:
+        # At t = (0, 0, z) the perspective divide has no cross terms:
         # the x pixel moves only with t_x and the y pixel only with t_y.
-        t = np.array([0.0, 0.0, 4.0, 1.0])
+        t = np.array([0.0, 0.0, 4.0])
         d_t = mean2d_backward(np.array([1.0, 0.0]), t, self.camera)
         assert d_t[0] != 0.0
         assert_allclose(d_t[1], 0.0, atol=1e-15)
@@ -65,28 +65,28 @@ class TestMean2DBackward:
         assert d_t[1] != 0.0
 
     def test_matches_jacobian_rows(self):
-        # For t_w = 1 the pixel map's derivative in (t_x, t_y, t_z) is
-        # exactly projection_jacobian, so pulling back a basis vector must
+        # The pixel map's derivative in (t_x, t_y, t_z) is exactly
+        # projection_jacobian, so pulling back a basis vector must
         # reproduce the corresponding Jacobian row.
         rng = np.random.default_rng(5)
         for _ in range(50):
             t = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
-                          rng.uniform(2.0, 8.0), 1.0])
+                          rng.uniform(2.0, 8.0)])
             jac = projection_jacobian(t, self.camera)
             for row, unit in enumerate(np.eye(2)):
                 d_t = mean2d_backward(unit, t, self.camera)
-                assert_allclose(d_t[:3], jac[row], rtol=1e-10, atol=1e-12)
+                assert_allclose(d_t, jac[row], rtol=1e-10, atol=1e-12)
 
     def test_finite_differences_full_4vector(self):
         rng = np.random.default_rng(6)
         h = 1e-6
         for _ in range(25):
             t = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
-                          rng.uniform(2.0, 8.0),
-                          rng.uniform(0.7, 1.3)])
+                          rng.uniform(2.0, 8.0)])
             u = rng.normal(size=2)
             d_t = mean2d_backward(u, t, self.camera)
-            for k in range(4):
+            assert d_t.shape == (3,)
+            for k in range(3):
                 tp, tm = t.copy(), t.copy()
                 tp[k] += h
                 tm[k] -= h
@@ -95,7 +95,7 @@ class TestMean2DBackward:
                 fd_check(d_t[k], num, rel=1e-5)
 
     def test_degenerate_homogeneous_raises(self):
-        t = np.array([1.0, 1.0, 0.0, 1.0])
+        t = np.array([1.0, 1.0, 0.0])
         with pytest.raises(ValueError):
             mean2d_backward(np.ones(2), t, self.camera)
 
@@ -107,7 +107,7 @@ class TestCov2DBackward:
 
     def sample(self):
         t = np.array([self.rng.uniform(-1, 1), self.rng.uniform(-1, 1),
-                      self.rng.uniform(2.5, 7.0), 1.0])
+                      self.rng.uniform(2.5, 7.0)])
         sigma = random_cov3d(self.rng)
         jac = projection_jacobian(t, self.camera)
         r_cw = self.camera.rotation
@@ -173,7 +173,7 @@ class TestCov2DBackward:
                 tm[k] -= h
                 num = (loss(tp) - loss(tm)) / (2 * h)
                 fd_check(d_t[k], num)
-            assert d_t[3] == 0.0
+            assert d_t.shape == (3,)
 
     def test_d_rotation_finite_differences(self):
         # The third output is the gradient of the view's rotation block
@@ -222,16 +222,16 @@ class TestCov2DBackward:
 class TestWorldBackward:
     def test_identity_view_passes_rotation_block(self):
         camera = frustum_camera(32, 32)
-        d_t = np.array([0.3, -0.7, 1.1, 0.5])
+        d_t = np.array([0.3, -0.7, 1.1])
         mean = np.array([1.0, 2.0, 3.0])
         d_mean, d_view = world_backward(d_t, camera, mean)
-        assert_allclose(d_mean, d_t[:3], atol=0.0)
-        assert_allclose(d_view, np.outer(d_t, [1.0, 2.0, 3.0, 1.0]),
+        assert_allclose(d_mean, d_t, atol=0.0)
+        assert_allclose(d_view, np.outer([0.3, -0.7, 1.1, 0.0], [1.0, 2.0, 3.0, 1.0]),
                         atol=0.0)
 
     def test_zero_upstream_is_zero(self):
         camera = frustum_camera(32, 32)
-        d_mean, d_view = world_backward(np.zeros(4), camera, np.ones(3))
+        d_mean, d_view = world_backward(np.zeros(3), camera, np.ones(3))
         assert_allclose(d_mean, 0.0, atol=0.0)
         assert_allclose(d_view, 0.0, atol=0.0)
 
@@ -241,7 +241,7 @@ class TestWorldBackward:
         for _ in range(25):
             camera = rotated_camera(rng, 32, 32)
             mean = rng.uniform(-1.0, 1.0, size=3) + np.array([0, 0, 4.0])
-            u = rng.normal(size=4)
+            u = rng.normal(size=3)
             d_mean, _ = world_backward(u, camera, mean)
             for k in range(3):
                 mp, mm = mean.copy(), mean.copy()
@@ -256,7 +256,7 @@ class TestWorldBackward:
         h = 1e-6
         camera = rotated_camera(rng, 32, 32)
         mean = np.array([0.4, -0.3, 4.5])
-        u = rng.normal(size=4)
+        u = rng.normal(size=3)
         _, d_view = world_backward(u, camera, mean)
         for r in range(4):
             for c in range(4):
@@ -265,8 +265,8 @@ class TestWorldBackward:
                 view_p[r, c] += h
                 view_m[r, c] -= h
                 q = np.array([mean[0], mean[1], mean[2], 1.0])
-                num = (float(u @ (view_p @ q))
-                       - float(u @ (view_m @ q))) / (2 * h)
+                num = (float(u @ (view_p @ q)[:3])
+                       - float(u @ (view_m @ q)[:3])) / (2 * h)
                 fd_check(d_view[r, c], num)
 
 

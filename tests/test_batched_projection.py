@@ -364,23 +364,30 @@ def test_backward_reads_the_forward_factors(monkeypatch):
     [(-0.5, "point is behind the camera"), (5e-13, "degenerate projection")],
 )
 def test_projection_failures_raise_by_name(depth, message):
-    # With near <= 0 (an unvalidated camera) a splat can reach the
-    # projection at or behind the camera center. Splat 1 is culled, so
-    # the failing splat's row differs from its index in the scene.
-    camera = Camera(view=np.eye(4), fx=16.0, fy=16.0, cx=7.5, cy=7.5,
-                    width=16, height=16, near=-1.0, far=100.0)
-    scene = [g3([0.0, 0.0, 3.0]), g3([0.0, 0.0, 200.0]), g3([0.0, 0.0, 4.0]),
-             g3([0.0, 0.0, depth], scale=0.1)]
+    # Camera.check keeps near positive, so project_splats never meets a
+    # point at or behind the camera center; the op that would fail on one
+    # names its row of the stack.
+    camera = frustum_camera(16, 16)
+    op = projection.projection_jacobian if depth < 0.0 else projection.camera_to_pixel
+    t_cam = np.array([[0.0, 0.0, 3.0], [0.1, 0.0, 4.0], [0.0, 0.1, 5.0], [0.0, 0.0, depth]])
     with pytest.raises(ValueError, match=rf"^gaussians\[3\]: {message}"):
-        projection.project_splats(Splats.of(scene), camera)
-    with pytest.raises(ValueError):
-        projection.project_gaussian(scene[3], camera)
+        op(t_cam, camera)
+    # A failure inside project_splats names the scene's splat: splat 1 is
+    # culled, so the failing splat's row differs from its index.
+    scene = [g3([0.0, 0.0, 3.0]), g3([0.0, 0.0, 200.0]), g3([0.0, 0.0, 4.0]),
+             g3([0.1, 0.0, 5.0], scale=1e200)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^gaussians\[3\]: 2d covariance"):
+            projection.project_splats(Splats.of(scene), camera)
+        with pytest.raises(ValueError, match=r"^gaussians\[0\]: 2d covariance"):
+            projection.project_gaussian(scene[3], camera)
 
 
 BATCHED_KERNELS = [
     core.matprod,
     core.matvec,
     core.quat_to_rotmat,
+    core.compose_covariance_3d,
     core.Splats.check,
     core.Camera.check,
     projection.world_to_camera,
@@ -417,9 +424,8 @@ def test_batched_kernels_use_no_blas_products(kernel):
 
 
 def test_stacked_covariance_uses_the_broadcast_product():
-    # compose_covariance_3d keeps a BLAS product for one splat, so it is
-    # not in the list above. On a stack its sigma must be matprod's
-    # result bitwise; a BLAS product rounds differently on most rows.
+    # On a stack compose_covariance_3d's sigma must be matprod's result
+    # bitwise; a BLAS product rounds differently on most rows.
     rng = np.random.default_rng(8)
     quat, scale = rng.normal(size=(50, 4)), rng.uniform(0.1, 2.0, size=(50, 3))
     rot, sigma = core.compose_covariance_3d(quat, scale)

@@ -10,7 +10,7 @@ from helpers import stack_projected
 
 def make_projected(mean2d, radius, depth, source_index):
     """A stack_projected entry with an identity cov2d."""
-    return ([0.0, 0.0, depth, 1.0], mean2d, np.eye(2), depth, radius, source_index)
+    return ([0.0, 0.0, depth], mean2d, np.eye(2), depth, radius, source_index)
 
 
 def brute_force_bins(projected, width, height):
@@ -133,6 +133,6 @@ class TestSortBins:
         # nothing else: corrupt t_cam and confirm ordering is unaffected.
         projected = stack_projected([make_projected([8.0, 8.0], 2, 1.5, 0),
                                      make_projected([8.0, 8.0], 2, 2.5, 1)])
-        projected.t_cam[0] = [0.0, 0.0, 99.0, 1.0]
+        projected.t_cam[0] = [0.0, 0.0, 99.0]
         grid = sort_bins(assign_tiles(projected, 16, 16), projected)
         assert grid.bin_at(0, 0) == [0, 1]

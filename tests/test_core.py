@@ -12,6 +12,7 @@ from splatgrad import (
     frobenius_inner,
     quat_to_rotmat,
 )
+from splatgrad.core import matprod
 
 
 def axis_angle_rotmat(axis, angle):
@@ -127,7 +128,7 @@ class TestComposeCovariance:
             rot, sigma = compose_covariance_3d(q, s)
             m = rot * s[..., None, :]
             assert_allclose(m, rot @ np.diag(s))
-            assert np.array_equal(sigma, m @ m.T)
+            assert np.array_equal(sigma, matprod(m, m.T))
             assert np.max(np.abs(sigma - sigma.T)) <= 1e-12
 
     def test_positive_semidefinite(self):

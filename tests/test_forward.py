@@ -31,7 +31,7 @@ from helpers import (
 
 
 def make_splat2d(mean2d, cov2d):
-    return stack_projected([([0.0, 0.0, 1.0, 1.0], mean2d, cov2d, 1.0, 10, 0)])
+    return stack_projected([([0.0, 0.0, 1.0], mean2d, cov2d, 1.0, 10, 0)])
 
 
 def center_gaussian(opacity, color, depth=4.0):
@@ -323,12 +323,12 @@ class TestRender:
 
     @pytest.mark.parametrize("renderer", [render, render_brute_force])
     @pytest.mark.parametrize("field, value, message", [
-        ("width", 0, r"^camera: image dimensions must be at least 1 pixel$"),
-        ("width", -5, r"^camera: image dimensions must be at least 1 pixel$"),
-        ("fx", np.nan, r"^camera: fx, fy, cx and cy must be finite$"),
-        ("cx", np.inf, r"^camera: fx, fy, cx and cy must be finite$"),
-        ("far", np.nan, r"^camera: clip planes must satisfy 0 < near < far$"),
-        ("fx", -20.0, r"^camera: focal lengths must be positive$"),
+        ("width", 0, r"^camera\.width must be at least 1$"),
+        ("width", -5, r"^camera\.width must be at least 1$"),
+        ("fx", np.nan, r"^camera\.fx must be finite$"),
+        ("cx", np.inf, r"^camera\.cx must be finite$"),
+        ("far", np.nan, r"^camera\.far must exceed camera\.near$"),
+        ("fx", -20.0, r"^camera\.fx must be positive$"),
     ], ids=["zero_width", "negative_width", "nan_fx", "inf_cx", "nan_far", "negative_fx"])
     def test_bad_camera_rejected_by_name(self, renderer, field, value, message):
         camera = replace(frustum_camera(20, 16), **{field: value})

@@ -42,12 +42,12 @@ def unit_quat(rng):
 class TestWorldToCamera:
     def test_identity_view(self):
         cam = frustum_camera(16, 16)
-        assert_allclose(world_to_camera([1.0, 2.0, 3.0], cam), [1, 2, 3, 1])
+        assert_allclose(world_to_camera([1.0, 2.0, 3.0], cam), [1, 2, 3])
 
     def test_translation_only(self):
         cam = frustum_camera(16, 16)
         cam.view[:3, 3] = [0.0, 0.0, 5.0]
-        assert_allclose(world_to_camera([0.0, 0.0, 0.0], cam), [0, 0, 5, 1])
+        assert_allclose(world_to_camera([0.0, 0.0, 0.0], cam), [0, 0, 5])
 
     def test_matches_dense_matvec(self):
         rng = np.random.default_rng(41)
@@ -55,8 +55,8 @@ class TestWorldToCamera:
             cam = rotated_camera(rng, 16, 16)
             mean = rng.normal(size=3)
             expect = cam.view @ np.array([mean[0], mean[1], mean[2], 1.0])
-            assert_allclose(world_to_camera(mean, cam), expect, atol=1e-15)
-            assert world_to_camera(mean, cam)[3] == 1.0
+            assert world_to_camera(mean, cam).shape == (3,)
+            assert_allclose(world_to_camera(mean, cam), expect[:3], atol=1e-15)
 
 
 class TestCameraToPixel:
@@ -67,7 +67,7 @@ class TestCameraToPixel:
         )
         for z in (0.5, 2.0, 50.0):
             assert_allclose(
-                camera_to_pixel(np.array([0.0, 0.0, z, 1.0]), cam), [0.5, 0.5]
+                camera_to_pixel(np.array([0.0, 0.0, z]), cam), [0.5, 0.5]
             )
 
     def test_substitution_oracle(self):
@@ -78,7 +78,7 @@ class TestCameraToPixel:
             width=48, height=32, near=0.5, far=20.0,
         )
         t_z = 3.0
-        t = np.array([t_z * cam.width / (2.0 * cam.fx), 0.4, t_z, 1.0])
+        t = np.array([t_z * cam.width / (2.0 * cam.fx), 0.4, t_z])
         got = camera_to_pixel(t, cam)
         ndc_x = (2.0 * cam.fx / cam.width) * t[0] / t_z
         ndc_y = (2.0 * cam.fy / cam.height) * t[1] / t_z
@@ -90,7 +90,7 @@ class TestCameraToPixel:
     def test_focal_doubling_doubles_ndc(self):
         cam1 = frustum_camera(64, 64, fx=30.0)
         cam2 = frustum_camera(64, 64, fx=60.0)
-        t = np.array([0.7, -0.3, 4.0, 1.0])
+        t = np.array([0.7, -0.3, 4.0])
         off1 = camera_to_pixel(t, cam1) - np.array([0.5 + cam1.cx, 0.5 + cam1.cy])
         off2 = camera_to_pixel(t, cam2) - np.array([0.5 + cam2.cx, 0.5 + cam2.cy])
         assert_allclose(off2, 2.0 * off1, rtol=1e-12)
@@ -107,10 +107,10 @@ class TestCameraToPixel:
         px = rng.uniform([1.0, 1.0], [cam.width - 1.0, cam.height - 1.0], size=(200, 2))
         tz = np.exp(rng.uniform(np.log(2e-3), np.log(5e5), size=200))
         t = np.stack([(px[:, 0] - cam.cx) * tz / cam.fx, (px[:, 1] - cam.cy) * tz / cam.fy,
-                      tz, np.ones(200)], axis=1)
+                      tz], axis=1)
         proj = oracle_perspective(cam)
         for row, got in zip(t, camera_to_pixel(t, cam)):
-            clip = proj @ row
+            clip = proj @ np.append(row, 1.0)
             want = [(cam.width * clip[0] / clip[3] + 1.0) / 2.0 + cam.cx,
                     (cam.height * clip[1] / clip[3] + 1.0) / 2.0 + cam.cy]
             assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -119,18 +119,18 @@ class TestCameraToPixel:
     def test_degenerate_homogeneous_raises(self):
         cam = frustum_camera(16, 16)
         with pytest.raises(ValueError):
-            camera_to_pixel(np.array([1.0, 1.0, 0.0, 1.0]), cam)
+            camera_to_pixel(np.array([1.0, 1.0, 0.0]), cam)
 
 
 class TestProjectionJacobian:
     def test_on_axis_unit_depth(self):
         cam = frustum_camera(16, 16, fx=1.0)
-        got = projection_jacobian(np.array([0.0, 0.0, 1.0, 1.0]), cam)
+        got = projection_jacobian(np.array([0.0, 0.0, 1.0]), cam)
         assert_allclose(got, [[1, 0, 0], [0, 1, 0]])
 
     def test_inverse_depth_scaling(self):
         cam = frustum_camera(16, 16, fx=1.0)
-        got = projection_jacobian(np.array([0.0, 0.0, 2.0, 1.0]), cam)
+        got = projection_jacobian(np.array([0.0, 0.0, 2.0]), cam)
         assert_allclose(got, [[0.5, 0, 0], [0, 0.5, 0]])
 
     def test_matches_finite_difference(self):
@@ -141,7 +141,7 @@ class TestProjectionJacobian:
         h = 1e-6
         for _ in range(50):
             t = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2),
-                          rng.uniform(1.0, 8.0), 1.0])
+                          rng.uniform(1.0, 8.0)])
             jac = projection_jacobian(t, cam)
 
             def persp(t3):
@@ -151,9 +151,9 @@ class TestProjectionJacobian:
 
             fd = np.empty((2, 3))
             for k in range(3):
-                hi = t[:3].copy()
+                hi = t.copy()
                 hi[k] += h
-                lo = t[:3].copy()
+                lo = t.copy()
                 lo[k] -= h
                 fd[:, k] = (persp(hi) - persp(lo)) / (2.0 * h)
             assert_allclose(jac, fd, rtol=1e-6, atol=1e-9)
@@ -161,9 +161,9 @@ class TestProjectionJacobian:
     def test_behind_camera_raises(self):
         cam = frustum_camera(16, 16)
         with pytest.raises(ValueError):
-            projection_jacobian(np.array([0.0, 0.0, -1.0, 1.0]), cam)
+            projection_jacobian(np.array([0.0, 0.0, -1.0]), cam)
         with pytest.raises(ValueError):
-            projection_jacobian(np.array([0.0, 0.0, 0.0, 1.0]), cam)
+            projection_jacobian(np.array([0.0, 0.0, 0.0]), cam)
 
 
 class TestProjectCovariance:

@@ -72,7 +72,7 @@ def screen_rows(mean2d, cov2d, opacity):
     and opacity (K,): the conic formed as project_splats forms it and the
     radius bounding_radius gives; t_cam, depth and color zero."""
     n = len(opacity)
-    return ProjectedSplats(np.zeros((n, 4)), mean2d, cov2d, _conic(cov2d), np.zeros(n),
+    return ProjectedSplats(np.zeros((n, 3)), mean2d, cov2d, _conic(cov2d), np.zeros(n),
                            bounding_radius(cov2d), np.arange(n), opacity, np.zeros((n, 3)))
 
 
