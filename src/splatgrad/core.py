@@ -154,14 +154,13 @@ class Camera:
 
     def __post_init__(self):
         self.view = _as_f64(self.view, (4, 4), "view")
-        self.fx = float(self.fx)
-        self.fy = float(self.fy)
-        self.cx = float(self.cx)
-        self.cy = float(self.cy)
-        self.width = int(self.width)
-        self.height = int(self.height)
-        self.near = float(self.near)
-        self.far = float(self.far)
+        for name in ("fx", "fy", "cx", "cy", "near", "far"):
+            setattr(self, name, float(getattr(self, name)))
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and int(value) == value):
+                raise ValueError(f"camera.{name} must be an integer, got {value}")
+            setattr(self, name, int(value))
 
     @property
     def rotation(self):
