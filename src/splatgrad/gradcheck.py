@@ -320,10 +320,11 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
     tolerance. A non-finite analytic coordinate fails its class, whose
     max_rel then reads inf and max_abs the nan or inf |analytic - fd|.
 
-    target must be (height, width, 3) and pixel_mask (height, width),
-    both finite; anything else raises ValueError naming the argument. A
-    non-finite probe difference raises FloatingPointError naming its
-    coordinate.
+    The camera is checked first, with Camera.check. target must be
+    (height, width, 3) and pixel_mask (height, width), both finite;
+    anything else raises ValueError naming the camera field or the
+    argument. A non-finite probe difference raises FloatingPointError
+    naming its coordinate.
 
     pixel_mask, when given, restricts the loss to the selected pixels.
     The generated audit scenes use it to drop the few pixels that sit
@@ -337,6 +338,7 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
 
     Returns a GradReport.
     """
+    camera.check()
     shape = (camera.height, camera.width)
     target = as_finite(target, shape + (3,), "target")
     weight = np.ones(shape) if pixel_mask is None else as_finite(

@@ -44,8 +44,10 @@ def init_random(config: FitConfig, camera: Camera, target):
     band past the near plane, sized so their footprints roughly tile the
     image area, colored from the target pixel under their center, and
     given opacity 0.5. Each splat draws its pixel and depth in turn.
-    A negative config.n_gaussians raises ValueError naming the field.
+    A camera that fails Camera.check, or a negative config.n_gaussians,
+    raises ValueError naming the field.
     """
+    camera.check()
     n = config.n_gaussians
     if n < 0:
         raise ValueError(f"config.n_gaussians must be at least 0, got {n}")
@@ -116,8 +118,9 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
         value per iteration, measured before that iteration's update.
 
     Raises:
-        ValueError naming target unless it has the camera's (height,
-        width, 3) shape and is finite, checked before anything else;
+        ValueError naming the field when the camera fails Camera.check,
+        checked before anything else; ValueError naming target unless it
+        has the camera's (height, width, 3) shape and is finite;
         ValueError naming the field when config.iterations is negative,
         or config.n_gaussians when init_random builds the start, or
         naming the splat and field when init fails Splats.validate.
@@ -127,6 +130,7 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
         below QUAT_NORM_EPS, naming the splat and the iteration (e.g.
         gaussians[2].quat norm collapsed at iteration 41).
     """
+    camera.check()
     target = as_finite(target, (camera.height, camera.width, 3), "target")
     if config.iterations < 0:
         raise ValueError(f"config.iterations must be at least 0, got {config.iterations}")

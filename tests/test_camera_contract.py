@@ -1,5 +1,10 @@
-"""The camera contract: width and height must be integers, so Camera
-rejects a size that int() would change when it is built.
+"""The camera contract at every public entry that takes a camera.
+
+Each entry checks the camera with Camera.check before it reads it, so a
+bad field raises ValueError naming that field (camera.fx ...) instead of
+a failure later on that blames the scene or the target. Width and height
+must be integers: Camera rejects a size that int() would change when it
+is built.
 """
 
 from dataclasses import replace
@@ -7,9 +12,58 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from splatgrad import Camera
+from splatgrad import (
+    Camera,
+    FitConfig,
+    Splats,
+    audit_scene,
+    fit,
+    init_random,
+    project_gaussian,
+    project_splats,
+    render,
+    render_brute_force,
+)
 
-from helpers import frustum_camera
+from helpers import frustum_camera, frustum_scene
+
+SIZE = 16
+SCENE = frustum_scene(np.random.default_rng(0), 3, frustum_camera(SIZE, SIZE))
+TARGET = np.full((SIZE, SIZE, 3), 0.5)
+
+ENTRIES = {
+    "render": lambda camera: render(SCENE, camera, np.zeros(3)),
+    "render_brute_force": lambda camera: render_brute_force(SCENE, camera, np.zeros(3)),
+    "project_splats": lambda camera: project_splats(Splats.of(SCENE), camera),
+    "project_gaussian": lambda camera: project_gaussian(SCENE[0], camera),
+    "audit_scene": lambda camera: audit_scene(SCENE, camera, TARGET),
+    "fit": lambda camera: fit(TARGET, camera, FitConfig(n_gaussians=4, iterations=1)),
+    "init_random": lambda camera: init_random(FitConfig(n_gaussians=4), camera, TARGET),
+}
+# (field, value): one bad field each; far=None stands for far equal to near.
+BAD_FIELDS = {
+    "nan_fx": ("fx", np.nan),
+    "inf_cx": ("cx", np.inf),
+    "negative_fx": ("fx", -20.0),
+    "zero_width": ("width", 0),
+    "zero_near": ("near", 0.0),
+    "far_at_near": ("far", None),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FIELDS))
+@pytest.mark.parametrize("entry", list(ENTRIES))
+def test_bad_camera_field_is_named(entry, case):
+    field, value = BAD_FIELDS[case]
+    camera = frustum_camera(SIZE, SIZE)
+    camera = replace(camera, **{field: camera.near if value is None else value})
+    with pytest.raises(ValueError, match=rf"^camera\.{field} "):
+        ENTRIES[entry](camera)
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
+def test_good_camera_passes(entry):
+    ENTRIES[entry](frustum_camera(SIZE, SIZE))
 
 
 @pytest.mark.parametrize("field, value, shown", [
