@@ -8,7 +8,6 @@ from .core import (
     Gaussian3D,
     Splats,
     compose_covariance_3d,
-    frobenius_inner,
     quat_to_rotmat,
 )
 from .gradcheck import (
@@ -86,7 +85,6 @@ __all__ = [
     "covariance3d_backward",
     "finite_difference",
     "fit",
-    "frobenius_inner",
     "init_random",
     "main",
     "make_audit_scene",

@@ -37,11 +37,6 @@ class TileGrid:
         flat = self.entry_splat.tolist()
         return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
-    def bin_at(self, tx, ty):
-        tile = ty * self.tiles_x + tx
-        lo, hi = np.searchsorted(self.entry_tile, [tile, tile + 1])
-        return self.entry_splat[lo:hi].tolist()
-
 
 def grid_shape(width, height):
     """(tiles_x, tiles_y) of the tile grid covering a width x height image."""

@@ -310,12 +310,3 @@ def compose_covariance_3d(quat, scale):
     m = rot * s[..., None, :]
     return rot, matprod(m, np.swapaxes(m, -1, -2))
 
-
-def frobenius_inner(x, y):
-    """Matrix dot product: the sum of elementwise products, Tr(X^T Y)."""
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(y, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
-

@@ -455,7 +455,7 @@ def reference_pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
     ts = res.grid.tile_size
     for ty in range(res.grid.tiles_y):
         for tx in range(res.grid.tiles_x):
-            order = res.grid.bin_at(tx, ty)
+            order = res.grid.bins[ty * res.grid.tiles_x + tx]
             for row in range(ty * ts, min((ty + 1) * ts, camera.height)):
                 for col in range(tx * ts, min((tx + 1) * ts, camera.width)):
                     trans = 1.0

@@ -28,7 +28,6 @@ from splatgrad import (
     Gaussian3D,
     compose_covariance_3d,
     fit,
-    frobenius_inner,
     make_audit_scene,
     quat_to_rotmat,
     render,
@@ -97,11 +96,12 @@ class TestAcceptance:
             scene, camera, target, background, mask = make_audit_scene(
                 seed, size)
             res = render(scene, camera, background)
+            bins = res.grid.bins
             for row in range(size):
                 for col in range(size):
                     ty = row // res.grid.tile_size
                     tx = col // res.grid.tile_size
-                    sbin = res.grid.bin_at(tx, ty)
+                    sbin = bins[ty * res.grid.tiles_x + tx]
                     px = np.array([col + 0.5, row + 0.5])
                     aux = PixelAux(
                         final_T=float(res.aux.final_T[row, col]),
@@ -160,10 +160,10 @@ class TestAcceptance:
             y = rng.normal(size=(3, 3))
             z = rng.normal(size=(3, 3))
             pairs = [
-                (frobenius_inner(x, y), frobenius_inner(y, x)),
-                (frobenius_inner(x, y), frobenius_inner(x.T, y.T)),
-                (frobenius_inner(x, y @ z), frobenius_inner(y.T @ x, z)),
-                (frobenius_inner(x, y @ z), frobenius_inner(x @ z.T, y)),
+                (np.sum(x * y), np.sum(y * x)),
+                (np.sum(x * y), np.sum(x.T * y.T)),
+                (np.sum(x * (y @ z)), np.sum((y.T @ x) * z)),
+                (np.sum(x * (y @ z)), np.sum((x @ z.T) * y)),
             ]
             for a, b in pairs:
                 scale = max(abs(a), abs(b), 1e-30)
@@ -183,11 +183,12 @@ class TestAcceptance:
             in_range = in_range and bool(
                 np.all((res.image.channels >= 0.0)
                        & (res.image.channels <= 1.0)))
+            bins = res.grid.bins
             for row in range(32):
                 for col in range(32):
                     ty = row // res.grid.tile_size
                     tx = col // res.grid.tile_size
-                    sbin = res.grid.bin_at(tx, ty)
+                    sbin = bins[ty * res.grid.tiles_x + tx]
                     px = np.array([col + 0.5, row + 0.5])
                     t = 1.0
                     for idx in sbin:
@@ -365,7 +366,7 @@ res_b = render_brute_force(scene, camera, background,
 h.update(res_b.image.channels.tobytes())
 
 # Backward transmittance reconstruction at one pixel.
-sbin = res.grid.bin_at(0, 0)
+sbin = res.grid.bins[0]
 aux = PixelAux(final_T=float(res.aux.final_T[7, 7]),
                n_contrib=int(res.aux.n_contrib[7, 7]))
 pairs = transmittance_replay(sbin, res.projected, scene,

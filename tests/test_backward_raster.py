@@ -274,7 +274,7 @@ class TestTransmittanceReplay:
         checked = 0
         for (row, col) in [(16, 16), (8, 24), (25, 9), (5, 5)]:
             ty, tx = row // res.grid.tile_size, col // res.grid.tile_size
-            sbin = res.grid.bin_at(tx, ty)
+            sbin = res.grid.bins[ty * res.grid.tiles_x + tx]
             px = np.array([col + 0.5, row + 0.5])
             aux = PixelAux(final_T=float(res.aux.final_T[row, col]),
                            n_contrib=int(res.aux.n_contrib[row, col]))
@@ -360,10 +360,11 @@ class TestAccumulateImageBackward:
         from splatgrad import Splat2DGrads
 
         want = Splat2DGrads.zeros(len(scene))
+        bins = res.grid.bins
         for row in range(24):
             for col in range(24):
                 ty, tx = row // res.grid.tile_size, col // res.grid.tile_size
-                sbin = res.grid.bin_at(tx, ty)
+                sbin = bins[ty * res.grid.tiles_x + tx]
                 px = np.array([col + 0.5, row + 0.5])
                 aux = PixelAux(final_T=float(res.aux.final_T[row, col]),
                                n_contrib=int(res.aux.n_contrib[row, col]))

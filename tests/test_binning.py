@@ -45,7 +45,7 @@ class TestAssignTiles:
         grid = assign_tiles(stack_projected([p]), 64, 64)
         hits = [b for b in grid.bins if b]
         assert len(hits) == 1
-        assert grid.bin_at(0, 0) == [0]
+        assert grid.bins[0] == [0]
 
     def test_corner_splat_lands_in_four_tiles(self):
         p = make_projected([16.0, 16.0], 2, 2.0, 0)
@@ -90,7 +90,7 @@ class TestSortBins:
             for i, d in enumerate([3.0, 1.0, 2.0])
         ])
         grid = sort_bins(assign_tiles(projected, 16, 16), projected)
-        assert grid.bin_at(0, 0) == [1, 2, 0]
+        assert grid.bins[0] == [1, 2, 0]
 
     def test_equal_depths_break_by_index(self):
         projected = stack_projected([
@@ -98,7 +98,7 @@ class TestSortBins:
             make_projected([8.0, 8.0], 2, 2.0, 2),
         ])
         grid = sort_bins(assign_tiles(projected, 16, 16), projected)
-        order = grid.bin_at(0, 0)
+        order = grid.bins[0]
         assert [projected.source_index[i] for i in order] == [2, 5]
 
     def test_matches_reference_sort(self):
@@ -135,4 +135,4 @@ class TestSortBins:
                                      make_projected([8.0, 8.0], 2, 2.5, 1)])
         projected.t_cam[0] = [0.0, 0.0, 99.0]
         grid = sort_bins(assign_tiles(projected, 16, 16), projected)
-        assert grid.bin_at(0, 0) == [0, 1]
+        assert grid.bins[0] == [0, 1]

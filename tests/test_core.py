@@ -9,7 +9,6 @@ from splatgrad import (
     Gaussian3D,
     Splats,
     compose_covariance_3d,
-    frobenius_inner,
     quat_to_rotmat,
 )
 from splatgrad.core import matprod
@@ -144,47 +143,6 @@ class TestComposeCovariance:
             compose_covariance_3d([1, 0, 0, 0], [1.0, -1.0, 1.0])
         with pytest.raises(ValueError):
             compose_covariance_3d([1, 0, 0, 0], [1.0, 0.0, 1.0])
-
-
-class TestFrobeniusInner:
-    def test_trace_selection(self):
-        assert frobenius_inner(np.eye(2), [[3.0, 5.0], [7.0, 11.0]]) == 14.0
-
-    def test_sum_of_squares(self):
-        x = [[1.0, 2.0], [3.0, 4.0]]
-        assert frobenius_inner(x, x) == 30.0
-
-    def test_matches_trace_oracle(self):
-        rng = np.random.default_rng(31)
-        for _ in range(100):
-            x = rng.normal(size=(3, 3))
-            y = rng.normal(size=(3, 3))
-            assert_allclose(frobenius_inner(x, y), np.trace(x.T @ y), rtol=1e-12)
-
-    def test_algebraic_identities(self):
-        # symmetry, transpose invariance, the two product rotations, and
-        # additivity, on random matrices.
-        rng = np.random.default_rng(32)
-        for _ in range(200):
-            x = rng.normal(size=(3, 3))
-            y = rng.normal(size=(3, 3))
-            z = rng.normal(size=(3, 3))
-            assert_allclose(frobenius_inner(x, y), frobenius_inner(y, x), rtol=1e-9)
-            assert_allclose(
-                frobenius_inner(x, y), frobenius_inner(x.T, y.T), rtol=1e-9
-            )
-            lhs = frobenius_inner(x, y @ z)
-            assert_allclose(lhs, frobenius_inner(y.T @ x, z), rtol=1e-9)
-            assert_allclose(lhs, frobenius_inner(x @ z.T, y), rtol=1e-9)
-            assert_allclose(
-                frobenius_inner(x, y + z),
-                frobenius_inner(x, y) + frobenius_inner(x, z),
-                rtol=1e-9,
-            )
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            frobenius_inner(np.eye(2), np.eye(3))
 
 
 class TestGaussianValidation:

@@ -294,7 +294,7 @@ class TestRender:
         res = render(scene, camera, np.zeros(3))
         for ty in range(res.grid.tiles_y):
             for tx in range(res.grid.tiles_x):
-                bin_len = len(res.grid.bin_at(tx, ty))
+                bin_len = len(res.grid.bins[ty * res.grid.tiles_x + tx])
                 y0 = ty * res.grid.tile_size
                 x0 = tx * res.grid.tile_size
                 block = res.aux.n_contrib[y0:y0 + res.grid.tile_size,

@@ -56,12 +56,12 @@ def assert_kept_equals_replay(scene, camera, bg, early_termination):
     rng = np.random.default_rng(23)
     sampled = (np.arange(n_px) if n_px <= SAMPLED_PIXELS
                else rng.choice(n_px, SAMPLED_PIXELS, replace=False))
-    ts = res.grid.tile_size
+    ts, bins = res.grid.tile_size, res.grid.bins
     splats = Splats.of(scene)
     for p in sampled.tolist():
         row, col = divmod(p, w)
         aux = PixelAux(float(res.aux.final_T[row, col]), int(res.aux.n_contrib[row, col]))
-        replay = transmittance_replay(res.grid.bin_at(col // ts, row // ts), res.projected,
+        replay = transmittance_replay(bins[row // ts * res.grid.tiles_x + col // ts], res.projected,
                                       splats, np.array([col + 0.5, row + 0.5]), aux)
         at = np.flatnonzero(pix == p)[::-1]
         assert [k for k, _ in replay] == pos[at].tolist(), p
