@@ -153,7 +153,7 @@ class Camera:
     far: float
 
     def __post_init__(self):
-        self.view = _as_f64(self.view, (4, 4), "view")
+        self.view = _as_f64(self.view, (4, 4), "camera.view")
         for name in ("fx", "fy", "cx", "cy", "near", "far"):
             setattr(self, name, float(getattr(self, name)))
         for name in ("width", "height"):

@@ -77,6 +77,11 @@ def test_non_integral_size_rejected_at_construction(field, value, shown):
         replace(frustum_camera(20, 16), **{field: value})
 
 
+def test_view_shape_named_at_construction():
+    with pytest.raises(ValueError, match=r"^camera\.view must have shape \(4, 4\), got \(3, 3\)$"):
+        replace(frustum_camera(16, 16), view=np.eye(3))
+
+
 @pytest.mark.parametrize("value", [16.0, np.int64(16), np.float64(16.0)])
 def test_integral_size_becomes_int(value):
     camera = Camera(view=np.eye(4), fx=16.0, fy=16.0, cx=7.5, cy=7.5,
