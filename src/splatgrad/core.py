@@ -309,4 +309,3 @@ def compose_covariance_3d(quat, scale):
     rot = quat_to_rotmat(quat)
     m = rot * s[..., None, :]
     return rot, matprod(m, np.swapaxes(m, -1, -2))
-

@@ -40,14 +40,14 @@ ENTRIES = {
     "fit": lambda camera: fit(TARGET, camera, FitConfig(n_gaussians=4, iterations=1)),
     "init_random": lambda camera: init_random(FitConfig(n_gaussians=4), camera, TARGET),
 }
-# (field, value): one bad field each; far=None stands for far equal to near.
+# (field, value): one bad field each. frustum_camera's near is 0.1.
 BAD_FIELDS = {
     "nan_fx": ("fx", np.nan),
     "inf_cx": ("cx", np.inf),
     "negative_fx": ("fx", -20.0),
     "zero_width": ("width", 0),
     "zero_near": ("near", 0.0),
-    "far_at_near": ("far", None),
+    "far_at_near": ("far", 0.1),
 }
 
 
@@ -55,8 +55,7 @@ BAD_FIELDS = {
 @pytest.mark.parametrize("entry", list(ENTRIES))
 def test_bad_camera_field_is_named(entry, case):
     field, value = BAD_FIELDS[case]
-    camera = frustum_camera(SIZE, SIZE)
-    camera = replace(camera, **{field: camera.near if value is None else value})
+    camera = replace(frustum_camera(SIZE, SIZE), **{field: value})
     with pytest.raises(ValueError, match=rf"^camera\.{field} "):
         ENTRIES[entry](camera)
 
