@@ -1,8 +1,8 @@
 """CPU differentiable gaussian splatting: forward rasterizer, analytic
 backward pass, finite-difference audit, and an image-fitting optimizer."""
 
-from .binning import TILE_SIZE, TileGrid, assign_tiles, sort_bins
-from .cli import main, parse_scene, read_image, serialize_scene, write_image
+from .binning import TILE_SIZE, assign_tiles, sort_bins
+from .cli import parse_scene, read_image, serialize_scene, write_image
 from .core import (
     Camera,
     Gaussian3D,
@@ -15,7 +15,6 @@ from .gradcheck import (
     ClassCheck,
     GradReport,
     audit_scene,
-    finite_difference,
     make_audit_scene,
     run_audit,
 )
@@ -46,7 +45,6 @@ from .raster_forward import (
     SIGMA_CUT,
     T_MIN,
     ImageBuffer,
-    RenderAux,
     RenderResult,
     render,
     render_brute_force,
@@ -66,7 +64,6 @@ __all__ = [
     "GradReport",
     "ImageBuffer",
     "ProjectedSplats",
-    "RenderAux",
     "RenderResult",
     "SIGMA_CUT",
     "SceneGradients",
@@ -74,7 +71,6 @@ __all__ = [
     "Splat2DGrads",
     "TILE_SIZE",
     "T_MIN",
-    "TileGrid",
     "accumulate_image_backward",
     "assign_tiles",
     "audit_scene",
@@ -83,10 +79,8 @@ __all__ = [
     "compose_covariance_3d",
     "cov2d_backward",
     "covariance3d_backward",
-    "finite_difference",
     "fit",
     "init_random",
-    "main",
     "make_audit_scene",
     "mean2d_backward",
     "parse_scene",

@@ -67,36 +67,6 @@ COORDS = np.dtype([("cls", object), ("label", object), ("field", object),
 GRAD_FLOOR = 1e-7
 
 
-def finite_difference(probe, params, h=1e-5):
-    """Central-difference gradient of a scalar function.
-
-    Args:
-        probe: scalar function accepting an array shaped like params.
-        params: base point, any shape.
-        h: step size.
-
-    Returns:
-        Array of params' shape holding (f(x + h e) - f(x - h e)) / (2 h)
-        for each coordinate direction e.
-
-    Raises:
-        FloatingPointError at the first coordinate where a probe value is
-        not finite.
-    """
-    base = np.asarray(params, dtype=np.float64)
-    grad = np.empty(base.shape)
-    for idx in np.ndindex(base.shape):
-        hi = base.copy()
-        hi[idx] += h
-        lo = base.copy()
-        lo[idx] -= h
-        f = np.array([probe(hi), probe(lo)], dtype=np.float64)
-        if not np.isfinite(f).all():
-            raise FloatingPointError("probe returned a non-finite value")
-        grad[idx] = (f[0] - f[1]) / (2.0 * h)
-    return grad
-
-
 @dataclass
 class ClassCheck:
     """Comparison outcome for one parameter class."""
@@ -308,7 +278,7 @@ def _slice_differences(projected, image, footprints, win, a, target, weight, bac
 
 
 def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
-                rel_tol=1e-4, abs_tol=1e-8, gradient_transform=None, pixel_mask=None):
+                rel_tol=1e-4, abs_tol=1e-8, pixel_mask=None):
     """Compare analytic gradients against central differences on one scene.
 
     The probed scalar is the summed squared pixel error against target.
@@ -332,10 +302,6 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
     non-differentiable and central differences measure the jump instead
     of the slope.
 
-    gradient_transform, when given, is applied to the analytic
-    SceneGradients before comparison. It exists so fault-injection tests
-    can corrupt one block and confirm the audit flags that class.
-
     Returns a GradReport.
     """
     camera.check()
@@ -349,8 +315,6 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
     result = render(splats, camera, background)
     d_image = 2.0 * weight[:, :, None] * (result.image.channels - target)
     analytic = scene_backward(splats, camera, result, d_image)
-    if gradient_transform is not None:
-        analytic = gradient_transform(analytic)
 
     stack, views, table, probed, coords = _probes(splats, camera, h)
     probe = _probe_rows(stack, views, table, probed, camera)
@@ -527,12 +491,12 @@ def make_audit_scene(seed, image_size=16):
     raise RuntimeError(f"no branch-safe audit scene found for seed {seed}")
 
 
-def run_audit(seed, *, h=1e-5, rel_tol=1e-4, abs_tol=1e-8, gradient_transform=None):
+def run_audit(seed, *, h=1e-5, rel_tol=1e-4, abs_tol=1e-8):
     """Generate the audit scene for a seed, on a 16x16 image for an even
     seed and 32x32 for an odd one, and run audit_scene on it."""
     size = 16 if seed % 2 == 0 else 32
     scene, camera, target, background, mask = make_audit_scene(seed, size)
     return audit_scene(
         scene, camera, target, background=background, h=h, rel_tol=rel_tol,
-        abs_tol=abs_tol, gradient_transform=gradient_transform, pixel_mask=mask,
+        abs_tol=abs_tol, pixel_mask=mask,
     )

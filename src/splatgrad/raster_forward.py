@@ -392,10 +392,9 @@ def _composite_block(entries, e0, e1, projected, early_termination,
                           splat.astype(np.int32), exp_neg[index], t_before)
 
 
-def _project_stack(stack, camera, local, views=None):
+def _project_stack(stack, camera, local, views):
     """Project the Splats stack in one project_splats pass with camera's
-    intrinsics, row r seen through views[r] ((N, 4, 4); camera.view when
-    views is None).
+    intrinsics, row r seen through views[r] ((N, 4, 4)).
 
     local (N,) holds each row's index in its own scene: source_index comes
     back as it, and a failure names the splat by it. Returns (projected,

@@ -8,6 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from splatgrad import Camera, Gaussian3D, ProjectedSplats, Splats, project_splats
+from splatgrad import gradcheck, proj_backward
 from splatgrad.projection import _conic
 from splatgrad.raster_backward import _backward
 from splatgrad.raster_forward import (
@@ -19,6 +20,16 @@ from splatgrad.raster_forward import (
     _Entries,
     _pair_alpha,
 )
+
+
+def wrap_backward(monkeypatch, transform):
+    """Make the audit compare transform(grads), grads being the
+    SceneGradients scene_backward returns, so a test can corrupt a block
+    and see the audit flag it. The patch wraps proj_backward's
+    scene_backward, not gradcheck's current one, so patching again
+    replaces the wrapper instead of stacking another."""
+    monkeypatch.setattr(gradcheck, "scene_backward",
+                        lambda *args: transform(proj_backward.scene_backward(*args)))
 
 
 def rows(scene):

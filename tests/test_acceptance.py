@@ -35,7 +35,8 @@ from splatgrad import (
     run_audit,
 )
 
-from helpers import PixelAux, eval_alpha, frustum_camera, frustum_scene, transmittance_replay
+from helpers import (PixelAux, eval_alpha, frustum_camera, frustum_scene,
+                     transmittance_replay, wrap_backward)
 
 
 def verdict(capsys, num, label, ok, detail=""):
@@ -283,7 +284,7 @@ class TestAcceptance:
                 ok, f"{len(digests)} runs, {len(unique)} distinct digest(s)")
         assert ok, digests
 
-    def test_criterion_7_fault_injection(self, capsys):
+    def test_criterion_7_fault_injection(self, capsys, monkeypatch):
         misattributed = []
         missed = []
         for name in AUDIT_CLASSES:
@@ -291,7 +292,8 @@ class TestAcceptance:
                 setattr(grads, field, -getattr(grads, field))
                 return grads
 
-            report = run_audit(4, gradient_transform=corrupt)
+            wrap_backward(monkeypatch, corrupt)
+            report = run_audit(4)
             if report.classes[name].passed or report.passed:
                 missed.append(name)
             for other in AUDIT_CLASSES:
@@ -305,7 +307,7 @@ class TestAcceptance:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_non_finite_gradient_fails_its_class(self, bad):
+    def test_non_finite_gradient_fails_its_class(self, bad, monkeypatch):
         # Beside criterion 7: a non-finite analytic coordinate fails its
         # class, named as the worst coordinate, with non-finite max_rel and
         # max_abs, and no other class fails. No RuntimeWarning is raised.
@@ -318,7 +320,8 @@ class TestAcceptance:
                 values[(0,) * values.ndim] = bad
                 return grads
 
-            report = run_audit(4, gradient_transform=inject)
+            wrap_backward(monkeypatch, inject)
+            report = run_audit(4)
             assert not report.passed, name
             assert not report.classes[name].passed, name
             assert report.classes[name].worst_coord == first[name]

@@ -1,5 +1,5 @@
-"""Audit harness tests: the finite-difference kernel, scene auditing,
-fault injection, and report serialization."""
+"""Audit harness tests: scene auditing, fault injection, and report
+serialization."""
 
 import numpy as np
 import pytest
@@ -8,52 +8,11 @@ from numpy.testing import assert_allclose
 from splatgrad import (
     AUDIT_CLASSES,
     audit_scene,
-    finite_difference,
     make_audit_scene,
     run_audit,
 )
 
-
-class TestFiniteDifference:
-    def test_quadratic(self):
-        grad = finite_difference(lambda x: float(x[0] ** 2),
-                                 np.array([3.0]))
-        assert_allclose(grad, [6.0], atol=1e-9)
-
-    def test_constant(self):
-        grad = finite_difference(lambda x: 7.25, np.array([1.0, -2.0]))
-        assert_allclose(grad, [0.0, 0.0], atol=0.0)
-
-    def test_exponential(self):
-        grad = finite_difference(lambda x: float(np.exp(-x[0])),
-                                 np.array([0.5]))
-        assert_allclose(grad, [-np.exp(-0.5)], atol=1e-8)
-
-    def test_matrix_shaped_params(self):
-        # The probe sees the full array; gradient of sum of squares is 2x.
-        base = np.array([[1.0, 2.0], [3.0, 4.0]])
-        grad = finite_difference(lambda m: float(np.sum(m * m)), base)
-        assert grad.shape == (2, 2)
-        assert_allclose(grad, 2.0 * base, rtol=1e-7)
-
-    def test_non_finite_probe_raises(self):
-        def bad(x):
-            return float("nan")
-
-        with pytest.raises(FloatingPointError):
-            finite_difference(bad, np.array([1.0]))
-
-    def test_step_size_is_respected(self):
-        # For f(x) = x^3 the central difference is 3 x^2 + h^2, so the
-        # leading error term scales with h^2.
-        calls = []
-
-        def f(x):
-            calls.append(float(x[0]))
-            return float(x[0] ** 3)
-
-        finite_difference(f, np.array([2.0]), h=1e-3)
-        assert calls == [2.0 + 1e-3, 2.0 - 1e-3]
+from helpers import wrap_backward
 
 
 class TestAuditScene:
@@ -131,25 +90,27 @@ class TestFaultInjection:
     class, which pins down both sensitivity and attribution."""
 
     @pytest.mark.parametrize("name", AUDIT_CLASSES)
-    def test_negated_block_is_flagged(self, name):
+    def test_negated_block_is_flagged(self, name, monkeypatch):
         def corrupt(grads):
             field = "d_" + name
             setattr(grads, field, -getattr(grads, field))
             return grads
 
-        report = run_audit(4, gradient_transform=corrupt)
+        wrap_backward(monkeypatch, corrupt)
+        report = run_audit(4)
         assert not report.passed
         assert not report.classes[name].passed
         for other in AUDIT_CLASSES:
             if other != name:
                 assert report.classes[other].passed, (name, other)
 
-    def test_small_relative_error_is_caught(self):
+    def test_small_relative_error_is_caught(self, monkeypatch):
         def nudge(grads):
             grads.d_color = grads.d_color * (1.0 + 5e-3)
             return grads
 
-        report = run_audit(4, gradient_transform=nudge)
+        wrap_backward(monkeypatch, nudge)
+        report = run_audit(4)
         assert not report.classes["color"].passed
 
 
@@ -182,12 +143,13 @@ class TestGradReport:
             assert line.startswith(name)
             assert line.rstrip().endswith("pass")
 
-    def test_failed_report_text_says_fail(self):
+    def test_failed_report_text_says_fail(self, monkeypatch):
         def corrupt(grads):
             grads.d_mean = grads.d_mean + 1.0
             return grads
 
-        report = run_audit(0, gradient_transform=corrupt)
+        wrap_backward(monkeypatch, corrupt)
+        report = run_audit(0)
         text = report.to_text()
         assert "FAIL" in text
         assert text.splitlines()[-1] == "overall: FAIL"
