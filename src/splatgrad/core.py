@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 QUAT_NORM_EPS = 1e-12
+# A Gaussian3D row's array fields and their shapes.
+ROW_SHAPES = (("mean", (3,)), ("scale", (3,)), ("quat", (4,)), ("color", (3,)))
 
 
 def _as_f64(value, shape, name):
@@ -54,11 +56,9 @@ class Gaussian3D:
     color: np.ndarray
 
     def __post_init__(self):
-        self.mean = _as_f64(self.mean, (3,), "mean")
-        self.scale = _as_f64(self.scale, (3,), "scale")
-        self.quat = _as_f64(self.quat, (4,), "quat")
+        for field, shape in ROW_SHAPES:
+            setattr(self, field, _as_f64(getattr(self, field), shape, field))
         self.opacity = float(self.opacity)
-        self.color = _as_f64(self.color, (3,), "color")
 
 
 @dataclass
@@ -77,25 +77,34 @@ class Splats:
     colors: np.ndarray
 
     def __post_init__(self):
-        self.opacities = np.asarray(self.opacities, dtype=np.float64)
-        if self.opacities.ndim != 1:
-            raise ValueError(
-                f"opacities must have shape (N,), got {self.opacities.shape}"
-            )
-        n = self.opacities.shape[0]
-        self.means = _as_f64(self.means, (n, 3), "means")
-        self.scales = _as_f64(self.scales, (n, 3), "scales")
-        self.quats = _as_f64(self.quats, (n, 4), "quats")
-        self.colors = _as_f64(self.colors, (n, 3), "colors")
+        for name in ("opacities", "means", "scales", "quats", "colors"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        self._check_shapes()
+
+    def _check_shapes(self):
+        """ValueError naming the first array not of its shape, N = len(self)."""
+        shape = np.shape(self.opacities)
+        if len(shape) != 1:
+            raise ValueError(f"opacities must have shape (N,), got {shape}")
+        for name, width in (("means", 3), ("scales", 3), ("quats", 4), ("colors", 3)):
+            got = np.shape(getattr(self, name))
+            if got != (shape[0], width):
+                raise ValueError(f"{name} must have shape {(shape[0], width)}, got {got}")
 
     def __len__(self):
         return self.opacities.shape[0]
 
     @classmethod
     def of(cls, scene):
-        """scene itself if it is a Splats, else its Gaussian3D rows stacked."""
+        """scene itself if it is a Splats, else its Gaussian3D rows stacked;
+        RowError names a row field of the wrong shape, e.g. gaussians[1].mean."""
         if isinstance(scene, cls):
             return scene
+        for i, g in enumerate(scene):
+            for field, shape in ROW_SHAPES + (("opacity", ()),):
+                got = np.shape(getattr(g, field))
+                if got != shape:
+                    raise RowError(f"must have shape {shape}, got {got}", i, field)
         n = len(scene)
         return cls(
             means=np.array([g.mean for g in scene]).reshape(n, 3),
@@ -108,10 +117,12 @@ class Splats:
     def check(self):
         """Raise ValueError unless every splat can be rendered.
 
-        Every value must be finite, every scale positive and every
-        quaternion norm above QUAT_NORM_EPS. The message names the first
-        offending splat and field, e.g. gaussians[17].opacity.
+        Every array must still have its shape, every value be finite,
+        every scale positive and every quaternion norm above
+        QUAT_NORM_EPS. The message names the first offending array, or
+        splat and field, e.g. means or gaussians[17].opacity.
         """
+        self._check_shapes()
         fields = (("mean", self.means), ("scale", self.scales),
                   ("quat", self.quats), ("opacity", self.opacities[:, None]),
                   ("color", self.colors))

@@ -290,7 +290,8 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
     tolerance. A non-finite analytic coordinate fails its class, whose
     max_rel then reads inf and max_abs the nan or inf |analytic - fd|.
 
-    The camera is checked first, with Camera.check. target must be
+    The camera is checked first, with Camera.check, then h, rel_tol and
+    abs_tol, each of which must be finite and positive. target must be
     (height, width, 3) and pixel_mask (height, width), both finite;
     anything else raises ValueError naming the camera field or the
     argument. A non-finite probe difference raises FloatingPointError
@@ -305,6 +306,9 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
     Returns a GradReport.
     """
     camera.check()
+    for name, value in (("h", h), ("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     shape = (camera.height, camera.width)
     target = as_finite(target, shape + (3,), "target")
     weight = np.ones(shape) if pixel_mask is None else as_finite(

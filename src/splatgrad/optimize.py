@@ -121,8 +121,9 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
         ValueError naming the field when the camera fails Camera.check,
         checked before anything else; ValueError naming target unless it
         has the camera's (height, width, 3) shape and is finite;
-        ValueError naming the field when config.iterations is negative,
-        or config.n_gaussians when init_random builds the start, or
+        ValueError naming the field when config.iterations or a learning
+        rate (config.lr_mean, ...) is negative, a learning rate is not
+        finite, or config.n_gaussians when init_random builds the start, or
         naming the splat and field when init fails Splats.validate.
         FloatingPointError when the loss or a gradient class turns
         non-finite, naming the loss or the class (e.g. d_quat) and the
@@ -134,6 +135,10 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
     target = as_finite(target, (camera.height, camera.width, 3), "target")
     if config.iterations < 0:
         raise ValueError(f"config.iterations must be at least 0, got {config.iterations}")
+    for name in ("lr_mean", "lr_scale", "lr_quat", "lr_opacity", "lr_color"):
+        value = getattr(config, name)
+        if not 0.0 <= value < np.inf:
+            raise ValueError(f"config.{name} must be finite and non-negative, got {value}")
     background = np.asarray(config.background, dtype=np.float64)
 
     start = init_random(config, camera, target) if init is None else Splats.of(init)

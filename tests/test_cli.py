@@ -120,6 +120,13 @@ class TestGradcheckCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
+    def test_negative_tolerance_exits_2(self, capsys):
+        code = main(["gradcheck", "--seed", "0", "--tol-rel", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "overall" not in captured.out
+        assert "error: rel_tol must be finite and positive, got -1.0" in captured.err
+
 class TestFitCommand:
     def test_fit_smoke(self, tmp_path, capsys):
         # A tiny flat target: a handful of splats and iterations are

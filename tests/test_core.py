@@ -10,8 +10,11 @@ from splatgrad import (
     Splats,
     compose_covariance_3d,
     quat_to_rotmat,
+    render,
 )
 from splatgrad.core import matprod
+
+from helpers import frustum_camera
 
 
 def axis_angle_rotmat(axis, angle):
@@ -187,6 +190,40 @@ class TestGaussianValidation:
                 opacity=0.5, color=[0, 0, 0],
             )
 
+
+class TestShapesAfterConstruction:
+    """A scene changed in place after construction is checked again: a
+    field of the wrong shape is named before anything indexes it."""
+
+    def scene(self):
+        return [Gaussian3D(mean=[0.0, 0.0, 3.0 + i], scale=[0.3] * 3, quat=[1, 0, 0, 0],
+                           opacity=0.5, color=[0.2, 0.4, 0.6]) for i in range(2)]
+
+    def test_replaced_array(self):
+        splats = Splats.of(self.scene())
+        splats.means = np.zeros((2, 2))
+        with pytest.raises(ValueError, match=r"^means must have shape \(2, 3\), got \(2, 2\)$"):
+            render(splats, frustum_camera(16, 16), np.zeros(3))
+
+    def test_replaced_row_count(self):
+        # The row count is len(opacities), the scene's length, so the
+        # first array that disagrees with it is named.
+        splats = Splats.of(self.scene())
+        splats.opacities = np.full(3, 0.5)
+        with pytest.raises(ValueError, match=r"^means must have shape \(3, 3\), got \(2, 3\)$"):
+            render(splats, frustum_camera(16, 16), np.zeros(3))
+
+    @pytest.mark.parametrize("field,value,shape", [
+        ("mean", np.array([1.0, 2.0]), r"\(3,\), got \(2,\)"),
+        ("quat", np.zeros((2, 2)), r"\(4,\), got \(2, 2\)"),
+        ("opacity", np.array([0.5]), r"\(\), got \(1,\)"),
+    ])
+    def test_reassigned_row_field(self, field, value, shape):
+        scene = self.scene()
+        setattr(scene[1], field, value)
+        with pytest.raises(ValueError,
+                           match=rf"^gaussians\[1\]\.{field} must have shape {shape}$"):
+            render(scene, frustum_camera(16, 16), np.zeros(3))
 
 class TestCameraValidation:
     def make_camera(self, **overrides):

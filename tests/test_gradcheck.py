@@ -85,6 +85,31 @@ class TestAuditScene:
         assert mask.mean() >= 0.5
 
 
+class TestAuditArguments:
+    """h, rel_tol and abs_tol must each be finite and positive: a negative
+    or infinite tolerance would pass any gradient, and a zero or NaN step
+    would give NaN figures or blame the scene."""
+
+    CASES = [(name, bad) for name in ("h", "rel_tol", "abs_tol")
+             for bad in (0.0, -1.0, np.nan, np.inf)]
+
+    @pytest.mark.parametrize("name,bad", CASES)
+    def test_audit_scene_rejects(self, name, bad):
+        # Checked after the camera and before the target, whose shape is
+        # wrong here.
+        from helpers import frustum_camera
+
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be finite and positive, got {bad}$"):
+            audit_scene([], frustum_camera(16, 16), np.zeros((8, 8, 3)), **{name: bad})
+
+    @pytest.mark.parametrize("name,bad", CASES)
+    def test_run_audit_rejects(self, name, bad):
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be finite and positive, got {bad}$"):
+            run_audit(4, **{name: bad})
+
+
 class TestFaultInjection:
     """Corrupting one gradient block must flag that class and only that
     class, which pins down both sensitivity and attribution."""

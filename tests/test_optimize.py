@@ -93,6 +93,17 @@ class TestFit:
                              FitConfig(**{"n_gaussians": 2, "iterations": 2, field: 0}))
         assert (len(scene), len(history)) == ((0, 2) if field == "n_gaussians" else (2, 0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("field", ["lr_mean", "lr_scale", "lr_quat", "lr_opacity",
+                                       "lr_color"])
+    def test_bad_learning_rate_rejected(self, field, bad):
+        # Checked before init_random, whose n_gaussians check would fire
+        # first otherwise. A rate of zero stays legal.
+        with pytest.raises(ValueError, match=rf"^config\.{field} must be finite and "
+                                             rf"non-negative, got {bad}$"):
+            fit(np.zeros((16, 16, 3)), frustum_camera(16, 16),
+                FitConfig(n_gaussians=-1, **{field: bad}))
+
     def test_fitted_scene_shares_no_array_with_init(self):
         camera = frustum_camera(16, 16)
         init = init_random(FitConfig(n_gaussians=3), camera, np.full((16, 16, 3), 0.5))
