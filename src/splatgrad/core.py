@@ -100,11 +100,11 @@ class Splats:
         RowError names a row field of the wrong shape, e.g. gaussians[1].mean."""
         if isinstance(scene, cls):
             return scene
-        for i, g in enumerate(scene):
-            for field, shape in ROW_SHAPES + (("opacity", ()),):
-                got = np.shape(getattr(g, field))
-                if got != shape:
-                    raise RowError(f"must have shape {shape}, got {got}", i, field)
+        for field, shape in ROW_SHAPES + (("opacity", ()),):
+            got = [np.shape(getattr(g, field)) for g in scene]
+            if got.count(shape) < len(got):
+                i = next(i for i, s in enumerate(got) if s != shape)
+                raise RowError(f"must have shape {shape}, got {got[i]}", i, field)
         n = len(scene)
         return cls(
             means=np.array([g.mean for g in scene]).reshape(n, 3),
