@@ -225,6 +225,7 @@ class TestShapesAfterConstruction:
                            match=rf"^gaussians\[1\]\.{field} must have shape {shape}$"):
             render(scene, frustum_camera(16, 16), np.zeros(3))
 
+
 class TestCameraValidation:
     def make_camera(self, **overrides):
         fields = dict(

@@ -12,7 +12,7 @@ from splatgrad import (
     run_audit,
 )
 
-from helpers import wrap_backward
+from helpers import frustum_camera, wrap_backward
 
 
 class TestAuditScene:
@@ -97,8 +97,6 @@ class TestAuditArguments:
     def test_audit_scene_rejects(self, name, bad):
         # Checked after the camera and before the target, whose shape is
         # wrong here.
-        from helpers import frustum_camera
-
         with pytest.raises(ValueError,
                            match=rf"^{name} must be finite and positive, got {bad}$"):
             audit_scene([], frustum_camera(16, 16), np.zeros((8, 8, 3)), **{name: bad})
