@@ -9,26 +9,25 @@ simplest format that is bit-exact without a codec dependency.
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .core import Camera, Splats, as_finite
+from .core import SPLAT_FIELDS, Camera, Splats, as_finite
 from .gradcheck import run_audit
 from .optimize import FitConfig, fit
 from .raster_forward import ImageBuffer, render, render_brute_force
 
 _TOP_FIELDS = ("version", "camera", "background", "gaussians")
-_CAMERA_FIELDS = ("view", "fx", "fy", "cx", "cy", "width", "height", "near", "far")
-_GAUSSIAN_FIELDS = ("mean", "scale", "quat", "opacity", "color")
 
 
-def _check_keys(obj, fields, path):
+def _check_keys(obj, keys, path):
     if not isinstance(obj, dict):
         raise ValueError(f"{path} must be an object")
     for key in obj:
-        if key not in fields:
+        if key not in keys:
             raise ValueError(f"unknown field {path}.{key}")
-    for key in fields:
+    for key in keys:
         if key not in obj:
             raise ValueError(f"missing field {path}.{key}")
 
@@ -45,14 +44,9 @@ def _finite(value, path):
     return value
 
 
-def _number(obj, key, path):
-    return _finite(obj[key], f"{path}.{key}")
-
-
-def _integer(obj, key, path):
-    value = obj[key]
+def _integer(value, path):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{path}.{key} must be an integer")
+        raise ValueError(f"{path} must be an integer")
     return value
 
 
@@ -82,19 +76,17 @@ def parse_scene(data):
     if type(doc["version"]) is not int or doc["version"] != 1:
         raise ValueError(f"scene.version must be 1, got {doc['version']!r}")
 
+    # The camera's keys are its fields; the view is 16 numbers, row-major.
     cam = doc["camera"]
-    _check_keys(cam, _CAMERA_FIELDS, "scene.camera")
-    camera = Camera(
-        view=_vector(cam["view"], 16, "scene.camera.view").reshape(4, 4),
-        fx=_number(cam, "fx", "scene.camera"),
-        fy=_number(cam, "fy", "scene.camera"),
-        cx=_number(cam, "cx", "scene.camera"),
-        cy=_number(cam, "cy", "scene.camera"),
-        width=_integer(cam, "width", "scene.camera"),
-        height=_integer(cam, "height", "scene.camera"),
-        near=_number(cam, "near", "scene.camera"),
-        far=_number(cam, "far", "scene.camera"),
-    )
+    _check_keys(cam, [f.name for f in fields(Camera)], "scene.camera")
+    values = {}
+    for f in fields(Camera):
+        path = f"scene.camera.{f.name}"
+        if f.type is np.ndarray:
+            values[f.name] = _vector(cam[f.name], 16, path).reshape(4, 4)
+        else:
+            values[f.name] = (_integer if f.type is int else _finite)(cam[f.name], path)
+    camera = Camera(**values)
     try:
         camera.validate()
     except ValueError as exc:
@@ -106,19 +98,16 @@ def parse_scene(data):
 
     if not isinstance(doc["gaussians"], list):
         raise ValueError("scene.gaussians must be a list")
-    columns = {key: [] for key in _GAUSSIAN_FIELDS}
+    # A splat's keys are the SPLAT_FIELDS row names; a 0-d field is a number.
+    columns = {name: [] for name, _, _ in SPLAT_FIELDS}
     for i, item in enumerate(doc["gaussians"]):
-        path = f"scene.gaussians[{i}]"
-        _check_keys(item, _GAUSSIAN_FIELDS, path)
-        for key, size in zip(_GAUSSIAN_FIELDS, (3, 3, 4, None, 3)):
-            columns[key].append(_number(item, key, path) if size is None
-                                else _vector(item[key], size, f"{path}.{key}"))
-    n = len(columns["opacity"])
-    scene = Splats(means=np.reshape(columns["mean"], (n, 3)),
-                   scales=np.reshape(columns["scale"], (n, 3)),
-                   quats=np.reshape(columns["quat"], (n, 4)),
-                   opacities=np.array(columns["opacity"], dtype=np.float64),
-                   colors=np.reshape(columns["color"], (n, 3)))
+        _check_keys(item, columns, f"scene.gaussians[{i}]")
+        for name, _, shape in SPLAT_FIELDS:
+            path = f"scene.gaussians[{i}].{name}"
+            columns[name].append(_vector(item[name], *shape, path) if shape
+                                 else _finite(item[name], path))
+    scene = Splats(**{attr: np.reshape(columns[name], (len(doc["gaussians"]),) + shape)
+                      for name, attr, shape in SPLAT_FIELDS})
     try:
         scene.validate()
     except ValueError as exc:
@@ -131,33 +120,13 @@ def serialize_scene(scene, camera: Camera, background):
     string. Floats keep full precision, so parse(serialize(x)) reproduces
     x exactly."""
     splats = Splats.of(scene)
-    doc = {
-        "version": 1,
-        "camera": {
-            "view": [float(v) for v in camera.view.ravel()],
-            "fx": camera.fx,
-            "fy": camera.fy,
-            "cx": camera.cx,
-            "cy": camera.cy,
-            "width": camera.width,
-            "height": camera.height,
-            "near": camera.near,
-            "far": camera.far,
-        },
-        "background": [float(c) for c in background],
-        "gaussians": [
-            {
-                "mean": mean.tolist(),
-                "scale": scale.tolist(),
-                "quat": quat.tolist(),
-                "opacity": opacity,
-                "color": color.tolist(),
-            }
-            for mean, scale, quat, opacity, color in zip(
-                splats.means, splats.scales, splats.quats,
-                splats.opacities.tolist(), splats.colors)
-        ],
-    }
+    # The keys in field order; the view keeps its place as 16 numbers.
+    cam = {f.name: getattr(camera, f.name) for f in fields(Camera)}
+    cam["view"] = camera.view.ravel().tolist()
+    names = [name for name, _, _ in SPLAT_FIELDS]
+    rows = zip(*(getattr(splats, attr).tolist() for _, attr, _ in SPLAT_FIELDS))
+    doc = {"version": 1, "camera": cam, "background": [float(c) for c in background],
+           "gaussians": [dict(zip(names, row)) for row in rows]}
     return json.dumps(doc, indent=2)
 
 

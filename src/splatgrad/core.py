@@ -24,8 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 QUAT_NORM_EPS = 1e-12
-# A Gaussian3D row's array fields and their shapes.
-ROW_SHAPES = (("mean", (3,)), ("scale", (3,)), ("quat", (4,)), ("color", (3,)))
+# The splat format, in scene-file order: each field's row name (Gaussian3D
+# field, scene-file key, name in messages, and d_<name> in SceneGradients),
+# its Splats array and one splat's shape.
+SPLAT_FIELDS = (("mean", "means", (3,)), ("scale", "scales", (3,)), ("quat", "quats", (4,)),
+                ("opacity", "opacities", ()), ("color", "colors", (3,)))
 
 
 def _as_f64(value, shape, name):
@@ -44,6 +47,14 @@ def as_finite(value, shape, name):
     return arr
 
 
+def as_integer(value, name):
+    """int(value); ValueError naming it unless value is a finite whole
+    number, so 16.0 and np.int64(16) pass and 20.9 does not."""
+    if not (math.isfinite(value) and int(value) == value):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 @dataclass
 class Gaussian3D:
     """One splat as a row record: position, per-axis extent, orientation,
@@ -56,8 +67,8 @@ class Gaussian3D:
     color: np.ndarray
 
     def __post_init__(self):
-        for field, shape in ROW_SHAPES:
-            setattr(self, field, _as_f64(getattr(self, field), shape, field))
+        for name, _, shape in SPLAT_FIELDS:
+            setattr(self, name, _as_f64(getattr(self, name), shape, name))
         self.opacity = float(self.opacity)
 
 
@@ -77,19 +88,23 @@ class Splats:
     colors: np.ndarray
 
     def __post_init__(self):
-        for name in ("opacities", "means", "scales", "quats", "colors"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        for _, attr, _ in SPLAT_FIELDS:
+            setattr(self, attr, np.asarray(getattr(self, attr), dtype=np.float64))
         self._check_shapes()
 
     def _check_shapes(self):
-        """ValueError naming the first array not of its shape, N = len(self)."""
-        shape = np.shape(self.opacities)
-        if len(shape) != 1:
-            raise ValueError(f"opacities must have shape (N,), got {shape}")
-        for name, width in (("means", 3), ("scales", 3), ("quats", 4), ("colors", 3)):
-            got = np.shape(getattr(self, name))
-            if got != (shape[0], width):
-                raise ValueError(f"{name} must have shape {(shape[0], width)}, got {got}")
+        """ValueError naming the first array that is not a float64 array of
+        its shape, N = len(opacities)."""
+        n = np.shape(self.opacities)
+        if len(n) != 1:
+            raise ValueError(f"opacities must have shape (N,), got {n}")
+        for _, attr, shape in SPLAT_FIELDS:
+            value = getattr(self, attr)
+            kind = value.dtype if isinstance(value, np.ndarray) else type(value).__name__
+            if kind != np.float64:
+                raise ValueError(f"{attr} must be a float64 array, got {kind}")
+            if value.shape != n + shape:
+                raise ValueError(f"{attr} must have shape {n + shape}, got {value.shape}")
 
     def __len__(self):
         return self.opacities.shape[0]
@@ -100,32 +115,25 @@ class Splats:
         RowError names a row field of the wrong shape, e.g. gaussians[1].mean."""
         if isinstance(scene, cls):
             return scene
-        for field, shape in ROW_SHAPES + (("opacity", ()),):
-            got = [np.shape(getattr(g, field)) for g in scene]
+        for name, _, shape in SPLAT_FIELDS:
+            got = [np.shape(getattr(g, name)) for g in scene]
             if got.count(shape) < len(got):
                 i = next(i for i, s in enumerate(got) if s != shape)
-                raise RowError(f"must have shape {shape}, got {got[i]}", i, field)
-        n = len(scene)
-        return cls(
-            means=np.array([g.mean for g in scene]).reshape(n, 3),
-            scales=np.array([g.scale for g in scene]).reshape(n, 3),
-            quats=np.array([g.quat for g in scene]).reshape(n, 4),
-            opacities=np.array([g.opacity for g in scene], dtype=np.float64),
-            colors=np.array([g.color for g in scene]).reshape(n, 3),
-        )
+                raise RowError(f"must have shape {shape}, got {got[i]}", i, name)
+        return cls(**{attr: np.array([getattr(g, name) for g in scene], dtype=np.float64)
+                      .reshape((len(scene),) + shape) for name, attr, shape in SPLAT_FIELDS})
 
     def check(self):
         """Raise ValueError unless every splat can be rendered.
 
-        Every array must still have its shape, every value be finite,
-        every scale positive and every quaternion norm above
-        QUAT_NORM_EPS. The message names the first offending array, or
-        splat and field, e.g. means or gaussians[17].opacity.
+        Every field must still be a float64 array of its shape, every
+        value be finite, every scale positive and every quaternion norm
+        above QUAT_NORM_EPS. The message names the first offending array,
+        or splat and field, e.g. quats or gaussians[17].opacity.
         """
         self._check_shapes()
-        fields = (("mean", self.means), ("scale", self.scales),
-                  ("quat", self.quats), ("opacity", self.opacities[:, None]),
-                  ("color", self.colors))
+        fields = [(name, getattr(self, attr).reshape(len(self), math.prod(shape)))
+                  for name, attr, shape in SPLAT_FIELDS]
         norms = np.sqrt(np.sum(self.quats * self.quats, axis=1))
         if (np.isfinite(np.concatenate([v for _, v in fields], axis=1)).all()
                 and (self.scales > 0.0).all() and (norms > QUAT_NORM_EPS).all()):
@@ -168,10 +176,7 @@ class Camera:
         for name in ("fx", "fy", "cx", "cy", "near", "far"):
             setattr(self, name, float(getattr(self, name)))
         for name in ("width", "height"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and int(value) == value):
-                raise ValueError(f"camera.{name} must be an integer, got {value}")
-            setattr(self, name, int(value))
+            setattr(self, name, as_integer(getattr(self, name), f"camera.{name}"))
 
     @property
     def rotation(self):

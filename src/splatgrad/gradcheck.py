@@ -38,15 +38,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import SPLAT_FIELDS, Camera, Splats, as_finite, quat_to_rotmat
 # compose_covariance_3d is not called here; it stays importable from this
 # module because perfbench/spans.py wraps gradcheck.compose_covariance_3d.
-from .core import Camera, Splats, as_finite, compose_covariance_3d, quat_to_rotmat  # noqa: F401
-from .projection import ProjectedSplats, project_splats
+from .core import compose_covariance_3d  # noqa: F401
+from .projection import ProjectedSplats, pixel_to_world, project_splats
 from .proj_backward import scene_backward
 from .raster_forward import (SIGMA_CUT, T_MIN, _footprints, _pair_alpha, _project_stack,
                              _render_batch, render)
 
-AUDIT_CLASSES = ("mean", "scale", "quat", "opacity", "color", "view")
+AUDIT_CLASSES = tuple(name for name, _, _ in SPLAT_FIELDS) + ("view",)
 # Probe window pixels binned and composited at once: whole probe pairs,
 # both images of each pair's window, up to PROBE_PIXELS, at least one
 # pair. A batch holds its per-pixel state (48 bytes a pixel), its kept
@@ -56,9 +57,6 @@ AUDIT_CLASSES = ("mean", "scale", "quat", "opacity", "color", "view")
 # tracemalloc at 4.88 MB (seed 2; 2.97 MB at 2^11); 2^15 and 2^16 were no
 # faster and peaked near 9 MB. perfbench figures: BENCH_probe_batches.json.
 PROBE_PIXELS = 1 << 14
-# The splat fields probed, in probe order, and their Splats arrays.
-PROBE_FIELDS = (("mean", "means"), ("scale", "scales"), ("quat", "quats"),
-                ("color", "colors"), ("opacity", "opacities"))
 # A coordinate table row; index is into the raveled SceneGradients field.
 COORDS = np.dtype([("cls", object), ("label", object), ("field", object),
                    ("index", np.intp)])
@@ -125,7 +123,7 @@ class GradReport:
 def _probes(splats, camera, h):
     """Every probe of audit_scene, as a table over distinct rows: a +h
     then a -h step on each splat coordinate, splat by splat in
-    PROBE_FIELDS order, then on each entry of the view matrix's top three
+    SPLAT_FIELDS order, then on each entry of the view matrix's top three
     rows. Probe pair c is probes 2c and 2c + 1.
 
     Returns (stack, views, table, probed, coords). stack is a Splats of
@@ -138,8 +136,7 @@ def _probes(splats, camera, h):
     row per pair."""
     n = len(splats)
     # The coordinates of one splat, in probe order.
-    row = [(name, attr, j) for name, attr in PROBE_FIELDS
-           for j in np.ndindex(getattr(splats, attr).shape[1:])]
+    row = [(name, attr, j) for name, attr, shape in SPLAT_FIELDS for j in np.ndindex(shape)]
     coords = [(name, f"gaussian[{i}].{name}" + "".join(f"[{k}]" for k in j), "d_" + name,
                np.ravel_multi_index((i,) + j, getattr(splats, attr).shape))
               for i in range(n) for name, attr, j in row]
@@ -147,7 +144,7 @@ def _probes(splats, camera, h):
     stepped = 2 * n * len(row)
     arrays = {attr: np.concatenate([a, a.repeat(2 * len(row), axis=0),
                                     np.tile(a, (24,) + (1,) * (a.ndim - 1))])
-              for attr, a in ((attr, getattr(splats, attr)) for _, attr in PROBE_FIELDS)}
+              for attr, a in ((attr, getattr(splats, attr)) for _, attr, _ in SPLAT_FIELDS)}
     step = np.array([h, -h])
     for s, (_, attr, j) in enumerate(row):
         pair = np.arange(n) * len(row) + s
@@ -169,8 +166,8 @@ def _take(projected, rows):
     the factors the backward pass reads stay behind (None)."""
     p = projected
     return ProjectedSplats(*(np.take(x, rows, axis=0) for x in (
-        p.t_cam, p.mean2d, p.cov2d, p.conic, p.depth, p.radius, p.source_index,
-        p.opacity, p.color)))
+        p.t_cam, p.mean2d, p.cov2d, p.conic, p.depth, p.radius, p.source_index)),
+        opacity=np.take(p.opacity, rows, axis=0), color=np.take(p.color, rows, axis=0))
 
 
 def _probe_rows(stack, views, table, probed, camera):
@@ -385,22 +382,18 @@ def _draw_scene(rng, n, camera):
     so footprints land on the image. Opacity stays in [0.5, 0.9]: high
     enough that nothing hovers near the ALPHA_MIN skip, low enough that
     the ALPHA_MAX clamp never engages."""
-    means, scales, colors = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3))
-    quats, opacities = np.empty((n, 4)), np.empty(n)
+    scene = Splats(*(np.empty((n,) + shape) for _, _, shape in SPLAT_FIELDS))
     for i in range(n):
         px = rng.uniform(2.0, camera.width - 2.0)
         py = rng.uniform(2.0, camera.height - 2.0)
         depth = rng.uniform(2.5, 4.5)
-        t_cam = np.array([(px - 0.5 - camera.cx) * depth / camera.fx,
-                          (py - 0.5 - camera.cy) * depth / camera.fy, depth])
-        means[i] = camera.rotation.T @ (t_cam - camera.translation)
-        scales[i] = rng.uniform(1.0, 2.2, size=3) * depth / camera.fx
+        scene.means[i] = pixel_to_world(px, py, depth, camera)
+        scene.scales[i] = rng.uniform(1.0, 2.2, size=3) * depth / camera.fx
         quat = rng.normal(size=4)
-        quats[i] = quat / np.sqrt(np.dot(quat, quat)) * rng.uniform(0.8, 1.4)
-        opacities[i] = rng.uniform(0.5, 0.9)
-        colors[i] = rng.uniform(0.05, 0.95, size=3)
-    background = rng.uniform(0.1, 0.5, size=3)
-    return Splats(means, scales, quats, opacities, colors), background
+        scene.quats[i] = quat / np.sqrt(np.dot(quat, quat)) * rng.uniform(0.8, 1.4)
+        scene.opacities[i] = rng.uniform(0.5, 0.9)
+        scene.colors[i] = rng.uniform(0.05, 0.95, size=3)
+    return scene, rng.uniform(0.1, 0.5, size=3)
 
 
 # _pixel_safety_mask's margins around SIGMA_CUT, around T_MIN (a factor)

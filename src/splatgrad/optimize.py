@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QUAT_NORM_EPS, Camera, Splats, as_finite
+from .core import QUAT_NORM_EPS, SPLAT_FIELDS, Camera, Splats, as_finite, as_integer
 from .proj_backward import scene_backward
+from .projection import pixel_to_world
 from .raster_forward import render
 
 
@@ -44,11 +45,11 @@ def init_random(config: FitConfig, camera: Camera, target):
     band past the near plane, sized so their footprints roughly tile the
     image area, colored from the target pixel under their center, and
     given opacity 0.5. Each splat draws its pixel and depth in turn.
-    A camera that fails Camera.check, or a negative config.n_gaussians,
-    raises ValueError naming the field.
+    A camera that fails Camera.check, or a config.n_gaussians that is
+    negative or not a whole number, raises ValueError naming the field.
     """
     camera.check()
-    n = config.n_gaussians
+    n = as_integer(config.n_gaussians, "config.n_gaussians")
     if n < 0:
         raise ValueError(f"config.n_gaussians must be at least 0, got {n}")
     rng = np.random.default_rng(config.seed)
@@ -62,9 +63,7 @@ def init_random(config: FitConfig, camera: Camera, target):
         px = rng.uniform(0.0, camera.width)
         py = rng.uniform(0.0, camera.height)
         depth = rng.uniform(depth_lo, depth_hi)
-        t_cam = np.array([(px - 0.5 - camera.cx) * depth / camera.fx,
-                          (py - 0.5 - camera.cy) * depth / camera.fy, depth])
-        means[i] = camera.rotation.T @ (t_cam - camera.translation)
+        means[i] = pixel_to_world(px, py, depth, camera)
         scales[i] = sigma_px * depth / camera.fx
         colors[i] = target[min(camera.height - 1, max(0, int(py))),
                            min(camera.width - 1, max(0, int(px)))]
@@ -72,22 +71,22 @@ def init_random(config: FitConfig, camera: Camera, target):
                   opacities=np.full(n, 0.5), colors=colors)
 
 
-@dataclass
-class _AdamState:
-    m: np.ndarray
-    v: np.ndarray
-
-
-def _adam_step(param, grad, state, lr, step):
-    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
-    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
-    m_hat = state.m / (1.0 - BETA1 ** step)
-    v_hat = state.v / (1.0 - BETA2 ** step)
+def _adam_step(param, grad, moments, lr, step):
+    """param after one adaptive-moment step; moments, its [m, v], are
+    updated in place."""
+    moments[0] = BETA1 * moments[0] + (1.0 - BETA1) * grad
+    moments[1] = BETA2 * moments[1] + (1.0 - BETA2) * grad * grad
+    m_hat = moments[0] / (1.0 - BETA1 ** step)
+    v_hat = moments[1] / (1.0 - BETA2 ** step)
     return param - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _logit(p):
-    return np.log(p) - np.log1p(-p)
+def _scene(params):
+    """The Splats of fit's parameters: scale from its log, opacity from
+    its logit."""
+    values = dict(params, scale=np.exp(params["scale"]),
+                  opacity=1.0 / (1.0 + np.exp(-params["opacity"])))
+    return Splats(**{attr: values[name] for name, attr, _ in SPLAT_FIELDS})
 
 
 def fit(target, camera: Camera, config: FitConfig, init=None):
@@ -99,10 +98,9 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
     one adaptive-moment step per parameter class. Colors are clipped back
     to [0, 1] after each step.
 
-    The parameters live in one Splats for the whole fit; each iteration
-    hands it to render and scene_backward as it is. The backward pass
-    reads the committed pairs the render kept instead of evaluating them
-    again.
+    Each iteration builds one Splats from the parameters and hands it to
+    render and scene_backward as it is. The backward pass reads the
+    committed pairs the render kept instead of evaluating them again.
 
     Args:
         target: (height, width, 3) array in [0, 1] matching the camera.
@@ -121,10 +119,11 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
         ValueError naming the field when the camera fails Camera.check,
         checked before anything else; ValueError naming target unless it
         has the camera's (height, width, 3) shape and is finite;
-        ValueError naming the field when config.iterations or a learning
-        rate (config.lr_mean, ...) is negative, a learning rate is not
-        finite, or config.n_gaussians when init_random builds the start, or
-        naming the splat and field when init fails Splats.validate.
+        ValueError naming the field when config.iterations is not a whole
+        number at least 0 (nor config.n_gaussians, when init_random builds
+        the start) or a learning rate (config.lr_mean, ...) is negative or
+        not finite, or naming the splat and field when init fails
+        Splats.validate.
         FloatingPointError when the loss or a gradient class turns
         non-finite, naming the loss or the class (e.g. d_quat) and the
         iteration, or when a step leaves a quaternion with norm at or
@@ -133,38 +132,29 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
     """
     camera.check()
     target = as_finite(target, (camera.height, camera.width, 3), "target")
-    if config.iterations < 0:
-        raise ValueError(f"config.iterations must be at least 0, got {config.iterations}")
-    for name in ("lr_mean", "lr_scale", "lr_quat", "lr_opacity", "lr_color"):
-        value = getattr(config, name)
+    iterations = as_integer(config.iterations, "config.iterations")
+    if iterations < 0:
+        raise ValueError(f"config.iterations must be at least 0, got {iterations}")
+    rates = {name: getattr(config, "lr_" + name) for name, _, _ in SPLAT_FIELDS}
+    for name, value in rates.items():
         if not 0.0 <= value < np.inf:
-            raise ValueError(f"config.{name} must be finite and non-negative, got {value}")
+            raise ValueError(f"config.lr_{name} must be finite and non-negative, got {value}")
     background = np.asarray(config.background, dtype=np.float64)
 
     start = init_random(config, camera, target) if init is None else Splats.of(init)
     start.validate()
-    # Copies, so the fitted scene shares no array with init even when no
-    # iteration runs; every update below makes new arrays.
-    means = start.means.copy()
-    log_scales = np.log(start.scales)
-    quats = start.quats.copy()
-    logits = _logit(np.clip(start.opacities, 1e-4, 1.0 - 1e-4))
-    colors = start.colors.copy()
-
-    adam = {
-        name: _AdamState(np.zeros_like(p), np.zeros_like(p))
-        for name, p in (
-            ("mean", means), ("scale", log_scales), ("quat", quats),
-            ("opacity", logits), ("color", colors),
-        )
-    }
+    # The parameters by class, copied, so the fitted scene shares no array
+    # with init even when no iteration runs; every update below makes new
+    # arrays. Scale is held as its log and opacity as its logit.
+    params = {name: getattr(start, attr).copy() for name, attr, _ in SPLAT_FIELDS}
+    params["scale"] = np.log(params["scale"])
+    p = np.clip(params["opacity"], 1e-4, 1.0 - 1e-4)
+    params["opacity"] = np.log(p) - np.log1p(-p)
+    moments = {name: [np.zeros_like(p), np.zeros_like(p)] for name, p in params.items()}
 
     history = []
-    for it in range(config.iterations):
-        scales = np.exp(log_scales)
-        opacities = 1.0 / (1.0 + np.exp(-logits))
-        scene = Splats(means=means, scales=scales, quats=quats,
-                       opacities=opacities, colors=colors)
+    for it in range(iterations):
+        scene = _scene(params)
         result = render(scene, camera, background)
         resid = result.image.channels - target
         loss = float(np.sum(resid * resid))
@@ -173,26 +163,19 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
         history.append(loss)
 
         grads = scene_backward(scene, camera, result, 2.0 * resid)
-        for name in adam:
-            if not np.isfinite(getattr(grads, "d_" + name)).all():
-                raise FloatingPointError(
-                    f"d_{name} is not finite at iteration {it}")
-        step = it + 1
-        means = _adam_step(means, grads.d_mean, adam["mean"], config.lr_mean, step)
-        log_scales = _adam_step(log_scales, grads.d_scale * scales, adam["scale"],
-                                config.lr_scale, step)
-        quats = _adam_step(quats, grads.d_quat, adam["quat"], config.lr_quat, step)
-        collapsed = np.flatnonzero(np.sqrt(np.sum(quats * quats, axis=1))
+        d = {name: getattr(grads, "d_" + name) for name in params}
+        for name, value in d.items():
+            if not np.isfinite(value).all():
+                raise FloatingPointError(f"d_{name} is not finite at iteration {it}")
+        d["scale"] = d["scale"] * scene.scales
+        d["opacity"] = d["opacity"] * scene.opacities * (1.0 - scene.opacities)
+        for name in params:
+            params[name] = _adam_step(params[name], d[name], moments[name], rates[name], it + 1)
+        collapsed = np.flatnonzero(np.sqrt(np.sum(params["quat"] * params["quat"], axis=1))
                                    <= QUAT_NORM_EPS)
         if collapsed.size:
             raise FloatingPointError(f"gaussians[{collapsed[0]}].quat norm "
                                      f"collapsed at iteration {it}")
-        logits = _adam_step(logits,
-                            grads.d_opacity * opacities * (1.0 - opacities),
-                            adam["opacity"], config.lr_opacity, step)
-        colors = _adam_step(colors, grads.d_color, adam["color"], config.lr_color, step)
-        colors = np.clip(colors, 0.0, 1.0)
+        params["color"] = np.clip(params["color"], 0.0, 1.0)
+    return _scene(params), history
 
-    final = Splats(means=means, scales=np.exp(log_scales), quats=quats,
-                   opacities=1.0 / (1.0 + np.exp(-logits)), colors=colors)
-    return final, history

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import QUAT_NORM_EPS, Camera, Splats, matprod, matvec, reject
+from .core import QUAT_NORM_EPS, SPLAT_FIELDS, Camera, Splats, matprod, matvec, reject
 # compose_covariance_3d is not called here; it stays importable from this
 # module because perfbench/spans.py wraps proj_backward.compose_covariance_3d.
 from .core import compose_covariance_3d  # noqa: F401
@@ -45,14 +45,8 @@ class SceneGradients:
 
     @classmethod
     def zeros(cls, n):
-        return cls(
-            d_mean=np.zeros((n, 3)),
-            d_scale=np.zeros((n, 3)),
-            d_quat=np.zeros((n, 4)),
-            d_opacity=np.zeros(n),
-            d_color=np.zeros((n, 3)),
-            d_view=np.zeros((4, 4)),
-        )
+        return cls(**{"d_" + name: np.zeros((n,) + shape) for name, _, shape in SPLAT_FIELDS},
+                   d_view=np.zeros((4, 4)))
 
 
 def _t(x):

@@ -16,11 +16,12 @@ one-splat case. Every render, audit probe and audit mask projects
 through project_splats, which runs Camera.check and Splats.check first.
 """
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
 from .core import (
+    SPLAT_FIELDS,
     Camera,
     Gaussian3D,
     RowError,
@@ -45,13 +46,14 @@ class ProjectedSplats:
     (K, 3) the entries (A, B, C) of its inverse [[A, B], [B, C]], depth
     (K,) the camera-space z used as sort key, radius (K,) a conservative
     integer half-width in pixels covering the 3-sigma extent of cov2d,
-    source_index (K,) the row's index in the scene, and opacity (K,) and
-    color (K, 3) the splat's. What only the backward pass reads follows:
-    the splat's mean (K, 3), scale (K, 3) and quat (K, 4), copied, and the
-    factors project_splats formed on the way, rot (K, 3, 3), the rotation
-    of the quaternion, sigma (K, 3, 3), the world covariance, jac (K, 2,
-    3), the projection's Jacobian at t_cam, and t_proj (K, 2, 3) = jac
-    R_cw. Only the audit's probe rows (gradcheck._take) leave them None.
+    source_index (K,) the row's index in the scene, then, by keyword, the
+    splat's values, copied, in SPLAT_FIELDS order: mean (K, 3), scale (K,
+    3), quat (K, 4), opacity (K,) and color (K, 3). Only the backward pass
+    reads mean, scale, quat and the factors project_splats formed on the
+    way: rot (K, 3, 3), the rotation of the quaternion, sigma (K, 3, 3),
+    the world covariance, jac (K, 2, 3), the projection's Jacobian at
+    t_cam, and t_proj (K, 2, 3) = jac R_cw. Only the audit's probe rows
+    (gradcheck._take) leave those None.
     """
 
     t_cam: np.ndarray
@@ -61,11 +63,12 @@ class ProjectedSplats:
     depth: np.ndarray
     radius: np.ndarray
     source_index: np.ndarray
-    opacity: np.ndarray
-    color: np.ndarray
+    _: KW_ONLY
     mean: np.ndarray = None
     scale: np.ndarray = None
     quat: np.ndarray = None
+    opacity: np.ndarray
+    color: np.ndarray
     rot: np.ndarray = None
     sigma: np.ndarray = None
     jac: np.ndarray = None
@@ -95,6 +98,14 @@ def camera_to_pixel(t_cam, camera: Camera):
            "degenerate projection: homogeneous component is ~0")
     return (np.array([camera.fx, camera.fy]) * t[..., :2] / tz
             + np.array([camera.cx, camera.cy]) + 0.5)
+
+
+def pixel_to_world(px, py, depth, camera: Camera):
+    """The world point at depth `depth` on pixel (px, py): camera_to_pixel's
+    inverse, then world_to_camera's for a rigid view, R^T (t - translation)."""
+    t_cam = np.array([(px - 0.5 - camera.cx) * depth / camera.fx,
+                      (py - 0.5 - camera.cy) * depth / camera.fy, depth])
+    return camera.rotation.T @ (t_cam - camera.translation)
 
 
 def projection_jacobian(t_cam, camera: Camera):
@@ -224,6 +235,6 @@ def project_splats(splats, camera: Camera, *, view=None, keep_offscreen=False):
     # bounding_radius has checked that every det is positive.
     return ProjectedSplats(
         t_cam=t_cam, mean2d=mean2d, cov2d=cov2d, conic=_conic(cov2d), depth=t_cam[:, 2],
-        radius=radius, source_index=src, opacity=splats.opacities[src],
-        color=splats.colors[src], mean=splats.means[src], scale=splats.scales[src],
-        quat=splats.quats[src], rot=rot, sigma=sigma, jac=jac, t_proj=t_proj)
+        radius=radius, source_index=src,
+        **{name: getattr(splats, attr)[src] for name, attr, _ in SPLAT_FIELDS},
+        rot=rot, sigma=sigma, jac=jac, t_proj=t_proj)

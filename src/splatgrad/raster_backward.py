@@ -21,11 +21,12 @@ product. A run never spans a bin position and a block holds whole
 positions, so the gradients do not depend on where the blocks fall.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RowError, Splats, as_finite
+from .core import SPLAT_FIELDS, RowError, Splats, as_finite
 from .raster_forward import ALPHA_MAX, _walk
 
 
@@ -192,13 +193,10 @@ def _check_scene(splats, projected):
     if len(splats) < n:
         raise ValueError(f"scene has {len(splats)} splats, but the render "
                          f"projected gaussians[{n - 1}]")
-    fields = (("mean", splats.means, projected.mean), ("scale", splats.scales, projected.scale),
-              ("quat", splats.quats, projected.quat),
-              ("opacity", splats.opacities[:, None], projected.opacity[:, None]),
-              ("color", splats.colors, projected.color))
-    bad = [np.take(scene, src, axis=0) != rendered for _, scene, rendered in fields]
+    bad = [(np.take(getattr(splats, attr), src, axis=0) != getattr(projected, name))
+           .reshape(len(src), math.prod(shape)) for name, attr, shape in SPLAT_FIELDS]
     if any(b.any() for b in bad):
         # Rows are in source order, so the first bad row is the first splat.
         k = np.concatenate(bad, axis=1).any(axis=1).argmax()
-        name = next(name for (name, _, _), b in zip(fields, bad) if b[k].any())
+        name = next(name for (name, _, _), b in zip(SPLAT_FIELDS, bad) if b[k].any())
         raise RowError("differs from the render's", int(src[k]), name)

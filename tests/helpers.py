@@ -53,7 +53,7 @@ def stack_projected(entries):
     t_cam, mean2d, cov2d, depth, radius, source_index = (
         np.array(c, dtype=t).reshape(shape) for c, shape, t in zip(columns, shapes, types))
     return ProjectedSplats(t_cam, mean2d, cov2d, _conic(cov2d), depth, radius, source_index,
-                           np.zeros(n), np.zeros((n, 3)))
+                           opacity=np.zeros(n), color=np.zeros((n, 3)))
 
 
 def with_scene_values(projected, splats):

@@ -81,7 +81,7 @@ def assert_compact_matches_full(scene, camera):
     at[stack_row] = np.arange(len(stack_row))
     index = at[table].ravel()
     kept = (index >= 0).nonzero()[0]
-    every = ProjectedSplats(*(getattr(rows, f.name)[index[kept]] for f in fields(rows)))
+    every = ProjectedSplats(**{f.name: getattr(rows, f.name)[index[kept]] for f in fields(rows)})
     assert_rows_equal(every, kept // n, want, want_image)
     # The windows, and the rows that reach them with their footprints.
     got, got_image, got_box, windows = _probe_rows(stack, views, table, probed, camera)
@@ -90,7 +90,7 @@ def assert_compact_matches_full(scene, camera):
     box = _footprints(want)
     win = windows[want_image // 2]
     reach = (np.maximum(box[:, :2], win[:, :2]) < np.minimum(box[:, 2:], win[:, 2:])).all(axis=1)
-    reached = ProjectedSplats(*(getattr(want, f.name)[reach] for f in fields(want)))
+    reached = ProjectedSplats(**{f.name: getattr(want, f.name)[reach] for f in fields(want)})
     assert_rows_equal(got, got_image, reached, want_image[reach])
     assert got_box.tobytes() == box[reach].tobytes()
     return want, want_image

@@ -205,6 +205,17 @@ class TestShapesAfterConstruction:
         with pytest.raises(ValueError, match=r"^means must have shape \(2, 3\), got \(2, 2\)$"):
             render(splats, frustum_camera(16, 16), np.zeros(3))
 
+    @pytest.mark.parametrize("field,value,kind", [
+        ("quats", [[1.0, 0.0, 0.0, 0.0]] * 2, "list"),
+        ("means", np.array([["0", "0", "3"]] * 2), "<U1"),
+    ], ids=["list", "string_array"])
+    def test_replaced_by_non_float_array(self, field, value, kind):
+        # Named before any arithmetic reads the field.
+        splats = Splats.of(self.scene())
+        setattr(splats, field, value)
+        with pytest.raises(ValueError, match=rf"^{field} must be a float64 array, got {kind}$"):
+            render(splats, frustum_camera(16, 16), np.zeros(3))
+
     def test_replaced_row_count(self):
         # The row count is len(opacities), the scene's length, so the
         # first array that disagrees with it is named.

@@ -93,6 +93,22 @@ class TestFit:
                              FitConfig(**{"n_gaussians": 2, "iterations": 2, field: 0}))
         assert (len(scene), len(history)) == ((0, 2) if field == "n_gaussians" else (2, 0))
 
+    @pytest.mark.parametrize("bad", [2.5, np.nan], ids=["fraction", "nan"])
+    @pytest.mark.parametrize("field", ["n_gaussians", "iterations"])
+    def test_non_integral_count_rejected(self, field, bad):
+        camera = frustum_camera(16, 16)
+        target = np.zeros((16, 16, 3))
+        with pytest.raises(ValueError, match=rf"^config\.{field} must be an integer, got {bad}$"):
+            fit(target, camera, FitConfig(**{field: bad}))
+        if field == "n_gaussians":
+            with pytest.raises(ValueError, match=rf"^config\.{field} must be an integer"):
+                init_random(FitConfig(n_gaussians=bad), camera, target)
+        # A whole number of another type passes, as Camera's sizes do.
+        for whole in (3.0, np.int64(3)):
+            scene, history = fit(target, camera,
+                                 FitConfig(**{"n_gaussians": 2, "iterations": 2, field: whole}))
+            assert (len(scene), len(history)) == ((3, 2) if field == "n_gaussians" else (2, 3))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
     @pytest.mark.parametrize("field", ["lr_mean", "lr_scale", "lr_quat", "lr_opacity",
                                        "lr_color"])

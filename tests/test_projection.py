@@ -17,6 +17,8 @@ from splatgrad import (
     quat_to_rotmat,
     world_to_camera,
 )
+from splatgrad.projection import pixel_to_world
+
 from helpers import frustum_camera, oracle_perspective, rotated_camera
 
 
@@ -115,6 +117,16 @@ class TestCameraToPixel:
                     (cam.height * clip[1] / clip[3] + 1.0) / 2.0 + cam.cy]
             assert_allclose(got, want, rtol=1e-12, atol=0.0)
             assert_allclose(camera_to_pixel(row, cam), want, rtol=1e-12, atol=0.0)
+
+    def test_pixel_to_world_round_trip(self):
+        # pixel_to_world, which places the audit's and init_random's
+        # splats, is the inverse of world_to_camera then camera_to_pixel.
+        cam = rotated_camera(np.random.default_rng(8), 48, 20)
+        cam.fx, cam.fy, cam.cx, cam.cy = 37.0, 29.5, 31.3, 4.7
+        for px, py, depth in [(0.0, 0.0, 2.0), (47.9, 19.9, 7.5), (13.25, 4.5, 0.7)]:
+            t = world_to_camera(pixel_to_world(px, py, depth, cam), cam)
+            assert abs(t[2] - depth) <= 1e-12
+            assert np.max(np.abs(camera_to_pixel(t, cam) - [px, py])) <= 1e-12
 
     def test_degenerate_homogeneous_raises(self):
         cam = frustum_camera(16, 16)

@@ -73,7 +73,8 @@ def screen_rows(mean2d, cov2d, opacity):
     radius bounding_radius gives; t_cam, depth and color zero."""
     n = len(opacity)
     return ProjectedSplats(np.zeros((n, 3)), mean2d, cov2d, _conic(cov2d), np.zeros(n),
-                           bounding_radius(cov2d), np.arange(n), opacity, np.zeros((n, 3)))
+                           bounding_radius(cov2d), np.arange(n), opacity=opacity,
+                           color=np.zeros((n, 3)))
 
 
 def splat_2d(scale, ratio, angle, mean, opacity):

@@ -25,7 +25,8 @@ from hypothesis import HealthCheck, given, settings
 
 from splatgrad import Camera, Gaussian3D, Splats, audit_scene, make_audit_scene, render
 from splatgrad import gradcheck
-from splatgrad.gradcheck import PROBE_FIELDS, _probe_differences, _probe_rows, _probes
+from splatgrad.core import SPLAT_FIELDS
+from splatgrad.gradcheck import _probe_differences, _probe_rows, _probes
 from splatgrad.raster_forward import _render_batch
 
 from helpers import rows
@@ -107,7 +108,7 @@ def test_windows_cover_drawn_scenes(case):
 
 def test_probe_stack_matches_one_scene_per_probe():
     # The probes as they were built one Splats per probe: +h then -h on
-    # each splat coordinate in PROBE_FIELDS order, then on the view
+    # each splat coordinate in SPLAT_FIELDS order, then on the view
     # matrix's top three rows.
     scene, camera, _, _, _ = make_audit_scene(3, 32)
     splats = Splats.of(scene)
@@ -116,7 +117,7 @@ def test_probe_stack_matches_one_scene_per_probe():
     stack, views = expand(stack, views, table)
     scenes_, views_, labels, pairs = [], [], [], []
     for i in range(n):
-        for name, attr in PROBE_FIELDS:
+        for name, attr, _ in SPLAT_FIELDS:
             values = getattr(splats, attr)
             for j in np.ndindex(values.shape[1:]):
                 labels.append((name, f"gaussian[{i}].{name}" + "".join(f"[{k}]" for k in j),
