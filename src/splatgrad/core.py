@@ -74,11 +74,9 @@ class Gaussian3D:
 
 @dataclass
 class Splats:
-    """A scene as arrays, one row per splat.
-
-    means (N, 3), scales (N, 3), quats (N, 4) in (w, x, y, z) order,
-    opacities (N,) and colors (N, 3). validate() is the one domain check
-    of a scene.
+    """A scene as arrays, one row per splat: an (N,) + shape array per
+    SPLAT_FIELDS entry, quats in (w, x, y, z) order. validate() is the
+    one domain check of a scene.
     """
 
     means: np.ndarray

@@ -178,4 +178,3 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
                                      f"collapsed at iteration {it}")
         params["color"] = np.clip(params["color"], 0.0, 1.0)
     return _scene(params), history
-
