@@ -47,11 +47,14 @@ def as_finite(value, shape, name):
     return arr
 
 
-def as_integer(value, name):
+def as_integer(value, name, minimum=None):
     """int(value); ValueError naming it unless value is a finite whole
-    number, so 16.0 and np.int64(16) pass and 20.9 does not."""
+    number, so 16.0 and np.int64(16) pass and 20.9 does not, and at least
+    minimum when one is given."""
     if not (math.isfinite(value) and int(value) == value):
         raise ValueError(f"{name} must be an integer, got {value}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {int(value)}")
     return int(value)
 
 

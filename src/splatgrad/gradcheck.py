@@ -34,11 +34,12 @@ SceneGradients field and index. audit_scene reads the analytic values
 through it and compares each class with array operations.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import SPLAT_FIELDS, Camera, Splats, as_finite, quat_to_rotmat
+from .core import SPLAT_FIELDS, Camera, Splats, as_finite, as_integer, quat_to_rotmat
 # compose_covariance_3d is not called here; it stays importable from this
 # module because perfbench/spans.py wraps gradcheck.compose_covariance_3d.
 from .core import compose_covariance_3d  # noqa: F401
@@ -102,22 +103,11 @@ class GradReport:
         return "\n".join(lines)
 
     def to_dict(self):
-        return {
-            "passed": self.passed,
-            "h": self.h,
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "grad_floor": self.grad_floor,
-            "classes": {
-                name: {
-                    "max_rel": c.max_rel,
-                    "max_abs": c.max_abs,
-                    "worst_coord": c.worst_coord,
-                    "passed": c.passed,
-                }
-                for name, c in self.classes.items()
-            },
-        }
+        """The report as JSON-ready dicts, each class's without its name."""
+        return {"passed": self.passed, "h": self.h, "rel_tol": self.rel_tol,
+                "abs_tol": self.abs_tol, "grad_floor": self.grad_floor,
+                "classes": {name: {k: v for k, v in asdict(c).items() if k != "name"}
+                            for name, c in self.classes.items()}}
 
 
 def _probes(splats, camera, h):
@@ -135,18 +125,23 @@ def _probes(splats, camera, h):
     pair c moves (-1 for a view entry), and coords the COORDS table, one
     row per pair."""
     n = len(splats)
-    # The coordinates of one splat, in probe order.
-    row = [(name, attr, j) for name, attr, shape in SPLAT_FIELDS for j in np.ndindex(shape)]
-    coords = [(name, f"gaussian[{i}].{name}" + "".join(f"[{k}]" for k in j), "d_" + name,
-               np.ravel_multi_index((i,) + j, getattr(splats, attr).shape))
-              for i in range(n) for name, attr, j in row]
-    coords += [("view", f"view[{q}]", "d_view", q) for q in range(12)]
+    # One splat's coordinates in probe order, each with its label suffix and
+    # its offset into the splat's size values (np.ndindex runs row-major).
+    row = [(name, attr, j, f".{name}" + "".join(f"[{k}]" for k in j), offset, math.prod(shape))
+           for name, attr, shape in SPLAT_FIELDS for offset, j in enumerate(np.ndindex(shape))]
+    cls, _, _, suffix, offset, size = zip(*row)
+    coords = np.empty(n * len(row) + 12, dtype=COORDS)
+    coords["cls"] = cls * n + ("view",) * 12
+    coords["label"] = [f"gaussian[{i}]{end}" for i in range(n) for end in suffix] + [
+        f"view[{q}]" for q in range(12)]
+    coords["field"] = tuple(f"d_{name}" for name in cls) * n + ("d_view",) * 12
+    coords["index"] = np.append(np.arange(n)[:, None] * size + offset, np.arange(12))
     stepped = 2 * n * len(row)
     arrays = {attr: np.concatenate([a, a.repeat(2 * len(row), axis=0),
                                     np.tile(a, (24,) + (1,) * (a.ndim - 1))])
               for attr, a in ((attr, getattr(splats, attr)) for _, attr, _ in SPLAT_FIELDS)}
     step = np.array([h, -h])
-    for s, (_, attr, j) in enumerate(row):
+    for s, (_, attr, j, *_) in enumerate(row):
         pair = np.arange(n) * len(row) + s
         arrays[attr][(n + 2 * pair[:, None] + [0, 1],) + j] += step
     views = np.repeat(camera.view[None], n + stepped + 24 * n, axis=0)
@@ -157,7 +152,7 @@ def _probes(splats, camera, h):
     table[k, k // (2 * len(row))] = n + k
     table[stepped:] += n + stepped + n * np.arange(24)[:, None]
     probed = np.concatenate([np.repeat(np.arange(n), len(row)), np.full(12, -1)])
-    return Splats(**arrays), views, table, probed, np.array(coords, dtype=COORDS)
+    return Splats(**arrays), views, table, probed, coords
 
 
 def _take(projected, rows):
@@ -403,7 +398,7 @@ T_MARGIN = 4.0
 DEPTH_MARGIN = 5e-3
 
 
-def _pixel_safety_mask(splats, camera, background):
+def _pixel_safety_mask(splats, camera):
     """Pixels whose color stays differentiable under probes up to ~1e-4.
 
     Returns None to reject the whole scene when a depth sits near the clip
@@ -415,49 +410,48 @@ def _pixel_safety_mask(splats, camera, background):
     step within a factor of T_MARGIN of the termination threshold. Probes
     shift sigma by at most ~1e-2 at step 1e-4, so the margins hold
     fivefold headroom.
+
+    Both tests read one dense scan, _pair_alpha at every (splat, pixel)
+    pair; nothing is rendered.
     """
     # Every splat in front of the camera, image-culled ones included; a
     # splat missing here was depth-culled, which rejects the scene anyway.
     projected = project_splats(splats, camera, keep_offscreen=True)
     depth = projected.depth
-    if len(projected) < len(splats) or not np.all(
-        (camera.near + 0.5 < depth) & (depth < camera.far - 0.5)
-    ):
-        return None
-    if np.any(np.diff(np.sort(depth)) < DEPTH_MARGIN):
+    if (len(projected) < len(splats) or np.any(np.diff(np.sort(depth)) < DEPTH_MARGIN)
+            or not np.all((camera.near + 0.5 < depth) & (depth < camera.far - 0.5))):
         return None
 
+    # Every (splat, pixel) pair, one row of pixels per splat, the splats in
+    # the front-to-back order sort_bins gives each bin.
     h, w = camera.height, camera.width
     n = len(projected)
     xs = np.tile(np.arange(w, dtype=np.float64) + 0.5, h * n)
     ys = np.tile(np.repeat(np.arange(h, dtype=np.float64) + 0.5, w), n)
-    sigma = _pair_alpha(xs, ys, projected, np.repeat(np.arange(n), h * w))[2]
-    mask = np.all(np.abs(sigma.reshape(n, h * w) - SIGMA_CUT) > SIGMA_MARGIN,
-                  axis=0).reshape(h, w)
+    order = np.lexsort((projected.source_index, depth))
+    _, _, sigma, _, _, alpha, visible = _pair_alpha(xs, ys, projected, np.repeat(order, h * w))
+    mask = np.all(np.abs(sigma.reshape(n, h * w) - SIGMA_CUT) > SIGMA_MARGIN, axis=0)
 
     # A pixel is cleared when a transmittance step of its front-to-back
     # walk lands in the band around T_MIN. T never increases, so a walk
     # that stops by stepping below the band stays below it: testing every
     # visible step of the walk without early termination finds exactly
-    # the steps the walk reaches. Without early termination every visible
-    # pair commits, so those steps are each kept pair's T before (the
-    # first is 1, outside the band) and the pixel's final T.
-    def near_t_min(t):
-        return (T_MIN / T_MARGIN < t) & (t < T_MIN * T_MARGIN)
-
-    res = render(splats, camera, background, early_termination=False)
-    cleared = near_t_min(res.aux.final_T.ravel())
-    for p in res.pairs:
-        cleared[p.pix[near_t_min(p.t_before)]] = True
-    return mask & ~cleared.reshape(h, w)
+    # the steps the walk reaches: the T after each visible pair (a kept
+    # pair's T before, the first being 1, and the final T). An invisible
+    # pair's factor 1.0 leaves the product as it is (x * 1.0 = x), and
+    # cumprod multiplies in row order, so row i holds bitwise the walk's T
+    # after its visible pairs up to row i. Footprints never drop a visible
+    # pair and an offscreen-culled splat has no visible pixel, so a render
+    # walks the same visible pairs.
+    t = np.cumprod(np.where(visible, 1.0 - alpha, 1.0).reshape(n, h * w), axis=0)
+    cleared = ((T_MIN / T_MARGIN < t) & (t < T_MIN * T_MARGIN)).any(axis=0)
+    return (mask & ~cleared).reshape(h, w)
 
 
 def _pattern_target(width, height):
     # Deterministic trig ramps. Rendering the scene itself would zero every
     # gradient at the start point and make the audit vacuous.
-    ys, xs = np.mgrid[0:height, 0:width]
-    xs = xs.astype(np.float64)
-    ys = ys.astype(np.float64)
+    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
     target = np.empty((height, width, 3))
     target[..., 0] = 0.5 + 0.45 * np.sin(0.37 * xs)
     target[..., 1] = 0.5 + 0.45 * np.cos(0.23 * ys)
@@ -467,7 +461,9 @@ def _pattern_target(width, height):
 
 def make_audit_scene(seed, image_size=16):
     """Deterministic (scene, camera, target, background, mask) for one
-    run; scene is a Splats.
+    run; scene is a Splats. seed must be a whole number at least 0 and
+    image_size one at least 4 (splats are placed 2 px inside the border),
+    else ValueError naming it, before anything is drawn.
 
     Scenes are redrawn from the seeded stream until depths are safely
     separated and at least half the pixels are branch-safe; the mask marks
@@ -476,12 +472,13 @@ def make_audit_scene(seed, image_size=16):
     is a fixed trig pattern rather than a render of the scene, keeping
     gradients O(1) at the start point.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_integer(seed, "seed", 0))
+    image_size = as_integer(image_size, "image_size", 4)
     camera = _audit_camera(rng, image_size)
     n = int(rng.integers(5, 11))
     for _ in range(64):
         scene, background = _draw_scene(rng, n, camera)
-        mask = _pixel_safety_mask(scene, camera, background)
+        mask = _pixel_safety_mask(scene, camera)
         if mask is not None and mask.mean() >= 0.5:
             target = _pattern_target(image_size, image_size)
             return scene, camera, target, background, mask
@@ -490,7 +487,8 @@ def make_audit_scene(seed, image_size=16):
 
 def run_audit(seed, *, h=1e-5, rel_tol=1e-4, abs_tol=1e-8):
     """Generate the audit scene for a seed, on a 16x16 image for an even
-    seed and 32x32 for an odd one, and run audit_scene on it."""
+    seed and 32x32 for an odd one, and run audit_scene on it.
+    make_audit_scene checks the seed before anything is drawn."""
     size = 16 if seed % 2 == 0 else 32
     scene, camera, target, background, mask = make_audit_scene(seed, size)
     return audit_scene(

@@ -45,14 +45,13 @@ def init_random(config: FitConfig, camera: Camera, target):
     band past the near plane, sized so their footprints roughly tile the
     image area, colored from the target pixel under their center, and
     given opacity 0.5. Each splat draws its pixel and depth in turn.
-    A camera that fails Camera.check, or a config.n_gaussians that is
-    negative or not a whole number, raises ValueError naming the field.
+    A camera that fails Camera.check, or a config.n_gaussians or
+    config.seed that is negative or not a whole number, raises ValueError
+    naming the field before anything is drawn.
     """
     camera.check()
-    n = as_integer(config.n_gaussians, "config.n_gaussians")
-    if n < 0:
-        raise ValueError(f"config.n_gaussians must be at least 0, got {n}")
-    rng = np.random.default_rng(config.seed)
+    n = as_integer(config.n_gaussians, "config.n_gaussians", 0)
+    rng = np.random.default_rng(as_integer(config.seed, "config.seed", 0))
     target = np.asarray(target, dtype=np.float64)
     depth_lo = camera.near + 2.0
     depth_hi = min(camera.far, depth_lo + 4.0)
@@ -120,10 +119,10 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
         checked before anything else; ValueError naming target unless it
         has the camera's (height, width, 3) shape and is finite;
         ValueError naming the field when config.iterations is not a whole
-        number at least 0 (nor config.n_gaussians, when init_random builds
-        the start) or a learning rate (config.lr_mean, ...) is negative or
-        not finite, or naming the splat and field when init fails
-        Splats.validate.
+        number at least 0 (nor config.n_gaussians or config.seed, when
+        init_random builds the start) or a learning rate (config.lr_mean,
+        ...) is negative or not finite, or naming the splat and field when
+        init fails Splats.validate.
         FloatingPointError when the loss or a gradient class turns
         non-finite, naming the loss or the class (e.g. d_quat) and the
         iteration, or when a step leaves a quaternion with norm at or
@@ -132,9 +131,7 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
     """
     camera.check()
     target = as_finite(target, (camera.height, camera.width, 3), "target")
-    iterations = as_integer(config.iterations, "config.iterations")
-    if iterations < 0:
-        raise ValueError(f"config.iterations must be at least 0, got {iterations}")
+    iterations = as_integer(config.iterations, "config.iterations", 0)
     rates = {name: getattr(config, "lr_" + name) for name, _, _ in SPLAT_FIELDS}
     for name, value in rates.items():
         if not 0.0 <= value < np.inf:

@@ -416,7 +416,7 @@ def oracle_backward_tile(xs, ys, order, projected, background, final_t,
         trans = t_here
 
 
-def reference_pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
+def reference_pixel_safety_mask(scene, camera, sigma_margin=0.05,
                                 t_margin=4.0, depth_margin=5e-3):
     """The audit's branch-safety mask computed pixel by pixel: the same
     contract as gradcheck._pixel_safety_mask, with the transmittance band
@@ -461,7 +461,7 @@ def reference_pixel_safety_mask(scene, camera, background, sigma_margin=0.05,
         sigma = sigma_at(mean2d, cov2d, xs + 0.5, ys + 0.5)
         mask &= np.abs(sigma - SIGMA_CUT) > sigma_margin
 
-    res = render(scene, camera, background)
+    res = render(scene, camera, np.zeros(3))
     p = res.projected
     ts = res.grid.tile_size
     for ty in range(res.grid.tiles_y):

@@ -205,7 +205,7 @@ def off_centre_audit_case(seed, width=37, height=23):
     n = int(rng.integers(5, 11))
     for _ in range(64):
         scene, background = _draw_scene(rng, n, camera)
-        mask = _pixel_safety_mask(scene, camera, background)
+        mask = _pixel_safety_mask(scene, camera)
         if mask is not None and mask.mean() >= 0.5:
             return scene, camera, _pattern_target(width, height), background, mask
     raise RuntimeError(f"no branch-safe scene for seed {seed}")

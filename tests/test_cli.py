@@ -127,6 +127,14 @@ class TestGradcheckCommand:
         assert "overall" not in captured.out
         assert "error: rel_tol must be finite and positive, got -1.0" in captured.err
 
+    def test_negative_seed_exits_2(self, capsys):
+        # Named before anything is drawn, not numpy's "expected
+        # non-negative integer".
+        assert main(["gradcheck", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: seed must be at least 0, got -1" in captured.err
+
 class TestFitCommand:
     def test_fit_smoke(self, tmp_path, capsys):
         # A tiny flat target: a handful of splats and iterations are
@@ -168,7 +176,8 @@ class TestFitCommand:
         img = read_image(str(rendered))
         assert img.shape == (16, 16, 3)
 
-    @pytest.mark.parametrize("flag, field", [("-n", "n_gaussians"), ("--iters", "iterations")])
+    @pytest.mark.parametrize("flag, field", [("-n", "n_gaussians"), ("--iters", "iterations"),
+                                             ("--seed", "seed")])
     def test_fit_negative_count_exits_2(self, tmp_path, capsys, flag, field):
         target_path = tmp_path / "t.ppm"
         write_image(ImageBuffer(width=8, height=8, channels=np.full((8, 8, 3), 0.5)),

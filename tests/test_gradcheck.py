@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from splatgrad import (
     AUDIT_CLASSES,
     audit_scene,
+    gradcheck,
     make_audit_scene,
     run_audit,
 )
@@ -106,6 +107,50 @@ class TestAuditArguments:
         with pytest.raises(ValueError,
                            match=rf"^{name} must be finite and positive, got {bad}$"):
             run_audit(4, **{name: bad})
+
+    # A seed must be a whole number at least 0, and an audit image at
+    # least 4 pixels wide (splats are placed 2 px inside its border);
+    # checked before anything is drawn.
+    SEED_CASES = [
+        (run_audit, (-1,), r"seed must be at least 0, got -1"),
+        (run_audit, (1.5,), r"seed must be an integer, got 1.5"),
+        (make_audit_scene, (-3,), r"seed must be at least 0, got -3"),
+        (make_audit_scene, (np.nan,), r"seed must be an integer, got nan"),
+        (make_audit_scene, (0, 3), r"image_size must be at least 4, got 3"),
+        (make_audit_scene, (0, 16.5), r"image_size must be an integer, got 16.5"),
+    ]
+
+    @pytest.mark.parametrize("call,args,message", SEED_CASES, ids=[
+        "run_audit-negative", "run_audit-fraction", "make_audit_scene-negative",
+        "make_audit_scene-nan", "size-too-small", "size-fraction"])
+    def test_seed_and_size_rejected(self, call, args, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            call(*args)
+
+    def test_whole_seed_and_size_of_another_type_pass(self):
+        a, b = make_audit_scene(2.0, 16.0), make_audit_scene(np.int64(2), np.int64(16))
+        assert np.array_equal(a[0].means, b[0].means)
+        assert np.array_equal(a[4], b[4])
+
+
+def test_an_audited_seed_renders_once(monkeypatch):
+    """The safety mask reads its transmittance band from its own dense
+    pair pass, so make_audit_scene renders nothing and run_audit renders
+    the scene once, for the analytic gradients."""
+    calls = []
+    real = gradcheck.render
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gradcheck, "render", counted)
+    make_audit_scene(0)
+    assert len(calls) == 0
+    for seed in (0, 1):
+        run_audit(seed)
+        assert len(calls) == 1, seed
+        calls.clear()
 
 
 class TestFaultInjection:

@@ -82,32 +82,44 @@ class TestFit:
         with pytest.raises(ValueError, match=r"^target of shape \(15, 20, 3\) must be finite$"):
             fit(np.full((15, 20, 3), np.nan), camera, config, init=init)
 
-    @pytest.mark.parametrize("field", ["n_gaussians", "iterations"])
+    # The (splats, iterations) a fit with n_gaussians=2, iterations=2 and
+    # field set to 0 or 3 returns. seed is checked by init_random, before
+    # it draws.
+    SIZES = {"n_gaussians": {0: (0, 2), 3: (3, 2)}, "iterations": {0: (2, 0), 3: (2, 3)},
+             "seed": {0: (2, 2), 3: (2, 2)}}
+
+    @pytest.mark.parametrize("field", ["n_gaussians", "iterations", "seed"])
     def test_negative_count_rejected(self, field):
         camera = frustum_camera(16, 16)
         target = np.zeros((16, 16, 3))
         with pytest.raises(ValueError, match=rf"^config\.{field} must be at least 0, got -3$"):
             fit(target, camera, FitConfig(**{field: -3}))
+        if field != "iterations":
+            with pytest.raises(ValueError, match=rf"^config\.{field} must be at least 0"):
+                init_random(FitConfig(**{field: -3}), camera, target)
         # Zero stays allowed.
         scene, history = fit(target, camera,
                              FitConfig(**{"n_gaussians": 2, "iterations": 2, field: 0}))
-        assert (len(scene), len(history)) == ((0, 2) if field == "n_gaussians" else (2, 0))
+        assert (len(scene), len(history)) == self.SIZES[field][0]
 
     @pytest.mark.parametrize("bad", [2.5, np.nan], ids=["fraction", "nan"])
-    @pytest.mark.parametrize("field", ["n_gaussians", "iterations"])
+    @pytest.mark.parametrize("field", ["n_gaussians", "iterations", "seed"])
     def test_non_integral_count_rejected(self, field, bad):
         camera = frustum_camera(16, 16)
         target = np.zeros((16, 16, 3))
         with pytest.raises(ValueError, match=rf"^config\.{field} must be an integer, got {bad}$"):
             fit(target, camera, FitConfig(**{field: bad}))
-        if field == "n_gaussians":
+        if field != "iterations":
             with pytest.raises(ValueError, match=rf"^config\.{field} must be an integer"):
-                init_random(FitConfig(n_gaussians=bad), camera, target)
+                init_random(FitConfig(**{field: bad}), camera, target)
         # A whole number of another type passes, as Camera's sizes do.
         for whole in (3.0, np.int64(3)):
             scene, history = fit(target, camera,
                                  FitConfig(**{"n_gaussians": 2, "iterations": 2, field: whole}))
-            assert (len(scene), len(history)) == ((3, 2) if field == "n_gaussians" else (2, 3))
+            assert (len(scene), len(history)) == self.SIZES[field][3]
+        if field == "seed":
+            assert np.array_equal(init_random(FitConfig(seed=3.0), camera, target).means,
+                                  init_random(FitConfig(seed=3), camera, target).means)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
     @pytest.mark.parametrize("field", ["lr_mean", "lr_scale", "lr_quat", "lr_opacity",

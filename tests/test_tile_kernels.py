@@ -31,6 +31,7 @@ from splatgrad.raster_forward import PAIR_BUDGET
 
 from helpers import (
     PixelAux,
+    frustum_camera,
     frustum_scene,
     iter_tiles,
     oracle_composite_tile,
@@ -164,41 +165,60 @@ def draws_for_audit_seed(seed):
     camera = gradcheck._audit_camera(rng, size)
     n = int(rng.integers(5, 11))
     for _ in range(64):
-        scene, background = gradcheck._draw_scene(rng, n, camera)
-        yield scene, camera, background
-        mask = gradcheck._pixel_safety_mask(scene, camera, background)
+        scene, _ = gradcheck._draw_scene(rng, n, camera)
+        yield scene, camera
+        mask = gradcheck._pixel_safety_mask(scene, camera)
         if mask is not None and mask.mean() >= 0.5:
             return
 
 
 def test_safety_mask_matches_pixel_walk_on_audit_seeds():
     draws = 0
-    for seed in range(20):
-        for scene, camera, background in draws_for_audit_seed(seed):
-            got = gradcheck._pixel_safety_mask(scene, camera, background)
-            want = reference_pixel_safety_mask(scene, camera, background)
+    for seed in range(200):
+        for scene, camera in draws_for_audit_seed(seed):
+            got = gradcheck._pixel_safety_mask(scene, camera)
+            want = reference_pixel_safety_mask(scene, camera)
             assert (got is None) == (want is None), seed
             if got is not None:
                 assert np.array_equal(got, want), seed
             draws += 1
-    assert draws >= 20
+    assert draws >= 200
+
+
+def off_centre_camera(rng, width, height):
+    """rotated_camera on a non-square image, its principal point off the
+    centre and fy unlike fx."""
+    camera = rotated_camera(rng, width, height)
+    camera.cx, camera.cy = 0.35 * width, 0.6 * height
+    camera.fy = 0.8 * camera.fx
+    return camera
 
 
 def test_safety_mask_transmittance_band_matches_pixel_walk():
     # Dense, nearly opaque splats drive T through the band around T_MIN,
-    # which the audit seeds rarely reach.
-    rng = np.random.default_rng(4)
-    camera = rotated_camera(rng, 32, 24)
-    scene = frustum_scene(rng, 40, camera, depth_range=(3.0, 9.0),
-                          scale_px=(2.0, 4.0), opacity=(0.8, 0.99))
-    bg = np.array([0.2, 0.3, 0.4])
-    got = gradcheck._pixel_safety_mask(Splats.of(scene), camera, bg)
-    want = reference_pixel_safety_mask(scene, camera, bg)
-    no_band = reference_pixel_safety_mask(scene, camera, bg, t_margin=1.0)
-    assert got is not None and want is not None
-    assert np.array_equal(got, want)
-    # The band clears pixels of its own, beyond the sigma margin.
-    assert np.any(no_band & ~want)
+    # which the audit seeds rarely reach: on a centred square-pixel camera,
+    # on an off-centre, non-square one, and three wide centred splats
+    # listed back to front, whose T at the centre enters the band (about
+    # 1.6e-4 after the two front ones) only when walked in depth order.
+    cases = []
+    for make_camera in (lambda rng: rotated_camera(rng, 32, 24),
+                        lambda rng: off_centre_camera(rng, 37, 23)):
+        rng = np.random.default_rng(4)
+        camera = make_camera(rng)
+        cases.append((camera, frustum_scene(rng, 40, camera, depth_range=(3.0, 9.0),
+                                            scale_px=(2.0, 4.0), opacity=(0.8, 0.99))))
+    cases.append((frustum_camera(16, 16), [
+        Gaussian3D(mean=[0.0, 0.0, depth], scale=[2.0, 2.0, 2.0], quat=[1.0, 0.0, 0.0, 0.0],
+                   opacity=opacity, color=[0.5, 0.5, 0.5])
+        for depth, opacity in ((5.0, 0.9), (4.0, 0.99), (3.0, 0.99))]))
+    for camera, scene in cases:
+        got = gradcheck._pixel_safety_mask(Splats.of(scene), camera)
+        want = reference_pixel_safety_mask(scene, camera)
+        no_band = reference_pixel_safety_mask(scene, camera, t_margin=1.0)
+        assert got is not None and want is not None
+        assert np.array_equal(got, want)
+        # The band clears pixels of its own, beyond the sigma margin.
+        assert np.any(no_band & ~want)
 
 
 def test_safety_mask_clears_a_last_step_in_the_band():
@@ -210,10 +230,9 @@ def test_safety_mask_clears_a_last_step_in_the_band():
     scene = [Gaussian3D(mean=[0.0, 0.0, depth], scale=[0.5, 0.5, 0.5],
                         quat=[1.0, 0.0, 0.0, 0.0], opacity=0.99, color=[0.5, 0.5, 0.5])
              for depth in (3.0, 4.0)]
-    bg = np.zeros(3)
-    got = gradcheck._pixel_safety_mask(Splats.of(scene), camera, bg)
-    want = reference_pixel_safety_mask(scene, camera, bg)
-    no_band = reference_pixel_safety_mask(scene, camera, bg, t_margin=1.0)
+    got = gradcheck._pixel_safety_mask(Splats.of(scene), camera)
+    want = reference_pixel_safety_mask(scene, camera)
+    no_band = reference_pixel_safety_mask(scene, camera, t_margin=1.0)
     assert np.array_equal(got, want)
     assert not want[8, 8] and no_band[8, 8]
 
