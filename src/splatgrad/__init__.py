@@ -1,15 +1,10 @@
 """CPU differentiable gaussian splatting: forward rasterizer, analytic
-backward pass, finite-difference audit, and an image-fitting optimizer."""
+backward pass, finite-difference audit, and an image-fitting optimizer.
+Each exported function checks its inputs; the per-op math is imported
+from its module, e.g. splatgrad.projection.project_covariance."""
 
-from .binning import TILE_SIZE, assign_tiles, sort_bins
 from .cli import parse_scene, read_image, serialize_scene, write_image
-from .core import (
-    Camera,
-    Gaussian3D,
-    Splats,
-    compose_covariance_3d,
-    quat_to_rotmat,
-)
+from .core import Camera, Gaussian3D, Splats
 from .gradcheck import (
     AUDIT_CLASSES,
     ClassCheck,
@@ -19,26 +14,9 @@ from .gradcheck import (
     run_audit,
 )
 from .optimize import FitConfig, fit, init_random
-from .proj_backward import (
-    SceneGradients,
-    cov2d_backward,
-    covariance3d_backward,
-    mean2d_backward,
-    scene_backward,
-    world_backward,
-)
-from .projection import (
-    DILATION,
-    ProjectedSplats,
-    bounding_radius,
-    camera_to_pixel,
-    project_covariance,
-    project_gaussian,
-    project_splats,
-    projection_jacobian,
-    world_to_camera,
-)
-from .raster_backward import Splat2DGrads, accumulate_image_backward
+from .proj_backward import SceneGradients, scene_backward
+from .projection import DILATION, ProjectedSplats, project_splats
+from .raster_backward import accumulate_image_backward
 from .raster_forward import (
     ALPHA_MAX,
     ALPHA_MIN,
@@ -68,35 +46,19 @@ __all__ = [
     "SIGMA_CUT",
     "SceneGradients",
     "Splats",
-    "Splat2DGrads",
-    "TILE_SIZE",
     "T_MIN",
     "accumulate_image_backward",
-    "assign_tiles",
     "audit_scene",
-    "bounding_radius",
-    "camera_to_pixel",
-    "compose_covariance_3d",
-    "cov2d_backward",
-    "covariance3d_backward",
     "fit",
     "init_random",
     "make_audit_scene",
-    "mean2d_backward",
     "parse_scene",
-    "project_covariance",
-    "project_gaussian",
     "project_splats",
-    "projection_jacobian",
-    "quat_to_rotmat",
     "read_image",
     "render",
     "render_brute_force",
     "run_audit",
     "scene_backward",
     "serialize_scene",
-    "sort_bins",
-    "world_backward",
-    "world_to_camera",
     "write_image",
 ]

@@ -13,7 +13,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .core import SPLAT_FIELDS, Camera, Splats, as_finite
+from .core import SPLAT_FIELDS, Camera, Splats, as_finite, as_integer
 from .gradcheck import run_audit
 from .optimize import FitConfig, fit
 from .raster_forward import ImageBuffer, render, render_brute_force
@@ -56,6 +56,20 @@ def _vector(value, n, path):
     return np.array([_finite(item, f"{path}[{k}]") for k, item in enumerate(value)])
 
 
+def _check_values(scene, camera, background):
+    """Raise ValueError prefixed scene. unless the values may be in a scene
+    file: the camera passes Camera.validate, the background is a finite
+    3-vector in [0, 1] and the Splats passes Splats.validate."""
+    try:
+        camera.validate()
+        background = as_finite(background, (3,), "background")
+        if np.any(background < 0.0) or np.any(background > 1.0):
+            raise ValueError("background channels must lie in [0, 1]")
+        scene.validate()
+    except ValueError as exc:
+        raise ValueError(f"scene.{exc}") from None
+
+
 def parse_scene(data):
     """Parse a scene document into (scene, camera, background), scene a
     Splats.
@@ -63,7 +77,7 @@ def parse_scene(data):
     Accepts str or UTF-8 bytes. Raises ValueError naming the offending
     field (e.g. scene.gaussians[3].scale) on any syntax error, unknown or
     missing field, or type-invariant violation; the rows are stacked once
-    and checked with Splats.validate.
+    and the values checked as serialize_scene checks them.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -87,14 +101,7 @@ def parse_scene(data):
         else:
             values[f.name] = (_integer if f.type is int else _finite)(cam[f.name], path)
     camera = Camera(**values)
-    try:
-        camera.validate()
-    except ValueError as exc:
-        raise ValueError(f"scene.{exc}") from None
-
     background = _vector(doc["background"], 3, "scene.background")
-    if np.any(background < 0.0) or np.any(background > 1.0):
-        raise ValueError("scene.background channels must lie in [0, 1]")
 
     if not isinstance(doc["gaussians"], list):
         raise ValueError("scene.gaussians must be a list")
@@ -108,18 +115,17 @@ def parse_scene(data):
                                  else _finite(item[name], path))
     scene = Splats(**{attr: np.reshape(columns[name], (len(doc["gaussians"]),) + shape)
                       for name, attr, shape in SPLAT_FIELDS})
-    try:
-        scene.validate()
-    except ValueError as exc:
-        raise ValueError(f"scene.{exc}") from None
+    _check_values(scene, camera, background)
     return scene, camera, background
 
 
 def serialize_scene(scene, camera: Camera, background):
     """Scene document, scene a Splats or a list of Gaussian3D, as a JSON
     string. Floats keep full precision, so parse(serialize(x)) reproduces
-    x exactly."""
+    x exactly. The values are checked first, as parse_scene checks them,
+    so every document it returns parses."""
     splats = Splats.of(scene)
+    _check_values(splats, camera, background)
     # The keys in field order; the view keeps its place as 16 numbers.
     cam = {f.name: getattr(camera, f.name) for f in fields(Camera)}
     cam["view"] = camera.view.ravel().tolist()
@@ -135,23 +141,28 @@ def write_image(buffer: ImageBuffer, path):
 
     Channel bytes are floor(clamp(v, 0, 1) * 255 + 0.5): round half away
     from zero, fixed explicitly so golden files match across platforms.
-    Channels that are not finite, or whose shape is not (height, width,
-    3), raise ValueError naming them before the file is opened.
+    A width or height that is not a whole number at least 1, or channels
+    that are not finite or whose shape is not (height, width, 3), raise
+    ValueError naming them before the file is opened.
     """
-    channels = as_finite(buffer.channels, (buffer.height, buffer.width, 3), "channels")
+    width = as_integer(buffer.width, "width", 1)
+    height = as_integer(buffer.height, "height", 1)
+    channels = as_finite(buffer.channels, (height, width, 3), "channels")
     quantized = np.clip(channels, 0.0, 1.0)
     quantized *= 255.0
     quantized += 0.5
     # The values are non-negative, so the cast's truncation is the floor.
     quantized = quantized.astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{buffer.width} {buffer.height}\n255\n".encode("ascii"))
+        fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
         fh.write(quantized.tobytes())
 
 
 def read_image(path):
     """Read a binary PPM (P6, maxval 255) as a (height, width, 3) float
-    array in [0, 1]."""
+    array in [0, 1]. A truncated header, a width, height or maxval that is
+    not a whole number at least 1, or a payload of the wrong size raises
+    ValueError naming it."""
     with open(path, "rb") as fh:
         data = fh.read()
     tokens = []
@@ -171,10 +182,10 @@ def read_image(path):
         tokens.append(data[start:pos])
     if tokens[0] != b"P6":
         raise ValueError(f"{path}: not a binary PPM (P6) file")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError:
-        raise ValueError(f"{path}: malformed image header") from None
+    for name, token in zip(("width", "height", "maxval"), tokens[1:]):
+        if not (token.isdigit() and int(token) >= 1):
+            raise ValueError(f"{path}: image {name} must be a whole number at least 1")
+    width, height, maxval = (int(t) for t in tokens[1:])
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported")
     payload = data[pos + 1 :]

@@ -189,11 +189,12 @@ class Camera:
         return self.view[:3, 3]
 
     def check(self):
-        """Raise ValueError unless the camera can render: a finite view,
-        finite fx, fy, cx and cy, positive focal lengths, a pixel each way
-        and 0 < near < far. The audit renders non-rigid stepped views. The
-        message names the field, e.g. camera.fx must be finite."""
-        if not np.isfinite(self.view).all():
+        """Raise ValueError unless the camera can render: a finite 4x4
+        view, finite fx, fy, cx and cy, positive focal lengths, a whole
+        number of pixels each way, at least one, and 0 < near < far. The
+        audit renders non-rigid stepped views. The message names the
+        field, e.g. camera.fx must be finite."""
+        if not np.isfinite(_as_f64(self.view, (4, 4), "camera.view")).all():
             raise ValueError("camera.view must be finite")
         for name in ("fx", "fy", "cx", "cy"):
             if not math.isfinite(getattr(self, name)):
@@ -202,7 +203,7 @@ class Camera:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"camera.{name} must be positive")
         for name in ("width", "height"):
-            if getattr(self, name) < 1:
+            if as_integer(getattr(self, name), f"camera.{name}") < 1:
                 raise ValueError(f"camera.{name} must be at least 1")
         if not self.near > 0.0:
             raise ValueError("camera.near must be positive")

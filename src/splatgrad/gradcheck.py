@@ -269,6 +269,14 @@ def _slice_differences(projected, image, footprints, win, a, target, weight, bac
     return [terms[b:b + n].sum() for b, n in zip(lo.tolist(), a.tolist())]
 
 
+def _check_steps(h, rel_tol, abs_tol):
+    """ValueError naming h, rel_tol or abs_tol unless each is finite and
+    positive."""
+    for name, value in (("h", h), ("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
                 rel_tol=1e-4, abs_tol=1e-8, pixel_mask=None):
     """Compare analytic gradients against central differences on one scene.
@@ -298,9 +306,7 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
     Returns a GradReport.
     """
     camera.check()
-    for name, value in (("h", h), ("rel_tol", rel_tol), ("abs_tol", abs_tol)):
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    _check_steps(h, rel_tol, abs_tol)
     shape = (camera.height, camera.width)
     target = as_finite(target, shape + (3,), "target")
     weight = np.ones(shape) if pixel_mask is None else as_finite(
@@ -487,8 +493,9 @@ def make_audit_scene(seed, image_size=16):
 
 def run_audit(seed, *, h=1e-5, rel_tol=1e-4, abs_tol=1e-8):
     """Generate the audit scene for a seed, on a 16x16 image for an even
-    seed and 32x32 for an odd one, and run audit_scene on it.
-    make_audit_scene checks the seed before anything is drawn."""
+    seed and 32x32 for an odd one, and run audit_scene on it. h, rel_tol,
+    abs_tol and the seed are checked before anything is drawn."""
+    _check_steps(h, rel_tol, abs_tol)
     size = 16 if seed % 2 == 0 else 32
     scene, camera, target, background, mask = make_audit_scene(seed, size)
     return audit_scene(

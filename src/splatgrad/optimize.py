@@ -38,6 +38,15 @@ class FitConfig:
     background: tuple = (0.0, 0.0, 0.0)
 
 
+def _check_target(target, camera):
+    """target as a float64 array; ValueError naming it unless it has the
+    camera's (height, width, 3) shape, is finite and lies in [0, 1]."""
+    target = as_finite(target, (camera.height, camera.width, 3), "target")
+    if not ((target >= 0.0) & (target <= 1.0)).all():
+        raise ValueError("target values must lie in [0, 1]")
+    return target
+
+
 def init_random(config: FitConfig, camera: Camera, target):
     """Seeded starting scene for a fit, as a Splats.
 
@@ -45,14 +54,15 @@ def init_random(config: FitConfig, camera: Camera, target):
     band past the near plane, sized so their footprints roughly tile the
     image area, colored from the target pixel under their center, and
     given opacity 0.5. Each splat draws its pixel and depth in turn.
-    A camera that fails Camera.check, or a config.n_gaussians or
+    A camera that fails Camera.check, a target that is not a finite
+    (height, width, 3) array in [0, 1], or a config.n_gaussians or
     config.seed that is negative or not a whole number, raises ValueError
     naming the field before anything is drawn.
     """
     camera.check()
+    target = _check_target(target, camera)
     n = as_integer(config.n_gaussians, "config.n_gaussians", 0)
     rng = np.random.default_rng(as_integer(config.seed, "config.seed", 0))
-    target = np.asarray(target, dtype=np.float64)
     depth_lo = camera.near + 2.0
     depth_hi = min(camera.far, depth_lo + 4.0)
     if n > 0:
@@ -117,12 +127,12 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
     Raises:
         ValueError naming the field when the camera fails Camera.check,
         checked before anything else; ValueError naming target unless it
-        has the camera's (height, width, 3) shape and is finite;
-        ValueError naming the field when config.iterations is not a whole
-        number at least 0 (nor config.n_gaussians or config.seed, when
-        init_random builds the start) or a learning rate (config.lr_mean,
-        ...) is negative or not finite, or naming the splat and field when
-        init fails Splats.validate.
+        is a finite (height, width, 3) array in [0, 1]; ValueError naming
+        the field when config.iterations is not a whole number at least 0
+        (nor config.n_gaussians or config.seed, when init_random builds
+        the start), a learning rate (config.lr_mean, ...) is negative or
+        not finite or config.background is not a finite 3-vector, or
+        naming the splat and field when init fails Splats.validate.
         FloatingPointError when the loss or a gradient class turns
         non-finite, naming the loss or the class (e.g. d_quat) and the
         iteration, or when a step leaves a quaternion with norm at or
@@ -130,13 +140,13 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
         gaussians[2].quat norm collapsed at iteration 41).
     """
     camera.check()
-    target = as_finite(target, (camera.height, camera.width, 3), "target")
+    target = _check_target(target, camera)
     iterations = as_integer(config.iterations, "config.iterations", 0)
     rates = {name: getattr(config, "lr_" + name) for name, _, _ in SPLAT_FIELDS}
     for name, value in rates.items():
         if not 0.0 <= value < np.inf:
             raise ValueError(f"config.lr_{name} must be finite and non-negative, got {value}")
-    background = np.asarray(config.background, dtype=np.float64)
+    background = as_finite(config.background, (3,), "config.background")
 
     start = init_random(config, camera, target) if init is None else Splats.of(init)
     start.validate()

@@ -26,6 +26,7 @@ from .core import (
     Gaussian3D,
     RowError,
     Splats,
+    as_finite,
     compose_covariance_3d,
     matprod,
     matvec,
@@ -195,10 +196,11 @@ def project_splats(splats, camera: Camera, *, view=None, keep_offscreen=False):
     (N, 4, 4) stack, replaces camera.view splat by splat.
 
     Raises ValueError naming the field on a camera that fails
-    Camera.check or a scene that fails Splats.check (camera.fx must be
-    finite, gaussians[4].scale components must be positive), and naming
-    the splat on a 2D covariance that is not finite and positive
-    definite. Kept depths exceed near > 0: none is behind the camera.
+    Camera.check, a scene that fails Splats.check (camera.fx must be
+    finite, gaussians[4].scale components must be positive) or a view
+    that is not a finite (N, 4, 4) stack, and naming the splat on a 2D
+    covariance that is not finite and positive definite. Kept depths
+    exceed near > 0: none is behind the camera.
 
     Returns:
         ProjectedSplats, rows in source order, with each row's conic and
@@ -207,6 +209,8 @@ def project_splats(splats, camera: Camera, *, view=None, keep_offscreen=False):
     """
     camera.check()
     splats.check()
+    if view is not None:
+        view = as_finite(view, (len(splats), 4, 4), "view")
     t_all = world_to_camera(splats.means, camera, view)
     depth_all = t_all[:, 2]
     # Written as the negation of the cull test, so a NaN depth is kept and

@@ -163,8 +163,9 @@ def accumulate_image_backward(scene, result, d_image):
 
     Raises:
         ValueError naming d_image unless it has the image's shape and is
-        finite; naming the scene when it has too few splats for the
-        render's rows; and naming the first splat and field (e.g.
+        finite; naming a scene array whose shape changed (means must have
+        shape (2, 3), got (2, 2)), or the scene when it has too few splats
+        for the render's rows; and naming the first splat and field (e.g.
         gaussians[3].opacity) whose mean, scale, quat, opacity or color
         differs from the render's.
     """
@@ -188,6 +189,7 @@ def _check_scene(splats, projected):
     ProjectedSplats projected: at least source_index.max() + 1 splats,
     with the same mean, scale, quat, opacity and color at each
     source_index. A culled splat may differ."""
+    splats._check_shapes()
     src = projected.source_index
     n = int(src.max(initial=-1)) + 1
     if len(splats) < n:

@@ -83,7 +83,7 @@ def rotated_camera(rng, width, height):
     w = np.cos(angle / 2.0)
     v = np.sin(angle / 2.0) * axis
     q = np.array([w, v[0], v[1], v[2]])
-    from splatgrad import quat_to_rotmat
+    from splatgrad.core import quat_to_rotmat
 
     view = np.eye(4)
     view[:3, :3] = quat_to_rotmat(q)
@@ -305,7 +305,7 @@ def oracle_render(scene, result, early_termination):
 def oracle_image_backward(scene, result, d_image):
     """accumulate_image_backward computed tile by tile with
     oracle_backward_tile."""
-    from splatgrad import Splat2DGrads
+    from splatgrad.raster_backward import Splat2DGrads
 
     grads = Splat2DGrads.zeros(len(scene))
     projected = with_scene_values(result.projected, Splats.of(scene))
@@ -422,15 +422,14 @@ def reference_pixel_safety_mask(scene, camera, sigma_margin=0.05,
     contract as gradcheck._pixel_safety_mask, with the transmittance band
     found by walking every pixel's bin in pure Python and a scalar alpha
     expression of its own."""
-    from splatgrad import (
+    from splatgrad import render
+    from splatgrad.core import compose_covariance_3d, matprod
+    from splatgrad.projection import (
         camera_to_pixel,
-        compose_covariance_3d,
         project_covariance,
         projection_jacobian,
-        render,
         world_to_camera,
     )
-    from splatgrad.core import matprod
 
     scene = rows(scene)
     footprints = []

@@ -26,14 +26,13 @@ from splatgrad import (
     Camera,
     FitConfig,
     Gaussian3D,
-    compose_covariance_3d,
     fit,
     make_audit_scene,
-    quat_to_rotmat,
     render,
     render_brute_force,
     run_audit,
 )
+from splatgrad.core import compose_covariance_3d, quat_to_rotmat
 
 from helpers import (PixelAux, eval_alpha, frustum_camera, frustum_scene,
                      transmittance_replay, wrap_backward)
@@ -342,13 +341,12 @@ from splatgrad import (
     FitConfig,
     fit,
     make_audit_scene,
-    quat_to_rotmat,
-    compose_covariance_3d,
     render,
     render_brute_force,
     run_audit,
     serialize_scene,
 )
+from splatgrad.core import compose_covariance_3d, quat_to_rotmat
 
 from helpers import PixelAux, transmittance_replay
 

@@ -11,19 +11,22 @@ from numpy.testing import assert_allclose
 from splatgrad import (
     Camera,
     Gaussian3D,
-    camera_to_pixel,
-    compose_covariance_3d,
+    projection,
+    render,
+    scene_backward,
+)
+from splatgrad.core import compose_covariance_3d, quat_to_rotmat
+from splatgrad.proj_backward import (
     cov2d_backward,
     covariance3d_backward,
     mean2d_backward,
+    world_backward,
+)
+from splatgrad.projection import (
+    camera_to_pixel,
     project_covariance,
     project_gaussian,
-    projection,
     projection_jacobian,
-    quat_to_rotmat,
-    render,
-    scene_backward,
-    world_backward,
     world_to_camera,
 )
 

@@ -357,7 +357,7 @@ class TestAccumulateImageBackward:
         d_image = rng.normal(size=(24, 24, 3))
         total = accumulate_image_backward(scene, res, d_image)
 
-        from splatgrad import Splat2DGrads
+        from splatgrad.raster_backward import Splat2DGrads
 
         want = Splat2DGrads.zeros(len(scene))
         bins = res.grid.bins

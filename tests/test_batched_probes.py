@@ -26,9 +26,9 @@ from splatgrad import (
     Gaussian3D,
     Splats,
     audit_scene,
-    quat_to_rotmat,
     render,
 )
+from splatgrad.core import quat_to_rotmat
 from splatgrad.gradcheck import _draw_scene, _pattern_target, _pixel_safety_mask
 from splatgrad.raster_forward import _footprints, _full_windows, _project_stack, _render_batch
 

@@ -3,7 +3,7 @@
 import numpy as np
 from numpy.testing import assert_allclose
 
-from splatgrad import TILE_SIZE, assign_tiles, sort_bins
+from splatgrad.binning import TILE_SIZE, assign_tiles, sort_bins
 
 from helpers import stack_projected
 

@@ -19,11 +19,11 @@ from splatgrad import (
     audit_scene,
     fit,
     init_random,
-    project_gaussian,
     project_splats,
     render,
     render_brute_force,
 )
+from splatgrad.projection import project_gaussian
 
 from helpers import frustum_camera, frustum_scene
 

@@ -8,11 +8,9 @@ from splatgrad import (
     Camera,
     Gaussian3D,
     Splats,
-    compose_covariance_3d,
-    quat_to_rotmat,
     render,
 )
-from splatgrad.core import matprod
+from splatgrad.core import compose_covariance_3d, matprod, quat_to_rotmat
 
 from helpers import frustum_camera
 

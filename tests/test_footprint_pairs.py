@@ -26,11 +26,11 @@ import test_acceptance
 from splatgrad import (
     Camera,
     Gaussian3D,
-    quat_to_rotmat,
     render,
     render_brute_force,
     scene_backward,
 )
+from splatgrad.core import quat_to_rotmat
 
 from helpers import frustum_camera, oracle_render
 

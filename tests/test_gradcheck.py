@@ -108,6 +108,19 @@ class TestAuditArguments:
                            match=rf"^{name} must be finite and positive, got {bad}$"):
             run_audit(4, **{name: bad})
 
+    @pytest.mark.parametrize("name,bad", CASES)
+    def test_run_audit_rejects_before_drawing(self, name, bad, monkeypatch):
+        drawn = []
+        real = gradcheck._draw_scene
+        monkeypatch.setattr(gradcheck, "_draw_scene",
+                            lambda *args: drawn.append(args) or real(*args))
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and positive"):
+            run_audit(1, **{name: bad})
+        assert drawn == []
+        # The wrapper counts: a good call draws.
+        run_audit(1)
+        assert drawn
+
     # A seed must be a whole number at least 0, and an audit image at
     # least 4 pixels wide (splats are placed 2 px inside its border);
     # checked before anything is drawn.

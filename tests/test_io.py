@@ -1,6 +1,8 @@
 """Scene document and image file round-trip tests."""
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from splatgrad import (
     write_image,
 )
 
+from splatgrad.core import SPLAT_FIELDS
+
 from helpers import frustum_camera, frustum_scene, rotated_camera, rows
 
 # A field of a scene row set out of its range, and the message naming it.
@@ -24,6 +28,50 @@ OUT_OF_RANGE = [
     ("opacity", 1.5, r"opacity must lie in \[0, 1\]"),
     ("color", [0.9, 1.5, 0.1], r"color channels must lie in \[0, 1\]"),
 ]
+
+
+# Edits of sample_doc() setting a number that is not finite, and the
+# field parse_scene's error names. json.dumps writes NaN and Infinity,
+# which json.loads reads as floats; an integer literal too large for a
+# float is read as an int.
+NON_FINITE = [
+    (lambda d: d["camera"].update(cx=float("nan")), "scene.camera.cx"),
+    (lambda d: d["camera"].update(fx=float("nan")), "scene.camera.fx"),
+    (lambda d: d["camera"]["view"].__setitem__(3, float("inf")), r"scene.camera.view\[3\]"),
+    (lambda d: d.update(background=[0.0, float("nan"), 0.0]), r"scene.background\[1\]"),
+    (lambda d: d["gaussians"][0].update(mean=[0.1, float("-inf"), 3.0]),
+     r"scene.gaussians\[0\].mean\[1\]"),
+    (lambda d: d["gaussians"][0].update(quat=[float("nan"), 0.0, 0.0, 0.0]),
+     r"scene.gaussians\[0\].quat\[0\]"),
+    (lambda d: d["gaussians"][0].update(opacity=float("nan")), r"scene.gaussians\[0\].opacity"),
+    (lambda d: d["gaussians"][0].update(color=[0.9, 0.5, float("nan")]),
+     r"scene.gaussians\[0\].color\[2\]"),
+    (lambda d: d["camera"].update(fx=10 ** 400), "scene.camera.fx"),
+    (lambda d: d["camera"]["view"].__setitem__(5, -10 ** 400), r"scene.camera.view\[5\]"),
+]
+NON_FINITE_IDS = ["cx", "fx", "view", "background", "mean", "quat", "opacity", "color",
+                  "fx-overflow", "view-overflow"]
+
+
+def _rigidity_broken(doc):
+    view = np.eye(4)
+    view[0, 0] = 2.0  # scaling is not rigid
+    doc["camera"]["view"] = [float(v) for v in view.ravel()]
+
+
+# Every edit of sample_doc() that parse_scene rejects for a value the
+# scene, camera or background holds rather than for the document's
+# syntax: the ranges (at the first and the second splat), a background
+# channel past 1, a width that is not whole, a view that is not rigid and
+# every number that is not finite.
+VALUE_REJECTS = (
+    [pytest.param(lambda d, f=f, v=v, i=i: (d["gaussians"].append(dict(d["gaussians"][0])),
+                                            d["gaussians"][i].update({f: v})),
+                  id=f"{f}-{i}") for f, v, _ in OUT_OF_RANGE for i in (0, 1)]
+    + [pytest.param(lambda d: d.update(background=[0.0, 1.2, 0.0]), id="background-range"),
+       pytest.param(lambda d: d["camera"].update(width=8.5), id="width"),
+       pytest.param(_rigidity_broken, id="rigidity")]
+    + [pytest.param(edit, id=i) for (edit, _), i in zip(NON_FINITE, NON_FINITE_IDS)])
 
 
 def sample_doc():
@@ -46,6 +94,40 @@ def sample_doc():
             }
         ],
     }
+
+
+def _number(value):
+    """A JSON number as parse_scene reads it, an integer too large for a
+    float as an infinity."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _unchecked(doc):
+    """The scene, camera and background a document holds, built past
+    every check but Splats' shape check: each camera field is set after
+    construction."""
+    camera = frustum_camera(8, 6)
+    for key, value in doc["camera"].items():
+        if key == "view":
+            value = np.reshape([_number(v) for v in value], (4, 4))
+        elif key not in ("width", "height"):
+            value = _number(value)
+        setattr(camera, key, value)
+    rows = doc["gaussians"]
+    scene = Splats(**{attr: np.reshape([[_number(v) for v in (g[name] if shape else [g[name]])]
+                                        for g in rows], (len(rows),) + shape)
+                      for name, attr, shape in SPLAT_FIELDS})
+    return scene, camera, [_number(v) for v in doc["background"]]
+
+
+def _field(message):
+    """The field an error message names, less a trailing element index:
+    scene.gaussians[0].mean for scene.gaussians[0].mean[1] must be
+    finite."""
+    return re.sub(r"\[\d+\]$", "", re.match(r"[\w.\[\]]+", message).group())
 
 
 class TestParseScene:
@@ -147,35 +229,12 @@ class TestParseScene:
 
     def test_bad_view_matrix_rejected(self):
         doc = sample_doc()
-        view = np.eye(4)
-        view[0, 0] = 2.0  # scaling is not rigid
-        doc["camera"]["view"] = [float(v) for v in view.ravel()]
+        _rigidity_broken(doc)
         with pytest.raises(ValueError, match="scene.camera"):
             parse_scene(json.dumps(doc))
 
-    @pytest.mark.parametrize("edit, field", [
-        (lambda d: d["camera"].update(cx=float("nan")), "scene.camera.cx"),
-        (lambda d: d["camera"].update(fx=float("nan")), "scene.camera.fx"),
-        (lambda d: d["camera"]["view"].__setitem__(3, float("inf")),
-         r"scene.camera.view\[3\]"),
-        (lambda d: d.update(background=[0.0, float("nan"), 0.0]),
-         r"scene.background\[1\]"),
-        (lambda d: d["gaussians"][0].update(mean=[0.1, float("-inf"), 3.0]),
-         r"scene.gaussians\[0\].mean\[1\]"),
-        (lambda d: d["gaussians"][0].update(quat=[float("nan"), 0.0, 0.0, 0.0]),
-         r"scene.gaussians\[0\].quat\[0\]"),
-        (lambda d: d["gaussians"][0].update(opacity=float("nan")),
-         r"scene.gaussians\[0\].opacity"),
-        (lambda d: d["gaussians"][0].update(color=[0.9, 0.5, float("nan")]),
-         r"scene.gaussians\[0\].color\[2\]"),
-        (lambda d: d["camera"].update(fx=10 ** 400), "scene.camera.fx"),
-        (lambda d: d["camera"]["view"].__setitem__(5, -10 ** 400),
-         r"scene.camera.view\[5\]"),
-    ], ids=["cx", "fx", "view", "background", "mean", "quat", "opacity", "color",
-            "fx-overflow", "view-overflow"])
+    @pytest.mark.parametrize("edit, field", NON_FINITE, ids=NON_FINITE_IDS)
     def test_non_finite_number_rejected(self, edit, field):
-        # json.loads reads NaN, Infinity and -Infinity as floats, and an
-        # integer literal too large for a float as an int.
         doc = sample_doc()
         edit(doc)
         with pytest.raises(ValueError, match=field + " must be finite"):
@@ -203,6 +262,19 @@ class TestSerializeScene:
             assert np.array_equal(a.quat, b.quat)
             assert a.opacity == b.opacity
             assert np.array_equal(a.color, b.color)
+
+    @pytest.mark.parametrize("edit", VALUE_REJECTS)
+    def test_writes_only_what_parse_accepts(self, edit):
+        # Each value parse_scene rejects, held by the scene, camera or
+        # background themselves, makes serialize_scene raise a ValueError
+        # naming the same field instead of writing a document.
+        doc = sample_doc()
+        edit(doc)
+        with pytest.raises(ValueError) as parsed:
+            parse_scene(json.dumps(doc))
+        with pytest.raises(ValueError) as written:
+            serialize_scene(*_unchecked(doc))
+        assert _field(str(written.value)) == _field(str(parsed.value))
 
     def test_output_is_valid_json(self):
         camera = frustum_camera(8, 8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from splatgrad import FitConfig, Gaussian3D, fit, init_random, render
+from splatgrad import FitConfig, Gaussian3D, fit, init_random, optimize, render
 
 from helpers import frustum_camera, rows
 
@@ -39,8 +39,19 @@ class TestInitRandom:
         with pytest.raises(ValueError, match=r"^config\.n_gaussians must be at least 0, got -3$"):
             init_random(FitConfig(n_gaussians=-3), camera, np.zeros((16, 16, 3)))
 
+    @pytest.mark.parametrize("target, message", [
+        (np.full((16, 16, 3), np.nan), r"^target of shape \(16, 16, 3\) must be finite$"),
+        (np.full((4, 4, 3), 0.5), r"^target must have shape \(16, 16, 3\), got \(4, 4, 3\)$"),
+        (np.full((16, 16, 3), 2.0), r"^target values must lie in \[0, 1\]$"),
+    ], ids=["nan", "wrong-shape", "out-of-range"])
+    def test_bad_target_rejected_by_name(self, target, message):
+        # The splats are colored from the target: a NaN target would give
+        # NaN colors, and a smaller one an IndexError.
+        with pytest.raises(ValueError, match=message):
+            init_random(FitConfig(n_gaussians=4), frustum_camera(16, 16), target)
+
     def test_splats_start_visible(self):
-        from splatgrad import project_gaussian
+        from splatgrad.projection import project_gaussian
 
         camera = frustum_camera(48, 32)
         rng = np.random.default_rng(0)
@@ -81,6 +92,16 @@ class TestFit:
         init = init_random(config, camera, np.full((15, 20, 3), 0.5)) if with_init else None
         with pytest.raises(ValueError, match=r"^target of shape \(15, 20, 3\) must be finite$"):
             fit(np.full((15, 20, 3), np.nan), camera, config, init=init)
+
+    def test_out_of_range_target_named_before_init_random(self, monkeypatch):
+        # init_random would color the start from the target, and the
+        # start's check would then blame gaussians[0].color.
+        drawn = []
+        monkeypatch.setattr(optimize, "init_random", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match=r"^target values must lie in \[0, 1\]$"):
+            fit(np.full((16, 16, 3), 2.0), frustum_camera(16, 16),
+                FitConfig(n_gaussians=4, iterations=1))
+        assert drawn == []
 
     # The (splats, iterations) a fit with n_gaussians=2, iterations=2 and
     # field set to 0 or 3 returns. seed is checked by init_random, before
@@ -283,8 +304,6 @@ class TestNonFiniteGradient:
         # Inject a NaN into one gradient class at the third iteration; fit
         # must stop there and say which class, before the NaN reaches the
         # optimizer state and the next render's scene check.
-        from splatgrad import optimize
-
         inner = optimize.scene_backward
         calls = []
 
@@ -312,8 +331,6 @@ class TestQuatNormCollapse:
         # [0.75, 0.75, -0.75, 0.75] reaches zero after three steps. fit must stop after that step,
         # before the next render's scene check rejects the quaternion
         # without saying when.
-        from splatgrad import optimize
-
         inner = optimize.scene_backward
 
         def shrink(scene, *args, **kwargs):

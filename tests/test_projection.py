@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from splatgrad import (
-    Camera,
-    DILATION,
-    Gaussian3D,
+from splatgrad import DILATION, Camera, Gaussian3D
+from splatgrad.core import compose_covariance_3d, quat_to_rotmat
+from splatgrad.projection import (
     bounding_radius,
     camera_to_pixel,
-    compose_covariance_3d,
+    pixel_to_world,
     project_covariance,
     project_gaussian,
     projection_jacobian,
-    quat_to_rotmat,
     world_to_camera,
 )
-from splatgrad.projection import pixel_to_world
 
 from helpers import frustum_camera, oracle_perspective, rotated_camera
 

@@ -27,14 +27,13 @@ from splatgrad import (
     Gaussian3D,
     ProjectedSplats,
     accumulate_image_backward,
-    bounding_radius,
     init_random,
     raster_forward,
     render,
     render_brute_force,
     scene_backward,
 )
-from splatgrad.projection import DILATION, _conic
+from splatgrad.projection import DILATION, _conic, bounding_radius
 from splatgrad.raster_forward import (
     ALPHA_MIN,
     SIGMA_CUT,
