@@ -15,7 +15,7 @@ from splatgrad import (
     render,
     scene_backward,
 )
-from splatgrad.core import compose_covariance_3d, quat_to_rotmat
+from splatgrad.core import compose_covariance_3d
 from splatgrad.proj_backward import (
     cov2d_backward,
     covariance3d_backward,

@@ -59,15 +59,23 @@ def _rigidity_broken(doc):
     doc["camera"]["view"] = [float(v) for v in view.ravel()]
 
 
+def _out_of_range(field, value, row):
+    """An edit giving sample_doc() a second splat, then setting field of
+    splat row to value."""
+    def edit(doc):
+        doc["gaussians"].append(dict(doc["gaussians"][0]))
+        doc["gaussians"][row][field] = value
+    return edit
+
+
 # Every edit of sample_doc() that parse_scene rejects for a value the
 # scene, camera or background holds rather than for the document's
 # syntax: the ranges (at the first and the second splat), a background
 # channel past 1, a width that is not whole, a view that is not rigid and
 # every number that is not finite.
 VALUE_REJECTS = (
-    [pytest.param(lambda d, f=f, v=v, i=i: (d["gaussians"].append(dict(d["gaussians"][0])),
-                                            d["gaussians"][i].update({f: v})),
-                  id=f"{f}-{i}") for f, v, _ in OUT_OF_RANGE for i in (0, 1)]
+    [pytest.param(_out_of_range(f, v, i), id=f"{f}-{i}") for f, v, _ in OUT_OF_RANGE
+     for i in (0, 1)]
     + [pytest.param(lambda d: d.update(background=[0.0, 1.2, 0.0]), id="background-range"),
        pytest.param(lambda d: d["camera"].update(width=8.5), id="width"),
        pytest.param(_rigidity_broken, id="rigidity")]

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from splatgrad import DILATION, Camera, Gaussian3D
-from splatgrad.core import compose_covariance_3d, quat_to_rotmat
+from splatgrad.core import quat_to_rotmat
 from splatgrad.projection import (
     bounding_radius,
     camera_to_pixel,
