@@ -13,7 +13,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from .core import SPLAT_FIELDS, Camera, Splats, as_finite, as_integer
+from .core import (SPLAT_FIELDS, Camera, Splats, as_background, as_finite, as_integer,
+                   as_real)
 from .gradcheck import run_audit
 from .optimize import FitConfig, fit
 from .raster_forward import ImageBuffer, render, render_brute_force
@@ -33,12 +34,7 @@ def _check_keys(obj, keys, path):
 
 
 def _finite(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{path} must be a number")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer literal too large for a float
-        value = np.inf
+    value = as_real(value, path)
     if not np.isfinite(value):
         raise ValueError(f"{path} must be finite")
     return value
@@ -58,13 +54,11 @@ def _vector(value, n, path):
 
 def _check_values(scene, camera, background):
     """Raise ValueError prefixed scene. unless the values may be in a scene
-    file: the camera passes Camera.validate, the background is a finite
-    3-vector in [0, 1] and the Splats passes Splats.validate."""
+    file: the camera passes Camera.validate, the background as_background
+    and the Splats Splats.validate."""
     try:
         camera.validate()
-        background = as_finite(background, (3,), "background")
-        if np.any(background < 0.0) or np.any(background > 1.0):
-            raise ValueError("background channels must lie in [0, 1]")
+        as_background(background)
         scene.validate()
     except ValueError as exc:
         raise ValueError(f"scene.{exc}") from None

@@ -19,6 +19,7 @@ scene index.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +48,31 @@ def as_finite(value, shape, name):
     return arr
 
 
+def as_background(value, name="background"):
+    """value as a float64 (3,) array; ValueError naming it unless it is
+    finite with channels in [0, 1], for rendering, fits and scene files."""
+    arr = as_finite(value, (3,), name)
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
+        raise ValueError(f"{name} channels must lie in [0, 1], got {arr.tolist()}")
+    return arr
+
+
+def as_real(value, name):
+    """float(value); ValueError naming it unless value is a real number a
+    float holds: not a bool, a string or an integer past the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
+
+
 def as_integer(value, name, minimum=None):
     """int(value); ValueError naming it unless value is a finite whole
     number, so 16.0 and np.int64(16) pass and 20.9 does not, and at least
     minimum when one is given."""
-    if not (math.isfinite(value) and int(value) == value):
+    if not (math.isfinite(as_real(value, name)) and int(value) == value):
         raise ValueError(f"{name} must be an integer, got {value}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {int(value)}")
@@ -159,7 +180,9 @@ class Camera:
     """Pinhole camera: a rigid world-to-camera transform plus intrinsics.
 
     view is the 4x4 world-to-camera matrix. fx, fy, cx, cy are in pixels;
-    near and far are positive clip depths in world units.
+    near and far are positive clip depths in world units. A value that is
+    no number (or no whole one, for width and height) raises ValueError
+    naming it, e.g. camera.fx must be a number, got '8'.
     """
 
     view: np.ndarray
@@ -175,7 +198,7 @@ class Camera:
     def __post_init__(self):
         self.view = _as_f64(self.view, (4, 4), "camera.view")
         for name in ("fx", "fy", "cx", "cy", "near", "far"):
-            setattr(self, name, float(getattr(self, name)))
+            setattr(self, name, as_real(getattr(self, name), f"camera.{name}"))
         for name in ("width", "height"):
             setattr(self, name, as_integer(getattr(self, name), f"camera.{name}"))
 

@@ -28,10 +28,11 @@ w (I+ - I-) (I+ + I- - 2 T). Subtracting the two whole-image losses
 instead leaves a rounding floor near eps * L / h, which fails a
 coordinate whose gradient is small beside the loss.
 
-_probes alone fixes the probe order. Beside the probes it returns a
-coordinate table with one row per probed coordinate: class, report label,
-SceneGradients field and index. audit_scene reads the analytic values
-through it and compares each class with array operations.
+_probes alone fixes the probe order: splat by splat in SPLAT_FIELDS
+order, then the view's top three rows, the order of the SceneGradients
+arrays raveled splat by splat. Beside the probes it returns a coordinate
+table (class, report label); audit_scene compares each class with array
+operations.
 """
 
 import math
@@ -45,8 +46,8 @@ from .core import SPLAT_FIELDS, Camera, Splats, as_finite, as_integer, quat_to_r
 from .core import compose_covariance_3d  # noqa: F401
 from .projection import ProjectedSplats, pixel_to_world, project_splats
 from .proj_backward import scene_backward
-from .raster_forward import (SIGMA_CUT, T_MIN, _footprints, _pair_alpha, _project_stack,
-                             _render_batch, render)
+from .raster_forward import (SIGMA_CUT, T_MIN, _footprints, _front_to_back, _pair_alpha,
+                             _project_stack, _render_batch, render)
 
 AUDIT_CLASSES = tuple(name for name, _, _ in SPLAT_FIELDS) + ("view",)
 # Probe window pixels binned and composited at once: whole probe pairs,
@@ -58,9 +59,8 @@ AUDIT_CLASSES = tuple(name for name, _, _ in SPLAT_FIELDS) + ("view",)
 # tracemalloc at 4.88 MB (seed 2; 2.97 MB at 2^11); 2^15 and 2^16 were no
 # faster and peaked near 9 MB. perfbench figures: BENCH_probe_batches.json.
 PROBE_PIXELS = 1 << 14
-# A coordinate table row; index is into the raveled SceneGradients field.
-COORDS = np.dtype([("cls", object), ("label", object), ("field", object),
-                   ("index", np.intp)])
+# A coordinate table row: the coordinate's class and report label.
+COORDS = np.dtype([("cls", object), ("label", object)])
 # Coordinates whose analytic or numeric magnitude exceeds this are held to
 # the relative tolerance; the rest to the absolute one.
 GRAD_FLOOR = 1e-7
@@ -125,17 +125,15 @@ def _probes(splats, camera, h):
     pair c moves (-1 for a view entry), and coords the COORDS table, one
     row per pair."""
     n = len(splats)
-    # One splat's coordinates in probe order, each with its label suffix and
-    # its offset into the splat's size values (np.ndindex runs row-major).
-    row = [(name, attr, j, f".{name}" + "".join(f"[{k}]" for k in j), offset, math.prod(shape))
-           for name, attr, shape in SPLAT_FIELDS for offset, j in enumerate(np.ndindex(shape))]
-    cls, _, _, suffix, offset, size = zip(*row)
+    # One splat's coordinates in probe order, each with its label suffix
+    # (np.ndindex runs row-major).
+    row = [(name, attr, j, f".{name}" + "".join(f"[{k}]" for k in j))
+           for name, attr, shape in SPLAT_FIELDS for j in np.ndindex(shape)]
+    cls, _, _, suffix = zip(*row)
     coords = np.empty(n * len(row) + 12, dtype=COORDS)
     coords["cls"] = cls * n + ("view",) * 12
     coords["label"] = [f"gaussian[{i}]{end}" for i in range(n) for end in suffix] + [
         f"view[{q}]" for q in range(12)]
-    coords["field"] = tuple(f"d_{name}" for name in cls) * n + ("d_view",) * 12
-    coords["index"] = np.append(np.arange(n)[:, None] * size + offset, np.arange(12))
     stepped = 2 * n * len(row)
     arrays = {attr: np.concatenate([a, a.repeat(2 * len(row), axis=0),
                                     np.tile(a, (24,) + (1,) * (a.ndim - 1))])
@@ -252,7 +250,7 @@ def _slice_differences(projected, image, footprints, win, a, target, weight, bac
     # its compositing freed; dropped first, glibc trimmed and re-faulted it
     # (1,990 minor faults per audited seed, not 255; 2.8 us each on a Xeon VM).
     batch = _render_batch(projected, image, footprints, width, height, win.repeat(2, axis=0),
-                          background, True)
+                          background)
     color = batch[1][0]
     # Pair c's window pixels follow those of the pairs before it, and in
     # the slice's layout its +h image comes before its -h image.
@@ -283,8 +281,7 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
 
     The probed scalar is the summed squared pixel error against target.
     Every gaussian coordinate is probed, plus the twelve entries of the
-    view matrix's rotation/translation block, each read through _probes'
-    coordinate table. Coordinates whose magnitude exceeds GRAD_FLOOR are
+    view matrix's rotation/translation block, in _probes' order. Coordinates whose magnitude exceeds GRAD_FLOOR are
     held to rel_tol relative error; the rest to abs_tol absolute error. A
     class's worst coordinate is the first with the largest error over
     tolerance. A non-finite analytic coordinate fails its class, whose
@@ -327,10 +324,10 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
         raise FloatingPointError(
             f"probe difference of {coords['label'][bad][0]} is not finite")
     fd = delta / (2.0 * h)
-    a = np.empty(len(coords))
-    for field in set(coords["field"]):
-        rows = coords["field"] == field
-        a[rows] = np.ravel(getattr(analytic, field))[coords["index"][rows]]
+    # The analytic values in probe order: splat by splat, then the view.
+    a = np.append(np.concatenate([getattr(analytic, f"d_{name}").reshape(
+        len(splats), math.prod(shape)) for name, _, shape in SPLAT_FIELDS], axis=1),
+        analytic.d_view[:3])
 
     diff = np.abs(a - fd)
     mag = np.maximum(np.abs(a), np.abs(fd))
@@ -429,13 +426,13 @@ def _pixel_safety_mask(splats, camera):
         return None
 
     # Every (splat, pixel) pair, one row of pixels per splat, the splats in
-    # the front-to-back order sort_bins gives each bin.
+    # _front_to_back order, the order of every bin.
     h, w = camera.height, camera.width
     n = len(projected)
     xs = np.tile(np.arange(w, dtype=np.float64) + 0.5, h * n)
     ys = np.tile(np.repeat(np.arange(h, dtype=np.float64) + 0.5, w), n)
-    order = np.lexsort((projected.source_index, depth))
-    _, _, sigma, _, _, alpha, visible = _pair_alpha(xs, ys, projected, np.repeat(order, h * w))
+    _, _, sigma, _, _, alpha, visible = _pair_alpha(
+        xs, ys, projected, np.repeat(_front_to_back(projected), h * w))
     mask = np.all(np.abs(sigma.reshape(n, h * w) - SIGMA_CUT) > SIGMA_MARGIN, axis=0)
 
     # A pixel is cleared when a transmittance step of its front-to-back

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QUAT_NORM_EPS, SPLAT_FIELDS, Camera, Splats, as_finite, as_integer
+from .core import (QUAT_NORM_EPS, SPLAT_FIELDS, Camera, Splats, as_background, as_finite,
+                   as_integer)
 from .proj_backward import scene_backward
 from .projection import pixel_to_world
 from .raster_forward import render
@@ -146,7 +147,7 @@ def fit(target, camera: Camera, config: FitConfig, init=None):
     for name, value in rates.items():
         if not 0.0 <= value < np.inf:
             raise ValueError(f"config.lr_{name} must be finite and non-negative, got {value}")
-    background = as_finite(config.background, (3,), "config.background")
+    background = as_background(config.background, "config.background")
 
     start = init_random(config, camera, target) if init is None else Splats.of(init)
     start.validate()

@@ -43,15 +43,6 @@ class Splat2DGrads:
     d_mean2d: np.ndarray
     d_cov2d: np.ndarray
 
-    @classmethod
-    def zeros(cls, n):
-        return cls(
-            d_color=np.zeros((n, 3)),
-            d_opacity=np.zeros(n),
-            d_mean2d=np.zeros((n, 2)),
-            d_cov2d=np.zeros((n, 2, 2)),
-        )
-
 
 def _backward(blocks, projected, centers, n, background, final_t, d_pixels):
     """Screen-space gradients of the committed pairs in blocks, whose

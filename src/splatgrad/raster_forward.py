@@ -1,5 +1,12 @@
-"""Front-to-back alpha compositing of depth-sorted splats over flat
-(splat, pixel) pairs.
+"""Tile binning, then front-to-back alpha compositing of the binned
+splats over flat (splat, pixel) pairs.
+
+Binning is one sort of rows and one of entries. assign_tiles takes the
+projected rows in _front_to_back order (depth, then source index) and
+emits one entry per 16 x 16 tile a row's bounding square touches, then
+sorts the entries stably by tile, so every bin is front to back. The
+tile ids are encoded (assign_tiles, _render_batch) and decoded
+(_image_entries) here, beside that order.
 
 The tile bins are flattened once and ordered by (bin position, tile).
 Each entry expands only over the pixels of its tile whose centers lie in
@@ -28,12 +35,13 @@ The pipeline has an image axis. _project_stack projects a stack of
 rows in one project_splats pass, each row through its own view, and
 returns each kept row's stack index, from which the caller maps the row
 to its image. _render_batch takes the rows, that image array and their
-footprints. Tile t of image k is binned as k * n_tiles + t (the sort
-key stays tile, depth, scene-local source index), and one walk
-composites the pixels of all K images. A pixel still has at most one
-pair per bin position, so image k equals a render of its rows alone
-bitwise. The audit projects each distinct row of a scene's probes once,
-then bins and composites the probes in slices.
+footprints. Tile t of image k is binned as k * n_tiles + t, sort_bins
+regroups the entries stably by that id, so each bin stays front to back
+(depth, scene-local source index), and one walk composites the pixels of
+all K images. A pixel still has at most one pair per bin position, so
+image k equals a render of its rows alone bitwise. The audit projects
+each distinct row of a scene's probes once, then bins and composites the
+probes in slices.
 
 Each image is composited only inside its window, a pixel rectangle
 (x0, y0, x1, y1): entries are clipped to it as well as to their tile,
@@ -42,16 +50,12 @@ row-major. render and render_brute_force pass the whole image. The
 audit passes the pixels a probed splat can reach; every pixel inside a
 window equals the same pixel of the whole image bitwise.
 
-render takes the scene as a Splats or a list of Gaussian3D, stacks it
-once with Splats.of, and projects every splat in one batched
-project_splats pass, which checks the camera and the scene first;
-result.projected is the resulting ProjectedSplats, which the backward
-pass reads too.
-
-render keeps the pairs it commits, one CommittedPairs record per block
-(28 bytes per pair, 2.2-2.5 MB for a 256 x 256 view of 1,000 splats),
-on result.pairs. The backward pass reads them instead of evaluating and
-walking the pairs a second time.
+render projects every splat in one project_splats pass, which checks
+the camera and the scene first; the backward pass reads the resulting
+ProjectedSplats (result.projected) and the pairs render commits, one
+CommittedPairs record per block (28 bytes per pair, 2.2-2.5 MB for a
+256 x 256 view of 1,000 splats, on result.pairs), instead of evaluating
+and walking the pairs a second time.
 """
 
 from dataclasses import dataclass, replace
@@ -59,8 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .binning import TILE_SIZE, TileGrid, assign_tiles, grid_shape, sort_bins
-from .core import Camera, RowError, Splats, as_finite
+from .core import Camera, RowError, Splats, as_background
 # project_gaussian is not called here; it stays importable from this
 # module because perfbench/spans.py wraps raster_forward.project_gaussian.
 from .projection import ProjectedSplats, project_gaussian, project_splats  # noqa: F401
@@ -108,6 +111,80 @@ FOOTPRINT_SLACK = 1e-9
 # 2^14 one fit iteration of the criterion-5 scene peaked at 3.13 MB,
 # past its 2.9 MB guard (2.24 MB at 2^13).
 PAIR_BUDGET = 1 << 13
+TILE_SIZE = 16
+
+
+@dataclass
+class TileGrid:
+    """The (tile, splat) entries of a tile grid, flat and grouped by tile.
+
+    entry_tile (E,) holds row-major tile ids in ascending order, the tile
+    (tx, ty) being ty * tiles_x + tx; entry_splat (E,) holds the matching
+    indices into a projected-splat list, front to back within each tile.
+    """
+
+    tile_size: int
+    tiles_x: int
+    tiles_y: int
+    entry_tile: np.ndarray
+    entry_splat: np.ndarray
+
+    @property
+    def bins(self):
+        """One list of projected-splat indices per tile, row-major."""
+        n_tiles = self.tiles_x * self.tiles_y
+        ends = np.cumsum(np.bincount(self.entry_tile, minlength=n_tiles)).tolist()
+        flat = self.entry_splat.tolist()
+        return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def grid_shape(width, height):
+    """(tiles_x, tiles_y) of the tile grid covering a width x height image."""
+    return (width + TILE_SIZE - 1) // TILE_SIZE, (height + TILE_SIZE - 1) // TILE_SIZE
+
+
+def _front_to_back(projected):
+    """The rows of a ProjectedSplats in the rasterizer's one order, depth
+    ascending, ties by source index, then by row. Every bin, the brute-force
+    list and the audit mask's walk follow it, so compositing is deterministic."""
+    return np.lexsort((projected.source_index, projected.depth))
+
+
+def assign_tiles(projected: ProjectedSplats, width, height):
+    """Bin splats by bounding-box overlap, each bin front to back.
+
+    A splat lands in every tile whose pixel rectangle intersects the closed
+    square [mean2d - radius, mean2d + radius]. Tile rectangles are treated
+    as half-open ([16*tx, 16*tx + 16) and likewise in y), which makes the
+    floor arithmetic below exact at shared edges. The entries are emitted
+    row by row in _front_to_back order, then stably sorted by tile: one
+    sort of rows and one of entries.
+    """
+    tiles_x, tiles_y = grid_shape(width, height)
+    # The rows front to back, each with its tile range, clamped to the grid
+    # while still floats so the cast to integers cannot overflow.
+    rows = _front_to_back(projected)
+    mean2d, r = projected.mean2d[rows], projected.radius[rows, None]
+    last = np.array([tiles_x - 1, tiles_y - 1])
+    lo = np.clip(np.floor((mean2d - r) / TILE_SIZE), 0, last + 1).astype(np.int64)
+    hi = np.clip(np.floor((mean2d + r) / TILE_SIZE), -1, last).astype(np.int64)
+    (tx0, ty0), (nx, ny) = lo.T, np.maximum(0, hi - lo + 1).T
+    count = nx * ny
+    # One entry per (row, tile) pair, row by row, each row's tiles row-major.
+    k = np.repeat(np.arange(rows.size), count)
+    offset = np.arange(k.size) - np.repeat(np.cumsum(count) - count, count)
+    tile = (ty0[k] + offset // nx[k]) * tiles_x + tx0[k] + offset % nx[k]
+    order = np.argsort(tile, kind="stable")
+    return TileGrid(tile_size=TILE_SIZE, tiles_x=tiles_x, tiles_y=tiles_y,
+                    entry_tile=tile[order], entry_splat=rows[k[order]])
+
+
+def sort_bins(grid: TileGrid):
+    """grid with its entries regrouped by tile id, each bin keeping its
+    entries' order: one stable sort. After a tile id changes (an image
+    offset added to it), bins that were front to back stay so."""
+    order = np.argsort(grid.entry_tile, kind="stable")
+    return replace(grid, entry_tile=grid.entry_tile[order], entry_splat=grid.entry_splat[order])
 
 
 @dataclass
@@ -407,20 +484,19 @@ def _project_stack(stack, camera, local, views):
     return replace(p, source_index=local[p.source_index]), p.source_index
 
 
-def _render_batch(projected, image, footprints, width, height, windows, background,
-                  early_termination):
-    """Bin, sort and composite the windows (K, 4) of the K width x height
-    images of the projected rows, row r in image image[r] with footprint
-    footprints[r] and tile t of image k binned as k * n_tiles + t.
-    Returns the grid over all images and _composite's output over the
-    windows' pixels, laid out as _image_entries lays them out."""
+def _render_batch(projected, image, footprints, width, height, windows, background):
+    """Bin and composite, with early termination, the windows (K, 4) of
+    the K width x height images of the projected rows, row r in image
+    image[r] with footprint footprints[r] and tile t of image k binned as
+    k * n_tiles + t. Returns the grid over all images and _composite's
+    output over the windows' pixels, laid out as _image_entries lays them
+    out."""
     grid = assign_tiles(projected, width, height)
-    grid = replace(grid, entry_tile=grid.entry_tile
-                   + image[grid.entry_splat] * (grid.tiles_x * grid.tiles_y))
-    grid = sort_bins(grid, projected)
+    grid = sort_bins(replace(grid, entry_tile=grid.entry_tile
+                             + image[grid.entry_splat] * (grid.tiles_x * grid.tiles_y)))
     n_px = int(np.prod(windows[:, 2:] - windows[:, :2], axis=1).sum())
     return grid, _composite(_image_entries(grid, footprints, windows), projected, n_px,
-                            background, early_termination)
+                            background, True)
 
 
 def _result(camera, background, projected, grid, early_termination):
@@ -443,7 +519,7 @@ def _result(camera, background, projected, grid, early_termination):
 
 
 def render(scene, camera: Camera, background, *, early_termination=True):
-    """Render a scene: project, bin, sort, then composite every pixel.
+    """Render a scene: project, bin front to back, composite every pixel.
 
     Args:
         scene: Splats, or a list of Gaussian3D. Checked with Splats.check,
@@ -453,7 +529,7 @@ def render(scene, camera: Camera, background, *, early_termination=True):
             rigid view; a failure raises ValueError naming the field,
             e.g. camera.fx must be finite.
         background: 3-vector composited behind the splats. Anything but
-            a finite vector of shape (3,) raises ValueError naming it.
+            a finite (3,) vector in [0, 1] raises ValueError naming it.
         early_termination: stop per-pixel compositing below T_MIN. Disable
             to compare renderers bitwise.
 
@@ -462,9 +538,9 @@ def render(scene, camera: Camera, background, *, early_termination=True):
         needs, the committed (splat, pixel) pairs included (28 bytes per
         pair, n_contrib.sum() pairs at most).
     """
-    background = as_finite(background, (3,), "background")
+    background = as_background(background)
     projected = project_splats(Splats.of(scene), camera)
-    grid = sort_bins(assign_tiles(projected, camera.width, camera.height), projected)
+    grid = assign_tiles(projected, camera.width, camera.height)
     return _result(camera, background, projected, grid, early_termination)
 
 
@@ -475,16 +551,10 @@ def render_brute_force(scene, camera: Camera, background, *, early_termination=T
     is the full list of non-culled splats in global front-to-back order.
     Any disagreement with render() therefore isolates a binning bug.
     """
-    background = as_finite(background, (3,), "background")
+    background = as_background(background)
     projected = project_splats(Splats.of(scene), camera)
     tiles_x, tiles_y = grid_shape(camera.width, camera.height)
-    order = np.lexsort((projected.source_index, projected.depth))
-    n_tiles = tiles_x * tiles_y
-    grid = TileGrid(
-        tile_size=TILE_SIZE,
-        tiles_x=tiles_x,
-        tiles_y=tiles_y,
-        entry_tile=np.repeat(np.arange(n_tiles), order.size),
-        entry_splat=np.tile(order, n_tiles),
-    )
+    order, n_tiles = _front_to_back(projected), tiles_x * tiles_y
+    grid = TileGrid(TILE_SIZE, tiles_x, tiles_y, np.arange(n_tiles).repeat(order.size),
+                    np.tile(order, n_tiles))
     return _result(camera, background, projected, grid, early_termination)

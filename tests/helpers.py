@@ -10,7 +10,7 @@ import numpy as np
 from splatgrad import Camera, Gaussian3D, ProjectedSplats, Splats, project_splats
 from splatgrad import gradcheck, proj_backward
 from splatgrad.projection import _conic
-from splatgrad.raster_backward import _backward
+from splatgrad.raster_backward import Splat2DGrads, _backward
 from splatgrad.raster_forward import (
     ALPHA_MAX,
     ALPHA_MIN,
@@ -302,12 +302,16 @@ def oracle_render(scene, result, early_termination):
     return image, final_t, n_contrib
 
 
+def zero_grads2d(n):
+    """A Splat2DGrads of n zero rows, for oracles to accumulate into."""
+    return Splat2DGrads(d_color=np.zeros((n, 3)), d_opacity=np.zeros(n),
+                        d_mean2d=np.zeros((n, 2)), d_cov2d=np.zeros((n, 2, 2)))
+
+
 def oracle_image_backward(scene, result, d_image):
     """accumulate_image_backward computed tile by tile with
     oracle_backward_tile."""
-    from splatgrad.raster_backward import Splat2DGrads
-
-    grads = Splat2DGrads.zeros(len(scene))
+    grads = zero_grads2d(len(scene))
     projected = with_scene_values(result.projected, Splats.of(scene))
     h, w = result.image.height, result.image.width
     bins = result.grid.bins

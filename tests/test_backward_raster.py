@@ -31,6 +31,7 @@ from helpers import (
     frustum_scene,
     naive_render,
     transmittance_replay,
+    zero_grads2d,
 )
 
 
@@ -357,9 +358,7 @@ class TestAccumulateImageBackward:
         d_image = rng.normal(size=(24, 24, 3))
         total = accumulate_image_backward(scene, res, d_image)
 
-        from splatgrad.raster_backward import Splat2DGrads
-
-        want = Splat2DGrads.zeros(len(scene))
+        want = zero_grads2d(len(scene))
         bins = res.grid.bins
         for row in range(24):
             for col in range(24):

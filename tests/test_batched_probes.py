@@ -127,7 +127,7 @@ def render_stack(scenes, cameras, background):
     k, h, w = len(scenes), cameras[0].height, cameras[0].width
     _, (color, final_t, n_contrib, _) = _render_batch(
         projected, image[stack_row], _footprints(projected), w, h, _full_windows(k, w, h),
-        background, True)
+        background)
     return (color.T.reshape(k, h, w, 3), final_t.reshape(k, h, w),
             n_contrib.reshape(k, h, w))
 

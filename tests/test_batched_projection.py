@@ -30,12 +30,12 @@ from splatgrad import (
     FitConfig,
     Gaussian3D,
     Splats,
-    binning,
     core,
     fit,
     gradcheck,
     proj_backward,
     projection,
+    raster_forward,
     render,
     render_brute_force,
     scene_backward,
@@ -401,8 +401,8 @@ BATCHED_KERNELS = [
     proj_backward.world_backward,
     proj_backward.covariance3d_backward,
     proj_backward.scene_backward,
-    binning.assign_tiles,
-    binning.sort_bins,
+    raster_forward.assign_tiles,
+    raster_forward.sort_bins,
 ]
 BLAS_NAMES = {"matmul", "einsum", "dot", "vdot", "tensordot", "inner"}
 

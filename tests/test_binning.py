@@ -1,9 +1,12 @@
-"""Tests for tile assignment and per-tile depth ordering."""
+"""Tests for tile assignment and per-tile depth ordering: assign_tiles
+emits each bin front to back, and sort_bins regroups by tile stably."""
+
+from dataclasses import replace
 
 import numpy as np
 from numpy.testing import assert_allclose
 
-from splatgrad.binning import TILE_SIZE, assign_tiles, sort_bins
+from splatgrad.raster_forward import TILE_SIZE, assign_tiles, sort_bins
 
 from helpers import stack_projected
 
@@ -89,7 +92,7 @@ class TestSortBins:
             make_projected([8.0, 8.0], 2, d, i)
             for i, d in enumerate([3.0, 1.0, 2.0])
         ])
-        grid = sort_bins(assign_tiles(projected, 16, 16), projected)
+        grid = assign_tiles(projected, 16, 16)
         assert grid.bins[0] == [1, 2, 0]
 
     def test_equal_depths_break_by_index(self):
@@ -97,23 +100,43 @@ class TestSortBins:
             make_projected([8.0, 8.0], 2, 2.0, 5),
             make_projected([8.0, 8.0], 2, 2.0, 2),
         ])
-        grid = sort_bins(assign_tiles(projected, 16, 16), projected)
+        grid = assign_tiles(projected, 16, 16)
         order = grid.bins[0]
         assert [projected.source_index[i] for i in order] == [2, 5]
 
     def test_matches_reference_sort(self):
+        # Binning is one sort of rows front to back and one stable sort by
+        # tile, also after _render_batch adds each row's image offset to
+        # its tile ids: the entries are those of the brute-force oracle
+        # ordered by one lexsort over (tile, depth, source index), ties
+        # kept in row order. Depths come partly from three values and
+        # source indices repeat (as scene-local indices do across a
+        # batch's images), so ties on both keys occur.
         rng = np.random.default_rng(53)
         for _ in range(20):
             n = int(rng.integers(2, 80))
             projected = stack_projected([
                 make_projected(rng.uniform(0, 64, size=2), int(rng.integers(1, 20)),
-                               rng.uniform(1.0, 9.0), i)
-                for i in range(n)
+                               rng.choice([2.0, 3.5, 5.0, rng.uniform(1.0, 9.0)]),
+                               int(rng.integers(0, n // 2 + 1)))
+                for _ in range(n)
             ])
-            grid = sort_bins(assign_tiles(projected, 64, 64), projected)
+            grid = assign_tiles(projected, 64, 64)
             for b in grid.bins:
                 keys = [(projected.depth[i], projected.source_index[i]) for i in b]
                 assert keys == sorted(keys)
+            n_tiles = grid.tiles_x * grid.tiles_y
+            image = rng.integers(0, 3, size=n)
+            offset = sort_bins(replace(grid, entry_tile=grid.entry_tile
+                                       + image[grid.entry_splat] * n_tiles))
+            bins = brute_force_bins(projected, 64, 64)
+            tile = np.repeat(np.arange(n_tiles), [len(b) for b in bins])
+            splat = np.array([i for b in bins for i in b], dtype=np.int64)
+            for got, ref_tile in ((grid, tile), (offset, tile + image[splat] * n_tiles)):
+                order = np.lexsort((projected.source_index[splat], projected.depth[splat],
+                                    ref_tile))
+                assert got.entry_tile.tolist() == ref_tile[order].tolist()
+                assert got.entry_splat.tolist() == splat[order].tolist()
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(54)
@@ -122,8 +145,8 @@ class TestSortBins:
                            rng.uniform(1.0, 9.0), i)
             for i in range(50)
         ])
-        g1 = sort_bins(assign_tiles(projected, 64, 64), projected)
-        g2 = sort_bins(assign_tiles(projected, 64, 64), projected)
+        g1 = assign_tiles(projected, 64, 64)
+        g2 = assign_tiles(projected, 64, 64)
         assert g1.bins == g2.bins
 
     def test_depth_key_is_camera_z(self):
@@ -134,5 +157,5 @@ class TestSortBins:
         projected = stack_projected([make_projected([8.0, 8.0], 2, 1.5, 0),
                                      make_projected([8.0, 8.0], 2, 2.5, 1)])
         projected.t_cam[0] = [0.0, 0.0, 99.0]
-        grid = sort_bins(assign_tiles(projected, 16, 16), projected)
+        grid = assign_tiles(projected, 16, 16)
         assert grid.bins[0] == [0, 1]

@@ -7,6 +7,7 @@ must be integers: Camera rejects a size that int() would change when it
 is built.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -74,6 +75,20 @@ def test_good_camera_passes(entry):
 def test_non_integral_size_rejected_at_construction(field, value, shown):
     with pytest.raises(ValueError, match=rf"^camera\.{field} must be an integer, got {shown}$"):
         replace(frustum_camera(20, 16), **{field: value})
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("fx", 10**400, "must be finite, got an integer too large for a float"),
+    ("fx", "8", "must be a number, got '8'"),
+    ("near", "0.1", "must be a number, got '0.1'"),
+    ("cy", None, "must be a number, got None"),
+    ("far", True, "must be a number, got True"),
+    ("width", "16", "must be a number, got '16'"),
+    ("height", 10**400, "must be finite, got an integer too large for a float"),
+])
+def test_non_number_rejected_at_construction(field, value, problem):
+    with pytest.raises(ValueError, match=rf"^camera\.{field} {re.escape(problem)}$"):
+        replace(frustum_camera(16, 16), **{field: value})
 
 
 def test_view_shape_named_at_construction():

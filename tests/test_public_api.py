@@ -149,6 +149,11 @@ def _array(field):
             ("wrong-shape", lambda a: np.asarray(a)[:-1], field)]
 
 
+def _background(field):
+    """A background: a finite 3-vector with every channel in [0, 1]."""
+    return _array(field) + [("out-of-range", lambda a: _first(a, 1.5), field)]
+
+
 def _positive(field):
     """A step or tolerance: finite and positive."""
     return [(case, lambda _, v=value: v, field)
@@ -171,7 +176,7 @@ def _config(*names):
         if name.startswith("lr_"):
             kinds = [c for c in _positive(name) if c[0] != "zero"]
         elif name == "background":
-            kinds = _array(name)
+            kinds = _background(name)
         else:
             kinds = _count(name)
         cases += [(f"{name}-{case}", lambda c, f=name, m=make: replace(c, **{f: m(getattr(c, f))}),
@@ -194,6 +199,8 @@ DOCUMENT = [
      r"scene\.gaussians\[1\]\.mean"),
     ("wrong-shape", lambda _: _document(lambda d: d["gaussians"][1].update(quat=[1.0, 0.0, 0.0])),
      r"scene\.gaussians\[1\]\.quat"),
+    ("out-of-range", lambda _: _document(lambda d: d.update(background=[0.0, 1.5, 0.0])),
+     r"scene\.background"),
     ("zero-size", lambda _: _document(lambda d: d["camera"].update(width=0)),
      r"scene\.camera\.width"),
     ("negative-size", lambda _: _document(lambda d: d["camera"].update(height=-1)),
@@ -257,9 +264,9 @@ def _ppm_path(tmp_path):
 
 
 CONTRACT = [
-    (render, _renders, {"scene": SCENE, "camera": CAMERA, "background": _array("background")}),
+    (render, _renders, {"scene": SCENE, "camera": CAMERA, "background": _background("background")}),
     (render_brute_force, _renders,
-     {"scene": SCENE, "camera": CAMERA, "background": _array("background")}),
+     {"scene": SCENE, "camera": CAMERA, "background": _background("background")}),
     (project_splats,
      lambda p: dict(splats=_scene(), camera=_camera(), view=np.tile(np.eye(4), (2, 1, 1))),
      {"splats": SCENE, "camera": CAMERA, "view": _array("view")}),
@@ -270,7 +277,7 @@ CONTRACT = [
      {"scene": SCENE, "camera": CAMERA, "d_image": _array("d_image")}),
     (audit_scene, _audits,
      {"scene": SCENE, "camera": CAMERA, "target": _array("target"),
-      "background": _array("background"), "h": _positive("h"),
+      "background": _background("background"), "h": _positive("h"),
       "rel_tol": _positive("rel_tol"), "abs_tol": _positive("abs_tol"),
       "pixel_mask": _array("pixel_mask")}),
     (make_audit_scene, lambda p: dict(seed=0, image_size=16),
@@ -290,7 +297,7 @@ CONTRACT = [
      {"config": _config("n_gaussians", "seed"), "camera": CAMERA, "target": _array("target")}),
     (parse_scene, lambda p: dict(data=_DOC), {"data": DOCUMENT}),
     (serialize_scene, _renders,
-     {"scene": SCENE, "camera": CAMERA, "background": _array("background")}),
+     {"scene": SCENE, "camera": CAMERA, "background": _background("background")}),
     (read_image, _ppm_path, {"path": PPM}),
     (write_image,
      lambda p: dict(buffer=ImageBuffer(width=2, height=2, channels=np.zeros((2, 2, 3))),

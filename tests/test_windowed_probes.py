@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from splatgrad import Camera, Gaussian3D, Splats, audit_scene, make_audit_scene, render
 from splatgrad import gradcheck
 from splatgrad.core import SPLAT_FIELDS
+from splatgrad.proj_backward import SceneGradients
 from splatgrad.gradcheck import _probe_differences, _probe_rows, _probes
 from splatgrad.raster_forward import _render_batch
 
@@ -75,7 +76,7 @@ def assert_windows_cover(scene, camera, background):
         assert full[2 * c][outside].tobytes() == full[2 * c + 1][outside].tobytes(), c
     # Every probe image composited inside its pair's window, in one batch.
     windows = windows.repeat(2, axis=0)
-    _, (color, *_) = _render_batch(*probe, w, h, windows, background, True)
+    _, (color, *_) = _render_batch(*probe, w, h, windows, background)
     at = 0
     for k, (x0, y0, x1, y1) in enumerate(windows):
         area = (x1 - x0) * (y1 - y0)
@@ -106,22 +107,22 @@ def test_windows_cover_drawn_scenes(case):
         assert_windows_cover(scene[:4], camera, np.array([0.2, 0.3, 0.4]))
 
 
-def test_probe_stack_matches_one_scene_per_probe():
+def test_probe_stack_matches_one_scene_per_probe(monkeypatch):
     # The probes as they were built one Splats per probe: +h then -h on
     # each splat coordinate in SPLAT_FIELDS order, then on the view
     # matrix's top three rows.
-    scene, camera, _, _, _ = make_audit_scene(3, 32)
+    scene, camera, target, background, mask = make_audit_scene(3, 32)
     splats = Splats.of(scene)
     n = len(splats)
     stack, views, table, probed, coords = _probes(splats, camera, H)
     stack, views = expand(stack, views, table)
-    scenes_, views_, labels, pairs = [], [], [], []
+    scenes_, views_, labels, pairs, grads = [], [], [], [], []
     for i in range(n):
         for name, attr, _ in SPLAT_FIELDS:
             values = getattr(splats, attr)
             for j in np.ndindex(values.shape[1:]):
-                labels.append((name, f"gaussian[{i}].{name}" + "".join(f"[{k}]" for k in j),
-                               "d_" + name, np.ravel_multi_index((i,) + j, values.shape)))
+                labels.append((name, f"gaussian[{i}].{name}" + "".join(f"[{k}]" for k in j)))
+                grads.append(("d_" + name, (i,) + j))
                 pairs.append(i)
                 for step in (H, -H):
                     moved = values.copy()
@@ -130,7 +131,8 @@ def test_probe_stack_matches_one_scene_per_probe():
                     views_.append(camera.view)
     for j in np.ndindex(3, 4):
         index = np.ravel_multi_index(j, (4, 4))
-        labels.append(("view", f"view[{index}]", "d_view", index))
+        labels.append(("view", f"view[{index}]"))
+        grads.append(("d_view", j))
         pairs.append(-1)
         for step in (H, -H):
             view = camera.view.copy()
@@ -143,6 +145,21 @@ def test_probe_stack_matches_one_scene_per_probe():
     for attr in ("means", "scales", "quats", "opacities", "colors"):
         want = np.concatenate([getattr(s, attr) for s in scenes_])
         assert getattr(stack, attr).tobytes() == want.tobytes(), attr
+
+    # audit_scene reads the analytic value of probe pair c, in probe order,
+    # as SceneGradients.d_<name>[i, j] of its label: with every gradient
+    # entry distinct and each probe difference 2 h times the entry its
+    # label names, every coordinate agrees to rounding.
+    rng = np.random.default_rng(5)
+    analytic = SceneGradients.zeros(n)
+    values = 1.0 + rng.permutation(sum(v.size for v in vars(analytic).values())) / 1000.0
+    for value in vars(analytic).values():
+        value[...], values = values[:value.size].reshape(value.shape), values[value.size:]
+    expected = np.array([getattr(analytic, field)[index] for field, index in grads])
+    monkeypatch.setattr(gradcheck, "scene_backward", lambda *args: analytic)
+    monkeypatch.setattr(gradcheck, "_probe_differences", lambda *args: expected * (2.0 * H))
+    report = audit_scene(scene, camera, target, background=background, h=H, pixel_mask=mask)
+    assert all(c.max_rel < 1e-12 for c in report.classes.values()), report.to_text()
 
 
 def test_splat_culled_in_both_probes_has_empty_window():
