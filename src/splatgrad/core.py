@@ -19,7 +19,6 @@ scene index.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +59,7 @@ def as_background(value, name="background"):
 def as_real(value, name):
     """float(value); ValueError naming it unless value is a real number a
     float holds: not a bool, a string or an integer past the float range."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
