@@ -281,8 +281,9 @@ def audit_scene(scene, camera, target, *, background=(0.0, 0.0, 0.0), h=1e-5,
 
     The probed scalar is the summed squared pixel error against target.
     Every gaussian coordinate is probed, plus the twelve entries of the
-    view matrix's rotation/translation block, in _probes' order. Coordinates whose magnitude exceeds GRAD_FLOOR are
-    held to rel_tol relative error; the rest to abs_tol absolute error. A
+    view matrix's rotation/translation block, in _probes' order.
+    Coordinates whose magnitude exceeds GRAD_FLOOR are held to rel_tol
+    relative error; the rest to abs_tol absolute error. A
     class's worst coordinate is the first with the largest error over
     tolerance. A non-finite analytic coordinate fails its class, whose
     max_rel then reads inf and max_abs the nan or inf |analytic - fd|.
