@@ -11,11 +11,11 @@ record a caller may build a scene from as a list: the public entry
 points stack such a list once with Splats.of, and everything inside
 them takes the Splats. The geometric ops here and downstream take one
 splat or a stack with leading axes, and the stacked forms are written
-as broadcast products and sums (matprod, matvec), never as BLAS matrix
-products, so their results cannot depend on the BLAS thread count. A
-failed check on a stack, Splats.check included, raises RowError naming
-the row as a splat; a caller that stacked several scenes renames it by
-scene index.
+as broadcast products and sums (matprod; a matrix-vector product is
+matprod(a, v[..., None])[..., 0]), never as BLAS matrix products, so
+their results cannot depend on the BLAS thread count. A failed check on
+a stack, Splats.check included, raises RowError naming the row as a
+splat; a caller that stacked several scenes renames it by scene index.
 """
 
 import math
@@ -258,16 +258,6 @@ def matprod(a, b):
     out += 0.0
     for k in range(1, a.shape[-1]):
         out += a[..., :, k, None] * b[..., None, k, :]
-    return out
-
-
-def matvec(a, v):
-    """Matrix-vector product over the last axes, broadcasting the others,
-    as products added in index order from +0.0, like matprod."""
-    out = a[..., 0] * v[..., None, 0]
-    out += 0.0
-    for k in range(1, a.shape[-1]):
-        out += a[..., k] * v[..., None, k]
     return out
 
 

@@ -36,7 +36,7 @@ operations.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .core import SPLAT_FIELDS, Camera, Splats, as_finite, as_integer, quat_to_r
 # compose_covariance_3d is not called here; it stays importable from this
 # module because perfbench/spans.py wraps gradcheck.compose_covariance_3d.
 from .core import compose_covariance_3d  # noqa: F401
-from .projection import ProjectedSplats, pixel_to_world, project_splats
+from .projection import pixel_to_world, project_splats
 from .proj_backward import scene_backward
 from .raster_forward import (SIGMA_CUT, T_MIN, _footprints, _front_to_back, _pair_alpha,
                              _project_stack, _render_batch, render)
@@ -153,16 +153,6 @@ def _probes(splats, camera, h):
     return Splats(**arrays), views, table, probed, coords
 
 
-def _take(projected, rows):
-    """The rows of a ProjectedSplats at the indices rows, in their order.
-    The rows taken are probe rows, composited but never differentiated, so
-    the factors the backward pass reads stay behind (None)."""
-    p = projected
-    return ProjectedSplats(*(np.take(x, rows, axis=0) for x in (
-        p.t_cam, p.mean2d, p.cov2d, p.conic, p.depth, p.radius, p.source_index)),
-        opacity=np.take(p.opacity, rows, axis=0), color=np.take(p.color, rows, axis=0))
-
-
 def _probe_rows(stack, views, table, probed, camera):
     """Project _probes' distinct rows once and gather them into the probe
     images. Returns (projected, image, footprints, windows).
@@ -181,6 +171,9 @@ def _probe_rows(stack, views, table, probed, camera):
     local = np.zeros(len(views), dtype=np.intp)
     local[table] = np.arange(table.shape[1])
     rows, stack_row = _project_stack(stack, camera, local, views)
+    # Probe rows are never differentiated: what only the backward pass reads goes.
+    rows = replace(rows, mean=None, scale=None, quat=None, rot=None, sigma=None, jac=None,
+                   t_proj=None)
     footprints = _footprints(rows)
     # Each stack row's footprint; a culled row's is empty.
     box = np.tile([np.inf, np.inf, -np.inf, -np.inf], (len(views), 1))
@@ -199,7 +192,7 @@ def _probe_rows(stack, views, table, probed, camera):
     hit = (np.maximum(moved[..., :2], win[..., :2])
            < np.minimum(moved[..., 2:], win[..., 2:])).all(axis=2).ravel().nonzero()[0]
     index = stack_row.searchsorted(table.ravel()[hit])
-    return (_take(rows, index), hit // table.shape[1], np.take(footprints, index, axis=0),
+    return (rows.take(index), hit // table.shape[1], np.take(footprints, index, axis=0),
             windows)
 
 
@@ -236,7 +229,7 @@ def _probe_differences(projected, image, footprints, windows, target, weight,
         # The rows of images 2 c0 to 2 c1 - 1, renumbered from image 0.
         rows = np.arange(*image.searchsorted([2 * c0, 2 * c1]))
         delta[c0:c1] = _slice_differences(
-            _take(projected, rows), image[rows] - 2 * c0, np.take(footprints, rows, axis=0),
+            projected.take(rows), image[rows] - 2 * c0, np.take(footprints, rows, axis=0),
             windows[c0:c1], area[c0:c1], target, weight, background)
     return delta
 

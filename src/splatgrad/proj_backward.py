@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import QUAT_NORM_EPS, SPLAT_FIELDS, Camera, Splats, matprod, matvec, reject
+from .core import QUAT_NORM_EPS, SPLAT_FIELDS, Camera, Splats, matprod, reject
 # compose_covariance_3d is not called here; it stays importable from this
 # module because perfbench/spans.py wraps proj_backward.compose_covariance_3d.
 from .core import compose_covariance_3d  # noqa: F401
@@ -117,7 +117,7 @@ def world_backward(d_t_total, camera: Camera, mean):
     d_view = np.zeros((4, 4))
     d_view[:3, :3] = np.sum(d_t[..., :, None] * m[..., None, :], axis=rows)
     d_view[:3, 3] = np.sum(d_t, axis=rows)
-    return matvec(camera.rotation.T, d_t), d_view
+    return matprod(camera.rotation.T, d_t[..., None])[..., 0], d_view
 
 
 def covariance3d_backward(d_sigma, rot, quat, scale):
@@ -152,9 +152,10 @@ def covariance3d_backward(d_sigma, rot, quat, scale):
     a = np.stack([d_R[..., 2, 1] - d_R[..., 1, 2], d_R[..., 0, 2] - d_R[..., 2, 0],
                   d_R[..., 1, 0] - d_R[..., 0, 1]], axis=-1)
     trace = d_R[..., 0, 0] + d_R[..., 1, 1] + d_R[..., 2, 2]
+    sym_v = matprod(d_R + _t(d_R), v[..., None])[..., 0]
     d_q_hat = 2.0 * np.concatenate(
         [np.sum(v * a, axis=-1, keepdims=True),
-         w * a + matvec(d_R + _t(d_R), v) - 2.0 * trace[..., None] * v], axis=-1)
+         w * a + sym_v - 2.0 * trace[..., None] * v], axis=-1)
     along = np.sum(q_hat * d_q_hat, axis=-1)
     d_quat = (d_q_hat - q_hat * along[..., None]) / norm[..., None]
     return d_quat, d_scale

@@ -16,7 +16,7 @@ one-splat case. Every render, audit probe and audit mask projects
 through project_splats, which runs Camera.check and Splats.check first.
 """
 
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, fields
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .core import (
     as_finite,
     compose_covariance_3d,
     matprod,
-    matvec,
     reject,
 )
 
@@ -54,7 +53,7 @@ class ProjectedSplats:
     way: rot (K, 3, 3), the rotation of the quaternion, sigma (K, 3, 3),
     the world covariance, jac (K, 2, 3), the projection's Jacobian at
     t_cam, and t_proj (K, 2, 3) = jac R_cw. Only the audit's probe rows
-    (gradcheck._take) leave those None.
+    (gradcheck._probe_rows) leave those None.
     """
 
     t_cam: np.ndarray
@@ -78,13 +77,19 @@ class ProjectedSplats:
     def __len__(self):
         return self.depth.shape[0]
 
+    def take(self, rows):
+        """The rows at the indices rows, in their order; a None field stays None."""
+        return ProjectedSplats(**{f.name: None if (x := getattr(self, f.name)) is None
+                                  else np.take(x, rows, axis=0) for f in fields(self)})
+
 
 def world_to_camera(mean, camera: Camera, view=None):
     """Map a world-space point, or a stack (..., 3) of them, to the
     camera-space point R m + t through camera.view, or through view when
     given (one 4x4 matrix or one per point), R and t its top three rows."""
     v = camera.view if view is None else view
-    return matvec(v[..., :3, :3], np.asarray(mean, dtype=np.float64)) + v[..., :3, 3]
+    m = np.asarray(mean, dtype=np.float64)
+    return matprod(v[..., :3, :3], m[..., None])[..., 0] + v[..., :3, 3]
 
 
 def camera_to_pixel(t_cam, camera: Camera):
@@ -227,18 +232,16 @@ def project_splats(splats, camera: Camera, *, view=None, keep_offscreen=False):
     except RowError as exc:
         raise RowError(exc.problem, src[exc.row], exc.field) from None
 
-    if not keep_offscreen:
-        keep = ~(
-            (mean2d[:, 0] + radius < 0.0)
-            | (mean2d[:, 0] - radius >= camera.width)
-            | (mean2d[:, 1] + radius < 0.0)
-            | (mean2d[:, 1] - radius >= camera.height)
-        )
-        src, t_cam, mean2d, cov2d, radius, rot, sigma, jac, t_proj = (
-            x[keep] for x in (src, t_cam, mean2d, cov2d, radius, rot, sigma, jac, t_proj))
     # bounding_radius has checked that every det is positive.
-    return ProjectedSplats(
+    projected = ProjectedSplats(
         t_cam=t_cam, mean2d=mean2d, cov2d=cov2d, conic=_conic(cov2d), depth=t_cam[:, 2],
         radius=radius, source_index=src,
         **{name: getattr(splats, attr)[src] for name, attr, _ in SPLAT_FIELDS},
         rot=rot, sigma=sigma, jac=jac, t_proj=t_proj)
+    if keep_offscreen:
+        return projected
+    return projected.take(np.flatnonzero(~(
+        (mean2d[:, 0] + radius < 0.0)
+        | (mean2d[:, 0] - radius >= camera.width)
+        | (mean2d[:, 1] + radius < 0.0)
+        | (mean2d[:, 1] - radius >= camera.height))))

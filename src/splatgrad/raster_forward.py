@@ -4,9 +4,9 @@ splats over flat (splat, pixel) pairs.
 Binning is one sort of rows and one of entries. assign_tiles takes the
 projected rows in _front_to_back order (depth, then source index) and
 emits one entry per 16 x 16 tile a row's bounding square touches, then
-sorts the entries stably by tile, so every bin is front to back. The
-tile ids are encoded (assign_tiles, _render_batch) and decoded
-(_image_entries) here, beside that order.
+sorts the entries stably by tile id (sort_bins), so every bin is front
+to back. The tile ids, an image's offset included, are encoded in
+assign_tiles and decoded in _image_entries, beside that order.
 
 The tile bins are flattened once and ordered by (bin position, tile).
 Each entry expands only over the pixels of its tile whose centers lie in
@@ -35,11 +35,11 @@ The pipeline has an image axis. _project_stack projects a stack of
 rows in one project_splats pass, each row through its own view, and
 returns each kept row's stack index, from which the caller maps the row
 to its image. _render_batch takes the rows, that image array and their
-footprints. Tile t of image k is binned as k * n_tiles + t, sort_bins
-regroups the entries stably by that id, so each bin stays front to back
-(depth, scene-local source index), and one walk composites the pixels of
-all K images. A pixel still has at most one pair per bin position, so
-image k equals a render of its rows alone bitwise. The audit projects
+footprints. assign_tiles bins tile t of image k as k * n_tiles + t in
+its one entry sort, so each bin is front to back (depth, scene-local
+source index), and one walk composites the pixels of all K images. A
+pixel still has at most one pair per bin position, so image k equals a
+render of its rows alone bitwise. The audit projects
 each distinct row of a scene's probes once, then bins and composites the
 probes in slices.
 
@@ -119,8 +119,9 @@ class TileGrid:
     """The (tile, splat) entries of a tile grid, flat and grouped by tile.
 
     entry_tile (E,) holds row-major tile ids in ascending order, the tile
-    (tx, ty) being ty * tiles_x + tx; entry_splat (E,) holds the matching
-    indices into a projected-splat list, front to back within each tile.
+    (tx, ty) of image k being (k * tiles_y + ty) * tiles_x + tx (assign_tiles
+    encodes the image); entry_splat (E,) holds the matching indices into
+    a projected-splat list, front to back within each tile.
     """
 
     tile_size: int
@@ -150,15 +151,17 @@ def _front_to_back(projected):
     return np.lexsort((projected.source_index, projected.depth))
 
 
-def assign_tiles(projected: ProjectedSplats, width, height):
+def assign_tiles(projected: ProjectedSplats, width, height, image=None):
     """Bin splats by bounding-box overlap, each bin front to back.
 
     A splat lands in every tile whose pixel rectangle intersects the closed
     square [mean2d - radius, mean2d + radius]. Tile rectangles are treated
     as half-open ([16*tx, 16*tx + 16) and likewise in y), which makes the
-    floor arithmetic below exact at shared edges. The entries are emitted
-    row by row in _front_to_back order, then stably sorted by tile: one
-    sort of rows and one of entries.
+    floor arithmetic below exact at shared edges. With image (K,), row r
+    is binned in image image[r]: tile t of image k gets id
+    k * tiles_x * tiles_y + t. The entries are emitted row by row in
+    _front_to_back order, then regrouped by id with sort_bins: one sort of
+    rows and one of entries.
     """
     tiles_x, tiles_y = grid_shape(width, height)
     # The rows front to back, each with its tile range, clamped to the grid
@@ -174,15 +177,16 @@ def assign_tiles(projected: ProjectedSplats, width, height):
     k = np.repeat(np.arange(rows.size), count)
     offset = np.arange(k.size) - np.repeat(np.cumsum(count) - count, count)
     tile = (ty0[k] + offset // nx[k]) * tiles_x + tx0[k] + offset % nx[k]
-    order = np.argsort(tile, kind="stable")
-    return TileGrid(tile_size=TILE_SIZE, tiles_x=tiles_x, tiles_y=tiles_y,
-                    entry_tile=tile[order], entry_splat=rows[k[order]])
+    splat = rows[k]
+    if image is not None:
+        tile += image[splat] * (tiles_x * tiles_y)
+    return sort_bins(TileGrid(TILE_SIZE, tiles_x, tiles_y, tile, splat))
 
 
 def sort_bins(grid: TileGrid):
     """grid with its entries regrouped by tile id, each bin keeping its
-    entries' order: one stable sort. After a tile id changes (an image
-    offset added to it), bins that were front to back stay so."""
+    entries' order: one stable sort, the one sort of entries, which
+    assign_tiles makes on the entries it emits front to back."""
     order = np.argsort(grid.entry_tile, kind="stable")
     return replace(grid, entry_tile=grid.entry_tile[order], entry_splat=grid.entry_splat[order])
 
@@ -358,13 +362,10 @@ def _blocks(entries):
     preceding pair total enters a new multiple of the budget."""
     count = entries.width * entries.height
     before = count.cumsum() - count
-    n = count.size
-    if n == 0 or before[-1] + count[-1] <= PAIR_BUDGET:
-        return [(0, n)]
     first = (entries.pos[1:] != entries.pos[:-1]).nonzero()[0] + 1
     block = before[first] // PAIR_BUDGET
     cuts = first[np.diff(block, prepend=0).nonzero()[0]].tolist()
-    edges = [0] + cuts + [n]
+    edges = [0] + cuts + [count.size]
     return list(zip(edges[:-1], edges[1:]))
 
 
@@ -487,13 +488,11 @@ def _project_stack(stack, camera, local, views):
 def _render_batch(projected, image, footprints, width, height, windows, background):
     """Bin and composite, with early termination, the windows (K, 4) of
     the K width x height images of the projected rows, row r in image
-    image[r] with footprint footprints[r] and tile t of image k binned as
-    k * n_tiles + t. Returns the grid over all images and _composite's
-    output over the windows' pixels, laid out as _image_entries lays them
-    out."""
-    grid = assign_tiles(projected, width, height)
-    grid = sort_bins(replace(grid, entry_tile=grid.entry_tile
-                             + image[grid.entry_splat] * (grid.tiles_x * grid.tiles_y)))
+    image[r] with footprint footprints[r]; assign_tiles bins tile t of
+    image k as k * n_tiles + t in its one entry sort. Returns the grid
+    over all images and _composite's output over the windows' pixels,
+    laid out as _image_entries lays them out."""
+    grid = assign_tiles(projected, width, height, image)
     n_px = int(np.prod(windows[:, 2:] - windows[:, :2], axis=1).sum())
     return grid, _composite(_image_entries(grid, footprints, windows), projected, n_px,
                             background, True)

@@ -6,8 +6,10 @@ splat and agree on t_cam, mean2d, cov2d and depth to 1e-12 of each
 quantity's largest entry, with equal radii. On an (N, 4, 4) view stack
 it must give, row for row and bitwise, what one call per camera gives.
 Every kept row carries its conic, bitwise (c, -b, a) / det of its
-cov2d, and the opacity and color of its splat; the audit's probe rows
-(gradcheck._take) leave the backward pass's factors behind.
+cov2d, and the opacity and color of its splat; the image cull is
+ProjectedSplats.take of the keep_offscreen record's rows, and take leaves
+a None field, as the audit's probe rows leave the backward pass's
+factors, None.
 scene_backward must match the
 per-splat chain to 1e-12 of each gradient class's largest entry, and
 culled splats must get rows that are exactly zero. Bad inputs and failed
@@ -221,16 +223,36 @@ def test_rows_carry_conic_opacity_and_color(name):
 
 
 def test_take_leaves_the_backward_factors_behind():
+    # The audit's probe rows (gradcheck._probe_rows) drop the fields only
+    # the backward pass reads; take gathers the others and leaves those None.
     projected, _ = projected_case("view_stack")
+    backward = ("mean", "scale", "quat", "rot", "sigma", "jac", "t_proj")
     rows = np.array([3, 0, 3, len(projected) - 1])
-    got = gradcheck._take(projected, rows)
+    got = dataclasses.replace(projected, **dict.fromkeys(backward)).take(rows)
     for field in dataclasses.fields(got):
         value = getattr(got, field.name)
-        if field.name in ("mean", "scale", "quat", "rot", "sigma", "jac", "t_proj"):
+        if field.name in backward:
             assert value is None, field.name
         else:
             want = getattr(projected, field.name)[rows]
             assert value.dtype == want.dtype and value.tobytes() == want.tobytes(), field.name
+
+
+def test_image_cull_is_a_take_of_the_offscreen_record():
+    # project_splats culls off-image splats by taking the rows of its
+    # keep_offscreen record that touch the image: every field bitwise.
+    scene, camera, _ = culled_case()
+    splats = Splats.of(scene)
+    got = projection.project_splats(splats, camera)
+    full = projection.project_splats(splats, camera, keep_offscreen=True)
+    kept = np.flatnonzero(np.isin(full.source_index, got.source_index))
+    assert 0 < len(got) < len(full)
+    want = full.take(kept)
+    for field in dataclasses.fields(got):
+        value, ref = getattr(got, field.name), getattr(want, field.name)
+        assert value is not None, field.name
+        assert value.dtype == ref.dtype and value.shape == ref.shape, field.name
+        assert value.tobytes() == ref.tobytes(), field.name
 
 
 def test_backward_matches_per_splat_chain(case):
@@ -385,7 +407,6 @@ def test_projection_failures_raise_by_name(depth, message):
 
 BATCHED_KERNELS = [
     core.matprod,
-    core.matvec,
     core.quat_to_rotmat,
     core.compose_covariance_3d,
     core.Splats.check,
@@ -436,8 +457,9 @@ def test_stacked_covariance_uses_the_broadcast_product():
 @pytest.mark.parametrize("shape_a, shape_v", [((600, 4, 4), (600, 4)), ((4, 4), (600, 4)),
                                               ((3, 3), (600, 3)), ((600, 3, 4), (600, 4))])
 def test_matvec_equals_the_sum_over_its_last_axis(shape_a, shape_v):
-    # matvec adds in index order from +0.0, as np.sum over the last axis
-    # does, so the two agree bitwise, signed zeros included.
+    # A matrix-vector product is matprod with the vector as one column: it
+    # adds in index order from +0.0, as np.sum over the last axis does, so
+    # the two agree bitwise, signed zeros included.
     rng = np.random.default_rng(11)
 
     def draw(shape):
@@ -446,4 +468,5 @@ def test_matvec_equals_the_sum_over_its_last_axis(shape_a, shape_v):
         return np.where(rng.random(shape) < 0.5, -x, x)
 
     a, v = draw(shape_a), draw(shape_v)
-    assert core.matvec(a, v).tobytes() == np.sum(a * v[..., None, :], axis=-1).tobytes()
+    got = core.matprod(a, v[..., None])[..., 0]
+    assert got.tobytes() == np.sum(a * v[..., None, :], axis=-1).tobytes()

@@ -1,12 +1,11 @@
 """Tests for tile assignment and per-tile depth ordering: assign_tiles
-emits each bin front to back, and sort_bins regroups by tile stably."""
-
-from dataclasses import replace
+emits each bin front to back, with each row's image offset when given,
+in one stable sort of its entries by tile id."""
 
 import numpy as np
 from numpy.testing import assert_allclose
 
-from splatgrad.raster_forward import TILE_SIZE, assign_tiles, sort_bins
+from splatgrad.raster_forward import TILE_SIZE, assign_tiles
 
 from helpers import stack_projected
 
@@ -106,7 +105,7 @@ class TestSortBins:
 
     def test_matches_reference_sort(self):
         # Binning is one sort of rows front to back and one stable sort by
-        # tile, also after _render_batch adds each row's image offset to
+        # tile id, also when assign_tiles adds each row's image offset to
         # its tile ids: the entries are those of the brute-force oracle
         # ordered by one lexsort over (tile, depth, source index), ties
         # kept in row order. Depths come partly from three values and
@@ -127,8 +126,7 @@ class TestSortBins:
                 assert keys == sorted(keys)
             n_tiles = grid.tiles_x * grid.tiles_y
             image = rng.integers(0, 3, size=n)
-            offset = sort_bins(replace(grid, entry_tile=grid.entry_tile
-                                       + image[grid.entry_splat] * n_tiles))
+            offset = assign_tiles(projected, 64, 64, image)
             bins = brute_force_bins(projected, 64, 64)
             tile = np.repeat(np.arange(n_tiles), [len(b) for b in bins])
             splat = np.array([i for b in bins for i in b], dtype=np.int64)

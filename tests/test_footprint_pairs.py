@@ -14,6 +14,11 @@ blocks of about PAIR_BUDGET and only the committed ones are kept, so
 the render's peak stays near the image buffers, the kept pairs and one
 block, and the backward pass reads the kept pairs a block at a time;
 building the pairs of the whole image at once exceeds either bound.
+
+Beside them, the count pins fix four counts of the same render and of a
+64 x 64 fit's render: bin entries, the longest bin, committed pairs and
+the summed n_contrib. A change that moves one on purpose updates its pin
+and says why.
 """
 
 import tracemalloc
@@ -25,7 +30,9 @@ from hypothesis import strategies as st
 import test_acceptance
 from splatgrad import (
     Camera,
+    FitConfig,
     Gaussian3D,
+    fit,
     render,
     render_brute_force,
     scene_backward,
@@ -128,15 +135,27 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_render_256_peak_memory():
-    # 1,000 splats in a 4-unit box seen from 4.5 units away, as in the
-    # benchmark's render workload. Measured peak: about 7.3 MB, of which
-    # 5.0 MB is the result, its 79,970 kept pairs (2.2 MB) included; the
-    # whole image's pairs take over 17 MB.
-    rng = np.random.default_rng(3)
-    scene = box_scene(rng, 1000)
+def render_256_case():
+    """1,000 splats in a 4-unit box seen from 4.5 units away, as in the
+    benchmark's render workload: (scene, camera)."""
+    scene = box_scene(np.random.default_rng(3), 1000)
     camera = frustum_camera(256, 256, fx=256.0)
     camera.view[2, 3] = 4.5
+    return scene, camera
+
+
+def render_counts(res):
+    """(bin entries, longest bin, committed pairs, summed n_contrib) of a
+    one-image RenderResult."""
+    return (res.grid.entry_tile.size, int(np.bincount(res.grid.entry_tile).max()),
+            sum(p.pix.size for p in res.pairs), int(res.aux.n_contrib.sum()))
+
+
+def test_render_256_peak_memory():
+    # Measured peak: about 7.3 MB, of which 5.0 MB is the result, its
+    # 79,970 kept pairs (2.2 MB) included; the whole image's pairs take
+    # over 17 MB.
+    scene, camera = render_256_case()
     res = render(scene, camera, np.zeros(3))
     assert res.aux.n_contrib.mean() > 1.0
     assert traced_peak(lambda: render(scene, camera, np.zeros(3))) < 9e6
@@ -150,3 +169,19 @@ def test_fit_64_backward_peak_memory():
     res = render(scene, camera, bg)
     d_image = np.random.default_rng(1).normal(size=(64, 64, 3))
     assert traced_peak(lambda: scene_backward(scene, camera, res, d_image)) < 3.5e6
+
+
+def test_render_256_counts():
+    scene, camera = render_256_case()
+    assert render_counts(render(scene, camera, np.zeros(3))) == (3007, 26, 79970, 353133)
+
+
+def test_fit_64_counts():
+    # The render of the 100-splat fit after 60 iterations from init seed 3
+    # on the criterion-5 target (about 0.2 s).
+    truth, camera = test_acceptance.TestAcceptance.hidden_scene()
+    bg = (0.1, 0.1, 0.1)
+    target = render(truth, camera, np.asarray(bg)).image.channels
+    fitted, _ = fit(target, camera, FitConfig(n_gaussians=100, iterations=60, background=bg,
+                                              seed=3))
+    assert render_counts(render(fitted, camera, np.asarray(bg))) == (335, 37, 15814, 66441)
